@@ -26,9 +26,10 @@ from .harmonic_measure import (BoundarySegment, BoundEntry, BoundReport,
                                Interval, hm_bounds, hm_interval,
                                hm_interval_quad, hm_sector_disk,
                                hm_sector_disk_bounds, hm_sector_segment,
-                               hm_system, poisson_kernel)
-from .ray_geometry import (ANGULAR_TOL, InSector, OnSystem, Ray, RaySystem,
-                           Sector, classify_point, complementary_sectors,
+                               hm_system, hm_system_quad, poisson_kernel)
+from .numerics import ANGULAR_TOL
+from .ray_geometry import (REAL_AXIS, InSector, OnSystem, RaySystem, Sector,
+                           classify_point, complementary_sectors,
                            normalize_angle, reduce_to_halfplane,
                            relative_angle)
 from .regular_growth import (CRGReport, RayLimitRecord, angular_density,
@@ -42,6 +43,6 @@ from .subharmonic import (BOTTOM, Bottom, CanonicalPotential, ClassAResult,
                           kernel_Kq_radial_derivative, potential_eval,
                           subharmonic_balayage_eval, sweep_potential_eval)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

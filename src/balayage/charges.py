@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     BadGauge,
@@ -28,7 +27,9 @@ from .errors import (
     SupportTouchesInterval,
 )
 from .harmonic_measure import Interval, hm_interval, poisson_kernel
+from .numerics import integrate
 from .ray_geometry import (
+    REAL_AXIS,
     InSector,
     OnSystem,
     RaySystem,
@@ -197,6 +198,11 @@ class BalayageCharge:
     def total_mass(self):
         return self.kept.total_mass + math.fsum(s.mass for s in self.swept)
 
+    @property
+    def rays(self):
+        """The target ray system; REAL_AXIS for the half-plane sweep."""
+        return REAL_AXIS if self.system is None else self.system
+
     def to_json(self):
         out = {"kept": self.kept.to_json(),
                "swept": [{"source": {"re": s.z.real, "im": s.z.imag, "mass": s.mass},
@@ -248,33 +254,12 @@ class BalayageCharge:
             total += m * p * t ** (p - 1.0) * poisson_kernel(edge * s, w)
         return total
 
-    def ray_step_function(self, j, radii, variation=False):
-        """Distribution function along ray j sampled as a StepFunction on the
-        given radii grid (swept part piecewise-constant approximation) plus the
-        exact kept-atom jumps.  Origin atoms are excluded (they sit on every ray)."""
-        theta = 0.0 if self.system is None and j == 0 else (
-            math.pi if self.system is None else self.system.thetas[j])
-        events = []
-        for z, m in self.kept.atoms:
-            if z == 0:
-                continue
-            if abs(math.remainder(cmath.phase(z) - theta, 2.0 * math.pi)) <= 1e-12:
-                events.append((abs(z), abs(m) if variation else m))
-        prev = 0.0
-        prev_r = 0.0
-        for r in radii:
-            cur = self.ray_segment_mass(j, 0.0, r, variation=variation)
-            if cur != prev:
-                events.append((0.5 * (prev_r + r), cur - prev))
-            prev, prev_r = cur, r
-        return StepFunction.from_events(events)
-
 
 def balayage_halfplane(nu):
     """Sweep the open-upper-half part of nu onto R; the closed lower half stays."""
     kept, swept = [], []
     for z, m in nu.atoms:
-        if z.imag > 0.0:
+        if z.imag > 0.0 and REAL_AXIS.ray_index(z) is None:
             swept.append(SweptAtom(z, m, None))
         else:
             kept.append((z, m))
@@ -299,23 +284,17 @@ def balayage_system(nu, S):
 # Distribution functions on R
 
 
+def _on_axis(z):
+    return z == 0 or REAL_AXIS.ray_index(z) is not None
+
+
 def _require_real_support(bal):
-    if bal.system is not None:
-        for th in bal.system.thetas:
-            if not (abs(th) <= 1e-12 or abs(th - math.pi) <= 1e-12):
-                raise SupportOffAxis(f"system ray at angle {th} is off the real axis")
+    for th in bal.rays.thetas:
+        if not _on_axis(cmath.rect(1.0, th)):
+            raise SupportOffAxis(f"system ray at angle {th} is off the real axis")
     for z, m in bal.kept.atoms:
-        if z.imag != 0.0:
+        if not _on_axis(z):
             raise SupportOffAxis(f"kept atom at {z} is off the real axis")
-
-
-def _ray_index_for_angle(bal, theta):
-    if bal.system is None:
-        return 0 if theta == 0.0 else 1
-    for j, th in enumerate(bal.system.thetas):
-        if abs(th - theta) <= 1e-12:
-            return j
-    return None
 
 
 def distribution_on_R(nu, x):
@@ -325,7 +304,7 @@ def distribution_on_R(nu, x):
     x = float(x)
     if isinstance(nu, AtomicCharge):
         for z, _ in nu.atoms:
-            if z.imag != 0.0:
+            if not _on_axis(z):
                 raise SupportOffAxis(f"atom at {z} is off the real axis")
         if x >= 0.0:
             return math.fsum(m for z, m in nu.atoms if 0.0 <= z.real <= x)
@@ -335,12 +314,12 @@ def distribution_on_R(nu, x):
     _require_real_support(bal)
     if x >= 0.0:
         total = math.fsum(m for z, m in bal.kept.atoms if 0.0 <= z.real <= x)
-        j = _ray_index_for_angle(bal, 0.0)
+        j = bal.rays.ray_index(1.0)
         if j is not None and x > 0.0:
             total += bal.ray_segment_mass(j, 0.0, x)
         return total
     total = math.fsum(m for z, m in bal.kept.atoms if x <= z.real < 0.0)
-    j = _ray_index_for_angle(bal, math.pi)
+    j = bal.rays.ray_index(-1.0)
     if j is not None:
         total += bal.ray_segment_mass(j, 0.0, -x)
     return -total
@@ -358,7 +337,7 @@ def seq_balayage_distribution(Z, x):
             atoms.append((complex(item[0]), float(item[1])))
         else:
             atoms.append((complex(item), 1.0))
-    bal = balayage_system(AtomicCharge(atoms), RaySystem([0.0, math.pi]))
+    bal = balayage_system(AtomicCharge(atoms), REAL_AXIS)
     return distribution_on_R(bal, x)
 
 
@@ -374,7 +353,7 @@ def _variation_interval_halfplane(bal, t1, t2, quad_tol=1e-11):
     else:
         atom_in = lambda v: t1 < v <= t2
     total = math.fsum(abs(m) for z, m in bal.kept.atoms
-                      if z.imag == 0.0 and atom_in(z.real))
+                      if _on_axis(z) and atom_in(z.real))
     sw = bal.swept
     if not sw:
         return total
@@ -383,7 +362,7 @@ def _variation_interval_halfplane(bal, t1, t2, quad_tol=1e-11):
         total += math.fsum(abs(s.mass) * hm_interval(s.z, Interval(t1, t2)) for s in sw)
         return total
     dens = lambda t: abs(math.fsum(s.mass * poisson_kernel(t, s.z) for s in sw))
-    val, _ = quad(dens, t1, t2, epsabs=quad_tol, limit=400)
+    val, _ = integrate(dens, t1, t2, "variation", epsabs=quad_tol, limit=400)
     return total + val
 
 
@@ -400,7 +379,7 @@ def variation_radial(bal, r, quad_tol=1e-11):
             return total + math.fsum(abs(s.mass) * hm_interval(s.z, Interval(-r, r))
                                      for s in sw)
         dens = lambda t: abs(math.fsum(s.mass * poisson_kernel(t, s.z) for s in sw))
-        val, _ = quad(dens, -r, r, epsabs=quad_tol, limit=400)
+        val, _ = integrate(dens, -r, r, "variation", epsabs=quad_tol, limit=400)
         return total + val
     for j in range(len(bal.system.thetas)):
         contribs = bal.ray_contributions(j)
@@ -411,7 +390,7 @@ def variation_radial(bal, r, quad_tol=1e-11):
             total += abs(bal.ray_segment_mass(j, 0.0, r))
         else:
             dens = lambda t, jj=j: abs(bal.ray_density(jj, t))
-            val, _ = quad(dens, 0.0, r, epsabs=quad_tol, limit=400)
+            val, _ = integrate(dens, 0.0, r, "variation", epsabs=quad_tol, limit=400)
             total += val
     return total
 
@@ -539,7 +518,7 @@ def check_lipschitz(nu, x1, x2, n_grid=200, p=None):
     if x1 <= 0.0 <= x2:
         raise BadInput("interval must avoid 0")
     for z, _ in nu.atoms:
-        if z.imag == 0.0 and x1 <= z.real <= x2:
+        if _on_axis(z) and x1 <= z.real <= x2:
             raise SupportTouchesInterval(f"atom at {z.real} lies in [{x1}, {x2}]")
     bal = balayage_halfplane(nu)
     xs = np.linspace(x1, x2, n_grid + 1)
@@ -611,12 +590,10 @@ class RayTestFunction:
                 if v != 0.0:
                     return v
             return 0.0
-        phase = cmath.phase(z) % (2.0 * math.pi)
-        for j, th in enumerate(self.S.thetas):
-            d = abs(math.remainder(phase - th, 2.0 * math.pi))
-            if d <= 1e-12:
-                return self.on_ray(j, abs(z))
-        raise BadInput(f"point {z} is not on the system")
+        j = self.S.ray_index(z)
+        if j is None:
+            raise BadInput(f"point {z} is not on the system")
+        return self.on_ray(j, abs(z))
 
     def ray_knots(self, j):
         return [t for t, _ in self.breakpoints.get(j, [])]
@@ -647,8 +624,8 @@ def _poisson_pairing(F, S, z, quad_tol=1e-10):
                    if 0.0 < aw * 2.0 ** j < hi)
         fn = lambda s, er=edge_ray, sg=sign: (
             F.on_ray(er, s ** (1.0 / p)) * poisson_kernel(sg * s, w))
-        val, _ = quad(fn, 0.0, hi, epsabs=quad_tol, limit=600,
-                      points=sorted(q for q in pts if q < hi))
+        val, _ = integrate(fn, 0.0, hi, "pairing", epsabs=quad_tol, limit=600,
+                           points=sorted(q for q in pts if q < hi))
         total += val
     return total
 
@@ -671,8 +648,8 @@ def check_fubini(nu, S, F, tol=1e-8, quad_tol=1e-10):
         if hi == 0.0:
             continue
         fn = lambda t, jj=j: F.on_ray(jj, t) * bal.ray_density(jj, t)
-        val, _ = quad(fn, 0.0, hi, epsabs=quad_tol, limit=400,
-                      points=[t for t in knots if 0.0 < t < hi])
+        val, _ = integrate(fn, 0.0, hi, "fubini", epsabs=quad_tol, limit=400,
+                           points=[t for t in knots if 0.0 < t < hi])
         lhs += val
     rhs = math.fsum(m * _poisson_pairing(F, S, z, quad_tol=quad_tol)
                     for z, m in nu.atoms)
@@ -691,8 +668,8 @@ def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 
         for j, th in enumerate(S.thetas):
             if not bal.ray_contributions(j):
                 continue
-            re_part, _ = quad(lambda t, jj=j: t ** (-q) * bal.ray_density(jj, t),
-                              r0, r, epsabs=quad_tol, limit=400)
+            re_part, _ = integrate(lambda t, jj=j: t ** (-q) * bal.ray_density(jj, t),
+                                   r0, r, "lindelof", epsabs=quad_tol, limit=400)
             lb += cmath.exp(-1j * q * th) * re_part
         diffs.append(abs(lv - lb))
     slope, growing = divergence_verdict(radii, diffs, slope_threshold)

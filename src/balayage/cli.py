@@ -7,7 +7,6 @@ JSON output is deterministic (sorted keys); file writes are atomic.
 """
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -27,16 +26,15 @@ from .charges import (AtomicCharge, RayTestFunction, balayage_halfplane,
 from .errors import BadInput, BalayageError, NumericFailure
 from .growth_scales import convergence_integral_zero, growth_report
 from .harmonic_measure import (BoundarySegment, Interval, hm_bounds,
-                               hm_interval, hm_interval_quad, hm_system)
-from .ray_geometry import (InSector, RaySystem, classify_point,
-                           complementary_sectors, reduce_to_halfplane)
+                               hm_interval, hm_interval_quad, hm_system,
+                               hm_system_quad)
+from .numerics import INPUT_ANGULAR_TOL
+from .ray_geometry import RaySystem, complementary_sectors
 from .regular_growth import angular_density, crg_on_rays, exgr2_functionals
 from .stepfn import StepFunction
 from .subharmonic import (CanonicalPotential, GenusSchedule, carleman_check,
                           class_A_functionals, is_bottom, potential_eval,
                           subharmonic_balayage_eval, sweep_potential_eval)
-
-_RAY_SNAP = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +346,6 @@ _COLLECT = {"hm": _collect_hm, "balayage": _collect_balayage,
 # Command handlers: each returns (report, table, holds)
 
 
-def _hm_system_quad(S, z, segments, disk, tol):
-    """Quadrature oracle for hm_system: same sector reduction, but each image
-    interval is integrated instead of evaluated in closed form."""
-    cls = classify_point(S, z)
-    if not isinstance(cls, InSector):
-        return hm_system(S, z, segments=segments, disk=disk)
-    sec, idx = cls.sector, cls.index
-    w = reduce_to_halfplane(sec, z)
-    p = sec.exponent
-    k = len(S.thetas)
-    total = 0.0
-    if disk is not None:
-        total += hm_interval_quad(w, Interval(-disk ** p, disk ** p), tol=tol)
-    for seg in segments:
-        if seg.ray_index == idx:
-            total += hm_interval_quad(w, Interval(seg.a ** p, seg.b ** p), tol=tol)
-        if seg.ray_index == (idx + 1) % k:
-            total += hm_interval_quad(w, Interval(-seg.b ** p, -seg.a ** p), tol=tol)
-    return total
-
 def cmd_hm(cfg):
     z = cfg.params["z"]
     quad_tol = cfg.tol if cfg.tol is not None else 1e-10
@@ -400,7 +378,7 @@ def cmd_hm(cfg):
             raise BadInput(f"no ray {j} in a {k}-ray system")
         segs.append(BoundarySegment(j, a, b))
     exact = hm_system(S, z, segments=segs, disk=disk)
-    oracle = _hm_system_quad(S, z, segs, disk, quad_tol)
+    oracle = hm_system_quad(S, z, segs, disk, quad_tol)
     report.update(system=S.to_json(), disk=disk,
                   segments=[[s.ray_index, s.a, s.b] for s in segs],
                   exact=exact, oracle=oracle, difference=abs(exact - oracle))
@@ -408,18 +386,10 @@ def cmd_hm(cfg):
     return report, (("kind", "side", "value", "hypothesis", "holds"), rows), None
 
 
-def _ray_angles(bal):
-    if bal.system is None:
-        return [0.0, math.pi]
-    return list(bal.system.thetas)
-
-def _ray_distribution(bal, j, theta, x, variation):
+def _ray_distribution(bal, j, x, variation):
     total = bal.ray_segment_mass(j, 0.0, x, variation=variation) if x > 0.0 else 0.0
     for z, m in bal.kept.atoms:
-        if z == 0:
-            continue
-        if abs(math.remainder(cmath.phase(z) - theta, 2.0 * math.pi)) <= _RAY_SNAP \
-                and abs(z) <= x:
+        if z != 0 and abs(z) <= x and bal.rays.ray_index(z) == j:
             total += abs(m) if variation else m
     return total
 
@@ -437,10 +407,10 @@ def cmd_balayage(cfg):
     n = cfg.params["samples"]
     variation = cfg.params["variation"]
     rows = []
-    for j, theta in enumerate(_ray_angles(bal)):
+    for j, theta in enumerate(bal.rays.thetas):
         for i in range(1, n + 1):
             x = xmax * i / n
-            rows.append((j, theta, x, _ray_distribution(bal, j, theta, x, variation)))
+            rows.append((j, theta, x, _ray_distribution(bal, j, x, variation)))
     report = {"command": "balayage", "charge": nu.to_json(),
               "balayage": bal.to_json(), "total_mass": bal.total_mass,
               "variation": variation,
@@ -609,7 +579,9 @@ def cmd_potential(cfg):
         P = CanonicalPotential(nu, genus=genus,
                                harmonic_coeffs=cfg.params["harmonic"])
     sweep = cfg.params["sweep"]
-    S = _system(cfg.inputs["system"]) if sweep else None
+    if sweep:
+        S = _system(cfg.inputs["system"])
+        bal = balayage_system(nu, S)
     sweep_tol = cfg.tol if cfg.tol is not None else 1e-4
     values = []
     rows = []
@@ -618,7 +590,6 @@ def cmd_potential(cfg):
         entry = {"z": z, "value": val}
         row = [z, val if not is_bottom(val) else "-inf"]
         if sweep:
-            bal = balayage_system(nu, S)
             swept = subharmonic_balayage_eval(
                 lambda w: potential_eval(P, w), S, z,
                 R_max=cfg.params["rmax"], tol=sweep_tol)
@@ -640,12 +611,10 @@ def _counts_by_ray(nu, S):
     for z, m in nu.atoms:
         if z == 0:
             raise BadInput("an origin atom lies on every ray; remove it first")
-        ph = cmath.phase(z)
-        hits = [j for j, th in enumerate(S.thetas)
-                if abs(math.remainder(ph - th, 2.0 * math.pi)) <= _RAY_SNAP]
-        if not hits:
+        j = S.ray_index(z, tol=INPUT_ANGULAR_TOL)
+        if j is None:
             raise BadInput(f"atom at {z} is not on the ray system")
-        events[hits[0]].append((abs(z), m))
+        events[j].append((abs(z), m))
     return [StepFunction.from_events(ev) for ev in events]
 
 def cmd_crg(cfg):

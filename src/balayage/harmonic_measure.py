@@ -22,16 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad
-
-from .errors import (
-    BadInput,
-    EndpointSingularity,
-    NotInUpperHalfPlane,
-    QuadratureFailure,
-    ZeroPoint,
-)
-from .ray_geometry import classify_point, complementary_sectors, reduce_to_halfplane, OnSystem
+from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
+from .numerics import ORACLE_BUDGET, integrate
+from .ray_geometry import InSector, OnSystem, classify_point, reduce_to_halfplane
 
 
 @dataclass(frozen=True)
@@ -114,11 +107,32 @@ def hm_interval_quad(z, I, tol=1e-10):
     if z.imag <= 0.0:
         raise NotInUpperHalfPlane(f"need Im z > 0, got z = {z}")
     pts = [z.real] if I.t1 < z.real < I.t2 else None
-    val, err = quad(poisson_kernel, I.t1, I.t2, args=(z,), epsabs=tol, epsrel=1e-12,
-                    points=pts, limit=200)
-    if err > 1e-8:
-        raise QuadratureFailure(f"harmonic-measure quadrature error {err:.3e} for z={z}, I={I}")
+    val, _ = integrate(poisson_kernel, I.t1, I.t2, f"harmonic-measure oracle (z={z}, I={I})",
+                       budget=ORACLE_BUDGET, args=(z,), epsabs=tol, epsrel=1e-12,
+                       points=pts, limit=200)
     return val
+
+
+def hm_system_quad(S, z, segments=(), disk=None, tol=1e-10):
+    """Quadrature oracle for hm_system: the same sector reduction, but each
+    image interval is integrated by hm_interval_quad instead of evaluated in
+    closed form."""
+    cls = classify_point(S, z)
+    if not isinstance(cls, InSector):
+        return hm_system(S, z, segments=segments, disk=disk)
+    sec, idx = cls.sector, cls.index
+    w = reduce_to_halfplane(sec, z)
+    p = sec.exponent
+    k = len(S.thetas)
+    total = 0.0
+    if disk is not None:
+        total += hm_interval_quad(w, Interval(-disk ** p, disk ** p), tol=tol)
+    for seg in segments:
+        if seg.ray_index == idx:
+            total += hm_interval_quad(w, Interval(seg.a ** p, seg.b ** p), tol=tol)
+        if seg.ray_index == (idx + 1) % k:
+            total += hm_interval_quad(w, Interval(-seg.b ** p, -seg.a ** p), tol=tol)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +360,9 @@ def hm_system(S, z, segments=(), disk=None):
         az = abs(z)
         if disk is not None and az <= disk:
             return 1.0
+        j = None if z == 0 else S.ray_index(z)
         for seg in segments:
-            th = S.thetas[seg.ray_index]
-            on_ray = z == 0 or abs(
-                (math.remainder(math.atan2(z.imag, z.real) - th, 2.0 * math.pi))) <= 1e-12
-            if on_ray and seg.a <= az <= seg.b:
+            if (z == 0 or seg.ray_index == j) and seg.a <= az <= seg.b:
                 return 1.0
         return 0.0
 

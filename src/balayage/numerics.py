@@ -1,0 +1,50 @@
+"""The package's numeric policy: every tolerance, and checked quadrature.
+
+A point z != 0 lies on a ray when its argument is within ANGULAR_TOL of the
+ray's angle (RaySystem.ray_index applies this everywhere).  Every quadrature
+goes through integrate(), which compares scipy's error estimate with a budget
+and raises QuadratureFailure instead of returning a value it cannot vouch for.
+"""
+
+from __future__ import annotations
+
+from scipy.integrate import quad
+
+from .errors import QuadratureFailure
+
+# On-ray classification, in radians.
+ANGULAR_TOL = 1e-12
+# The crg input reader assigns an atom to the nearest ray within this angle,
+# so charges whose angles were rounded to about nine digits still read.
+INPUT_ANGULAR_TOL = 1e-9
+
+# Error budgets of the quadrature routes (absolute).
+ORACLE_BUDGET = 1e-8        # hm_interval_quad, the closed forms' oracle
+POTENTIAL_BUDGET = 1e-7     # carleman_check's corrections, sweep_potential_eval
+FUNCTIONAL_BUDGET = 1e-6    # class-A functionals, principal values, exgr2 trace
+# subharmonic_balayage_eval spends this share of its tolerance on quadrature,
+# never less than EDGE_BUDGET_FLOOR.
+EDGE_BUDGET_SHARE = 0.1
+EDGE_BUDGET_FLOOR = 1e-9
+
+_EPSABS = _EPSREL = 1.49e-8  # quad's own defaults
+
+
+def integrate(fn, a, b, route, budget=None, spent=0.0, **options):
+    """Integral of fn over [a, b] by scipy's quad, with its error checked.
+
+    options go to quad (epsabs, epsrel, limit, points).  The error estimate
+    plus `spent`, the error of earlier calls that share the budget, must not
+    exceed `budget`; budget None asks for the accuracy requested of quad,
+    max(epsabs, epsrel * |value|).  Returns (value, spent + error).  QUADPACK's
+    convergence warnings are not emitted: the budget check replaces them.
+    """
+    val, err = quad(fn, a, b, full_output=1, **options)[:2]
+    if budget is None:
+        budget = max(options.get("epsabs", _EPSABS),
+                     options.get("epsrel", _EPSREL) * abs(val))
+    spent += err
+    if spent > budget:
+        raise QuadratureFailure(
+            f"{route} quadrature error {spent:.2e} exceeds its budget {budget:.2e}")
+    return val, spent

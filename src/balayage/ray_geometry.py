@@ -18,11 +18,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadInput, ZeroPoint
+from .numerics import ANGULAR_TOL
 
 TWO_PI = 2.0 * math.pi
-
-# On-ray classification tolerance, in radians.
-ANGULAR_TOL = 1e-12
 
 
 def normalize_angle(theta):
@@ -33,17 +31,6 @@ def normalize_angle(theta):
     if t >= TWO_PI:  # fmod can land exactly on 2*pi after the correction
         t -= TWO_PI
     return t
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Single ray from the origin at angle theta in [0, 2*pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta < TWO_PI):
-            raise BadInput(f"ray angle must lie in [0, 2*pi), got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +89,21 @@ class RaySystem:
     def __repr__(self):
         return f"RaySystem({list(self.thetas)})"
 
-    def rays(self):
-        return [Ray(t) for t in self.thetas]
+    def ray_index(self, z, tol=ANGULAR_TOL):
+        """Index of the ray nearest to the point z within tol radians, or None.
+
+        This is the package's one on-ray test.  The origin lies on every ray
+        and has no index, so z = 0 raises ZeroPoint.
+        """
+        if z == 0:
+            raise ZeroPoint("the origin lies on every ray")
+        phi = cmath.phase(z)
+        best, best_d = None, tol
+        for j, t in enumerate(self.thetas):
+            d = abs(math.remainder(phi - t, TWO_PI))
+            if d <= best_d:
+                best, best_d = j, d
+        return best
 
     def to_json(self):
         return {"rays": list(self.thetas)}
@@ -115,6 +115,10 @@ class RaySystem:
         if not isinstance(obj, dict) or "rays" not in obj:
             raise BadInput('ray system JSON must be {"rays": [...]}')
         return cls(obj["rays"])
+
+
+# The target of the half-plane sweeps: ray 0 is R+, ray 1 is R-.
+REAL_AXIS = RaySystem([0.0, math.pi])
 
 
 def relative_angle(z, alpha):
@@ -166,13 +170,8 @@ class InSector:
 def classify_point(S, z, tol=ANGULAR_TOL):
     """OnSystem for z on a ray (or z = 0), else the containing sector."""
     z = complex(z)
-    if z == 0:
+    if z == 0 or S.ray_index(z, tol) is not None:
         return OnSystem()
-    phi = cmath.phase(z)
-    for t in S.thetas:
-        d = abs(math.fmod(phi - t, TWO_PI))
-        if min(d, TWO_PI - d) <= tol:
-            return OnSystem()
     sectors = complementary_sectors(S)
     for i, sec in enumerate(sectors):
         psi = relative_angle(z, sec.alpha)

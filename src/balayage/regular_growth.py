@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .charges import lindelof_sum
-from .errors import BadInput, QuadratureFailure, SingularityUnresolved
-from .ray_geometry import ANGULAR_TOL, TWO_PI, normalize_angle
+from .errors import BadInput, SingularityUnresolved
+from .numerics import ANGULAR_TOL, FUNCTIONAL_BUDGET, integrate
+from .ray_geometry import TWO_PI, normalize_angle
 from .stepfn import StepFunction
 from .subharmonic import kernel_Kq
 
@@ -119,23 +119,21 @@ def _plain_integral(n, q, z, quad_tol):
     """Improper integral for z off the positive axis: piecewise quadrature
     plus the exact constant-tail term."""
     total = 0.0
-    err_budget = 0.0
+    spent = 0.0
     bounds = list(n.points)
     for i in range(len(bounds) - 1):
         a, b = bounds[i], bounds[i + 1]
         level = n(0.5 * (a + b))
         if level == 0.0:
             continue
-        val, err = quad(lambda t: _pv_kernel(z, t, q), a, b,
-                        epsabs=quad_tol, epsrel=1e-10, limit=200)
+        val, spent = integrate(lambda t: _pv_kernel(z, t, q), a, b, "piecewise",
+                               budget=FUNCTIONAL_BUDGET, spent=spent,
+                               epsabs=quad_tol, epsrel=1e-10, limit=200)
         total += level * val
-        err_budget += err
     last = bounds[-1]
     tail_level = n(last)
     if tail_level != 0.0:
         total += tail_level * kernel_Kq(last, z, q)
-    if err_budget > 1e-6:
-        raise QuadratureFailure(f"piecewise quadrature error {err_budget:.2e}")
     return total
 
 
@@ -150,7 +148,7 @@ def _excision_integral(n, q, x, eps, tol, quad_tol):
 
     def value_at(e):
         total = 0.0
-        err_budget = 0.0
+        spent = 0.0
         lo0 = pts[0]
         T = 2.0 * max(pts[-1], x + 1.0)
         cuts = sorted(set(c for c in pts + [x - e, x + e, lo0, T]
@@ -162,15 +160,13 @@ def _excision_integral(n, q, x, eps, tol, quad_tol):
             level = n(mid)
             if level == 0.0:
                 continue
-            val, err = quad(lambda t: _pv_kernel(x, t, q), a, b,
-                            epsabs=quad_tol, epsrel=1e-10, limit=200)
+            val, spent = integrate(lambda t: _pv_kernel(x, t, q), a, b, "excision",
+                                   budget=FUNCTIONAL_BUDGET, spent=spent,
+                                   epsabs=quad_tol, epsrel=1e-10, limit=200)
             total += level * val
-            err_budget += err
         tail_level = n(T)
         if tail_level != 0.0:
             total += tail_level * kernel_Kq(T, complex(x), q)
-        if err_budget > 1e-6:
-            raise QuadratureFailure(f"excision quadrature error {err_budget:.2e}")
         return total
 
     vals = [value_at(eps0 / 2 ** k) for k in range(4)]
@@ -441,13 +437,11 @@ def exgr2_functionals(counts, t_grid=(10.0, 100.0, 1000.0), r_grid=None,
     trace = []
     acc_re = acc_im = 0.0
     lo = 1.0
+    opts = dict(route="bisector trace", budget=FUNCTIONAL_BUDGET,
+                epsabs=quad_tol, limit=200)
     for r in r_grid:
-        re, err_re = quad(lambda t: integrand(t).real, lo, r,
-                          epsabs=quad_tol, limit=200)
-        im, err_im = quad(lambda t: integrand(t).imag, lo, r,
-                          epsabs=quad_tol, limit=200)
-        if err_re + err_im > 1e-6:
-            raise QuadratureFailure("bisector trace quadrature did not converge")
+        re, spent = integrate(lambda t: integrand(t).real, lo, r, **opts)
+        im, _ = integrate(lambda t: integrand(t).imag, lo, r, spent=spent, **opts)
         acc_re += re
         acc_im += im
         trace.append((r, complex(acc_re, acc_im)))

@@ -11,17 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
-
-from scipy.integrate import IntegrationWarning, quad
-
-
-def _quiet_quad(*args, **kwargs):
-    """quad with convergence warnings silenced; callers check the error estimate."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(*args, **kwargs)
 
 from .errors import (
     AtomOnCircle,
@@ -33,6 +23,8 @@ from .errors import (
 )
 from .charges import AtomicCharge, CheckResult
 from .harmonic_measure import poisson_kernel
+from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
+                       POTENTIAL_BUDGET, integrate)
 from .ray_geometry import OnSystem, classify_point, reduce_to_halfplane
 
 
@@ -279,24 +271,21 @@ def class_A_functionals(v, alpha, beta, r0, r, quad_tol=1e-10):
     def edges(t):
         return v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
 
-    def safe_quad(fn, lo, hi):
-        val, err = quad(fn, lo, hi, epsabs=quad_tol, epsrel=1e-10, limit=400)
-        if err > 1e-6:
-            raise QuadratureFailure(f"functional quadrature error {err:.2e}")
-        return val
-
-    J = safe_quad(lambda t: edges(t) / t ** (p + 1.0), r0, r)
-    A = 0.5 / gamma * safe_quad(
-        lambda t: (t ** (-p) - t ** p / r ** (2.0 * p)) * edges(t) / t, r0, r)
-    B = safe_quad(lambda th: v(cmath.rect(r, th)) * math.sin(p * (th - alpha)),
-                  alpha, beta) / (gamma * r ** p)
+    opts = dict(route="functional", budget=FUNCTIONAL_BUDGET,
+                epsabs=quad_tol, epsrel=1e-10, limit=400)
+    J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, **opts)
+    A = 0.5 / gamma * integrate(
+        lambda t: (t ** (-p) - t ** p / r ** (2.0 * p)) * edges(t) / t, r0, r, **opts)[0]
+    B = integrate(lambda th: v(cmath.rect(r, th)) * math.sin(p * (th - alpha)),
+                  alpha, beta, **opts)[0] / (gamma * r ** p)
     # Route 2: split off the outer-weight part of A using J
-    A_via_J = 0.5 / gamma * (J - safe_quad(
-        lambda t: edges(t) * t ** (p - 1.0), r0, r) / r ** (2.0 * p))
+    A_via_J = 0.5 / gamma * (J - integrate(
+        lambda t: edges(t) * t ** (p - 1.0), r0, r, **opts)[0] / r ** (2.0 * p))
     # Route 3: nested integral of J over the window
-    inner = lambda t: safe_quad(lambda s: edges(s) / s ** (p + 1.0), r0, t) if t > r0 else 0.0
-    A_via_double = (math.pi / (gamma * gamma * r ** (2.0 * p))) * safe_quad(
-        lambda t: inner(t) * t ** (2.0 * p - 1.0), r0, r)
+    inner = lambda t: integrate(lambda s: edges(s) / s ** (p + 1.0), r0, t,
+                                **opts)[0] if t > r0 else 0.0
+    A_via_double = (math.pi / (gamma * gamma * r ** (2.0 * p))) * integrate(
+        lambda t: inner(t) * t ** (2.0 * p - 1.0), r0, r, **opts)[0]
     return ClassAResult(A=A, B=B, J=J, A_via_J=A_via_J, A_via_double=A_via_double)
 
 
@@ -335,13 +324,12 @@ def carleman_check(nu, v, r0, r, tol=1e-6, quad_tol=1e-10):
     arc_pts = sorted({cmath.phase(z) for z, _ in nu.atoms
                       if r0 / 4.0 < abs(z) < 4.0 * r0
                       and 0.0 < cmath.phase(z) < math.pi})
-    diam, err1 = quad(lambda t: v(-t) + v(t), 0.0, r0, epsabs=quad_tol,
-                      limit=400, points=diam_pts or None)
-    arc, err2 = quad(lambda th: v(cmath.rect(r0, th)) * math.sin(th), 0.0,
-                     math.pi, epsabs=quad_tol, limit=400,
-                     points=arc_pts or None)
-    if max(err1, err2) > 1e-7:
-        raise QuadratureFailure("inner correction quadrature did not converge")
+    opts = dict(route="inner correction", budget=POTENTIAL_BUDGET,
+                epsabs=quad_tol, limit=400)
+    diam, _ = integrate(lambda t: v(-t) + v(t), 0.0, r0,
+                        points=diam_pts or None, **opts)
+    arc, _ = integrate(lambda th: v(cmath.rect(r0, th)) * math.sin(th), 0.0,
+                       math.pi, points=arc_pts or None, **opts)
     # The diameter correction carries the same 1/(2*pi) weight as the edge
     # functional; without it the identity fails by exactly (1 - 1/(2*pi))
     # times the diameter integral (checked by a Green-identity derivation).
@@ -392,6 +380,8 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=1e-4, quad_tol=1e-10,
 
     total = 0.0
     tail_bound = 0.0
+    opts = dict(route=f"edge (z = {z})", epsabs=quad_tol, epsrel=1e-11, limit=400,
+                budget=EDGE_BUDGET_SHARE * max(tol, EDGE_BUDGET_FLOOR))
     for theta, sign in ((S.thetas[idx], +1), ((S.thetas[(idx + 1) % k]), -1)):
         fn = lambda s, th=theta, sg=sign: (
             v(cmath.rect(s ** (1.0 / p), th)) * poisson_kernel(sg * s, w))
@@ -399,15 +389,11 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=1e-4, quad_tol=1e-10,
         # so the slowly decaying outer mass is not lost to early termination.
         cut = min(max(4.0 * abs(w), 4.0), s_max)
         pts = [q for q in (abs(w),) if 0.0 < q < cut]
-        v1, e1 = _quiet_quad(fn, 0.0, cut, epsabs=quad_tol, epsrel=1e-11, limit=400,
-                             points=pts or None)
-        v2, e2 = 0.0, 0.0
+        v1, spent = integrate(fn, 0.0, cut, points=pts or None, **opts)
+        v2 = 0.0
         if cut < s_max:
-            v2, e2 = _quiet_quad(lambda u: fn(1.0 / u) / (u * u), 1.0 / s_max,
-                                 1.0 / cut, epsabs=quad_tol, epsrel=1e-11, limit=400)
-        err = e1 + e2
-        if err > 0.1 * max(tol, 1e-9):
-            raise QuadratureFailure(f"edge quadrature error {err:.2e} for z = {z}")
+            v2, _ = integrate(lambda u: fn(1.0 / u) / (u * u), 1.0 / s_max,
+                              1.0 / cut, spent=spent, **opts)
         total += v1 + v2
         kappa, vhi = _edge_growth_exponent(v, theta, (R_max / 10.0, R_max))
         kq = max(kappa, 0.0) / p
@@ -428,17 +414,16 @@ def sweep_potential_eval(bal, z, genus=-1, quad_tol=1e-10):
     total = 0.0
     for zeta, m in bal.kept.atoms:
         total += m * kernel_Kq(zeta, z, genus)
-    thetas = [0.0, math.pi] if bal.system is None else list(bal.system.thetas)
-    for j, th in enumerate(thetas):
+    opts = dict(route=f"kernel (z = {z})", budget=POTENTIAL_BUDGET,
+                epsabs=quad_tol, limit=600)
+    for j, th in enumerate(bal.rays.thetas):
         if not bal.ray_contributions(j):
             continue
         fn = lambda t, jj=j, tt=th: (
             kernel_Kq(cmath.rect(t, tt), z, genus) * bal.ray_density(jj, t))
         cut = max(4.0 * abs(z), 4.0)
-        v1, e1 = _quiet_quad(fn, 0.0, cut, epsabs=quad_tol, limit=600,
-                             points=[abs(z)] if 0.0 < abs(z) < cut else None)
-        v2, e2 = _quiet_quad(fn, cut, math.inf, epsabs=quad_tol, limit=600)
-        if max(e1, e2) > 1e-7:
-            raise QuadratureFailure(f"kernel quadrature error for z = {z}")
+        v1, _ = integrate(fn, 0.0, cut, points=[abs(z)] if 0.0 < abs(z) < cut else None,
+                          **opts)
+        v2, _ = integrate(fn, cut, math.inf, **opts)
         total += v1 + v2
     return total

@@ -1,0 +1,225 @@
+"""The numeric policy shared by every module: one on-ray predicate
+(RaySystem.ray_index) and one checked quadrature (numerics.integrate)."""
+
+import cmath
+import importlib
+import inspect
+import json
+import math
+import pkgutil
+import warnings
+
+import mpmath
+import pytest
+import scipy.integrate
+from hypothesis import assume, given, settings, strategies as st
+
+import balayage
+from balayage import (AtomicCharge, BoundarySegment, QuadratureFailure,
+                      RaySystem, RayTestFunction, balayage_halfplane,
+                      balayage_system, complementary_sectors,
+                      distribution_on_R, hm_system, variation_radial)
+from balayage import numerics
+from balayage.charges import _variation_interval_halfplane
+from balayage.cli import _counts_by_ray, main
+from balayage.numerics import integrate
+
+PI = math.pi
+
+
+# ---------------------------------------------------------------------------
+# On-ray predicate
+
+
+def test_atom_at_rect_pi_is_kept_on_the_axis():
+    bal = balayage_system(AtomicCharge([(cmath.rect(2, PI), 1.0)]), RaySystem([0, PI]))
+    assert distribution_on_R(bal, -3.0) == -1.0
+
+
+def test_axis_ray_just_below_two_pi_is_the_positive_axis():
+    nu = AtomicCharge([(2j, 1.0)])
+    near = balayage_system(nu, RaySystem([-1e-13, PI]))
+    exact = balayage_system(nu, RaySystem([0, PI]))
+    for x in (-7.0, -3.0, -1.0, 0.5, 2.0, 7.0):
+        assert distribution_on_R(near, x) == pytest.approx(
+            distribution_on_R(exact, x), rel=1e-12)
+
+
+def test_cli_balayage_counts_a_kept_atom_on_one_ray(charge_file, system_file, tmp_path):
+    out = tmp_path / "bal.json"
+    rc = main(["balayage", "--charge", charge_file([(2.0, 1.0)]), "--system",
+               system_file([0.0, 5e-10]), "--samples", "4", "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    xmax = max(s["x"] for s in report["samples"])
+    at_xmax = [s["mass"] for s in report["samples"] if s["x"] == xmax]
+    assert len(at_xmax) == 2
+    assert math.fsum(at_xmax) == report["total_mass"] == 1.0
+
+
+@st.composite
+def systems(draw):
+    """Ray systems, sometimes with two rays closer than the crg input
+    tolerance (possibly across the angle 0)."""
+    thetas = draw(st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gap = draw(st.floats(3e-12, 1e-9)) * draw(st.sampled_from((1.0, -1.0)))
+        thetas.append(thetas[0] + gap)
+    try:
+        S = RaySystem(thetas)
+    except balayage.BadInput:
+        assume(False)
+    ts = S.thetas
+    assume(len(ts) == 1 or 2.0 * PI - ts[-1] + ts[0] > 2e-12)
+    return S
+
+
+@settings(max_examples=150, deadline=None)
+@given(S=systems(), r=st.floats(0.01, 1e4), data=st.data())
+def test_atoms_built_on_a_ray_are_on_that_ray_everywhere(S, r, data):
+    j = data.draw(st.integers(0, len(S) - 1))
+    z = cmath.rect(r, S.thetas[j])
+    assert S.ray_index(z) == j
+
+    bal = balayage_system(AtomicCharge([(z, 1.0)]), S)
+    assert bal.kept.atoms == [(z, 1.0)] and bal.swept == []
+
+    F = RayTestFunction(S, {j: [(0.5 * r, 0.0), (0.9 * r, 1.0), (1.1 * r, 1.0),
+                                (2.0 * r, 0.0)]})
+    assert F(z) == 1.0
+
+    for k in range(len(S)):
+        seg = BoundarySegment(k, 0.5 * r, 2.0 * r)
+        assert hm_system(S, z, segments=[seg]) == (1.0 if k == j else 0.0)
+
+    counts = _counts_by_ray(AtomicCharge([(z, 1.0)]), S)
+    assert [n(2.0 * r) for n in counts] == [1.0 if k == j else 0.0
+                                            for k in range(len(S))]
+
+
+def test_ray_index_rejects_the_origin_and_points_off_the_rays():
+    S = RaySystem([0.0, 2.0])
+    with pytest.raises(balayage.ZeroPoint):
+        S.ray_index(0j)
+    assert S.ray_index(cmath.rect(1.0, 1.0)) is None
+    assert S.ray_index(cmath.rect(1.0, 2.0 + 1e-10)) is None
+    assert S.ray_index(cmath.rect(1.0, 2.0 + 1e-10), tol=1e-9) == 1
+
+
+# ---------------------------------------------------------------------------
+# Mixed-sign variation: quadrature of |density| against an mpmath oracle
+# that splits the integral at the density's sign changes.
+
+
+@mpmath.workdps(30)
+def _abs_integral(f, a, b, n=2000):
+    pts = [mpmath.mpf(a)]
+    prev_t, prev_v = a, f(a)
+    for i in range(1, n + 1):
+        t = a + (b - a) * i / n
+        v = f(t)
+        if prev_v * v < 0:
+            pts.append(mpmath.findroot(f, (prev_t, t), solver="illinois"))
+        prev_t, prev_v = t, v
+    pts.append(mpmath.mpf(b))
+    return float(mpmath.quad(lambda t: abs(f(t)), pts))
+
+
+def _halfplane_density(atoms):
+    return lambda t: mpmath.fsum(
+        m * z.imag / (mpmath.pi * ((t - z.real) ** 2 + z.imag ** 2)) for z, m in atoms)
+
+
+def _ray_density(S, atoms, j):
+    """Swept density on ray j, from the power map written out in mpmath."""
+    k = len(S)
+    terms = []
+    for z, m in atoms:
+        for i, sec in enumerate(complementary_sectors(S)):
+            if sec.contains(z):
+                p = mpmath.pi / (mpmath.mpf(sec.beta) - sec.alpha)
+                phi = (cmath.phase(z) - sec.alpha) % (2.0 * PI)
+                w = mpmath.mpf(abs(z)) ** p * mpmath.expj(p * phi)
+                terms += [(m, w, p, e) for e, hit in ((1, i == j), (-1, (i + 1) % k == j))
+                          if hit]
+    return lambda t: mpmath.fsum(
+        m * p * t ** (p - 1) * w.imag / (mpmath.pi * ((e * t ** p - w.real) ** 2 + w.imag ** 2))
+        for m, w, p, e in terms)
+
+
+def _close(value, oracle):
+    # the accuracy the quadrature is asked for: epsabs 1e-11, quad's epsrel
+    return abs(value - oracle) <= max(1e-11, 1.49e-8 * abs(oracle))
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    calls = []
+    real = numerics.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(numerics, "quad", counting)
+    return calls
+
+
+HALF_PLANE_ATOMS = [(1 + 1j, 1.0), (-2 + 0.5j, -0.7), (3 + 2j, 0.4)]
+
+
+@pytest.mark.parametrize("r", [1.5, 5.0, 20.0])
+def test_variation_radial_mixed_signs_halfplane(r, quad_calls):
+    bal = balayage_halfplane(AtomicCharge(HALF_PLANE_ATOMS))
+    value = variation_radial(bal, r)
+    assert quad_calls
+    assert _close(value, _abs_integral(_halfplane_density(HALF_PLANE_ATOMS), -r, r))
+
+
+@pytest.mark.parametrize("t1,t2", [(0.5, 4.0), (-3.0, -0.5), (-4.0, 4.0)])
+def test_variation_interval_mixed_signs_halfplane(t1, t2, quad_calls):
+    bal = balayage_halfplane(AtomicCharge(HALF_PLANE_ATOMS))
+    value = _variation_interval_halfplane(bal, t1, t2)
+    assert quad_calls
+    assert _close(value, _abs_integral(_halfplane_density(HALF_PLANE_ATOMS), t1, t2))
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0, 10.0])
+def test_variation_radial_mixed_signs_system(r, quad_calls):
+    S = RaySystem([0.3, 2.0, 4.0])
+    # the two atoms of opposite sign share ray 1 as a sector edge
+    atoms = [(cmath.rect(1.5, 1.2), 1.0), (cmath.rect(2.5, 2.9), -0.6),
+             (cmath.rect(0.8, 5.0), 0.5)]
+    value = variation_radial(balayage_system(AtomicCharge(atoms), S), r)
+    assert quad_calls
+    oracle = math.fsum(_abs_integral(_ray_density(S, atoms, j), 0.0, r)
+                       for j in range(len(S)))
+    assert _close(value, oracle)
+
+
+# ---------------------------------------------------------------------------
+# Checked quadrature
+
+
+def test_integrate_raises_when_the_error_misses_its_budget():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="probe"):
+            integrate(lambda x: math.sin(1.0 / x), 1e-6, 1.0, "probe", limit=3)
+        with pytest.raises(QuadratureFailure, match="probe"):
+            integrate(math.exp, 0.0, 1.0, "probe", budget=1e-20)
+    value, spent = integrate(math.exp, 0.0, 1.0, "probe", budget=1e-6)
+    assert value == pytest.approx(math.e - 1.0, rel=1e-14) and 0.0 < spent <= 1e-6
+    # calls that share a budget: the earlier error counts against it
+    with pytest.raises(QuadratureFailure):
+        integrate(math.exp, 0.0, 1.0, "probe", budget=1e-6, spent=1e-6)
+
+
+def test_quad_is_bound_in_one_module_only():
+    modules = [importlib.import_module(f"balayage.{m.name}")
+               for m in pkgutil.iter_modules(balayage.__path__)]
+    owners = [mod.__name__ for mod in modules
+              if any(v is scipy.integrate.quad for v in vars(mod).values())]
+    assert owners == ["balayage.numerics"]
+    for mod in modules:
+        if mod.__name__ != "balayage.numerics":
+            assert "IntegrationWarning" not in inspect.getsource(mod), mod.__name__
