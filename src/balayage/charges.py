@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .errors import (
     BadGauge,
     BadInput,
     HypothesisViolated,
+    NotInUpperHalfPlane,
+    NumericFailure,
     SupportOffAxis,
     SupportTouchesInterval,
 )
@@ -115,11 +118,15 @@ def blaschke_sector(nu, sec, r0):
     outside the closed disk r0 (in original coordinates)."""
     if r0 <= 0.0:
         raise BadInput(f"need r0 > 0, got {r0}")
+    return _reduced_blaschke(sec, [(z, m) for z, m in nu.atoms if abs(z) > r0])
+
+
+def _reduced_blaschke(sec, atoms):
+    """Sum of |m| * Im(w) / |w|^2 over the atoms strictly inside the sector,
+    w their images under the sector's power map."""
     total = 0.0
-    for z, m in nu.atoms:
-        if abs(z) <= r0 or z == 0:
-            continue
-        if not sec.contains(z):
+    for z, m in atoms:
+        if z == 0 or not sec.contains(z):
             continue
         w = reduce_to_halfplane(sec, z)
         if w.imag <= 0.0:
@@ -185,14 +192,71 @@ class SweptAtom:
         return reduce_to_halfplane(self.sector, self.z), self.sector.exponent
 
 
-@dataclass
+class _RayArrays(NamedTuple):
+    """What a sweep puts on one ray, built once with the sweep.
+
+    records are the swept contributions (mass, w, p, edge): w is the source
+    atom's image under its sector's power map, p the map's exponent, edge +1
+    when the ray is the sector's lower edge (image in R+), -1 when it is the
+    upper edge (R-).  mass, wr, wi, p, edge hold the same records as arrays;
+    kept_r and kept_m are the kept atoms on the ray, sorted by radius."""
+
+    records: tuple
+    mass: np.ndarray
+    wr: np.ndarray
+    wi: np.ndarray
+    p: np.ndarray
+    edge: np.ndarray
+    kept_r: np.ndarray
+    kept_m: np.ndarray
+
+
+def _ray_arrays(records, kept):
+    """_RayArrays from one ray's swept records and its kept (radius, mass) pairs.
+
+    The kernels divide by Im w without a per-call check, so it is made here."""
+    for _, w, _, _ in records:
+        if not w.imag > 0.0:
+            raise NotInUpperHalfPlane(f"need Im w > 0 for every swept image, got w = {w}")
+    m, w, p, e = zip(*records) if records else ((),) * 4
+    kr, km = zip(*sorted(kept, key=lambda a: a[0])) if kept else ((),) * 2
+    return _RayArrays(tuple(records), *(np.array(c, dtype=float) for c in (
+        m, [z.real for z in w], [z.imag for z in w], p, e, kr, km)))
+
+
+@dataclass(frozen=True)
 class BalayageCharge:
     """Result of sweeping: atoms already on the target set plus symbolic
-    swept records whose densities are evaluated in closed form."""
+    swept records whose densities are evaluated in closed form.
+
+    Immutable: the per-ray arrays the queries read are built once, here, and
+    every image w is checked to lie in the open upper half-plane."""
 
     system: RaySystem | None  # None: swept onto R out of the upper half-plane
     kept: AtomicCharge
-    swept: list[SweptAtom]
+    swept: tuple[SweptAtom, ...]
+    _arrays: tuple[_RayArrays, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "swept", tuple(self.swept))
+        k = len(self.rays.thetas)
+        # sector i runs from ray i to ray i+1; the half-plane sweep's one
+        # sector (None) runs from ray 0 (R+) to ray 1 (R-)
+        index = ({None: 0} if self.system is None else
+                 {sec: i for i, sec in enumerate(complementary_sectors(self.system))})
+        records = [[] for _ in range(k)]
+        for s in self.swept:
+            i = index[s.sector]
+            w, p = s.reduced()
+            records[i].append((s.mass, w, p, +1))
+            records[(i + 1) % k].append((s.mass, w, p, -1))
+        kept = [[] for _ in range(k)]
+        for z, m in self.kept.atoms:
+            j = None if z == 0 else self.rays.ray_index(z)
+            if j is not None:
+                kept[j].append((abs(z), m))
+        object.__setattr__(self, "_arrays",
+                           tuple(_ray_arrays(r, a) for r, a in zip(records, kept)))
 
     @property
     def total_mass(self):
@@ -215,44 +279,51 @@ class BalayageCharge:
 
     # -- per-ray structure ---------------------------------------------------
 
+    def _ray(self, j):
+        if not 0 <= j < len(self._arrays):
+            raise BadInput(f"no ray {j} in a {len(self._arrays)}-ray target")
+        return self._arrays[j]
+
     def ray_contributions(self, j):
         """Swept contributions to ray j as (mass, w, p, edge) with edge +1 if
         the ray is the sector's lower edge (image in R+), -1 if upper (R-)."""
-        if self.system is None:
-            if j not in (0, 1):
-                raise BadInput("half-plane sweep has rays 0 (R+) and 1 (R-)")
-            return [(s.mass, s.z, 1.0, +1 if j == 0 else -1) for s in self.swept]
-        k = len(self.system.thetas)
-        secs = complementary_sectors(self.system)
-        out = []
-        for s in self.swept:
-            i = secs.index(s.sector)
-            w, p = s.reduced()
-            if i == j:
-                out.append((s.mass, w, p, +1))
-            if (i + 1) % k == j:
-                out.append((s.mass, w, p, -1))
-        return out
+        return self._ray(j).records
 
     def ray_segment_mass(self, j, x1, x2, variation=False):
-        """Swept mass landing on ray j between radii x1 < x2 (closed form)."""
+        """Swept mass landing on ray j between radii x1 < x2 (closed form).
+
+        Each record contributes its harmonic measure at w of the image
+        interval e*[x1^p, x2^p], in hm_interval's arctangent form."""
         if not 0.0 <= x1 < x2:
             raise BadInput(f"need 0 <= x1 < x2, got [{x1}, {x2}]")
-        total = 0.0
-        for m, w, p, edge in self.ray_contributions(j):
-            a, b = x1 ** p, x2 ** p
-            img = Interval(a, b) if edge > 0 else Interval(-b, -a)
-            om = hm_interval(w, img)
-            total += abs(m) * om if variation else m * om
+        r = self._ray(j)
+        a, b = x1 ** r.p, x2 ** r.p
+        q = (r.wr - r.edge * a) * (r.wr - r.edge * b) + r.wi * r.wi
+        n = (b - a) * r.wi
+        ang = np.arctan(n / np.where(q == 0.0, 1.0, q)) / np.pi
+        om = np.where(q > 0.0, ang, np.where(q < 0.0, 1.0 + ang, 0.5))
+        total = float(np.sum((np.abs(r.mass) if variation else r.mass) * om))
+        if not math.isfinite(total):
+            raise NumericFailure(f"swept mass on ray {j} over [{x1}, {x2}] is not finite")
         return total
 
     def ray_density(self, j, t):
         """Total signed swept density on ray j at radius t > 0."""
-        total = 0.0
-        for m, w, p, edge in self.ray_contributions(j):
-            s = t ** p
-            total += m * p * t ** (p - 1.0) * poisson_kernel(edge * s, w)
+        r = self._ray(j)
+        dx = r.edge * t ** r.p - r.wr
+        total = float(np.sum(r.mass * r.p * t ** (r.p - 1.0) * r.wi
+                             / (math.pi * (dx * dx + r.wi * r.wi))))
+        if not math.isfinite(total):
+            raise NumericFailure(f"swept density on ray {j} at t = {t} is not finite")
         return total
+
+    def ray_distribution(self, j, x, variation=False):
+        """Mass (or variation) of the closed segment of ray j out to radius x:
+        the swept part plus the kept atoms at 0 < |z| <= x."""
+        r = self._ray(j)
+        total = self.ray_segment_mass(j, 0.0, x, variation=variation) if x > 0.0 else 0.0
+        m = r.kept_m[:np.searchsorted(r.kept_r, x, side="right")]
+        return total + float(np.sum(np.abs(m) if variation else m))
 
 
 def balayage_halfplane(nu):
@@ -268,7 +339,6 @@ def balayage_halfplane(nu):
 
 def balayage_system(nu, S):
     """Sweep nu onto the closed ray system S; atoms on S (origin included) stay."""
-    secs = complementary_sectors(S)
     kept, swept = [], []
     for z, m in nu.atoms:
         cls = classify_point(S, z)
@@ -276,7 +346,7 @@ def balayage_system(nu, S):
             kept.append((z, m))
         else:
             assert isinstance(cls, InSector)
-            swept.append(SweptAtom(z, m, secs[cls.index]))
+            swept.append(SweptAtom(z, m, cls.sector))
     return BalayageCharge(system=S, kept=AtomicCharge(kept), swept=swept)
 
 
@@ -485,18 +555,11 @@ def check_ges_bound_system(nu, S, g, r, slack=1e-12):
     gr = _gauge_value(g, r)
     bal = balayage_system(nu, S)
     lhs = variation_radial(bal, r)
+    # closed at the gauge: an atom at |z| = g(r) counts here, not in the disk term
+    far = [(z, m) for z, m in nu.atoms if abs(z) >= gr]
     c_plus = 0.0
     for sec in complementary_sectors(S):
-        p = sec.exponent
-        part = 0.0
-        for z, m in nu.atoms:
-            if abs(z) < gr or z == 0 or not sec.contains(z):
-                continue
-            w = reduce_to_halfplane(sec, z)
-            if w.imag <= 0.0:
-                continue
-            part += abs(m) * w.imag / (w.real * w.real + w.imag * w.imag)
-        c_plus += r ** p * part
+        c_plus += r ** sec.exponent * _reduced_blaschke(sec, far)
     rhs = (math.fsum(abs(m) for z, m in nu.atoms if abs(z) < gr)
            + 8.0 * gr * gr / (math.pi * (gr - r) ** 2) * c_plus)
     return CheckResult(lhs, rhs, lhs <= rhs + slack, {"c_plus": c_plus})

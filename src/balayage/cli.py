@@ -386,13 +386,6 @@ def cmd_hm(cfg):
     return report, (("kind", "side", "value", "hypothesis", "holds"), rows), None
 
 
-def _ray_distribution(bal, j, x, variation):
-    total = bal.ray_segment_mass(j, 0.0, x, variation=variation) if x > 0.0 else 0.0
-    for z, m in bal.kept.atoms:
-        if z != 0 and abs(z) <= x and bal.rays.ray_index(z) == j:
-            total += abs(m) if variation else m
-    return total
-
 def cmd_balayage(cfg):
     nu = _charge(cfg.inputs["charge"])
     if "system" in cfg.inputs:
@@ -410,7 +403,7 @@ def cmd_balayage(cfg):
     for j, theta in enumerate(bal.rays.thetas):
         for i in range(1, n + 1):
             x = xmax * i / n
-            rows.append((j, theta, x, _ray_distribution(bal, j, x, variation)))
+            rows.append((j, theta, x, bal.ray_distribution(j, x, variation)))
     report = {"command": "balayage", "charge": nu.to_json(),
               "balayage": bal.to_json(), "total_mass": bal.total_mass,
               "variation": variation,

@@ -75,7 +75,8 @@ class RaySystem:
         if not ts:
             raise BadInput("a ray system needs at least one ray")
         ts.sort()
-        for a, b in zip(ts, ts[1:]):
+        # the last ray also neighbours the first one, across the angle 0
+        for a, b in zip(ts, ts[1:] + [ts[0] + TWO_PI]):
             if b - a <= ANGULAR_TOL:
                 raise BadInput("duplicate ray angles")
         self.thetas = tuple(ts)

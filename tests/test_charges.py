@@ -1,20 +1,27 @@
 import cmath
 import math
+import sys
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from balayage import (AtomicCharge, BadInput, HypothesisViolated, Interval,
+from balayage import (AtomicCharge, BadInput, BalayageCharge,
+                      HypothesisViolated, Interval, NotInUpperHalfPlane,
                       RaySystem, RayTestFunction, SupportOffAxis,
-                      SupportTouchesInterval, balayage_halfplane,
+                      SupportTouchesInterval, SweptAtom, balayage_halfplane,
                       balayage_system, blaschke_halfplane,
                       blaschke_outside_system, blaschke_sector,
                       check_fubini, check_ges_bound, check_ges_bound_system,
                       check_lindelof_preservation, check_lipschitz,
                       check_thcup_bound, complementary_sectors,
-                      distribution_on_R, divergence_verdict, lindelof_sum,
-                      radial_counting, seq_balayage_distribution)
+                      distribution_on_R, divergence_verdict, hm_interval,
+                      lindelof_sum, poisson_kernel, radial_counting,
+                      ray_geometry, seq_balayage_distribution)
 from conftest import random_charge
 
 PI = math.pi
@@ -302,3 +309,133 @@ def test_lindelof_preservation_symmetric():
     nu2 = AtomicCharge([(2j, 1.0)])
     rep2 = check_lindelof_preservation(nu2, S, 1, radii=(4, 8, 16, 32, 64))
     assert rep2["bounded"]
+
+
+def test_check_ges_system_closed_at_the_gauge():
+    # g(r) = 2: the atom at |1.2 + 1.6i| = 2 counts in c_plus (closed at the
+    # gauge), which blaschke_sector at r0 = 2 would drop; atoms on a ray
+    # (sector edges) are kept by the sweep and add nothing
+    S = RaySystem([0.0, PI / 2, PI, 3 * PI / 2])
+    nu = AtomicCharge([(complex(1.2, 1.6), 1.5), (3.0, 2.0), (cmath.rect(3.0, PI / 2), 0.7),
+                       (complex(-2.5, 3.0), -0.5), (complex(0.3, 0.4), 1.0)])
+    assert abs(nu.atoms[0][0]) == 2.0
+    res = check_ges_bound_system(nu, S, 2.0, 1.0)
+    assert res.detail["c_plus"] == 0.3922493953238377
+    open_sum = math.fsum(blaschke_sector(nu, sec, 2.0) for sec in complementary_sectors(S))
+    assert res.detail["c_plus"] == pytest.approx(open_sum + 1.5 * 0.24, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The swept charge's array kernels against the per-record scalar kernels
+
+
+def _density_terms(bal, j, t):
+    return [m * p * t ** (p - 1.0) * poisson_kernel(e * t ** p, w)
+            for m, w, p, e in bal.ray_contributions(j)]
+
+
+def _mass_terms(bal, j, x1, x2, variation):
+    terms = []
+    for m, w, p, e in bal.ray_contributions(j):
+        a, b = x1 ** p, x2 ** p
+        om = hm_interval(w, Interval(a, b) if e > 0 else Interval(-b, -a))
+        terms.append((abs(m) if variation else m) * om)
+    return terms
+
+
+def _assert_sums_to(got, terms):
+    # relative to the terms' magnitude: signed sums may cancel to near 0
+    assert abs(got - math.fsum(terms)) <= 1e-12 * math.fsum(abs(v) for v in terms)
+
+
+TARGETS = [None, (0.0,), (0.0, PI), (0.0, 2 * PI / 3, 4 * PI / 3),
+           (0.3, 1.1, 2.0, 3.7, 5.5)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(target=st.sampled_from(TARGETS),
+       atoms=st.lists(st.tuples(st.floats(0.05, 50.0), st.floats(0.0, 2 * PI),
+                                st.floats(-2.0, 2.0).filter(lambda m: abs(m) > 1e-3)),
+                      min_size=1, max_size=12),
+       data=st.data())
+def test_array_kernels_match_scalar_sums(target, atoms, data):
+    """target None is the half-plane sweep (rays 0 = R+, 1 = R-); (0.0,) is the
+    one-ray system, whose sector has p = 1/2."""
+    nu = AtomicCharge([(cmath.rect(r, th), m) for r, th, m in atoms])
+    bal = balayage_halfplane(nu) if target is None else balayage_system(nu, RaySystem(target))
+    j = data.draw(st.integers(0, len(bal.rays) - 1))
+    t = data.draw(st.floats(1e-3, 1e3))
+    _assert_sums_to(bal.ray_density(j, t), _density_terms(bal, j, t))
+    x1 = data.draw(st.sampled_from([0.0]) | st.floats(1e-3, 100.0))
+    x2 = x1 + data.draw(st.floats(1e-6, 100.0))
+    for variation in (False, True):
+        _assert_sums_to(bal.ray_segment_mass(j, x1, x2, variation=variation),
+                        _mass_terms(bal, j, x1, x2, variation))
+
+
+@pytest.mark.parametrize("z, x1, x2, q_sign", [
+    (1 + 1j, 0.0, 2.0, 0),      # w on the semicircle over [0, 2]: exactly 1/2
+    (1 + 0.5j, 0.0, 2.0, -1),   # inside the semidisk
+    (1 + 0.5j, 0.0, 0.5, +1),   # outside it
+])
+def test_segment_mass_branches(z, x1, x2, q_sign):
+    q = (z.real - x1) * (z.real - x2) + z.imag * z.imag
+    assert (q > 0) - (q < 0) == q_sign
+    bal = balayage_halfplane(AtomicCharge([(z, -1.5)]))
+    want = -1.5 * hm_interval(z, Interval(x1, x2))
+    assert bal.ray_segment_mass(0, x1, x2) == pytest.approx(want, rel=1e-15)
+    assert bal.ray_segment_mass(0, x1, x2, variation=True) == pytest.approx(-want, rel=1e-15)
+    if q_sign == 0:
+        assert bal.ray_segment_mass(0, x1, x2) == -0.75
+
+
+def test_far_point_tiny_interval_mass_against_mpmath():
+    with mpmath.workdps(50):
+        # half-plane sweep: ray 1 carries the image interval [-x2, -x1]
+        z, x1, x2 = 3e4 + 2e4j, 1.0, 1.0 + 2.0 ** -30
+        bal = balayage_halfplane(AtomicCharge([(z, 1.0)]))
+        wr, wi = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+        want = (mpmath.atan((-x1 - wr) / wi) - mpmath.atan((-x2 - wr) / wi)) / mpmath.pi
+        assert bal.ray_segment_mass(1, x1, x2) == pytest.approx(float(want), rel=1e-13)
+        # three rays, p = 3/2: ray 0 is the lower edge of the atom's sector
+        z, x2 = cmath.rect(1e3, 1.0), 1e-3
+        bal = balayage_system(AtomicCharge([(z, 1.0)]), RaySystem(TARGETS[3]))
+        p = mpmath.mpf(3) / 2
+        w = abs(mpmath.mpc(z.real, z.imag)) ** p * mpmath.expj(p * mpmath.atan2(z.imag, z.real))
+        want = (mpmath.atan((mpmath.mpf(x2) ** p - w.real) / w.imag)
+                - mpmath.atan(-w.real / w.imag)) / mpmath.pi
+        assert bal.ray_segment_mass(0, 0.0, x2) == pytest.approx(float(want), rel=1e-13)
+
+
+def test_sweep_arrays_are_built_once(monkeypatch):
+    calls = Counter()
+    for name in ("complementary_sectors", "reduce_to_halfplane"):
+        original = getattr(ray_geometry, name)
+
+        def counted(*args, _f=original, _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "balayage"]:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    bal = balayage_system(random_charge(np.random.default_rng(50), 50),
+                          RaySystem([0.3, 1.1, 2.0, 3.7, 5.5]))
+    built = Counter(calls)
+    assert built["complementary_sectors"] > 0  # the counters see the sweep itself
+    for i in range(100):
+        bal.ray_density(i % 5, 0.1 + 0.37 * i)
+        bal.ray_segment_mass(i % 5, 0.0, 0.1 + 0.37 * i, variation=i % 2 == 1)
+    assert calls == built
+
+
+def test_swept_images_are_checked_when_the_sweep_is_built():
+    with pytest.raises(NotInUpperHalfPlane):
+        BalayageCharge(None, AtomicCharge([]), [SweptAtom(-1j, 1.0, None)])
+    # |w| = |z|^2 underflows to 0 in the quarter plane's power map
+    with pytest.raises(NotInUpperHalfPlane):
+        balayage_system(AtomicCharge([(cmath.rect(1e-200, 0.5), 1.0)]),
+                        RaySystem([0.0, PI / 2]))
+    bal = balayage_halfplane(AtomicCharge([(1j, 1.0)]))
+    assert isinstance(bal.swept, tuple)
+    with pytest.raises(FrozenInstanceError):
+        bal.swept = ()

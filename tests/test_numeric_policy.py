@@ -82,7 +82,7 @@ def test_atoms_built_on_a_ray_are_on_that_ray_everywhere(S, r, data):
     assert S.ray_index(z) == j
 
     bal = balayage_system(AtomicCharge([(z, 1.0)]), S)
-    assert bal.kept.atoms == [(z, 1.0)] and bal.swept == []
+    assert bal.kept.atoms == [(z, 1.0)] and bal.swept == ()
 
     F = RayTestFunction(S, {j: [(0.5 * r, 0.0), (0.9 * r, 1.0), (1.1 * r, 1.0),
                                 (2.0 * r, 0.0)]})

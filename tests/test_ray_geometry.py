@@ -27,6 +27,14 @@ def test_system_validation():
     assert S.thetas == (0.0, PI / 2, 3 * PI / 2)
 
 
+@pytest.mark.parametrize("thetas", [[0.0, 1e-13], [0.0, -1e-13], [0.0, 2 * PI - 1e-13],
+                                    [1.0, 2.0, -1e-13, 1e-13]])
+def test_duplicate_rays_across_angle_zero_are_rejected(thetas):
+    # after sorting, the last ray neighbours the first one across the angle 0
+    with pytest.raises(BadInput):
+        RaySystem(thetas)
+
+
 def test_complementary_sectors_half_planes():
     secs = complementary_sectors(RaySystem([0.0, PI]))
     assert len(secs) == 2
