@@ -38,7 +38,6 @@ from .ray_geometry import (
     RaySystem,
     Sector,
     classify_point,
-    complementary_sectors,
     reduce_to_halfplane,
 )
 from .stepfn import StepFunction
@@ -138,7 +137,7 @@ def _reduced_blaschke(sec, atoms):
 def blaschke_outside_system(nu, S, r0):
     """Per-sector Blaschke sums for the complement of the ray system."""
     return {i: blaschke_sector(nu, sec, r0)
-            for i, sec in enumerate(complementary_sectors(S))}
+            for i, sec in enumerate(S.sectors)}
 
 
 def fit_slope_vs_log(radii, values):
@@ -243,7 +242,7 @@ class BalayageCharge:
         # sector i runs from ray i to ray i+1; the half-plane sweep's one
         # sector (None) runs from ray 0 (R+) to ray 1 (R-)
         index = ({None: 0} if self.system is None else
-                 {sec: i for i, sec in enumerate(complementary_sectors(self.system))})
+                 {sec: i for i, sec in enumerate(self.system.sectors)})
         records = [[] for _ in range(k)]
         for s in self.swept:
             i = index[s.sector]
@@ -558,7 +557,7 @@ def check_ges_bound_system(nu, S, g, r, slack=1e-12):
     # closed at the gauge: an atom at |z| = g(r) counts here, not in the disk term
     far = [(z, m) for z, m in nu.atoms if abs(z) >= gr]
     c_plus = 0.0
-    for sec in complementary_sectors(S):
+    for sec in S.sectors:
         c_plus += r ** sec.exponent * _reduced_blaschke(sec, far)
     rhs = (math.fsum(abs(m) for z, m in nu.atoms if abs(z) < gr)
            + 8.0 * gr * gr / (math.pi * (gr - r) ** 2) * c_plus)

@@ -29,7 +29,7 @@ from .harmonic_measure import (BoundarySegment, Interval, hm_bounds,
                                hm_interval, hm_interval_quad, hm_system,
                                hm_system_quad)
 from .numerics import INPUT_ANGULAR_TOL
-from .ray_geometry import RaySystem, complementary_sectors
+from .ray_geometry import RaySystem
 from .regular_growth import angular_density, crg_on_rays, exgr2_functionals
 from .stepfn import StepFunction
 from .subharmonic import (CanonicalPotential, GenusSchedule, carleman_check,
@@ -418,7 +418,7 @@ def _check_blaschke(cfg, nu):
         S = _system(cfg.inputs["system"])
         sums = blaschke_outside_system(nu, S, r0)
         rows = [(sec.alpha, sec.beta, sec.exponent, sums[i])
-                for i, sec in enumerate(complementary_sectors(S))]
+                for i, sec in enumerate(S.sectors)]
         report = {"sectors": [{"alpha": r[0], "beta": r[1], "exponent": r[2],
                                "sum": r[3]} for r in rows],
                   "total": math.fsum(sums.values())}

@@ -21,7 +21,7 @@ INPUT_ANGULAR_TOL = 1e-9
 # Error budgets of the quadrature routes (absolute).
 ORACLE_BUDGET = 1e-8        # hm_interval_quad, the closed forms' oracle
 POTENTIAL_BUDGET = 1e-7     # carleman_check's corrections, sweep_potential_eval
-FUNCTIONAL_BUDGET = 1e-6    # class-A functionals, principal values, exgr2 trace
+FUNCTIONAL_BUDGET = 1e-6    # class-A functionals, principal values
 # subharmonic_balayage_eval spends this share of its tolerance on quadrature,
 # never less than EDGE_BUDGET_FLOOR.
 EDGE_BUDGET_SHARE = 0.1
@@ -36,7 +36,8 @@ def integrate(fn, a, b, route, budget=None, spent=0.0, **options):
     options go to quad (epsabs, epsrel, limit, points).  The error estimate
     plus `spent`, the error of earlier calls that share the budget, must not
     exceed `budget`; budget None asks for the accuracy requested of quad,
-    max(epsabs, epsrel * |value|).  Returns (value, spent + error).  QUADPACK's
+    max(epsabs, epsrel * |value|).  A NaN error estimate (an integrand that
+    returned NaN) fails the check.  Returns (value, spent + error).  QUADPACK's
     convergence warnings are not emitted: the budget check replaces them.
     """
     val, err = quad(fn, a, b, full_output=1, **options)[:2]
@@ -44,7 +45,7 @@ def integrate(fn, a, b, route, budget=None, spent=0.0, **options):
         budget = max(options.get("epsabs", _EPSABS),
                      options.get("epsrel", _EPSREL) * abs(val))
     spent += err
-    if spent > budget:
+    if not spent <= budget:
         raise QuadratureFailure(
             f"{route} quadrature error {spent:.2e} exceeds its budget {budget:.2e}")
     return val, spent

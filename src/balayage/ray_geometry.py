@@ -68,7 +68,8 @@ class Sector:
 
 
 class RaySystem:
-    """Finitely many rays from the origin, stored as sorted angles in [0, 2*pi)."""
+    """Finitely many rays from the origin, stored as sorted angles in [0, 2*pi),
+    with their complementary sectors (built once, in `sectors`)."""
 
     def __init__(self, thetas):
         ts = [normalize_angle(float(t)) for t in thetas]
@@ -80,6 +81,7 @@ class RaySystem:
             if b - a <= ANGULAR_TOL:
                 raise BadInput("duplicate ray angles")
         self.thetas = tuple(ts)
+        self.sectors = tuple(complementary_sectors(self))
 
     def __len__(self):
         return len(self.thetas)
@@ -118,10 +120,6 @@ class RaySystem:
         return cls(obj["rays"])
 
 
-# The target of the half-plane sweeps: ray 0 is R+, ray 1 is R-.
-REAL_AXIS = RaySystem([0.0, math.pi])
-
-
 def relative_angle(z, alpha):
     """Angle of z measured from the direction alpha, reduced to [0, 2*pi)."""
     phi = math.fmod(cmath.phase(z) - alpha, TWO_PI)
@@ -150,6 +148,10 @@ def complementary_sectors(S):
     return out
 
 
+# The target of the half-plane sweeps: ray 0 is R+, ray 1 is R-.
+REAL_AXIS = RaySystem([0.0, math.pi])
+
+
 class OnSystem:
     """Classification result: the point lies on the ray system (or is the origin)."""
 
@@ -173,13 +175,12 @@ def classify_point(S, z, tol=ANGULAR_TOL):
     z = complex(z)
     if z == 0 or S.ray_index(z, tol) is not None:
         return OnSystem()
-    sectors = complementary_sectors(S)
-    for i, sec in enumerate(sectors):
+    for i, sec in enumerate(S.sectors):
         psi = relative_angle(z, sec.alpha)
         if psi < sec.aperture:
             return InSector(sec, i)
     # Floating point can push psi to exactly aperture on the last sector.
-    return InSector(sectors[-1], len(sectors) - 1)
+    return InSector(S.sectors[-1], len(S) - 1)
 
 
 def reduce_to_halfplane(sec, z):

@@ -371,33 +371,41 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
 # Four-bisector functionals
 
 
-def _bisector_integral(n, t):
-    """Exact integral of n(s) * s / (s^4 + t^2) ds over the positive axis,
-    via the antiderivative arctan(s^2/t) / (2t) and the constant tail."""
-    if t <= 0.0:
-        raise BadInput(f"need t > 0, got {t}")
-    pts = n.points
-    if not pts:
-        return 0.0
+def _bisector_jumps(n):
+    """Squared jump points a_i = p_i^2 and jumps J_i of a counting function,
+    as columns against a grid."""
+    if not isinstance(n, StepFunction):
+        raise BadInput("counting functions must be StepFunctions")
     if n.offset != 0.0:
         raise BadInput("counting function must vanish near 0")
-
-    def anti(s):
-        return math.atan2(s * s, t) / (2.0 * t)
-
-    total = 0.0
-    for i in range(len(pts) - 1):
-        level = n(0.5 * (pts[i] + pts[i + 1]))
-        if level:
-            total += level * (anti(pts[i + 1]) - anti(pts[i]))
-    tail_level = n(pts[-1])
-    if tail_level:
-        total += tail_level * (math.pi / (4.0 * t) - anti(pts[-1]))
-    return total
+    with np.errstate(over="ignore"):  # a = inf past p ~ 1e154: its terms vanish
+        a = np.square(np.asarray(n.points, dtype=float))
+    return a[:, None], np.asarray(n.jumps, dtype=float)[:, None]
 
 
-def exgr2_functionals(counts, t_grid=(10.0, 100.0, 1000.0), r_grid=None,
-                      quad_tol=1e-10):
+def _jump_sum(J, terms):
+    """Correctly rounded sum_i J_i * terms_i, one per grid column."""
+    return np.array([math.fsum(col) for col in (J * terms).T])
+
+
+def _log1p_sq_over(x):
+    """log1p(x^2) / x for x >= 0, continued by its limit 0 at 0 and at inf;
+    for x > 1 it is computed from 1/x, so x^2 never overflows."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.minimum(x, 1.0 / x)
+        l = np.log1p(s * s)
+        g = np.where(x <= 1.0, l / s, s * (l - 2.0 * np.log(s)))
+    return np.where(s > 0.0, g, 0.0)
+
+
+def _positive_grid(values, name):
+    grid = np.sort(np.asarray(list(values), dtype=float))
+    if not grid.size or grid[0] <= 0.0:
+        raise BadInput(f"need a nonempty grid of {name} > 0, got {grid.tolist()}")
+    return grid
+
+
+def exgr2_functionals(counts, t_grid=(10.0, 100.0, 1000.0), r_grid=None):
     """Four-bisector diagnostics: the pair integrals
     b_k(t) = 2 * int (n_k + n_{k+1})(s) s ds / (s^4 + t^2), their
     sqrt(t)-scaled limit candidates, and the alternating log-averaged trace
@@ -406,51 +414,35 @@ def exgr2_functionals(counts, t_grid=(10.0, 100.0, 1000.0), r_grid=None,
     The raw b_k(t) decay like 1/sqrt(t) for counting functions of linear
     growth; sqrt(t) * b_k(t) is the quantity with a finite limit, and its
     pairwise sums match indicator sums of the underlying potentials.
+
+    Both are jump sums.  With a_i = p_i^2 for the jumps J_i of n,
+    B(n, t) = int n(s) s ds / (s^4 + t^2) = sum J_i atan(t / a_i) / (2t) and
+    b_k = 2 (B(n_k, t) + B(n_{k+1}, t)).  The trace integrand is
+    (1 + i) sum_k i^k B(n_k, t) / t, and atan(t/a) / (2t^2) has the
+    antiderivative H(t; a) = -atan(t/a) / (2t) - log1p(a^2/t^2) / (4a).
     """
     if len(counts) != 4:
         raise BadInput("exactly four bisector counting functions are required")
-    for n in counts:
-        if not isinstance(n, StepFunction):
-            raise BadInput("counting functions must be StepFunctions")
+    jumps = [_bisector_jumps(n) for n in counts]
+    t = _positive_grid(t_grid, "t")
+    r = _positive_grid(_dyadic_grid(2.0, 512.0, per_octave=1) if r_grid is None
+                       else r_grid, "r")
 
-    def b_at(t):
-        return [2.0 * (_bisector_integral(counts[k], t)
-                       + _bisector_integral(counts[(k + 1) % 4], t))
-                for k in range(4)]
+    B = [_jump_sum(J, np.arctan2(t, a)) / (2.0 * t) for a, J in jumps]
+    b = np.stack([2.0 * (B[k] + B[(k + 1) % 4]) for k in range(4)], axis=1)
+    scaled = np.sqrt(t)[:, None] * b
+    b_limits = np.median(scaled[len(scaled) // 2:], axis=0).tolist()
 
-    t_grid = sorted(float(t) for t in t_grid)
-    b_values = [(t, b_at(t)) for t in t_grid]
-    scaled = np.asarray([[math.sqrt(t) * b for b in bs] for t, bs in b_values])
-    b_limits = [float(np.median(scaled[len(scaled) // 2:, k])) for k in range(4)]
+    def H(a, u):
+        return -(2.0 * np.arctan2(u, a) + _log1p_sq_over(a / u)) / (4.0 * u)
 
-    if r_grid is None:
-        r_grid = _dyadic_grid(2.0, 512.0, per_octave=1)
-    r_grid = sorted(float(r) for r in r_grid)
-
-    def integrand(t):
-        bs = b_at(t)
-        acc = 0.0 + 0.0j
-        for k in range(4):
-            acc += 1j ** (k + 1) * (bs[k] / 2.0)
-        return acc / t
-
-    trace = []
-    acc_re = acc_im = 0.0
-    lo = 1.0
-    opts = dict(route="bisector trace", budget=FUNCTIONAL_BUDGET,
-                epsabs=quad_tol, limit=200)
-    for r in r_grid:
-        re, spent = integrate(lambda t: integrand(t).real, lo, r, **opts)
-        im, _ = integrate(lambda t: integrand(t).imag, lo, r, spent=spent, **opts)
-        acc_re += re
-        acc_im += im
-        trace.append((r, complex(acc_re, acc_im)))
-        lo = r
-    tail_vals = [t for _, t in trace[len(trace) // 2:]]
-    L_limit = complex(float(np.median([t.real for t in tail_vals])),
-                      float(np.median([t.imag for t in tail_vals])))
+    L = (1 + 1j) * sum(ik * _jump_sum(J, H(a, r) - H(a, 1.0))
+                       for ik, (a, J) in zip((1, 1j, -1, -1j), jumps))
+    trace = [(rv, complex(Lv)) for rv, Lv in zip(r.tolist(), L)]
+    tail = L[len(L) // 2:]
+    L_limit = complex(float(np.median(tail.real)), float(np.median(tail.imag)))
     return {
-        "b_values": b_values,
+        "b_values": list(zip(t.tolist(), b.tolist())),
         "b_scaled_limits": b_limits,
         "L_trace": trace,
         "L_limit": L_limit,

@@ -428,6 +428,23 @@ def test_sweep_arrays_are_built_once(monkeypatch):
     assert calls == built
 
 
+def test_sweep_reads_the_systems_sectors(monkeypatch):
+    S = RaySystem([0.3, 1.1, 2.0, 3.7, 5.5])
+    calls = Counter()
+    original = ray_geometry.complementary_sectors
+
+    def counted(*args):
+        calls["complementary_sectors"] += 1
+        return original(*args)
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "balayage"]:
+        if vars(mod).get("complementary_sectors") is original:
+            monkeypatch.setattr(mod, "complementary_sectors", counted)
+    bal = balayage_system(random_charge(np.random.default_rng(50), 50), S)
+    assert len(bal.swept) > 0
+    assert calls["complementary_sectors"] == 0
+    assert S.sectors == tuple(original(S))
+
+
 def test_swept_images_are_checked_when_the_sweep_is_built():
     with pytest.raises(NotInUpperHalfPlane):
         BalayageCharge(None, AtomicCharge([]), [SweptAtom(-1j, 1.0, None)])

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from balayage import StepFunction, exgr2_functionals
 from conftest import write_json
 
 PI = math.pi
@@ -217,6 +218,53 @@ def test_crg_off_system_atom_rejected(tmp_path):
     proc = run_cli("crg", "--charge", str(charge), "--system", str(system),
                    "--p", "1")
     assert proc.returncode == 2
+
+
+def _four_ray_atoms():
+    # four bisectors of unequal density, one with a negative atom
+    units = (1.0, 1j, -1.0, -1j)
+    atoms = []
+    for k, (u, step) in enumerate(zip(units, (0.5, 0.8, 1.1, 0.3))):
+        atoms += [(u * step * i, 1.0) for i in range(1, 40 + 10 * k)]
+    return atoms + [(2.05j, -0.5)]
+
+
+def test_crg_exgr2_block_matches_library(tmp_path):
+    atoms = _four_ray_atoms()
+    charge = tmp_path / "charge.json"
+    write_json(charge, charge_json(atoms))
+    system = tmp_path / "system.json"
+    write_json(system, {"rays": [0.0, PI / 2, PI, 3 * PI / 2]})
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        proc = run_cli("crg", "--charge", str(charge), "--system", str(system),
+                       "--p", "1", "--exgr2", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    units = (1.0, 1j, -1.0, -1j)
+    counts = [StepFunction.from_events([(abs(z), m) for z, m in atoms
+                                        if abs(z / abs(z) - u) < 1e-12]) for u in units]
+    want = exgr2_functionals(counts)
+
+    def c(z):
+        return {"im": z.imag, "re": z.real}
+    assert json.loads(outs[0].read_text())["exgr2"] == {
+        "b_values": [[t, bs] for t, bs in want["b_values"]],
+        "b_scaled_limits": want["b_scaled_limits"],
+        "L_trace": [[r, c(L)] for r, L in want["L_trace"]],
+        "L_limit": c(want["L_limit"]),
+    }
+
+
+def test_crg_exgr2_needs_four_rays(tmp_path):
+    charge = tmp_path / "charge.json"
+    write_json(charge, charge_json([(1.0, 1.0), (2.0, 1.0)]))
+    system = tmp_path / "system.json"
+    write_json(system, {"rays": [0.0, 2.0, 4.0]})
+    proc = run_cli("crg", "--charge", str(charge), "--system", str(system),
+                   "--p", "1", "--exgr2")
+    assert proc.returncode == 2
+    assert "--exgr2 needs a four-ray system" in proc.stderr
 
 
 def test_no_partial_file_on_failure(tmp_path):

@@ -16,9 +16,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import balayage
 from balayage import (AtomicCharge, BoundarySegment, QuadratureFailure,
-                      RaySystem, RayTestFunction, balayage_halfplane,
-                      balayage_system, complementary_sectors,
-                      distribution_on_R, hm_system, variation_radial)
+                      RaySystem, RayTestFunction, StepFunction,
+                      balayage_halfplane, balayage_system,
+                      complementary_sectors, distribution_on_R,
+                      exgr2_functionals, hm_system, variation_radial)
 from balayage import numerics
 from balayage.charges import _variation_interval_halfplane
 from balayage.cli import _counts_by_ray, main
@@ -212,6 +213,18 @@ def test_integrate_raises_when_the_error_misses_its_budget():
     # calls that share a budget: the earlier error counts against it
     with pytest.raises(QuadratureFailure):
         integrate(math.exp, 0.0, 1.0, "probe", budget=1e-6, spent=1e-6)
+    # a NaN integrand gives a NaN error estimate, which no budget accepts
+    for budget in (None, 1e-8):
+        with pytest.raises(QuadratureFailure, match="probe"):
+            integrate(lambda t: float("nan"), 0.0, 1.0, "probe", budget=budget)
+
+
+def test_exgr2_functionals_make_no_quad_call(quad_calls):
+    counts = [StepFunction.from_events([(0.5 + k, 1.0), (3.0 * k + 2.0, -0.5)])
+              for k in range(4)]
+    out = exgr2_functionals(counts)
+    assert quad_calls == []
+    assert len(out["L_trace"]) == 9  # the default grid 2, 4, ..., 512
 
 
 def test_quad_is_bound_in_one_module_only():

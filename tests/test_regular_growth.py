@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from balayage import (AtomicCharge, BadInput, StepFunction, angular_density,
                       crg_on_rays, exgr2_functionals, indicator_estimate,
@@ -176,6 +178,96 @@ def test_exgr2_scaled_limit_linear_counts():
     want = math.sqrt(2.0) * PI * lam
     for k in range(4):
         assert out["b_scaled_limits"][k] == pytest.approx(want, rel=0.05)
+
+
+def _bisector_integral_by_levels(n, t):
+    """int n(s) s ds / (s^4 + t^2) level by level, with the antiderivative
+    atan(s^2/t) / (2t): the summation-by-parts twin of the library's jump sum."""
+    pts = n.points
+    if not pts:
+        return 0.0
+    anti = [math.atan2(p * p, t) / (2.0 * t) for p in pts] + [math.pi / (4.0 * t)]
+    return sum(n(pts[i]) * (anti[i + 1] - anti[i]) for i in range(len(pts)))
+
+
+def test_exgr2_trace_matches_nested_quadrature():
+    rng = np.random.default_rng(7)
+    counts = [StepFunction.from_events(
+        [(float(rng.uniform(0.1, 40.0)), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)))
+         for _ in range(m)]) for m in (3, 9, 6, 12)]
+    r_grid = (2.0, 8.0, 32.0)
+    out = exgr2_functionals(counts, r_grid=r_grid)
+
+    def integrand(t):
+        bs = [2.0 * (_bisector_integral_by_levels(counts[k], t)
+                     + _bisector_integral_by_levels(counts[(k + 1) % 4], t))
+              for k in range(4)]
+        return sum(1j ** (k + 1) * (bs[k] / 2.0) for k in range(4)) / t
+
+    want, lo = 0j, 1.0
+    for (r, got) in out["L_trace"]:
+        want += complex(quad(lambda t: integrand(t).real, lo, r, epsabs=1e-10, limit=200)[0],
+                        quad(lambda t: integrand(t).imag, lo, r, epsabs=1e-10, limit=200)[0])
+        lo = r
+        assert abs(got - want) <= 1e-9
+    assert [r for r, _ in out["L_trace"]] == list(r_grid)
+    assert abs(out["L_trace"][-1][1]) > 0.01  # the counts are asymmetric
+
+
+def _mp_bisector(jumps, t):
+    """50-digit int n(s) s ds / (s^4 + t^2) for a count with these (p, J)."""
+    return mpmath.fsum(J * (mpmath.pi / 2 - mpmath.atan(mpmath.mpf(p) ** 2 / t)) / (2 * t)
+                       for p, J in jumps)
+
+
+FAR, NEAR = [(1e4, 1.0)], [(1e-3, -0.5)]
+
+
+@pytest.mark.parametrize("regime", [
+    [FAR, [], [], []],                   # p^2 >> t: the tail cancels in pi/4 - atan(p^2/t)
+    [NEAR, [], [], []],                  # p^2 << t
+    [[], [], [], []],                    # empty counts
+    [FAR, NEAR, [], FAR + [(3.0, 2.0)]],  # all three at once, asymmetric
+])
+def test_exgr2_jump_sums_match_mpmath(regime):
+    counts = [StepFunction.from_events(j) for j in regime]
+    t_grid, r_grid = (10.0, 1e3), (2.0, 64.0)
+    out = exgr2_functionals(counts, t_grid=t_grid, r_grid=r_grid)
+    with mpmath.workdps(50):
+        for t, got in out["b_values"]:
+            B = [_mp_bisector(j, mpmath.mpf(t)) for j in regime]
+            for k in range(4):
+                assert got[k] == pytest.approx(float(2 * (B[k] + B[(k + 1) % 4])),
+                                               rel=1e-13, abs=0.0)
+
+        def integrand(t):
+            return (1 + 1j) * mpmath.fsum(ik * _mp_bisector(j, t)
+                                          for ik, j in zip((1, 1j, -1, -1j), regime)) / t
+
+        for r, got in out["L_trace"]:
+            want = complex(mpmath.quad(integrand, [1, 10, r]) if r > 10
+                           else mpmath.quad(integrand, [1, r]))
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("kwargs", [dict(t_grid=(0.0, 10.0)), dict(r_grid=(-1.0, 2.0)),
+                                    dict(r_grid=(0.0,))])
+def test_exgr2_rejects_nonpositive_grids(kwargs):
+    zero = StepFunction.from_events([])
+    with pytest.raises(BadInput):
+        exgr2_functionals([zero] * 4, **kwargs)
+
+
+def test_exgr2_input_checks():
+    n = counting_arith(1.0, 5)
+    with pytest.raises(BadInput):
+        exgr2_functionals([n] * 3)
+    with pytest.raises(BadInput):
+        exgr2_functionals([n] * 5)
+    with pytest.raises(BadInput):
+        exgr2_functionals([n, n, n, [1.0]])
+    with pytest.raises(BadInput):
+        exgr2_functionals([n, n, n, StepFunction([1.0], [1.0], offset=1.0)])
 
 
 def test_angular_density_on_ray():
