@@ -30,7 +30,7 @@ from .errors import (
     SupportTouchesInterval,
 )
 from .harmonic_measure import Interval, hm_interval, poisson_kernel
-from .numerics import integrate
+from .numerics import PAIRING_TOL, QUAD_TOL, integrate
 from .ray_geometry import (
     REAL_AXIS,
     InSector,
@@ -106,7 +106,7 @@ def counting_around(nu, x0, variation=True):
 
 def blaschke_halfplane(nu, r0):
     """Sum of |m| * Im(1/conj z) over upper-half atoms outside the closed disk r0."""
-    if r0 <= 0.0:
+    if not r0 > 0.0:
         raise BadInput(f"need r0 > 0, got {r0}")
     return math.fsum(abs(m) * z.imag / (z.real * z.real + z.imag * z.imag)
                      for z, m in nu.atoms if z.imag > 0.0 and abs(z) > r0)
@@ -115,7 +115,7 @@ def blaschke_halfplane(nu, r0):
 def blaschke_sector(nu, sec, r0):
     """Reduced-coordinate Blaschke sum over atoms strictly inside the sector,
     outside the closed disk r0 (in original coordinates)."""
-    if r0 <= 0.0:
+    if not r0 > 0.0:
         raise BadInput(f"need r0 > 0, got {r0}")
     return _reduced_blaschke(sec, [(z, m) for z, m in nu.atoms if abs(z) > r0])
 
@@ -526,7 +526,7 @@ def check_ges_bound(nu, g, r, p=None, radii=None, slack=1e-12):
 
     With p >= 1 and a radius grid, also reports the sampled type comparison
     sup |nu^bal|^rad/r^p vs sup |nu|^rad/r^p (data, not a pass/fail)."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise BadInput(f"need r > 0, got {r}")
     gr = _gauge_value(g, r)
     bal = balayage_halfplane(nu)
@@ -549,7 +549,7 @@ def check_ges_bound(nu, g, r, p=None, radii=None, slack=1e-12):
 def check_ges_bound_system(nu, S, g, r, slack=1e-12):
     """System version: the tail constant sums, sector by sector, the reduced
     Blaschke weights of atoms outside the gauge disk, scaled by r^(pi/aperture)."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise BadInput(f"need r > 0, got {r}")
     gr = _gauge_value(g, r)
     bal = balayage_system(nu, S)
@@ -577,14 +577,16 @@ def check_lipschitz(nu, x1, x2, n_grid=200, p=None):
     fits the constant b in |dF| <= b |dt| |x0|^{p-1} over sampled pairs."""
     if not x1 < x2:
         raise BadInput(f"need x1 < x2, got [{x1}, {x2}]")
+    if not n_grid >= 1:
+        raise BadInput(f"need n_grid >= 1, got {n_grid}")
     if x1 <= 0.0 <= x2:
         raise BadInput("interval must avoid 0")
     for z, _ in nu.atoms:
         if _on_axis(z) and x1 <= z.real <= x2:
             raise SupportTouchesInterval(f"atom at {z.real} lies in [{x1}, {x2}]")
     bal = balayage_halfplane(nu)
-    xs = np.linspace(x1, x2, n_grid + 1)
-    vals = [distribution_on_R(bal, float(x)) for x in xs]
+    xs = np.linspace(x1, x2, n_grid + 1).tolist()
+    vals = [distribution_on_R(bal, x) for x in xs]
     h = (x2 - x1) / n_grid
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     modulus = max(diffs) / h if diffs else 0.0
@@ -661,7 +663,7 @@ class RayTestFunction:
         return [t for t, _ in self.breakpoints.get(j, [])]
 
 
-def _poisson_pairing(F, S, z, quad_tol=1e-10):
+def _poisson_pairing(F, S, z, quad_tol=QUAD_TOL):
     """Value at z of the harmonic extension of F to the complement of S."""
     cls = classify_point(S, z)
     if isinstance(cls, OnSystem):
@@ -692,7 +694,7 @@ def _poisson_pairing(F, S, z, quad_tol=1e-10):
     return total
 
 
-def check_fubini(nu, S, F, tol=1e-8, quad_tol=1e-10):
+def check_fubini(nu, S, F, tol=PAIRING_TOL, quad_tol=QUAD_TOL):
     """Pairing identity: integrating F against the sweep equals integrating
     the harmonic extension of F against the source charge.
 
@@ -719,7 +721,7 @@ def check_fubini(nu, S, F, tol=1e-8, quad_tol=1e-10):
 
 
 def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 256),
-                                slope_threshold=_SLOPE_DIVERGENT, quad_tol=1e-10):
+                                slope_threshold=_SLOPE_DIVERGENT, quad_tol=QUAD_TOL):
     """Compare the power sums of nu and of its sweep over growing radii; the
     sweep preserves the bounded-sum property when their difference stays flat."""
     bal = balayage_system(nu, S)

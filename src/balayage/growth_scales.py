@@ -39,9 +39,10 @@ def order_at_infinity(f, r_lo, r_hi):
     the window therefore drives the estimate toward the tail exponent.
     Estimates above ORDER_CAP are reported as +inf.
     """
+    grid = _window_grid(f, r_lo, r_hi)
     cut = math.sqrt(r_lo * r_hi)
     best = 0.0
-    for r in _window_grid(f, r_lo, r_hi):
+    for r in grid:
         if r <= 1.0 or r < cut:
             continue
         v = max(f(r), 0.0)
@@ -51,7 +52,7 @@ def order_at_infinity(f, r_lo, r_hi):
 
 def type_at(f, p, r_lo, r_hi):
     """Sup of f^+(r) / r^p over the window grid (exact for step functions)."""
-    if p < 0.0:
+    if not p >= 0.0:
         raise BadInput(f"need p >= 0, got {p}")
     return max(max(f(r), 0.0) / r ** p for r in _window_grid(f, r_lo, r_hi))
 
@@ -128,9 +129,9 @@ def convergence_integral_zero(f, p, r0):
     poch_residual  : residual of the p > 0 parts identity on f - f(0)
     log_residual   : residual of the p = 0 logarithmic parts identity
     """
-    if r0 <= 0.0:
+    if not r0 > 0.0:
         raise BadInput(f"need r0 > 0, got {r0}")
-    if p < 0.0:
+    if not p >= 0.0:
         raise BadInput(f"need p >= 0, got {p}")
     value = _abs_integral(f, p, 0.0, r0)
     f0 = f(0.0)

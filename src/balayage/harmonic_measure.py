@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
-from .numerics import ORACLE_BUDGET, integrate
+from .numerics import ORACLE_BUDGET, QUAD_TOL, integrate
 from .ray_geometry import InSector, OnSystem, classify_point, reduce_to_halfplane
 
 
@@ -99,7 +99,7 @@ def hm_interval(z, I):
     return w if q > 0.0 else 1.0 + w
 
 
-def hm_interval_quad(z, I, tol=1e-10):
+def hm_interval_quad(z, I, tol=QUAD_TOL):
     """Adaptive-quadrature oracle for hm_interval (Poisson kernel integrated over I)."""
     z = complex(z)
     if isinstance(I, (tuple, list)):
@@ -113,10 +113,11 @@ def hm_interval_quad(z, I, tol=1e-10):
     return val
 
 
-def hm_system_quad(S, z, segments=(), disk=None, tol=1e-10):
+def hm_system_quad(S, z, segments=(), disk=None, tol=QUAD_TOL):
     """Quadrature oracle for hm_system: the same sector reduction, but each
     image interval is integrated by hm_interval_quad instead of evaluated in
     closed form."""
+    _check_boundary_set(S, segments, disk)
     cls = classify_point(S, z)
     if not isinstance(cls, InSector):
         return hm_system(S, z, segments=segments, disk=disk)
@@ -347,6 +348,16 @@ def hm_sector_disk_bounds(sec, z, r, a):
     return out
 
 
+def _check_boundary_set(S, segments, disk):
+    """Every segment must lie on a ray of S, and the disk have a radius > 0."""
+    k = len(S.thetas)
+    for seg in segments:
+        if not 0 <= seg.ray_index < k:
+            raise BadInput(f"no ray {seg.ray_index} in a {k}-ray system")
+    if disk is not None and not disk > 0.0:
+        raise BadInput(f"need disk > 0, got {disk}")
+
+
 def hm_system(S, z, segments=(), disk=None):
     """Harmonic measure of a boundary set for the complement of a ray system.
 
@@ -354,6 +365,7 @@ def hm_system(S, z, segments=(), disk=None):
     closed origin disk of the given radius; parts must be disjoint (disk and
     segments are not deduplicated).  For z on S the measure is the Dirac mass.
     """
+    _check_boundary_set(S, segments, disk)
     z = complex(z)
     cls = classify_point(S, z)
     if isinstance(cls, OnSystem):

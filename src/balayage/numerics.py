@@ -18,6 +18,15 @@ ANGULAR_TOL = 1e-12
 # so charges whose angles were rounded to about nine digits still read.
 INPUT_ANGULAR_TOL = 1e-9
 
+# Absolute accuracy (epsabs) asked of quad by default: the harmonic-measure
+# oracles' tol and the checks' quad_tol (the variation integrals ask 1e-11).
+QUAD_TOL = 1e-10
+# Default tolerances of the checks and of the swept potential (absolute); the
+# CLI's --tol defaults are these.
+IDENTITY_TOL = 1e-6         # carleman_check's residual, the class-A routes' agreement
+PAIRING_TOL = 1e-8          # check_fubini's |lhs - rhs|
+SWEEP_TOL = 1e-4            # subharmonic_balayage_eval's tail bound
+
 # Error budgets of the quadrature routes (absolute).
 ORACLE_BUDGET = 1e-8        # hm_interval_quad, the closed forms' oracle
 POTENTIAL_BUDGET = 1e-7     # carleman_check's corrections, sweep_potential_eval

@@ -18,7 +18,7 @@ import numpy as np
 
 from .charges import lindelof_sum
 from .errors import BadInput, SingularityUnresolved
-from .numerics import ANGULAR_TOL, FUNCTIONAL_BUDGET, integrate
+from .numerics import ANGULAR_TOL, FUNCTIONAL_BUDGET, QUAD_TOL, integrate
 from .ray_geometry import TWO_PI, normalize_angle
 from .stepfn import StepFunction
 from .subharmonic import kernel_Kq
@@ -48,7 +48,7 @@ def indicator_estimate(v, theta, p, window, per_octave=8):
     Estimator semantics: a grid maximum is a lower estimate of the limsup;
     callers choose windows wide enough for their data.
     """
-    if p <= 0.0:
+    if not p > 0.0:
         raise BadInput(f"need p > 0, got {p}")
     r_lo, r_hi = window
     best = -math.inf
@@ -181,7 +181,7 @@ def _excision_integral(n, q, x, eps, tol, quad_tol):
 
 
 def pv_kernel_integral(n, q, z, eps=1e-2, method="excision", tol=1e-6,
-                       quad_tol=1e-10):
+                       quad_tol=QUAD_TOL):
     """Principal value of the genus-q kernel density against n.
 
     method="excision" (spec route): symmetric excision around real positive z
@@ -210,7 +210,7 @@ def pv_kernel_integral(n, q, z, eps=1e-2, method="excision", tol=1e-6,
     return _plain_integral(n, q, z, quad_tol)
 
 
-def pv_refinement_trace(n, q, x, eps=1e-2, quad_tol=1e-10):
+def pv_refinement_trace(n, q, x, eps=1e-2, quad_tol=QUAD_TOL):
     """The excision values at eps, eps/2, eps/4, eps/8 (for stability tests)."""
     _check_convergence_class(n, q)
     _, vals = _excision_integral(n, q, x, eps, math.inf, quad_tol)
@@ -326,12 +326,12 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
     """
     if len(n_by_ray) != len(thetas) or not thetas:
         raise BadInput("one counting function per ray angle is required")
-    if p <= 0.0:
+    if not p > 0.0:
         raise BadInput(f"need p > 0, got {p}")
     if radii is None:
         radii = _default_crg_radii(n_by_ray, truncation)
     radii = sorted(float(r) for r in radii)
-    if radii[0] <= 0.0:
+    if not all(r > 0.0 for r in radii):
         raise BadInput("radii must be positive")
     q = int(math.floor(p))
     use_kernel = p >= 1.0
@@ -464,7 +464,7 @@ def angular_density(nu, alpha, beta, p, radii=None):
     """Mass of the closed sector [alpha, beta] in the closed disk of radius r,
     scaled by r^p, over a radius grid; fitted limit candidate; for integer p
     also the Lindelof sum trace with exponent p."""
-    if p <= 0.0:
+    if not p > 0.0:
         raise BadInput(f"need p > 0, got {p}")
     width = beta - alpha
     if not (0.0 < width <= TWO_PI + ANGULAR_TOL):

@@ -24,7 +24,8 @@ from .errors import (
 from .charges import AtomicCharge, CheckResult
 from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
-                       POTENTIAL_BUDGET, integrate)
+                       IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SWEEP_TOL,
+                       integrate)
 from .ray_geometry import OnSystem, classify_point, reduce_to_halfplane
 
 
@@ -177,6 +178,8 @@ class CanonicalPotential:
     def __post_init__(self):
         if (self.genus is None) == (self.schedule is None):
             raise BadInput("give exactly one of genus or schedule")
+        if self.genus is not None and not (isinstance(self.genus, int) and self.genus >= -1):
+            raise BadInput(f"genus must be an integer >= -1, got {self.genus}")
 
     def genus_for(self, zeta):
         return self.genus if self.genus is not None else self.schedule.genus_at(abs(zeta))
@@ -253,7 +256,7 @@ class ClassAResult:
         return abs(self.A - self.A_via_double)
 
 
-def class_A_functionals(v, alpha, beta, r0, r, quad_tol=1e-10):
+def class_A_functionals(v, alpha, beta, r0, r, quad_tol=QUAD_TOL):
     """The three edge/arc functionals of a sector (alpha, beta) at radii (r0, r),
     with the two alternative routes to A as consistency data.
 
@@ -293,7 +296,7 @@ def class_A_functionals(v, alpha, beta, r0, r, quad_tol=1e-10):
 # Half-disk boundary identity
 
 
-def carleman_check(nu, v, r0, r, tol=1e-6, quad_tol=1e-10):
+def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL, quad_tol=QUAD_TOL):
     """Exact atom sums against the boundary quadratures for the upper half-disk.
 
     Left: sum over atoms in r0 < |z| <= r of m * Im(1/conj z - z/r^2), plus
@@ -353,7 +356,7 @@ def _edge_growth_exponent(v, theta, radii):
     return math.log(vhi / vlo) / math.log(hi / lo), vhi
 
 
-def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=1e-4, quad_tol=1e-10,
+def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL, quad_tol=QUAD_TOL,
                               full_output=False):
     """Value at z of the sweep of v onto S: v itself on S, otherwise the
     Poisson integral of v over the containing sector's edges in the reduced
@@ -407,7 +410,7 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=1e-4, quad_tol=1e-10,
     return (total, tail_bound) if full_output else total
 
 
-def sweep_potential_eval(bal, z, genus=-1, quad_tol=1e-10):
+def sweep_potential_eval(bal, z, genus=-1, quad_tol=QUAD_TOL):
     """Potential of a swept charge at z: kernel sums over kept atoms plus
     per-ray quadrature of the kernel against the closed-form densities."""
     z = complex(z)
