@@ -16,9 +16,8 @@ from .charges import (AtomicCharge, BalayageCharge, CheckResult,
 from .errors import (AtomOnCircle, BadGauge, BadInput, BalayageError,
                      CoincidentPoints, EndpointSingularity, HypothesisViolated,
                      NotInUpperHalfPlane, NumericFailure, QuadratureFailure,
-                     SingularityUnresolved, SupportOffAxis,
-                     SupportTouchesInterval, TailTooLarge, ZeroCenter,
-                     ZeroPoint)
+                     SupportOffAxis, SupportTouchesInterval, TailTooLarge,
+                     ZeroCenter, ZeroPoint)
 from .growth_scales import (ConvergenceReport, GrowthReport, ZeroReport,
                             convergence_integral_inf, convergence_integral_zero,
                             growth_report, order_at_infinity, type_at)
@@ -34,8 +33,7 @@ from .ray_geometry import (REAL_AXIS, InSector, OnSystem, RaySystem, Sector,
                            relative_angle)
 from .regular_growth import (CRGReport, RayLimitRecord, angular_density,
                              crg_on_rays, exgr2_functionals,
-                             indicator_estimate, pv_kernel_integral,
-                             pv_refinement_trace)
+                             indicator_estimate, pv_kernel_integral)
 from .stepfn import StepFunction
 from .subharmonic import (BOTTOM, Bottom, CanonicalPotential, ClassAResult,
                           GenusSchedule, carleman_check, circle_mean,

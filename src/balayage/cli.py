@@ -400,7 +400,7 @@ def _check_arguments(p):
     p.add_argument("--x1", type=float, default=1.0)
     p.add_argument("--x2", type=float, default=2.0)
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--p", type=float, help="comparison order where used")
+    p.add_argument("--p", type=float, help="comparison order of lipschitz")
     p.add_argument("--n-grid", type=int, default=200)
     p.add_argument("--gauge-scale", type=float, default=2.0,
                    help="gauge g(r) = scale*r for the ges check")
@@ -412,6 +412,10 @@ def _check_arguments(p):
                         f"{IDENTITY_TOL}) and of fubini (default {PAIRING_TOL})")
 
 def cmd_check(args):
+    if args.tol is not None and args.name not in ("carleman", "classa", "fubini"):
+        raise BadInput(f"check {args.name} takes no --tol")
+    if args.p is not None and args.name != "lipschitz":
+        raise BadInput(f"check {args.name} takes no --p")
     run, _ = _CHECKS[args.name]
     report, holds = run(args, _charge(args.charge))
     return {"command": "check", "check": args.name, **report}, holds
@@ -496,8 +500,9 @@ def cmd_potential(args):
     if args.sweep:
         if args.system is None:
             raise BadInput("--sweep needs --system")
-        if args.schedule is not None:
-            raise BadInput("--sweep works with a single --genus, not a schedule")
+        if args.schedule is not None or harmonic:
+            raise BadInput("--sweep works with a single --genus, not a schedule "
+                           "or --harmonic")
         if not args.rmax > 1.0:
             raise BadInput(f"need --rmax > 1, got {args.rmax}")
     nu = _charge(args.charge)
@@ -515,9 +520,9 @@ def cmd_potential(args):
     for z in zs:
         entry = {"z": z, "value": potential_eval(P, z)}
         if args.sweep:
+            route = sweep_potential_eval(bal, z, genus=genus)
             swept = subharmonic_balayage_eval(
                 lambda w: potential_eval(P, w), S, z, R_max=args.rmax, tol=args.tol)
-            route = sweep_potential_eval(bal, z, genus=genus)
             entry.update(swept=swept, swept_charge_route=route,
                          route_difference=abs(swept - route))
         values.append(entry)

@@ -61,9 +61,5 @@ class QuadratureFailure(NumericFailure):
     """Adaptive quadrature did not converge within budget."""
 
 
-class SingularityUnresolved(NumericFailure):
-    """Principal-value extrapolation did not stabilize."""
-
-
 class TailTooLarge(NumericFailure):
     """Truncated boundary integral has an estimated tail above tolerance."""

@@ -73,6 +73,18 @@ def poisson_kernel(t, z):
     return y / (math.pi * (dx * dx + y * y))
 
 
+def _semidisk_form(z, I):
+    """Q and N of the closed form for Im z > 0; where Q overflows, both divided
+    by d^2, d = |z - x0| (the forms use N/Q and the sign of Q = (d - r)(d + r))."""
+    y = z.imag
+    q = (z.real - I.t1) * (z.real - I.t2) + y * y
+    n = (I.t2 - I.t1) * y
+    if math.isinf(q):
+        d = abs(z - I.center)
+        return (1.0 - I.radius / d) * (1.0 + I.radius / d), (I.t2 - I.t1) / d * (y / d)
+    return q, n
+
+
 def hm_interval(z, I):
     """Harmonic measure of the interval I at z, exact closed form.
 
@@ -91,8 +103,7 @@ def hm_interval(z, I):
         if x == I.t1 or x == I.t2:
             raise EndpointSingularity(f"real point {x} is an endpoint of [{I.t1}, {I.t2}]")
         return 1.0 if I.t1 < x < I.t2 else 0.0
-    q = (z.real - I.t1) * (z.real - I.t2) + y * y
-    n = (I.t2 - I.t1) * y
+    q, n = _semidisk_form(z, I)
     if q == 0.0:
         return 0.5
     w = math.atan(n / q) / math.pi
@@ -166,8 +177,8 @@ class BoundReport:
 
 
 def _imag_inv_conj(z):
-    """Im(1 / conj(z)) = Im z / |z|^2 for z != 0."""
-    return z.imag / (z.real * z.real + z.imag * z.imag)
+    """Im(1 / conj(z)) = Im z / |z|^2 for z != 0, without forming |z|^2."""
+    return z.imag / abs(z) / abs(z)
 
 
 def hm_bounds(z, I, a=0.5, b=2.0, slack=1e-12):
@@ -195,8 +206,7 @@ def hm_bounds(z, I, a=0.5, b=2.0, slack=1e-12):
     y = z.imag
     az = abs(z)
     exact = hm_interval(z, I)
-    q = (z.real - t1) * (z.real - t2) + y * y
-    n = length * y
+    q, n = _semidisk_form(z, I)
     dist = abs(z - x0)
 
     rep = BoundReport(z=z, interval=I, exact=exact)
@@ -226,7 +236,7 @@ def hm_bounds(z, I, a=0.5, b=2.0, slack=1e-12):
         c = (b - 1.0) / (2.0 * math.pi * b)
         keep("ring_lower", "lower", c * n / q, f"|z - x0| >= b*r with b={b}")
         keep("ring_lower_coarse", "lower",
-             c * n / ((az + abs(t1)) * (az + abs(t2))),
+             c * length * (y / (az + abs(t1))) / (az + abs(t2)),
              f"|z - x0| >= b*r with b={b} (product-denominator form)")
     else:
         skip("ring_lower", f"|z - x0| = {dist:.3g} < b*r = {b * r:.3g}")
@@ -264,7 +274,7 @@ def hm_bounds(z, I, a=0.5, b=2.0, slack=1e-12):
             root = math.sqrt(t1 * t2)
             if az != root:
                 keep("off_axis_upper", "upper",
-                     length * y / (math.pi * (az - root) ** 2),
+                     length * (y / (az - root)) / (math.pi * (az - root)),
                      "t1 >= 0 and cos(arg z) < 2*sqrt(t1*t2)/(t1+t2)")
             # The lower bound needs |z| >= t2 on top of the angular window:
             # then Q <= (|z|+t2)^2 <= 4|z|^2 and atan(u) >= u*atan(1/4)/(1/4)
@@ -284,7 +294,7 @@ def hm_bounds(z, I, a=0.5, b=2.0, slack=1e-12):
         # Disk-geometry pair around the diameter.
         if dist > r:
             keep("disk_exterior_upper", "upper",
-                 math.atan(2.0 * r * dist / (dist * dist - r * r)) / math.pi,
+                 math.atan(2.0 * r / (dist - r) * (dist / (dist + r))) / math.pi,
                  "t1 >= 0 and z outside the closed semidisk")
         elif dist < r and y > 0.0:
             g = 2.0 * r * dist / (r * r - dist * dist)

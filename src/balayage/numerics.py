@@ -29,8 +29,8 @@ SWEEP_TOL = 1e-4            # subharmonic_balayage_eval's tail bound
 
 # Error budgets of the quadrature routes (absolute).
 ORACLE_BUDGET = 1e-8        # hm_interval_quad, the closed forms' oracle
-POTENTIAL_BUDGET = 1e-7     # carleman_check's corrections, sweep_potential_eval
-FUNCTIONAL_BUDGET = 1e-6    # class-A functionals, principal values
+POTENTIAL_BUDGET = 1e-7     # carleman_check's corrections
+FUNCTIONAL_BUDGET = 1e-6    # class-A functionals
 # subharmonic_balayage_eval spends this share of its tolerance on quadrature,
 # never less than EDGE_BUDGET_FLOOR.
 EDGE_BUDGET_SHARE = 0.1

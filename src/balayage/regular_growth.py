@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charges import lindelof_sum
-from .errors import BadInput, SingularityUnresolved
-from .numerics import ANGULAR_TOL, FUNCTIONAL_BUDGET, QUAD_TOL, integrate
+from .errors import BadInput
+from .numerics import ANGULAR_TOL
 from .ray_geometry import TWO_PI, normalize_angle
 from .stepfn import StepFunction
-from .subharmonic import kernel_Kq
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +60,6 @@ def indicator_estimate(v, theta, p, window, per_octave=8):
 # Principal-value kernel integrals
 
 
-def _pv_kernel(z, t, q):
-    """Re(z^{q+1} / (t^{q+1} (z - t))), the density paired with n(t)."""
-    return ((z / t) ** (q + 1) / (z - t)).real
-
-
 def _check_convergence_class(n, q):
     """Reject counting data whose fitted growth reaches order q+1 at infinity.
 
@@ -100,8 +94,6 @@ def _stieltjes_value(n, q, z):
     """
     pts = np.asarray(n.points)
     jmp = np.asarray(n.jumps)
-    if pts.size == 0:
-        return 0.0
     if z == 0:
         return 0.0
     wp = z / pts
@@ -115,79 +107,11 @@ def _stieltjes_value(n, q, z):
     return float(np.dot(jmp, val))
 
 
-def _plain_integral(n, q, z, quad_tol):
-    """Improper integral for z off the positive axis: piecewise quadrature
-    plus the exact constant-tail term."""
-    total = 0.0
-    spent = 0.0
-    bounds = list(n.points)
-    for i in range(len(bounds) - 1):
-        a, b = bounds[i], bounds[i + 1]
-        level = n(0.5 * (a + b))
-        if level == 0.0:
-            continue
-        val, spent = integrate(lambda t: _pv_kernel(z, t, q), a, b, "piecewise",
-                               budget=FUNCTIONAL_BUDGET, spent=spent,
-                               epsabs=quad_tol, epsrel=1e-10, limit=200)
-        total += level * val
-    last = bounds[-1]
-    tail_level = n(last)
-    if tail_level != 0.0:
-        total += tail_level * kernel_Kq(last, z, q)
-    return total
-
-
-def _excision_integral(n, q, x, eps, tol, quad_tol):
-    """Symmetric-excision PV at real x > 0, Richardson-extrapolated in eps."""
-    pts = list(n.points)
-    gaps = [abs(p - x) for p in pts]
-    nearest = min(gaps)
-    if nearest <= 1e-12 * max(1.0, x):
-        raise BadInput(f"counting function jumps at the excision point x = {x}")
-    eps0 = min(eps, 0.45 * nearest, 0.45 * x)
-
-    def value_at(e):
-        total = 0.0
-        spent = 0.0
-        lo0 = pts[0]
-        T = 2.0 * max(pts[-1], x + 1.0)
-        cuts = sorted(set(c for c in pts + [x - e, x + e, lo0, T]
-                          if lo0 <= c <= T))
-        for a, b in zip(cuts, cuts[1:]):
-            mid = 0.5 * (a + b)
-            if x - e <= mid <= x + e:
-                continue
-            level = n(mid)
-            if level == 0.0:
-                continue
-            val, spent = integrate(lambda t: _pv_kernel(x, t, q), a, b, "excision",
-                                   budget=FUNCTIONAL_BUDGET, spent=spent,
-                                   epsabs=quad_tol, epsrel=1e-10, limit=200)
-            total += level * val
-        tail_level = n(T)
-        if tail_level != 0.0:
-            total += tail_level * kernel_Kq(T, complex(x), q)
-        return total
-
-    vals = [value_at(eps0 / 2 ** k) for k in range(4)]
-    # The pole's odd part cancels; the regular factor leaves c1 eps + c3 eps^3,
-    # so two Richardson sweeps clear the linear and cubic terms.
-    r1 = [2.0 * b - a for a, b in zip(vals, vals[1:])]
-    r2 = [(8.0 * b - a) / 7.0 for a, b in zip(r1, r1[1:])]
-    if abs(r2[-1] - r2[-2]) > tol:
-        raise SingularityUnresolved(
-            f"excision values did not stabilize: {r2}")
-    return r2[-1], vals
-
-
-def pv_kernel_integral(n, q, z, eps=1e-2, method="excision", tol=1e-6,
-                       quad_tol=QUAD_TOL):
-    """Principal value of the genus-q kernel density against n.
-
-    method="excision" (spec route): symmetric excision around real positive z
-    with Richardson extrapolation; plain improper quadrature off the axis.
-    method="stieltjes": the exact parts-identity jump sum, equal analytically;
-    the two serve as mutually independent checks.
+def pv_kernel_integral(n, q, z):
+    """Principal value of int n(t) Re(z^{q+1} / (t^{q+1} (z - t))) dt over
+    t > 0, in closed form: sum_i J_i K_q(p_i, z) over the jumps J_i of n at
+    p_i (see _stieltjes_value).  At real positive z it is the
+    symmetric-excision principal value, and n may not jump at z.
     """
     if not (isinstance(q, int) and q >= 0):
         raise BadInput(f"need integer q >= 0, got {q}")
@@ -195,26 +119,10 @@ def pv_kernel_integral(n, q, z, eps=1e-2, method="excision", tol=1e-6,
         raise BadInput("n must be a StepFunction")
     z = complex(z)
     _check_convergence_class(n, q)
-    if not n.points:
-        return 0.0
-    if method == "stieltjes":
-        if z.imag == 0.0 and z.real > 0.0 and any(
-                abs(p - z.real) <= 1e-12 * max(1.0, z.real) for p in n.points):
-            raise BadInput(f"counting function jumps at the singular point {z.real}")
-        return _stieltjes_value(n, q, z)
-    if method != "excision":
-        raise BadInput(f"unknown method {method!r}")
-    if z.imag == 0.0 and z.real > 0.0:
-        val, _ = _excision_integral(n, q, z.real, eps, tol, quad_tol)
-        return val
-    return _plain_integral(n, q, z, quad_tol)
-
-
-def pv_refinement_trace(n, q, x, eps=1e-2, quad_tol=QUAD_TOL):
-    """The excision values at eps, eps/2, eps/4, eps/8 (for stability tests)."""
-    _check_convergence_class(n, q)
-    _, vals = _excision_integral(n, q, x, eps, math.inf, quad_tol)
-    return vals
+    if z.imag == 0.0 and z.real > 0.0 and any(
+            abs(p - z.real) <= 1e-12 * max(1.0, z.real) for p in n.points):
+        raise BadInput(f"counting function jumps at the singular point {z.real}")
+    return _stieltjes_value(n, q, z)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .errors import (
     AtomOnCircle,
     BadInput,
     CoincidentPoints,
+    NumericFailure,
     QuadratureFailure,
     TailTooLarge,
     ZeroCenter,
@@ -26,7 +27,8 @@ from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SWEEP_TOL,
                        integrate)
-from .ray_geometry import OnSystem, classify_point, reduce_to_halfplane
+from .ray_geometry import (REAL_AXIS, OnSystem, classify_point,
+                           reduce_to_halfplane)
 
 
 class Bottom:
@@ -300,8 +302,9 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL, quad_tol=QUAD_TOL):
     """Exact atom sums against the boundary quadratures for the upper half-disk.
 
     Left: sum over atoms in r0 < |z| <= r of m * Im(1/conj z - z/r^2), plus
-    (1/r0^2 - 1/r^2) * sum over |z| <= r0 of m * Im z.  Right: the sector
-    functionals A + B for (0, pi) plus the two inner-radius corrections.
+    (1/r0^2 - 1/r^2) * sum over |z| <= r0 of m * Im z, both over the atoms
+    with Im z > 0 (the others are harmonic in the half-disk).  Right: the
+    sector functionals A + B for (0, pi) plus the two inner-radius corrections.
     """
     if not (0.0 < r0 < r):
         raise BadInput(f"need 0 < r0 < r, got ({r0}, {r})")
@@ -311,7 +314,7 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL, quad_tol=QUAD_TOL):
 
     lhs = 0.0
     inner = 0.0
-    for z, m in nu.atoms:
+    for z, m in nu.restricted(lambda z: z.imag > 0.0).atoms:
         az = abs(z)
         if r0 < az <= r:
             lhs += m * ((1.0 / z.conjugate()).imag - (z / r ** 2).imag)
@@ -410,23 +413,44 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL, quad_tol=QUAD_T
     return (total, tail_bound) if full_output else total
 
 
-def sweep_potential_eval(bal, z, genus=-1, quad_tol=QUAD_TOL):
-    """Potential of a swept charge at z: kernel sums over kept atoms plus
-    per-ray quadrature of the kernel against the closed-form densities."""
+def _coincident_limit(zeta, o, p, q):
+    """K_q(zeta, z) + g_D(z, zeta) as z -> zeta: |w - conj o| -> 2 Im o, and
+    |w - o| ~ p |zeta|^(p-1) |z - zeta|."""
+    r = abs(zeta)
+    val = math.log(2.0 * o.imag / p) - (p - 1.0) * math.log(r)
+    return val if q < 0 else val + math.fsum(1.0 / j for j in range(1, q + 1)) - math.log(r)
+
+
+def sweep_potential_eval(bal, z, genus=-1):
+    """Potential of a swept charge at z, as a closed-form sum.
+
+    Sweeping an atom zeta out of its sector D adds the Green function
+    g_D(z, zeta) = log(|w - conj o| / |w - o|) = log1p(4 Im w Im o / |w - o|^2) / 2
+    to its potential at z in D, w and o the reduced coordinates of z and zeta,
+    and nothing on S or in the other sectors.  The kernel integral this sum
+    equals converges only where p_D > q: the swept density behaves like
+    t^(p_D - 1) at the vertex and the kernel like t^(-q).
+    """
     z = complex(z)
-    total = 0.0
-    for zeta, m in bal.kept.atoms:
-        total += m * kernel_Kq(zeta, z, genus)
-    opts = dict(route=f"kernel (z = {z})", budget=POTENTIAL_BUDGET,
-                epsabs=quad_tol, limit=600)
-    for j, th in enumerate(bal.rays.thetas):
-        if not bal.ray_contributions(j):
+    cls = classify_point(bal.rays, z)
+    host = None if isinstance(cls, OnSystem) else cls.sector
+    w = None
+    total = sum(m * kernel_Kq(zeta, z, genus) for zeta, m in bal.kept.atoms)
+    for s in bal.swept:
+        o, p = s.reduced()
+        if p <= genus:
+            raise BadInput(f"kernel integral diverges: genus q = {genus} >= p_D = {p:.6g}")
+        # the half-plane sweep's one sector (None) is Im z > 0
+        if (REAL_AXIS.sectors[0] if s.sector is None else s.sector) != host:
+            total += s.mass * kernel_Kq(s.z, z, genus)
             continue
-        fn = lambda t, jj=j, tt=th: (
-            kernel_Kq(cmath.rect(t, tt), z, genus) * bal.ray_density(jj, t))
-        cut = max(4.0 * abs(z), 4.0)
-        v1, _ = integrate(fn, 0.0, cut, points=[abs(z)] if 0.0 < abs(z) < cut else None,
-                          **opts)
-        v2, _ = integrate(fn, cut, math.inf, **opts)
-        total += v1 + v2
+        w = reduce_to_halfplane(host, z) if w is None else w
+        d = w - o
+        if d == 0:  # z = zeta, or closer to it than the power map resolves
+            total += s.mass * _coincident_limit(s.z, o, p, genus)
+        else:
+            total += s.mass * (kernel_Kq(s.z, z, genus) + 0.5 * math.log1p(
+                4.0 * w.imag * o.imag / (d.real * d.real + d.imag * d.imag)))
+    if not math.isfinite(total):
+        raise NumericFailure(f"swept potential at z = {z} is not finite")
     return total

@@ -194,6 +194,23 @@ REJECTED = [
     "crg --charge @pos --system @sys3 --p 1 --exgr2",
     "crg --charge @charge --system @sys2 --p 1",
     "crg --charge @axis --system @sys2 --p 1 --tol 0",
+    # potential --sweep: the charge route has no harmonic part
+    "potential --charge @charge --z 1,1 --sweep --system @sys2 --harmonic 3",
+    # the charge route's kernel integral diverges: the sector (0, 2) has p < 2
+    "potential --charge @charge --z 5,2 --sweep --system @sys3 --genus 2",
+    # check: --tol only where the check has a tolerance, --p only for lipschitz
+    "check blaschke --charge @charge --tol 1e-3",
+    "check thcup --charge @charge --t1=-3 --t2=-1 --tol 1e-30",
+    "check ges --charge @charge --r 3 --tol 1e-3",
+    "check lipschitz --charge @charge --n-grid 20 --tol 1e-3",
+    "check lindelof --charge @charge --system @sys2 --tol 1e-3",
+    "check blaschke --charge @charge --p 2",
+    "check carleman --charge @charge --p 2",
+    "check thcup --charge @charge --t1=-3 --t2=-1 --p 2",
+    "check ges --charge @charge --r 3 --p 2",
+    "check fubini --charge @charge --system @sys3 --p 2",
+    "check lindelof --charge @charge --system @sys2 --p 2",
+    "check classa --charge @charge --r 4 --p 2",
 ]
 
 

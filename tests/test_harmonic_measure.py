@@ -1,6 +1,8 @@
 import cmath
+import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from balayage import (BoundarySegment, EndpointSingularity, Interval,
                       hm_interval, hm_interval_quad, hm_sector_disk,
                       hm_sector_disk_bounds, hm_sector_segment, hm_system,
                       poisson_kernel)
+from balayage.cli import main
 
 PI = math.pi
 
@@ -186,3 +189,20 @@ def test_hm_system_cross_disk():
     z = 2 * cmath.exp(1j * PI / 4)
     assert hm_system(S, z, disk=1.0) == pytest.approx(
         math.atan(8 / 15) / PI, abs=1e-14)
+
+
+def test_far_point_bounds_bracket_the_exact_value(tmp_path):
+    # |z|^2 overflows at z = 1e300 i: a form through it raises OverflowError
+    # or gives an upper bound of 0, below the exact value 3.2e-301
+    out = tmp_path / "hm.json"
+    assert main(["hm", "--z", "0,1e300", "--interval=1,2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    exact = hm_interval(1e300j, (1.0, 2.0))
+    with mpmath.workdps(50):
+        y = mpmath.mpf(1e300)
+        want = float(mpmath.atan(y / (2 + y * y)) / mpmath.pi)
+    assert exact == pytest.approx(want, rel=1e-15) and report["exact"] == exact
+    entries = report["bounds"]["entries"]
+    assert {e["name"] for e in entries} >= {"off_axis_upper", "far_upper", "disk_exterior_upper"}
+    for e in entries:
+        assert (e["value"] >= exact) if e["side"] == "upper" else (e["value"] <= exact), e

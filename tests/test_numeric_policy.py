@@ -19,7 +19,8 @@ from balayage import (AtomicCharge, BoundarySegment, QuadratureFailure,
                       RaySystem, RayTestFunction, StepFunction,
                       balayage_halfplane, balayage_system,
                       complementary_sectors, distribution_on_R,
-                      exgr2_functionals, hm_system, variation_radial)
+                      exgr2_functionals, hm_system, pv_kernel_integral,
+                      sweep_potential_eval, variation_radial)
 from balayage import numerics
 from balayage.charges import _variation_interval_halfplane
 from balayage.cli import _counts_by_ray, main
@@ -225,6 +226,20 @@ def test_exgr2_functionals_make_no_quad_call(quad_calls):
     out = exgr2_functionals(counts)
     assert quad_calls == []
     assert len(out["L_trace"]) == 9  # the default grid 2, 4, ..., 512
+
+
+def test_swept_potential_and_principal_values_make_no_quad_call(quad_calls):
+    S = RaySystem([0.3, 2.0, 4.0])
+    atoms = [(cmath.rect(1.5, 1.2), 1.0), (cmath.rect(2.5, 2.9), -0.6),
+             (cmath.rect(0.8, 5.0), 0.5), (cmath.rect(2.0, 0.3), 0.7)]
+    bal = balayage_system(AtomicCharge(atoms), S)
+    for z in (3.0 + 1.0j, cmath.rect(2.5, 2.9), -1.0 - 4.0j, 0.0):
+        for genus in (-1, 0):
+            assert math.isfinite(sweep_potential_eval(bal, z, genus=genus))
+    n = StepFunction.from_events([(1.0, 1.0), (3.0, 2.0), (7.5, -0.5)])
+    for z in (2.0, 2.0j, -4.0 + 1.0j):
+        assert math.isfinite(pv_kernel_integral(n, 1, z))
+    assert quad_calls == []
 
 
 def test_quad_is_bound_in_one_module_only():

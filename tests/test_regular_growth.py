@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -9,8 +10,7 @@ from scipy.integrate import quad
 
 from balayage import (AtomicCharge, BadInput, StepFunction, angular_density,
                       crg_on_rays, exgr2_functionals, indicator_estimate,
-                      pv_kernel_integral, pv_refinement_trace,
-                      radial_counting)
+                      kernel_Kq, pv_kernel_integral, radial_counting)
 
 PI = math.pi
 
@@ -41,6 +41,60 @@ def test_indicator_sine_zero_potential():
     assert got == pytest.approx(1.0, abs=0.05)
 
 
+# ---------------------------------------------------------------------------
+# The principal value by quadrature: the oracle for the library's jump sum
+
+
+def _pv_kernel(z, t, q):
+    """Re(z^{q+1} / (t^{q+1} (z - t))), the density paired with n(t)."""
+    return ((z / t) ** (q + 1) / (z - t)).real
+
+
+def _level_integral(z, q, a, b):
+    val, err = quad(lambda t: _pv_kernel(z, t, q), a, b, epsabs=1e-10, epsrel=1e-10,
+                    limit=200)
+    assert err <= 1e-8
+    return val
+
+
+def _plain_integral(n, q, z):
+    """Improper integral for z off the positive axis: piecewise quadrature
+    plus the exact constant-tail term."""
+    bounds = list(n.points)
+    total = sum(n(0.5 * (a + b)) * _level_integral(z, q, a, b)
+                for a, b in zip(bounds, bounds[1:]))
+    return total + n(bounds[-1]) * kernel_Kq(bounds[-1], z, q)
+
+
+def _excision_values(n, q, x, eps=1e-2):
+    """Symmetric-excision integrals at real x > 0 for eps, eps/2, eps/4, eps/8."""
+    pts = list(n.points)
+    eps0 = min(eps, 0.45 * min(abs(p - x) for p in pts), 0.45 * x)
+
+    def value_at(e):
+        T = 2.0 * max(pts[-1], x + 1.0)
+        cuts = sorted(set(c for c in pts + [x - e, x + e, T] if pts[0] <= c <= T))
+        total = sum(n(0.5 * (a + b)) * _level_integral(x, q, a, b)
+                    for a, b in zip(cuts, cuts[1:]) if not x - e <= 0.5 * (a + b) <= x + e)
+        return total + n(T) * kernel_Kq(T, complex(x), q)
+
+    return [value_at(eps0 / 2 ** k) for k in range(4)]
+
+
+def pv_quadrature(n, q, z):
+    """The principal value by quadrature: plain off the positive axis; at real
+    x > 0 symmetric excision, Richardson-extrapolated in eps (the pole's odd
+    part cancels, and two sweeps clear the eps and eps^3 terms)."""
+    z = complex(z)
+    if not (z.imag == 0.0 and z.real > 0.0):
+        return _plain_integral(n, q, z)
+    vals = _excision_values(n, q, z.real)
+    r1 = [2.0 * b - a for a, b in zip(vals, vals[1:])]
+    r2 = [(8.0 * b - a) / 7.0 for a, b in zip(r1, r1[1:])]
+    assert abs(r2[-1] - r2[-2]) <= 1e-6
+    return r2[-1]
+
+
 def test_pv_zero_function():
     assert pv_kernel_integral(StepFunction.from_events([]), 0, 2.0) == 0.0
 
@@ -50,13 +104,13 @@ def test_pv_unit_step_routes_agree():
     # off-axis point: both routes equal log|1 - z| ... for q = 0 the kernel
     # integral of a unit jump at 1 evaluated at z = 2i is log sqrt(5)
     want = math.log(math.sqrt(5.0))
-    exc = pv_kernel_integral(n, 0, 2j, method="excision")
-    stj = pv_kernel_integral(n, 0, 2j, method="stieltjes")
+    exc = pv_quadrature(n, 0, 2j)
+    stj = pv_kernel_integral(n, 0, 2j)
     assert exc == pytest.approx(want, abs=1e-8)
     assert stj == pytest.approx(want, abs=1e-12)
     # positive-axis point: principal value with the singular factor
-    exc = pv_kernel_integral(n, 0, 2.0, method="excision")
-    stj = pv_kernel_integral(n, 0, 2.0, method="stieltjes")
+    exc = pv_quadrature(n, 0, 2.0)
+    stj = pv_kernel_integral(n, 0, 2.0)
     assert stj == 0.0
     assert exc == pytest.approx(0.0, abs=1e-8)
 
@@ -65,21 +119,21 @@ def test_pv_refinement_trace_stabilizes():
     # raw excision values converge linearly in eps: halving the excision
     # width halves the successive differences
     n = StepFunction.from_events([(1.0, 1.0), (3.0, 2.0)])
-    vals = pv_refinement_trace(n, 1, 2.0)
+    vals = _excision_values(n, 1, 2.0)
     assert len(vals) == 4
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     assert diffs[1] <= 0.7 * diffs[0]
     assert diffs[2] <= 0.7 * diffs[1]
     # two-point Richardson from the last pair reproduces the extrapolated value
     extrap = 2.0 * vals[-1] - vals[-2]
-    final = pv_kernel_integral(n, 1, 2.0, method="stieltjes")
+    final = pv_kernel_integral(n, 1, 2.0)
     assert extrap == pytest.approx(final, abs=5e-5)
 
 
 def test_pv_singular_jump_rejected():
     n = StepFunction.from_events([(2.0, 1.0)])
     with pytest.raises(BadInput):
-        pv_kernel_integral(n, 0, 2.0, method="stieltjes")
+        pv_kernel_integral(n, 0, 2.0)
 
 
 @given(st.floats(min_value=0.3, max_value=4.0),
@@ -89,9 +143,47 @@ def test_pv_singular_jump_rejected():
 def test_pv_single_jump_routes_agree(pos, mass, q):
     n = StepFunction.from_events([(pos, mass)])
     z = complex(1.1 * pos, 0.8)
-    exc = pv_kernel_integral(n, q, z, method="excision")
-    stj = pv_kernel_integral(n, q, z, method="stieltjes")
+    exc = pv_quadrature(n, q, z)
+    stj = pv_kernel_integral(n, q, z)
     assert exc == pytest.approx(stj, abs=1e-7)
+
+
+def _mp_jump_sum(jumps, q, z):
+    """50-digit sum_i J_i K_q(p_i, z) over the jumps (p_i, J_i)."""
+    z = mpmath.mpc(z)
+    return mpmath.fsum(J * (mpmath.log(abs(1 - z / p)) + mpmath.fsum(
+        mpmath.re((z / p) ** j) / j for j in range(1, q + 1))) for p, J in jumps)
+
+
+def _mp_pv_quadrature(jumps, q, z):
+    """50-digit int n(t) Re(z^{q+1} / (t^{q+1} (z - t))) dt for z off the axis,
+    level by level from the first jump to infinity."""
+    z = mpmath.mpc(z)
+    f = lambda t: mpmath.re(z ** (q + 1) / (t ** (q + 1) * (z - t)))
+    pts = sorted(jumps)
+    ends = [p for p, _ in pts[1:]] + [mpmath.inf]
+    return mpmath.fsum(sum(J for _, J in pts[:i + 1]) * mpmath.quad(f, [p, b])
+                       for i, ((p, _), b) in enumerate(zip(pts, ends)))
+
+
+@pytest.mark.parametrize("jumps,q,z", [
+    ([(3.0, 1.0), (5.0, -0.5)], 0, 3.0 * (1.0 + 1e-6)),    # real z next to a jump
+    ([(3.0, 1.0), (5.0, -0.5)], 1, 3.0 + 3e-7j),           # off the axis, next to it
+    ([(1.0, 1.0), (2.0, 2.0), (5.0, -0.5)], 12, cmath.rect(3.0, 0.7)),   # large q
+    ([(1.0, 1.0), (2.0, 2.0), (5.0, -0.5)], 12, cmath.rect(0.5, 0.7)),   # only the tail left
+    ([(1.0, 1.0), (2.0, 2.0), (5.0, -0.5)], 30, cmath.rect(30.0, 0.7)),
+])
+def test_pv_jump_sum_matches_mpmath(jumps, q, z):
+    got = pv_kernel_integral(StepFunction.from_events(jumps), q, z)
+    # the float sum is exact for inputs within a few ulps: its terms carry
+    # |z| / |z - p| (the log) and |z / p|^j (the powers) ulps each
+    cond = sum(abs(J) * (abs(z) / abs(z - p) + sum(abs(z / p) ** j for j in range(1, q + 1)))
+               for p, J in jumps)
+    with mpmath.workdps(50):
+        want = _mp_jump_sum(jumps, q, z)
+        if complex(z).imag != 0.0:
+            assert abs(_mp_pv_quadrature(jumps, q, z) - want) <= mpmath.mpf(10) ** -40
+    assert abs(got - float(want)) <= 1e-15 * cond
 
 
 def test_crg_arithmetic_progression_stable():

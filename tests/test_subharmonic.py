@@ -234,3 +234,13 @@ def test_riesz_mass_recovery():
     m2 = circle_mean(v, 4.0)
     mass = (m2 - m1) / math.log(2.0)
     assert mass == pytest.approx(3.0, rel=1e-2)
+
+
+def test_carleman_ignores_atoms_below_the_axis():
+    # log|z + 2i| is harmonic in the upper half-disk: both sides vanish
+    nu = AtomicCharge([(-2j, 1.0)])
+    P = CanonicalPotential(nu, genus=-1)
+    res = carleman_check(nu, lambda z: potential_eval(P, z), 1.0, 10.0)
+    assert res.lhs == 0.0
+    assert abs(res.rhs) <= 1e-12
+    assert res.holds
