@@ -14,6 +14,7 @@ library call checks it the same way.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -636,7 +637,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args reads it and
+    never changes it, and every parse starts from a fresh Namespace."""
     ap = argparse.ArgumentParser(
         prog="balayage",
         description="Sweeping of charges and potentials onto ray systems: "

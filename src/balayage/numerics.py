@@ -4,11 +4,16 @@ A point z != 0 lies on a ray when its argument is within ANGULAR_TOL of the
 ray's angle (RaySystem.ray_index applies this everywhere).  Every quadrature
 goes through integrate(), which compares scipy's error estimate with a budget
 and raises QuadratureFailure instead of returning a value it cannot vouch for.
+
+scipy.integrate is imported on the first quadrature, not with the package:
+most commands evaluate closed forms only and never pay for it.  quad is still
+a global of this module, bound by __getattr__ on first use, so replacing
+numerics.quad reaches every call integrate() makes.
 """
 
 from __future__ import annotations
 
-from scipy.integrate import quad
+import sys
 
 from .errors import QuadratureFailure
 
@@ -39,6 +44,14 @@ EDGE_BUDGET_FLOOR = 1e-9
 _EPSABS = _EPSREL = 1.49e-8  # quad's own defaults
 
 
+def __getattr__(name):
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+    globals()["quad"] = quad
+    return quad
+
+
 def integrate(fn, a, b, route, budget=None, spent=0.0, **options):
     """Integral of fn over [a, b] by scipy's quad, with its error checked.
 
@@ -49,6 +62,7 @@ def integrate(fn, a, b, route, budget=None, spent=0.0, **options):
     returned NaN) fails the check.  Returns (value, spent + error).  QUADPACK's
     convergence warnings are not emitted: the budget check replaces them.
     """
+    quad = sys.modules[__name__].quad  # a bare global lookup skips __getattr__
     val, err = quad(fn, a, b, full_output=1, **options)[:2]
     if budget is None:
         budget = max(options.get("epsabs", _EPSABS),

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import BadInput, ZeroPoint
+from .errors import BadInput, NumericFailure, ZeroPoint
 from .numerics import ANGULAR_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -189,7 +189,8 @@ def reduce_to_halfplane(sec, z):
     The edge at alpha maps into the positive reals, the edge at beta into the
     negative reals, and |w| = |z| ** (pi / aperture).  Exact passthrough when
     the map is the identity (alpha = 0, aperture = pi), so half-plane cases
-    stay bit-exact.
+    stay bit-exact.  Raises NumericFailure where |w| passes the float range
+    (in a narrow sector that is a moderate |z|: p = 10.5 at |z| = 1e40).
     """
     z = complex(z)
     if z == 0:
@@ -217,7 +218,10 @@ def reduce_to_halfplane(sec, z):
             phi = sec.aperture
         else:
             raise BadInput(f"point not in the closed sector: {z}")
-    rho = abs(z) ** p
+    try:
+        rho = abs(z) ** p
+    except OverflowError:
+        raise NumericFailure(f"power map overflows: |z|**{p:.6g} at z = {z}") from None
     ang = p * phi
     if ang == 0.0:
         return complex(rho, 0.0)

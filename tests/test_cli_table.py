@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from balayage.cli import main
+from balayage.cli import build_parser, main
+from balayage.numerics import PAIRING_TOL
 from conftest import write_json
 
 PI = math.pi
@@ -32,6 +33,7 @@ def files(tmp_path):
         "@empty": charge("empty", []),
         "@sys2": write_json(tmp_path / "sys2.json", {"rays": [0.0, PI]}),
         "@sys3": write_json(tmp_path / "sys3.json", {"rays": [0.0, 2.0, 4.0]}),
+        "@narrow": write_json(tmp_path / "narrow.json", {"rays": [0.0, 0.3]}),
         "@schedule": write_json(tmp_path / "schedule.json",
                                 {"radii": [0.0, 1.0], "genera": [-1, 0]}),
         "@bad": str(bad),
@@ -219,6 +221,20 @@ def test_rejected_input_exits_2(argv, files):
     assert run(argv, files) == 2
 
 
+# |z|**p passes the float range in the sector (0, 0.3), where p = 10.47
+FAR = "--z=9.887710779360423e+39,1.4943813247359922e+39"
+
+
+@pytest.mark.parametrize("argv", [
+    f"hm {FAR} --system @narrow --disk 1",
+    f"hm {FAR} --system @narrow --segment 0,1,2",
+    f"potential --charge @charge {FAR} --sweep --system @narrow",
+])
+def test_power_map_overflow_exits_3(argv, files):
+    # these ended in an OverflowError traceback
+    assert run(argv, files) == 3
+
+
 @pytest.mark.parametrize("argv", [
     f"check classa --charge @charge --beta {2.0 * PI!r} --r 4",
     f"crg --charge @axis --system @sys2 --p 1 --angular 0,{2.0 * PI!r}",
@@ -349,3 +365,27 @@ def test_tol_is_not_an_option_where_nothing_reads_it(command, files):
 def test_non_finite_ray_index_is_bad_input(argv, files):
     # int(nan) and int(inf) used to escape main as ValueError / OverflowError
     assert run(argv, files) == 2
+
+
+# ---------------------------------------------------------------------------
+# One parser serves every main() call of a process
+
+
+def test_parser_reuse_carries_no_value_between_calls(files, tmp_path):
+    two = "hm --z 0,1 --system @sys2 --segment 0,1,2 --segment 1,0.5,3"
+    fubini = "check fubini --charge @charge --system @sys3"
+
+    def report(argv):
+        assert run(f"{argv} --out @out", files) == 0
+        return (tmp_path / "out").read_bytes()
+
+    first = report(two)
+    assert json.loads(first)["segments"] == [[0, 1.0, 2.0], [1, 0.5, 3.0]]
+    one = json.loads(report("hm --z 0,1 --system @sys2 --segment 0,1,2"))
+    assert one["segments"] == [[0, 1.0, 2.0]]
+    assert json.loads(report(f"{fubini} --tol 1e-7"))["tol"] == 1e-7
+    assert json.loads(report(fubini))["tol"] == PAIRING_TOL
+    assert run("hm --z 0,1 --no-such-option", files) == 2
+    assert run(f"{fubini} --tol 0", files) == 2
+    assert report(two) == first
+    assert build_parser() is build_parser()

@@ -7,6 +7,8 @@ import inspect
 import json
 import math
 import pkgutil
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -245,9 +247,32 @@ def test_swept_potential_and_principal_values_make_no_quad_call(quad_calls):
 def test_quad_is_bound_in_one_module_only():
     modules = [importlib.import_module(f"balayage.{m.name}")
                for m in pkgutil.iter_modules(balayage.__path__)]
+    numerics.quad  # bound on first use; this test may run before any quadrature
     owners = [mod.__name__ for mod in modules
               if any(v is scipy.integrate.quad for v in vars(mod).values())]
     assert owners == ["balayage.numerics"]
     for mod in modules:
         if mod.__name__ != "balayage.numerics":
             assert "IntegrationWarning" not in inspect.getsource(mod), mod.__name__
+
+
+COLD_START = """
+import sys
+import {module}
+assert "scipy.integrate" not in sys.modules, "imported with {module}"
+from balayage import numerics
+assert "quad" not in vars(numerics)
+value, _ = numerics.integrate(lambda t: t * t, 0.0, 3.0, "cold start")
+assert abs(value - 9.0) < 1e-12, value
+import scipy.integrate
+assert numerics.quad is scipy.integrate.quad
+assert vars(numerics)["quad"] is scipy.integrate.quad
+"""
+
+
+@pytest.mark.parametrize("module", ["balayage", "balayage.cli"])
+def test_scipy_integrate_loads_on_the_first_quadrature(module):
+    # a fresh interpreter: this one imported scipy.integrate long ago
+    proc = subprocess.run([sys.executable, "-c", COLD_START.format(module=module)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from balayage import (ANGULAR_TOL, BadInput, InSector, OnSystem, RaySystem,
-                      Sector, ZeroPoint, classify_point, complementary_sectors,
-                      normalize_angle, reduce_to_halfplane)
+from balayage import (ANGULAR_TOL, BadInput, InSector, NumericFailure,
+                      OnSystem, RaySystem, Sector, ZeroPoint, classify_point,
+                      complementary_sectors, normalize_angle,
+                      reduce_to_halfplane)
 
 PI = math.pi
 
@@ -93,6 +94,17 @@ def test_reduce_quarter_sector():
 def test_reduce_zero_point():
     with pytest.raises(ZeroPoint):
         reduce_to_halfplane(Sector(0.0, PI), 0.0)
+
+
+def test_reduce_overflow_is_a_numeric_failure():
+    # p = pi/0.3 = 10.47: |z|**p passes the float range at |z| = 1e40, where
+    # Python's float power used to raise an uncaught OverflowError
+    sec = Sector(0.0, 0.3)
+    z = complex(9.887710779360423e+39, 1.4943813247359922e+39)
+    with pytest.raises(NumericFailure, match="overflows"):
+        reduce_to_halfplane(sec, z)
+    w = reduce_to_halfplane(sec, z * 1e-20)
+    assert abs(w) == pytest.approx(abs(z * 1e-20) ** sec.exponent, rel=1e-12)
 
 
 @given(alpha=st.floats(0.0, 2 * PI - 1e-6),
