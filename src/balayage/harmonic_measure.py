@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
 from .numerics import ORACLE_BUDGET, QUAD_TOL, integrate
-from .ray_geometry import InSector, OnSystem, classify_point, reduce_to_halfplane
+from .ray_geometry import InSector, OnSystem, classify_point, radial_power, reduce_to_halfplane
 
 
 @dataclass(frozen=True)
@@ -132,19 +132,9 @@ def hm_system_quad(S, z, segments=(), disk=None, tol=QUAD_TOL):
     cls = classify_point(S, z)
     if not isinstance(cls, InSector):
         return hm_system(S, z, segments=segments, disk=disk)
-    sec, idx = cls.sector, cls.index
-    w = reduce_to_halfplane(sec, z)
-    p = sec.exponent
-    k = len(S.thetas)
-    total = 0.0
-    if disk is not None:
-        total += hm_interval_quad(w, Interval(-disk ** p, disk ** p), tol=tol)
-    for seg in segments:
-        if seg.ray_index == idx:
-            total += hm_interval_quad(w, Interval(seg.a ** p, seg.b ** p), tol=tol)
-        if seg.ray_index == (idx + 1) % k:
-            total += hm_interval_quad(w, Interval(-seg.b ** p, -seg.a ** p), tol=tol)
-    return total
+    w = reduce_to_halfplane(cls.sector, z)
+    return sum((hm_interval_quad(w, I, tol=tol)
+                for I in _boundary_images(S, cls, segments, disk)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +304,7 @@ def hm_bounds(z, I, a=0.5, b=2.0, slack=1e-12):
 def _segment_image(sec, seg):
     """Image interval of a sector-edge segment under the power map."""
     p = sec.exponent
-    a, b = seg.a ** p, seg.b ** p
+    a, b = radial_power(seg.a, p), radial_power(seg.b, p)
     if seg.ray_index == 0:  # lower edge -> positive reals
         return Interval(a, b)
     if seg.ray_index == 1:  # upper edge -> negative reals
@@ -333,7 +323,7 @@ def hm_sector_disk(sec, z, r):
     if r <= 0.0:
         raise BadInput(f"need r > 0, got {r}")
     w = reduce_to_halfplane(sec, z)
-    rp = r ** sec.exponent
+    rp = radial_power(r, sec.exponent)
     return hm_interval(w, Interval(-rp, rp))
 
 
@@ -388,17 +378,20 @@ def hm_system(S, z, segments=(), disk=None):
                 return 1.0
         return 0.0
 
+    w = reduce_to_halfplane(cls.sector, z)
+    return sum((hm_interval(w, I) for I in _boundary_images(S, cls, segments, disk)), 0.0)
+
+
+def _boundary_images(S, cls, segments, disk):
+    """Image intervals, under the power map of the sector cls (an InSector of
+    S), of the boundary set's parts on the sector's edges: the disk (both edges
+    inside it) first, then each segment on the lower or the upper edge."""
     sec, idx = cls.sector, cls.index
-    k = len(S.thetas)
-    total = 0.0
     if disk is not None:
-        total += hm_sector_disk(sec, z, disk)
+        rp = radial_power(disk, sec.exponent)
+        yield Interval(-rp, rp)
     for seg in segments:
-        edges = []
-        if seg.ray_index == idx:
-            edges.append(0)
-        if seg.ray_index == (idx + 1) % k:
-            edges.append(1)  # for k == 1 the same ray is both edges
-        for e in edges:
-            total += hm_sector_segment(sec, z, BoundarySegment(e, seg.a, seg.b))
-    return total
+        # for a one-ray system the same ray is both edges
+        for e, j in ((0, idx), (1, (idx + 1) % len(S.thetas))):
+            if seg.ray_index == j:
+                yield _segment_image(sec, BoundarySegment(e, seg.a, seg.b))

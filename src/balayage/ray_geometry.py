@@ -183,6 +183,14 @@ def classify_point(S, z, tol=ANGULAR_TOL):
     return InSector(S.sectors[-1], len(S) - 1)
 
 
+def radial_power(t, p):
+    """t ** p, the power map's radius; a float overflow is a NumericFailure."""
+    try:
+        return t ** p
+    except OverflowError:
+        raise NumericFailure(f"power map overflows: {t!r}**{p:.6g}") from None
+
+
 def reduce_to_halfplane(sec, z):
     """Power map of the closed sector onto the closed upper half-plane.
 
@@ -218,10 +226,7 @@ def reduce_to_halfplane(sec, z):
             phi = sec.aperture
         else:
             raise BadInput(f"point not in the closed sector: {z}")
-    try:
-        rho = abs(z) ** p
-    except OverflowError:
-        raise NumericFailure(f"power map overflows: |z|**{p:.6g} at z = {z}") from None
+    rho = radial_power(abs(z), p)
     ang = p * phi
     if ang == 0.0:
         return complex(rho, 0.0)

@@ -96,14 +96,14 @@ def _stieltjes_value(n, q, z):
     jmp = np.asarray(n.jumps)
     if z == 0:
         return 0.0
-    wp = z / pts
-    if np.any(wp == 1.0):
+    if np.any(pts == z):
         raise BadInput(f"kernel is singular at the jump point {z}")
-    val = np.log(np.abs(1.0 - wp))
-    pw = np.ones_like(wp)
+    # log|p - z| - log p, not log|1 - z/p|: p - z is exact for z near p
+    val = np.log(np.abs(pts - z)) - np.log(pts)
+    pw = wp = z / pts if q else None
     for j in range(1, q + 1):
-        pw = pw * wp
         val = val + pw.real / j
+        pw = pw * wp
     return float(np.dot(jmp, val))
 
 

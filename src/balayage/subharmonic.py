@@ -258,6 +258,25 @@ class ClassAResult:
         return abs(self.A - self.A_via_double)
 
 
+_FUNCTIONAL = dict(route="functional", budget=FUNCTIONAL_BUDGET, epsrel=1e-10, limit=400)
+
+
+def _edge_arc_functionals(v, alpha, beta, r0, r, quad_tol):
+    """A and B of class_A_functionals, by one checked quadrature each."""
+    if not (0.0 < r0 < r):
+        raise BadInput(f"need 0 < r0 < r, got ({r0}, {r})")
+    gamma = beta - alpha
+    if not (0.0 < gamma <= 2.0 * math.pi):
+        raise BadInput(f"need aperture in (0, 2*pi], got {gamma}")
+    p = math.pi / gamma
+    edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
+    A = 0.5 / gamma * integrate(lambda t: (t ** (-p) - t ** p / r ** (2.0 * p)) * edges(t) / t,
+                                r0, r, epsabs=quad_tol, **_FUNCTIONAL)[0]
+    B = integrate(lambda th: v(cmath.rect(r, th)) * math.sin(p * (th - alpha)),
+                  alpha, beta, epsabs=quad_tol, **_FUNCTIONAL)[0] / (gamma * r ** p)
+    return A, B
+
+
 def class_A_functionals(v, alpha, beta, r0, r, quad_tol=QUAD_TOL):
     """The three edge/arc functionals of a sector (alpha, beta) at radii (r0, r),
     with the two alternative routes to A as consistency data.
@@ -265,32 +284,22 @@ def class_A_functionals(v, alpha, beta, r0, r, quad_tol=QUAD_TOL):
     A: weighted edge integral with the inner/outer power weight
     B: arc integral against the aperture sine
     J: plain edge integral against t^{-p-1}, p = pi/(beta - alpha)
+    A_via_J: (J minus the outer-weight edge integral) / (2 gamma)
+    A_via_double: the double integral pi/(gamma^2 r^2p) int_r0^r t^(2p-1) int_r0^t
+      edges(s) s^(-p-1) ds dt with its order exchanged, one quadrature in log t
     """
-    if not (0.0 < r0 < r):
-        raise BadInput(f"need 0 < r0 < r, got ({r0}, {r})")
+    A, B = _edge_arc_functionals(v, alpha, beta, r0, r, quad_tol)
     gamma = beta - alpha
-    if not (0.0 < gamma <= 2.0 * math.pi):
-        raise BadInput(f"need aperture in (0, 2*pi], got {gamma}")
     p = math.pi / gamma
-
-    def edges(t):
-        return v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
-
-    opts = dict(route="functional", budget=FUNCTIONAL_BUDGET,
-                epsabs=quad_tol, epsrel=1e-10, limit=400)
+    edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
+    opts = dict(epsabs=quad_tol, **_FUNCTIONAL)
     J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, **opts)
-    A = 0.5 / gamma * integrate(
-        lambda t: (t ** (-p) - t ** p / r ** (2.0 * p)) * edges(t) / t, r0, r, **opts)[0]
-    B = integrate(lambda th: v(cmath.rect(r, th)) * math.sin(p * (th - alpha)),
-                  alpha, beta, **opts)[0] / (gamma * r ** p)
-    # Route 2: split off the outer-weight part of A using J
     A_via_J = 0.5 / gamma * (J - integrate(
         lambda t: edges(t) * t ** (p - 1.0), r0, r, **opts)[0] / r ** (2.0 * p))
-    # Route 3: nested integral of J over the window
-    inner = lambda t: integrate(lambda s: edges(s) / s ** (p + 1.0), r0, t,
-                                **opts)[0] if t > r0 else 0.0
-    A_via_double = (math.pi / (gamma * gamma * r ** (2.0 * p))) * integrate(
-        lambda t: inner(t) * t ** (2.0 * p - 1.0), r0, r, **opts)[0]
+    # int_s^r t^(2p-1) dt = (r^2p - s^2p) / 2p, and pi / (2p gamma^2) = 1 / (2 gamma)
+    A_via_double = 0.5 / gamma * integrate(
+        lambda u: (math.exp(-p * u) - math.exp(p * (u - 2.0 * math.log(r))))
+        * edges(math.exp(u)), math.log(r0), math.log(r), **opts)[0]
     return ClassAResult(A=A, B=B, J=J, A_via_J=A_via_J, A_via_double=A_via_double)
 
 
@@ -322,7 +331,7 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL, quad_tol=QUAD_TOL):
             inner += m * z.imag
     lhs += (1.0 / r0 ** 2 - 1.0 / r ** 2) * inner
 
-    res = class_A_functionals(v, 0.0, math.pi, r0, r, quad_tol=quad_tol)
+    A, B = _edge_arc_functionals(v, 0.0, math.pi, r0, r, quad_tol)
     # atoms near the contours make the integrands peaked; their projections
     # guide the subdivision
     diam_pts = sorted({abs(z.real) for z, _ in nu.atoms
@@ -339,12 +348,11 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL, quad_tol=QUAD_TOL):
     # The diameter correction carries the same 1/(2*pi) weight as the edge
     # functional; without it the identity fails by exactly (1 - 1/(2*pi))
     # times the diameter integral (checked by a Green-identity derivation).
-    rhs = (res.A + res.B
+    rhs = (A + B
            + (1.0 / r0 ** 2 - 1.0 / r ** 2) * diam / (2.0 * math.pi)
            - arc / (math.pi * r0))
     residual = abs(lhs - rhs)
-    out = CheckResult(lhs, rhs, residual <= tol, {"residual": residual})
-    return out
+    return CheckResult(lhs, rhs, residual <= tol, {"residual": residual})
 
 
 # ---------------------------------------------------------------------------

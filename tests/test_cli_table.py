@@ -229,6 +229,9 @@ FAR = "--z=9.887710779360423e+39,1.4943813247359922e+39"
     f"hm {FAR} --system @narrow --disk 1",
     f"hm {FAR} --system @narrow --segment 0,1,2",
     f"potential --charge @charge {FAR} --sweep --system @narrow",
+    # so does r**p for a disk radius or a segment end of 1e40
+    "hm --z=1,0.1 --system @narrow --disk 1e40",
+    "hm --z=1,0.1 --system @narrow --segment 0,1,1e40",
 ])
 def test_power_map_overflow_exits_3(argv, files):
     # these ended in an OverflowError traceback

@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from balayage import (BoundarySegment, EndpointSingularity, Interval,
-                      NotInUpperHalfPlane, RaySystem, Sector, hm_bounds,
-                      hm_interval, hm_interval_quad, hm_sector_disk,
+                      NotInUpperHalfPlane, NumericFailure, RaySystem, Sector,
+                      hm_bounds, hm_interval, hm_interval_quad, hm_sector_disk,
                       hm_sector_disk_bounds, hm_sector_segment, hm_system,
-                      poisson_kernel)
+                      hm_system_quad, poisson_kernel)
 from balayage.cli import main
 
 PI = math.pi
@@ -170,6 +170,50 @@ def test_hm_sector_disk_bound_dominance():
         assert "disk_upper" in bounds
         assert hm_sector_disk(sec, z, r) <= bounds["disk_upper"] + 1e-12
 
+
+
+# The sector (0, 0.3): p = pi / 0.3 = 10.47, so |z|^p spans many decades.
+NARROW = Sector(0.0, 0.3)
+
+
+def _mp_sector_hm(z, t1, t2):
+    """50-digit half-plane measure of [t1, t2] (in the reduced variable) seen
+    from the power-map image of z in NARROW."""
+    w = mpmath.mpc(z) ** (mpmath.pi / mpmath.mpf(0.3))
+    return (mpmath.atan((t2 - w.real) / w.imag) - mpmath.atan((t1 - w.real) / w.imag)) / mpmath.pi
+
+
+@pytest.mark.parametrize("z,rel", [
+    (cmath.rect(1.0, 1e-7), 1e-14),        # next to the lower edge
+    (cmath.rect(1.0, 0.3 - 1e-7), 1e-8),   # next to the upper edge, see below
+    (cmath.rect(3.0, 0.15), 1e-14),        # moderate |z|, mid-sector
+])
+def test_narrow_sector_measures_match_mpmath(z, rel):
+    # Next to the upper edge the angle to it, 1e-7, is arg z - 0.3, and arg z
+    # is rounded to about 1e-16: the measure keeps about 1e-9 relative there.
+    with mpmath.workdps(50):
+        rp = lambda t: mpmath.mpf(t) ** (mpmath.pi / mpmath.mpf(0.3))
+        cases = [
+            (hm_sector_segment(NARROW, z, BoundarySegment(0, 1.5, 3.0)),
+             _mp_sector_hm(z, rp(1.5), rp(3.0))),
+            (hm_sector_segment(NARROW, z, BoundarySegment(1, 0.5, 2.0)),
+             _mp_sector_hm(z, -rp(2.0), -rp(0.5))),
+            (hm_sector_disk(NARROW, z, 0.9), _mp_sector_hm(z, -rp(0.9), rp(0.9))),
+            (hm_sector_disk(NARROW, z, 2.0), _mp_sector_hm(z, -rp(2.0), rp(2.0))),
+        ]
+        for got, want in cases:
+            assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+def test_narrow_sector_power_overflow_is_a_numeric_failure():
+    # 1e40 ** 10.47 passes the float range
+    z = complex(1.0, 0.1)
+    with pytest.raises(NumericFailure, match="overflows"):
+        hm_sector_disk(NARROW, z, 1e40)
+    with pytest.raises(NumericFailure, match="overflows"):
+        hm_sector_segment(NARROW, z, BoundarySegment(0, 1.0, 1e40))
+    with pytest.raises(NumericFailure, match="overflows"):
+        hm_system_quad(RaySystem([0.0, 0.3]), z, disk=1e40)
 
 def test_hm_system_half_plane_segment():
     S = RaySystem([0.0, PI])

@@ -186,6 +186,17 @@ def test_pv_jump_sum_matches_mpmath(jumps, q, z):
     assert abs(got - float(want)) <= 1e-15 * cond
 
 
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_pv_next_to_a_jump_is_accurate_to_the_last_bits(q):
+    # log|p - z| - log p: p - z is exact here, where 1 - z/p lost about
+    # |z| / |z - p| = 1e6 ulps (1.5e-10 off the 50-digit value)
+    z = 3.0 * (1.0 + 1e-6)
+    got = pv_kernel_integral(StepFunction.from_events([(3.0, 1.0)]), q, z)
+    with mpmath.workdps(50):
+        want = _mp_jump_sum([(3.0, 1.0)], q, z)
+    assert abs(got - float(want)) <= 1e-15 * abs(float(want))
+
 def test_crg_arithmetic_progression_stable():
     M = 20000
     n = counting_arith(1.0, M)

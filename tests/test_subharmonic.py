@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from balayage import numerics
 from balayage import (BOTTOM, AtomicCharge, BadInput, CanonicalPotential,
                       CoincidentPoints, GenusSchedule, RaySystem, ZeroCenter,
                       carleman_check, circle_mean, class_A_functionals,
@@ -244,3 +246,120 @@ def test_carleman_ignores_atoms_below_the_axis():
     assert res.lhs == 0.0
     assert abs(res.rhs) <= 1e-12
     assert res.holds
+
+
+# ---------------------------------------------------------------------------
+# Class-A functionals and the half-disk identity: one quadrature per functional
+
+
+def _nested_A(v, alpha, beta, r0, r):
+    """A as the nested double integral
+    pi / (gamma^2 r^2p) int_r0^r t^(2p-1) int_r0^t edges(s) s^(-p-1) ds dt,
+    the route class_A_functionals used before the order was exchanged."""
+    gamma = beta - alpha
+    p = PI / gamma
+    edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
+    opts = dict(epsabs=1e-10, epsrel=1e-10, limit=400)
+
+    def inner(t):
+        val, err = quad(lambda s: edges(s) / s ** (p + 1.0), r0, t, **opts)
+        assert err <= 1e-8
+        return val
+
+    val, err = quad(lambda t: inner(t) * t ** (2.0 * p - 1.0), r0, r, **opts)
+    assert err <= 1e-8 * r ** (2.0 * p)
+    return PI / (gamma * gamma * r ** (2.0 * p)) * val
+
+
+def _canonical(atoms):
+    P = CanonicalPotential(AtomicCharge(atoms), genus=-1)
+    return lambda z: potential_eval(P, z)
+
+
+# potential_quad.45.1 of the benchmark catalogue: five atoms, r = 8
+FIVE_ATOMS = [(-0.4773723245774813 + 1.2380570046663448j, 1.8436592226159714),
+              (1.811889040682205 + 0.7144650357536505j, -1.8685243418089936),
+              (2.140404690932563 + 3.3110479119745397j, -0.6013313691329238),
+              (-5.484054038337229 + 2.0631345535909675j, 1.0579677338556899),
+              (4.539109414243376 + 1.7736066509930641j, 1.9503932046565038)]
+
+
+@pytest.mark.parametrize("v,r", [
+    (lambda z: math.log(abs(z - 1.5j)) if z != 1.5j else 0.0, 20.0),
+    (_canonical(FIVE_ATOMS), 8.0),
+])
+def test_class_A_exchanged_order_matches_the_nested_integral(v, r):
+    res = class_A_functionals(v, 0.0, PI, 1.0, r)
+    nested = _nested_A(v, 0.0, PI, 1.0, r)
+    assert abs(nested - res.A_via_double) <= 1e-8
+    assert abs(nested - res.A) <= 1e-8
+
+
+@pytest.fixture
+def quad_log(monkeypatch):
+    """Counts numerics.quad calls, and those made inside another quad call."""
+    log = {"calls": 0, "nested": 0, "depth": 0}
+    real = numerics.quad
+
+    def counting(*args, **kwargs):
+        log["calls"] += 1
+        log["nested"] += log["depth"] > 0
+        log["depth"] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            log["depth"] -= 1
+    monkeypatch.setattr(numerics, "quad", counting)
+    return log
+
+
+def test_carleman_makes_four_quadratures(quad_log):
+    # A, B and the diameter and arc corrections
+    nu = AtomicCharge(FIVE_ATOMS)
+    assert carleman_check(nu, _canonical(FIVE_ATOMS), 1.0, 8.0).holds
+    assert (quad_log["calls"], quad_log["nested"]) == (4, 0)
+
+
+def test_class_A_makes_five_quadratures(quad_log):
+    # A, B, J, the outer-weight part of A_via_J and A_via_double
+    class_A_functionals(_canonical(FIVE_ATOMS), 0.0, PI, 1.0, 8.0)
+    assert (quad_log["calls"], quad_log["nested"]) == (5, 0)
+
+
+# potential_quad.49.0 of the benchmark catalogue: 25 atoms, r0 = 1, r = 32.
+# The nested route's outer quadrature missed its 1e-6 budget here (1.11e-6).
+ATOMS_49 = [
+    (2.5944553406125825 + 2.568978389905095j, 1.8627384062885457),
+    (-0.21765496921194433 + 1.2631478723802343j, 1.1305386994265205),
+    (-8.830980873929414 + 22.789939497516226j, 1.8216365484331654),
+    (-27.846917159390728 + 5.727247240962199j, 1.5406624333020476),
+    (-16.765128382648843 + 2.7599310781977295j, -1.9639443024811196),
+    (-0.12792899880739228 + 3.0758063670904736j, 1.8466594705687744),
+    (-3.0773352421186035 + 16.295753523094156j, 1.6681347167958382),
+    (-16.478583277982338 + 14.434714498259204j, 0.3042967749757168),
+    (25.56854259923719 + 10.92056767167277j, 0.35871274892015725),
+    (3.8550971171702835 + 15.31935976242471j, -0.8271841166589902),
+    (-3.6698728265195224 + 4.197145634457051j, -1.7490053471148486),
+    (-5.734247967053536 + 26.813671660714895j, 1.0324877324825816),
+    (-3.6708169516285354 + 6.49541028255004j, 1.9044982578804734),
+    (-2.289546333246061 + 20.75250557685227j, 1.0764280230058418),
+    (0.6206423160888591 + 5.2772068689060205j, 1.5240222061653816),
+    (-0.3950831697807332 + 9.523860276717741j, -0.3907382101947644),
+    (-0.16815388861436179 + 24.907014932775798j, -1.0110258860896797),
+    (1.2713434196851083 + 3.4847653146955593j, 0.4785847295589346),
+    (-13.455313828812658 + 15.546368717545816j, 1.6756052318380674),
+    (8.88180915724684 + 22.72123998639158j, -0.508041699396793),
+    (8.006891106284868 + 3.5800767729890657j, 1.4565988032122417),
+    (2.6891051477048427 + 11.988420601371917j, -1.3383198786105546),
+    (1.2853148904036764 + 0.8719070924039566j, 0.4842355333233238),
+    (-3.803500208535684 + 5.1292951842819345j, -1.2189985961520093),
+    (-1.2733452831137937 + 18.04274596627251j, 1.958079121563784),
+]
+
+
+def test_class_A_and_carleman_on_the_25_atom_charge():
+    v = _canonical(ATOMS_49)
+    res = class_A_functionals(v, 0.0, PI, 1.0, 32.0)
+    assert res.residual_J <= 1e-6
+    assert res.residual_double <= 1e-6
+    assert carleman_check(AtomicCharge(ATOMS_49), v, 1.0, 32.0).holds
