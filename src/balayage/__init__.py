@@ -15,9 +15,9 @@ from .charges import (AtomicCharge, BalayageCharge, CheckResult,
                       variation_radial)
 from .errors import (AtomOnCircle, BadGauge, BadInput, BalayageError,
                      CoincidentPoints, EndpointSingularity, HypothesisViolated,
-                     NotInUpperHalfPlane, NumericFailure, QuadratureFailure,
-                     SupportOffAxis, SupportTouchesInterval, TailTooLarge,
-                     ZeroCenter, ZeroPoint)
+                     NotInUpperHalfPlane, NumericFailure, PowerMapUnderflow,
+                     QuadratureFailure, SupportOffAxis, SupportTouchesInterval,
+                     TailTooLarge, ZeroCenter, ZeroPoint)
 from .growth_scales import (ConvergenceReport, GrowthReport, ZeroReport,
                             convergence_integral_inf, convergence_integral_zero,
                             growth_report, order_at_infinity, type_at)

@@ -30,7 +30,7 @@ from .errors import (
     SupportTouchesInterval,
 )
 from .harmonic_measure import Interval, hm_interval, poisson_kernel
-from .numerics import PAIRING_TOL, QUAD_TOL, integrate
+from .numerics import BOUND_SLACK, PAIRING_TOL, QUAD_TOL, VARIATION_TOL, integrate
 from .ray_geometry import (
     REAL_AXIS,
     InSector,
@@ -149,14 +149,14 @@ def fit_slope_vs_log(radii, values):
     return float(np.polyfit(np.log(radii), values, 1)[0])
 
 
-def divergence_verdict(radii, partial_sums, threshold=_SLOPE_DIVERGENT):
+def divergence_verdict(radii, partial_sums):
     """(slope, divergent?) for a truncation family's partial sums.
 
     The sums are sampled at increasing truncation radii; growth faster than
-    `threshold` per log-radius unit over the window flags divergence.
+    _SLOPE_DIVERGENT per log-radius unit over the window flags divergence.
     """
     slope = fit_slope_vs_log(radii, partial_sums)
-    return slope, slope > threshold
+    return slope, slope > _SLOPE_DIVERGENT
 
 
 def lindelof_sum(nu, q, r0, r):
@@ -414,7 +414,7 @@ def seq_balayage_distribution(Z, x):
 # Variation masses of a sweep (exact when signs allow, quadrature otherwise)
 
 
-def _variation_interval_halfplane(bal, t1, t2, quad_tol=1e-11):
+def _variation_interval_halfplane(bal, t1, t2):
     """Variation of the swept-onto-R part plus kept real atoms on the half-open
     interval matching the distribution-function difference conventions."""
     if t2 <= 0.0:
@@ -431,11 +431,11 @@ def _variation_interval_halfplane(bal, t1, t2, quad_tol=1e-11):
         total += math.fsum(abs(s.mass) * hm_interval(s.z, Interval(t1, t2)) for s in sw)
         return total
     dens = lambda t: abs(math.fsum(s.mass * poisson_kernel(t, s.z) for s in sw))
-    val, _ = integrate(dens, t1, t2, "variation", epsabs=quad_tol, limit=400)
+    val, _ = integrate(dens, t1, t2, "variation", epsabs=VARIATION_TOL, limit=400)
     return total + val
 
 
-def variation_radial(bal, r, quad_tol=1e-11):
+def variation_radial(bal, r):
     """|nu^bal| mass of the closed disk of radius r, exact when each ray's
     swept contributions share a sign."""
     total = math.fsum(abs(m) for z, m in bal.kept.atoms if abs(z) <= r)
@@ -448,7 +448,7 @@ def variation_radial(bal, r, quad_tol=1e-11):
             return total + math.fsum(abs(s.mass) * hm_interval(s.z, Interval(-r, r))
                                      for s in sw)
         dens = lambda t: abs(math.fsum(s.mass * poisson_kernel(t, s.z) for s in sw))
-        val, _ = integrate(dens, -r, r, "variation", epsabs=quad_tol, limit=400)
+        val, _ = integrate(dens, -r, r, "variation", epsabs=VARIATION_TOL, limit=400)
         return total + val
     for j in range(len(bal.system.thetas)):
         contribs = bal.ray_contributions(j)
@@ -459,7 +459,7 @@ def variation_radial(bal, r, quad_tol=1e-11):
             total += abs(bal.ray_segment_mass(j, 0.0, r))
         else:
             dens = lambda t, jj=j: abs(bal.ray_density(jj, t))
-            val, _ = integrate(dens, 0.0, r, "variation", epsabs=quad_tol, limit=400)
+            val, _ = integrate(dens, 0.0, r, "variation", epsabs=VARIATION_TOL, limit=400)
             total += val
     return total
 
@@ -479,7 +479,7 @@ class CheckResult:
         return iter((self.lhs, self.rhs, self.holds))
 
 
-def check_thcup_bound(nu, t1, t2, a, slack=1e-12):
+def check_thcup_bound(nu, t1, t2, a):
     """Interval-mass bound for the half-plane sweep: the variation the sweep
     puts on [t1, t2] (with t1*t2 >= 0) against the four-term right side built
     from the closed-upper-half part of nu alone."""
@@ -509,7 +509,7 @@ def check_thcup_bound(nu, t1, t2, a, slack=1e-12):
     else:
         t_tail = 0.0
     rhs = t_disk + t_rad + t_bl + t_tail
-    return CheckResult(lhs, rhs, lhs <= rhs + slack,
+    return CheckResult(lhs, rhs, lhs <= rhs + BOUND_SLACK,
                        {"disk": t_disk, "radial": t_rad, "blaschke": t_bl, "tail": t_tail})
 
 
@@ -520,12 +520,9 @@ def _gauge_value(g, r):
     return gr
 
 
-def check_ges_bound(nu, g, r, p=None, radii=None, slack=1e-12):
+def check_ges_bound(nu, g, r):
     """Radial growth of the half-plane sweep against the gauge bound
-    |nu|^rad(g(r)) + (2 r g^2 / (pi (g-r)^2)) * tail Blaschke integral.
-
-    With p >= 1 and a radius grid, also reports the sampled type comparison
-    sup |nu^bal|^rad/r^p vs sup |nu|^rad/r^p (data, not a pass/fail)."""
+    |nu|^rad(g(r)) + (2 r g^2 / (pi (g-r)^2)) * tail Blaschke integral."""
     if not r > 0.0:
         raise BadInput(f"need r > 0, got {r}")
     gr = _gauge_value(g, r)
@@ -536,17 +533,10 @@ def check_ges_bound(nu, g, r, p=None, radii=None, slack=1e-12):
     # open gauge disk: an atom exactly at |z| = g(r) is covered by the tail term
     rhs = (math.fsum(abs(m) for z, m in nu.atoms if abs(z) < gr)
            + 2.0 * r * gr * gr / (math.pi * (gr - r) ** 2) * tail)
-    detail = {"tail_integral": tail}
-    if p is not None and radii is not None:
-        nrad = radial_counting(nu, variation=True)
-        detail["type_ratios"] = {
-            "balayage": max(variation_radial(bal, s) / s ** p for s in radii),
-            "source": max(nrad(s) / s ** p for s in radii),
-        }
-    return CheckResult(lhs, rhs, lhs <= rhs + slack, detail)
+    return CheckResult(lhs, rhs, lhs <= rhs + BOUND_SLACK, {"tail_integral": tail})
 
 
-def check_ges_bound_system(nu, S, g, r, slack=1e-12):
+def check_ges_bound_system(nu, S, g, r):
     """System version: the tail constant sums, sector by sector, the reduced
     Blaschke weights of atoms outside the gauge disk, scaled by r^(pi/aperture)."""
     if not r > 0.0:
@@ -561,7 +551,7 @@ def check_ges_bound_system(nu, S, g, r, slack=1e-12):
         c_plus += r ** sec.exponent * _reduced_blaschke(sec, far)
     rhs = (math.fsum(abs(m) for z, m in nu.atoms if abs(z) < gr)
            + 8.0 * gr * gr / (math.pi * (gr - r) ** 2) * c_plus)
-    return CheckResult(lhs, rhs, lhs <= rhs + slack, {"c_plus": c_plus})
+    return CheckResult(lhs, rhs, lhs <= rhs + BOUND_SLACK, {"c_plus": c_plus})
 
 
 @dataclass
@@ -663,7 +653,7 @@ class RayTestFunction:
         return [t for t, _ in self.breakpoints.get(j, [])]
 
 
-def _poisson_pairing(F, S, z, quad_tol=QUAD_TOL):
+def _poisson_pairing(F, S, z):
     """Value at z of the harmonic extension of F to the complement of S."""
     cls = classify_point(S, z)
     if isinstance(cls, OnSystem):
@@ -688,13 +678,13 @@ def _poisson_pairing(F, S, z, quad_tol=QUAD_TOL):
                    if 0.0 < aw * 2.0 ** j < hi)
         fn = lambda s, er=edge_ray, sg=sign: (
             F.on_ray(er, s ** (1.0 / p)) * poisson_kernel(sg * s, w))
-        val, _ = integrate(fn, 0.0, hi, "pairing", epsabs=quad_tol, limit=600,
+        val, _ = integrate(fn, 0.0, hi, "pairing", epsabs=QUAD_TOL, limit=600,
                            points=sorted(q for q in pts if q < hi))
         total += val
     return total
 
 
-def check_fubini(nu, S, F, tol=PAIRING_TOL, quad_tol=QUAD_TOL):
+def check_fubini(nu, S, F, tol=PAIRING_TOL):
     """Pairing identity: integrating F against the sweep equals integrating
     the harmonic extension of F against the source charge.
 
@@ -712,16 +702,14 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL, quad_tol=QUAD_TOL):
         if hi == 0.0:
             continue
         fn = lambda t, jj=j: F.on_ray(jj, t) * bal.ray_density(jj, t)
-        val, _ = integrate(fn, 0.0, hi, "fubini", epsabs=quad_tol, limit=400,
+        val, _ = integrate(fn, 0.0, hi, "fubini", epsabs=QUAD_TOL, limit=400,
                            points=[t for t in knots if 0.0 < t < hi])
         lhs += val
-    rhs = math.fsum(m * _poisson_pairing(F, S, z, quad_tol=quad_tol)
-                    for z, m in nu.atoms)
+    rhs = math.fsum(m * _poisson_pairing(F, S, z) for z, m in nu.atoms)
     return CheckResult(lhs, rhs, abs(lhs - rhs) <= tol, {"difference": abs(lhs - rhs)})
 
 
-def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 256),
-                                slope_threshold=_SLOPE_DIVERGENT, quad_tol=QUAD_TOL):
+def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 256)):
     """Compare the power sums of nu and of its sweep over growing radii; the
     sweep preserves the bounded-sum property when their difference stays flat."""
     bal = balayage_system(nu, S)
@@ -733,9 +721,9 @@ def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 
             if not bal.ray_contributions(j):
                 continue
             re_part, _ = integrate(lambda t, jj=j: t ** (-q) * bal.ray_density(jj, t),
-                                   r0, r, "lindelof", epsabs=quad_tol, limit=400)
+                                   r0, r, "lindelof", epsabs=QUAD_TOL, limit=400)
             lb += cmath.exp(-1j * q * th) * re_part
         diffs.append(abs(lv - lb))
-    slope, growing = divergence_verdict(radii, diffs, slope_threshold)
+    slope, growing = divergence_verdict(radii, diffs)
     return {"radii": list(radii), "differences": diffs,
             "slope": slope, "bounded": not growing}

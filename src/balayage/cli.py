@@ -680,12 +680,12 @@ def main(argv=None):
         report, holds = command.run(args)
         table = command.table(args) if callable(command.table) else command.table
         _emit(args, report, table)
+    except NumericFailure as exc:  # first: PowerMapUnderflow is also a BadInput
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     except BalayageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,3 +63,8 @@ class QuadratureFailure(NumericFailure):
 
 class TailTooLarge(NumericFailure):
     """Truncated boundary integral has an estimated tail above tolerance."""
+
+
+class PowerMapUnderflow(NumericFailure, NotInUpperHalfPlane):
+    """A sector's power map underflows to 0 at a point z != 0, whose image
+    would then lie on the real axis instead of in the open upper half-plane."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .charges import divergence_verdict
 from .errors import BadInput
 from .stepfn import StepFunction
 
@@ -97,10 +98,9 @@ def convergence_integral_inf(f, p, r0, R):
     value = _abs_integral(f, p, r0, R)
     samples.append((R, value))
     if len(samples) >= 3:
-        from .charges import fit_slope_vs_log
-        slope = fit_slope_vs_log([s[0] for s in samples[-8:]],
-                                 [s[1] for s in samples[-8:]])
-        trend = "divergent" if slope > 0.1 else "convergent"
+        _, divergent = divergence_verdict([s[0] for s in samples[-8:]],
+                                          [s[1] for s in samples[-8:]])
+        trend = "divergent" if divergent else "convergent"
     else:
         trend = "convergent" if math.isfinite(value) else "divergent"
     tail = f.integral_df((lambda t: t ** (-p)) if p != 0.0 else (lambda t: 1.0), r0, R)
@@ -146,27 +146,18 @@ def convergence_integral_zero(f, p, r0):
     g = StepFunction(list(f.points), list(f.jumps), 0.0)
     if g.points and g.points[0] == 0.0:
         g = StepFunction(g.points[1:], g.jumps[1:], 0.0)
+    # g vanishes below its first jump, so its integrals start there
+    shifted = lambda q: (g.integral_f_power(q, g.points[0], r0)
+                         if g.points and g.points[0] < r0 else 0.0)
     poch_residual = None
     if p > 0.0:
-        lhs = _signed_shifted_integral(g, p, r0)
+        lhs = shifted(p)
         rhs = -(g(r0)) / (p * r0 ** p) + g.integral_df(lambda t: t ** (-p), 0.0, r0) / p
         poch_residual = abs(lhs - rhs)
-    lhs0 = _signed_shifted_integral(g, 0.0, r0)
+    lhs0 = shifted(0.0)
     rhs0 = g(r0) * math.log(r0) - g.integral_df(math.log, 0.0, r0)
     return ZeroReport(value=value, f_log_limit=f_log_limit, log_stieltjes=log_st,
                       poch_residual=poch_residual, log_residual=abs(lhs0 - rhs0))
-
-
-def _signed_shifted_integral(g, p, r0):
-    """Exact int_0^{r0} g(t)/t^{p+1} dt for g vanishing near 0 (signed)."""
-    anti = math.log if p == 0.0 else (lambda x: -x ** (-p) / p)
-    cuts = [q for q in g.points if q < r0] + [r0]
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        c = g(a)
-        if c != 0.0:
-            total += c * (anti(b) - anti(a))
-    return total
 
 
 @dataclass

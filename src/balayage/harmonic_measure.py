@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
-from .numerics import ORACLE_BUDGET, QUAD_TOL, integrate
+from .numerics import BOUND_SLACK, ORACLE_BUDGET, QUAD_TOL, integrate
 from .ray_geometry import InSector, OnSystem, classify_point, radial_power, reduce_to_halfplane
 
 
@@ -171,14 +171,14 @@ def _imag_inv_conj(z):
     return z.imag / abs(z) / abs(z)
 
 
-def hm_bounds(z, I, a=0.5, b=2.0, slack=1e-12):
+def hm_bounds(z, I, a=0.5, b=2.0):
     """Evaluate every bound whose hypothesis holds at (z, I) and check it
     brackets the exact value.
 
     The free constants a in (0,1) and b > 1 parametrize the near/far bound
     families; inapplicable bounds are listed in .skipped with the failed
     hypothesis.  Bounds stated only for nonnegative intervals are gated on
-    t1 >= 0 exactly as stated.
+    t1 >= 0 exactly as stated.  A bound holds within BOUND_SLACK.
     """
     z = complex(z)
     if isinstance(I, (tuple, list)):
@@ -203,9 +203,9 @@ def hm_bounds(z, I, a=0.5, b=2.0, slack=1e-12):
 
     def keep(name, side, value, hyp):
         if side == "upper":
-            ok = exact <= value + slack
+            ok = exact <= value + BOUND_SLACK
         else:
-            ok = value <= exact + slack
+            ok = value <= exact + BOUND_SLACK
         rep.entries.append(BoundEntry(name, side, value, hyp, ok))
 
     def skip(name, why):
@@ -340,11 +340,11 @@ def hm_sector_disk_bounds(sec, z, r, a):
     p = sec.exponent
     w = reduce_to_halfplane(sec, z)
     out = {}
-    ap = a ** p
+    den = math.pi * (1.0 - a ** p) ** 2
     if a * abs(z) >= r:
-        out["disk_upper"] = 2.0 * r ** p / (math.pi * (1.0 - ap) ** 2) * _imag_inv_conj(w)
+        out["disk_upper"] = 2.0 * radial_power(r, p) / den * _imag_inv_conj(w)
     if a * r >= abs(z):
-        out["tail_upper"] = 2.0 * r ** (-p) / (math.pi * (1.0 - ap) ** 2) * w.imag
+        out["tail_upper"] = 2.0 * radial_power(r, -p) / den * w.imag
     return out
 
 

@@ -23,9 +23,14 @@ ANGULAR_TOL = 1e-12
 # so charges whose angles were rounded to about nine digits still read.
 INPUT_ANGULAR_TOL = 1e-9
 
-# Absolute accuracy (epsabs) asked of quad by default: the harmonic-measure
-# oracles' tol and the checks' quad_tol (the variation integrals ask 1e-11).
+# Absolute accuracy (epsabs) asked of quad: the harmonic-measure oracles'
+# default tol, and the checks' quadratures, whose accuracy is fixed and not a
+# parameter; the variation integrals of a mixed-sign sweep ask VARIATION_TOL.
 QUAD_TOL = 1e-10
+VARIATION_TOL = 1e-11
+# A bound check holds when its left side exceeds the right (or, for a lower
+# bound, the right exceeds the left) by no more than this (absolute).
+BOUND_SLACK = 1e-12
 # Default tolerances of the checks and of the swept potential (absolute); the
 # CLI's --tol defaults are these.
 IDENTITY_TOL = 1e-6         # carleman_check's residual, the class-A routes' agreement

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import BadInput, NumericFailure, ZeroPoint
+from .errors import BadInput, NumericFailure, PowerMapUnderflow, ZeroPoint
 from .numerics import ANGULAR_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -59,12 +59,12 @@ class Sector:
         """Power-map exponent pi / (beta - alpha)."""
         return math.pi / self.aperture
 
-    def contains(self, z, tol=ANGULAR_TOL):
+    def contains(self, z):
         """True when z != 0 lies strictly inside the open sector."""
         if z == 0:
             return False
         phi = relative_angle(z, self.alpha)
-        return tol < phi < self.aperture - tol
+        return ANGULAR_TOL < phi < self.aperture - ANGULAR_TOL
 
 
 class RaySystem:
@@ -170,10 +170,10 @@ class InSector:
     index: int
 
 
-def classify_point(S, z, tol=ANGULAR_TOL):
+def classify_point(S, z):
     """OnSystem for z on a ray (or z = 0), else the containing sector."""
     z = complex(z)
-    if z == 0 or S.ray_index(z, tol) is not None:
+    if z == 0 or S.ray_index(z) is not None:
         return OnSystem()
     for i, sec in enumerate(S.sectors):
         psi = relative_angle(z, sec.alpha)
@@ -198,7 +198,8 @@ def reduce_to_halfplane(sec, z):
     negative reals, and |w| = |z| ** (pi / aperture).  Exact passthrough when
     the map is the identity (alpha = 0, aperture = pi), so half-plane cases
     stay bit-exact.  Raises NumericFailure where |w| passes the float range
-    (in a narrow sector that is a moderate |z|: p = 10.5 at |z| = 1e40).
+    (in a narrow sector that is a moderate |z|: p = 10.5 at |z| = 1e40), or
+    underflows to 0 and would put a point z != 0 on the boundary.
     """
     z = complex(z)
     if z == 0:
@@ -227,6 +228,8 @@ def reduce_to_halfplane(sec, z):
         else:
             raise BadInput(f"point not in the closed sector: {z}")
     rho = radial_power(abs(z), p)
+    if rho == 0.0:
+        raise PowerMapUnderflow(f"power map underflows: {abs(z)!r}**{p:.6g}")
     ang = p * phi
     if ang == 0.0:
         return complex(rho, 0.0)

@@ -41,8 +41,9 @@ def _dyadic_grid(r_lo, r_hi, per_octave=4):
     return out
 
 
-def indicator_estimate(v, theta, p, window, per_octave=8):
-    """Max of v(r e^{i theta}) / r^p over a dyadic grid in the window.
+def indicator_estimate(v, theta, p, window):
+    """Max of v(r e^{i theta}) / r^p over a grid in the window, eight steps
+    per octave.
 
     Estimator semantics: a grid maximum is a lower estimate of the limsup;
     callers choose windows wide enough for their data.
@@ -51,7 +52,7 @@ def indicator_estimate(v, theta, p, window, per_octave=8):
         raise BadInput(f"need p > 0, got {p}")
     r_lo, r_hi = window
     best = -math.inf
-    for r in _dyadic_grid(r_lo, r_hi, per_octave):
+    for r in _dyadic_grid(r_lo, r_hi, per_octave=8):
         best = max(best, v(cmath.rect(r, theta)) / r ** p)
     return best
 
@@ -368,23 +369,21 @@ def _in_closed_sector(z, alpha, width):
     return rel <= width + ANGULAR_TOL or rel >= TWO_PI - ANGULAR_TOL
 
 
-def angular_density(nu, alpha, beta, p, radii=None):
+def angular_density(nu, alpha, beta, p):
     """Mass of the closed sector [alpha, beta] in the closed disk of radius r,
-    scaled by r^p, over a radius grid; fitted limit candidate; for integer p
+    scaled by r^p, over a grid from max(1, R/2^8) to the farthest atom's
+    radius R, four steps per octave; fitted limit candidate; for integer p
     also the Lindelof sum trace with exponent p."""
     if not p > 0.0:
         raise BadInput(f"need p > 0, got {p}")
     width = beta - alpha
     if not (0.0 < width <= TWO_PI + ANGULAR_TOL):
         raise BadInput(f"need aperture in (0, 2*pi], got {width}")
-    if radii is None:
-        supports = [abs(z) for z, _ in nu.atoms] or [1.0]
-        r_hi = max(supports)
-        r_lo = max(1.0, r_hi / 2.0 ** 8)
-        if r_lo >= r_hi:
-            r_lo, r_hi = 0.5 * r_hi, r_hi
-        radii = _dyadic_grid(r_lo, r_hi, per_octave=4)
-    radii = sorted(float(r) for r in radii)
+    r_hi = max([abs(z) for z, _ in nu.atoms] or [1.0])
+    r_lo = max(1.0, r_hi / 2.0 ** 8)
+    if r_lo >= r_hi:
+        r_lo = 0.5 * r_hi
+    radii = _dyadic_grid(r_lo, r_hi, per_octave=4)
 
     inside = [(abs(z), m) for z, m in nu.atoms if _in_closed_sector(z, alpha, width)]
     ratios = []

@@ -211,15 +211,16 @@ def potential_eval(P, z):
 _JITTER = 0.5 * (math.sqrt(5.0) - 1.0)  # irrational phase offset, fixed
 
 
-def circle_mean(v, r, n_nodes=64, tol=1e-8, max_nodes=1 << 19):
+def circle_mean(v, r):
     """Mean of v over the circle |z| = r by the periodic trapezoid rule,
-    doubling nodes until two refinements agree within tol.  Nodes carry a
-    fixed irrational phase jitter so atoms at rational angles are missed."""
+    doubling nodes from 64 until two refinements agree within 1e-8 (at most
+    2^19 nodes).  Nodes carry a fixed irrational phase jitter so atoms at
+    rational angles are missed."""
     if r <= 0.0:
         raise BadInput(f"need r > 0, got {r}")
-    n = max(8, int(n_nodes))
+    n = 64
     prev = None
-    while n <= max_nodes:
+    while n <= 1 << 19:
         h = 2.0 * math.pi / n
         vals = []
         for k in range(n):
@@ -230,11 +231,11 @@ def circle_mean(v, r, n_nodes=64, tol=1e-8, max_nodes=1 << 19):
                     f"evaluation hit an atom on |z| = {r} despite jitter")
             vals.append(val)
         cur = math.fsum(vals) / n
-        if prev is not None and abs(cur - prev) <= tol:
+        if prev is not None and abs(cur - prev) <= 1e-8:
             return cur
         prev = cur
         n *= 2
-    raise QuadratureFailure(f"circle mean did not stabilize to {tol} by {max_nodes} nodes")
+    raise QuadratureFailure("circle mean did not stabilize to 1e-08 by 524288 nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +259,11 @@ class ClassAResult:
         return abs(self.A - self.A_via_double)
 
 
-_FUNCTIONAL = dict(route="functional", budget=FUNCTIONAL_BUDGET, epsrel=1e-10, limit=400)
+_FUNCTIONAL = dict(route="functional", budget=FUNCTIONAL_BUDGET, epsabs=QUAD_TOL,
+                   epsrel=1e-10, limit=400)
 
 
-def _edge_arc_functionals(v, alpha, beta, r0, r, quad_tol):
+def _edge_arc_functionals(v, alpha, beta, r0, r):
     """A and B of class_A_functionals, by one checked quadrature each."""
     if not (0.0 < r0 < r):
         raise BadInput(f"need 0 < r0 < r, got ({r0}, {r})")
@@ -271,13 +273,13 @@ def _edge_arc_functionals(v, alpha, beta, r0, r, quad_tol):
     p = math.pi / gamma
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
     A = 0.5 / gamma * integrate(lambda t: (t ** (-p) - t ** p / r ** (2.0 * p)) * edges(t) / t,
-                                r0, r, epsabs=quad_tol, **_FUNCTIONAL)[0]
+                                r0, r, **_FUNCTIONAL)[0]
     B = integrate(lambda th: v(cmath.rect(r, th)) * math.sin(p * (th - alpha)),
-                  alpha, beta, epsabs=quad_tol, **_FUNCTIONAL)[0] / (gamma * r ** p)
+                  alpha, beta, **_FUNCTIONAL)[0] / (gamma * r ** p)
     return A, B
 
 
-def class_A_functionals(v, alpha, beta, r0, r, quad_tol=QUAD_TOL):
+def class_A_functionals(v, alpha, beta, r0, r):
     """The three edge/arc functionals of a sector (alpha, beta) at radii (r0, r),
     with the two alternative routes to A as consistency data.
 
@@ -288,18 +290,17 @@ def class_A_functionals(v, alpha, beta, r0, r, quad_tol=QUAD_TOL):
     A_via_double: the double integral pi/(gamma^2 r^2p) int_r0^r t^(2p-1) int_r0^t
       edges(s) s^(-p-1) ds dt with its order exchanged, one quadrature in log t
     """
-    A, B = _edge_arc_functionals(v, alpha, beta, r0, r, quad_tol)
+    A, B = _edge_arc_functionals(v, alpha, beta, r0, r)
     gamma = beta - alpha
     p = math.pi / gamma
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
-    opts = dict(epsabs=quad_tol, **_FUNCTIONAL)
-    J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, **opts)
+    J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, **_FUNCTIONAL)
     A_via_J = 0.5 / gamma * (J - integrate(
-        lambda t: edges(t) * t ** (p - 1.0), r0, r, **opts)[0] / r ** (2.0 * p))
+        lambda t: edges(t) * t ** (p - 1.0), r0, r, **_FUNCTIONAL)[0] / r ** (2.0 * p))
     # int_s^r t^(2p-1) dt = (r^2p - s^2p) / 2p, and pi / (2p gamma^2) = 1 / (2 gamma)
     A_via_double = 0.5 / gamma * integrate(
         lambda u: (math.exp(-p * u) - math.exp(p * (u - 2.0 * math.log(r))))
-        * edges(math.exp(u)), math.log(r0), math.log(r), **opts)[0]
+        * edges(math.exp(u)), math.log(r0), math.log(r), **_FUNCTIONAL)[0]
     return ClassAResult(A=A, B=B, J=J, A_via_J=A_via_J, A_via_double=A_via_double)
 
 
@@ -307,7 +308,7 @@ def class_A_functionals(v, alpha, beta, r0, r, quad_tol=QUAD_TOL):
 # Half-disk boundary identity
 
 
-def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL, quad_tol=QUAD_TOL):
+def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL):
     """Exact atom sums against the boundary quadratures for the upper half-disk.
 
     Left: sum over atoms in r0 < |z| <= r of m * Im(1/conj z - z/r^2), plus
@@ -331,7 +332,7 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL, quad_tol=QUAD_TOL):
             inner += m * z.imag
     lhs += (1.0 / r0 ** 2 - 1.0 / r ** 2) * inner
 
-    A, B = _edge_arc_functionals(v, 0.0, math.pi, r0, r, quad_tol)
+    A, B = _edge_arc_functionals(v, 0.0, math.pi, r0, r)
     # atoms near the contours make the integrands peaked; their projections
     # guide the subdivision
     diam_pts = sorted({abs(z.real) for z, _ in nu.atoms
@@ -340,7 +341,7 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL, quad_tol=QUAD_TOL):
                       if r0 / 4.0 < abs(z) < 4.0 * r0
                       and 0.0 < cmath.phase(z) < math.pi})
     opts = dict(route="inner correction", budget=POTENTIAL_BUDGET,
-                epsabs=quad_tol, limit=400)
+                epsabs=QUAD_TOL, limit=400)
     diam, _ = integrate(lambda t: v(-t) + v(t), 0.0, r0,
                         points=diam_pts or None, **opts)
     arc, _ = integrate(lambda th: v(cmath.rect(r0, th)) * math.sin(th), 0.0,
@@ -367,8 +368,7 @@ def _edge_growth_exponent(v, theta, radii):
     return math.log(vhi / vlo) / math.log(hi / lo), vhi
 
 
-def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL, quad_tol=QUAD_TOL,
-                              full_output=False):
+def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL):
     """Value at z of the sweep of v onto S: v itself on S, otherwise the
     Poisson integral of v over the containing sector's edges in the reduced
     coordinate, truncated at R_max with a fitted-tail certificate.
@@ -376,14 +376,12 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL, quad_tol=QUAD_T
     The certificate assumes a power-growth envelope along the edges fitted on
     the outer decade (exact for powers, dominating beyond the window for
     slower-than-power growth); it fails loudly when the fitted growth reaches
-    the sector exponent or the bound exceeds tol.  full_output=True returns
-    (value, tail_bound).
+    the sector exponent or the bound exceeds tol.
     """
     z = complex(z)
     cls = classify_point(S, z)
     if isinstance(cls, OnSystem):
-        val = v(z)
-        return (val, 0.0) if full_output else val
+        return v(z)
     sec, idx = cls.sector, cls.index
     k = len(S.thetas)
     p = sec.exponent
@@ -394,7 +392,7 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL, quad_tol=QUAD_T
 
     total = 0.0
     tail_bound = 0.0
-    opts = dict(route=f"edge (z = {z})", epsabs=quad_tol, epsrel=1e-11, limit=400,
+    opts = dict(route=f"edge (z = {z})", epsabs=QUAD_TOL, epsrel=1e-11, limit=400,
                 budget=EDGE_BUDGET_SHARE * max(tol, EDGE_BUDGET_FLOOR))
     for theta, sign in ((S.thetas[idx], +1), ((S.thetas[(idx + 1) % k]), -1)):
         fn = lambda s, th=theta, sg=sign: (
@@ -418,7 +416,7 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL, quad_tol=QUAD_T
         tail_bound += vhi * 4.0 * w.imag / math.pi / s_max * (1.0 / (1.0 - kq))
     if tail_bound > tol:
         raise TailTooLarge(f"tail bound {tail_bound:.2e} exceeds tolerance {tol}")
-    return (total, tail_bound) if full_output else total
+    return total
 
 
 def _coincident_limit(zeta, o, p, q):

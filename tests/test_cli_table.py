@@ -232,6 +232,8 @@ FAR = "--z=9.887710779360423e+39,1.4943813247359922e+39"
     # so does r**p for a disk radius or a segment end of 1e40
     "hm --z=1,0.1 --system @narrow --disk 1e40",
     "hm --z=1,0.1 --system @narrow --segment 0,1,1e40",
+    # and |z|**p underflows to 0 at |z| = 1e-40, which exited 2 from the oracle
+    "hm --z=1e-40,1e-41 --system @narrow --disk 1",
 ])
 def test_power_map_overflow_exits_3(argv, files):
     # these ended in an OverflowError traceback

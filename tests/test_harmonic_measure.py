@@ -215,6 +215,25 @@ def test_narrow_sector_power_overflow_is_a_numeric_failure():
     with pytest.raises(NumericFailure, match="overflows"):
         hm_system_quad(RaySystem([0.0, 0.3]), z, disk=1e40)
 
+
+def test_narrow_sector_power_underflow_is_a_numeric_failure():
+    # (1e-40)**10.47 underflows to 0: the point landed on the boundary, where
+    # a segment from the vertex has an endpoint and the oracle needs Im w > 0
+    z = complex(1e-40, 1e-41)
+    with pytest.raises(NumericFailure, match="underflows"):
+        hm_system(RaySystem([0.0, 0.3]), z, segments=[BoundarySegment(0, 0.0, 1.0)])
+    with pytest.raises(NumericFailure, match="underflows"):
+        hm_system_quad(RaySystem([0.0, 0.3]), z, disk=1.0)
+
+
+def test_sector_disk_bounds_power_overflow_is_a_numeric_failure():
+    # r**(-p) passes the float range for a small radius in a narrow sector
+    with pytest.raises(NumericFailure):
+        hm_sector_disk_bounds(NARROW, 1e-41 + 1e-42j, 1e-40, 0.5)
+    # here only r**(-p) does: |z|**p = 1e-314 is still a float
+    with pytest.raises(NumericFailure, match="overflows"):
+        hm_sector_disk_bounds(NARROW, 1e-30 + 1e-31j, 3e-30, 0.5)
+
 def test_hm_system_half_plane_segment():
     S = RaySystem([0.0, PI])
     val = hm_system(S, 1j, segments=(BoundarySegment(0, 0.0, 1.0),

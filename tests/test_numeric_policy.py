@@ -1,11 +1,14 @@
 """The numeric policy shared by every module: one on-ray predicate
-(RaySystem.ray_index) and one checked quadrature (numerics.integrate)."""
+(RaySystem.ray_index), one checked quadrature (numerics.integrate), and no
+library option that no caller sets."""
 
+import ast
 import cmath
 import importlib
 import inspect
 import json
 import math
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -276,3 +279,82 @@ def test_scipy_integrate_loads_on_the_first_quadrature(module):
     proc = subprocess.run([sys.executable, "-c", COLD_START.format(module=module)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Library options: a defaulted parameter that no call sets is a constant.
+
+
+PACKAGE = pathlib.Path(balayage.__file__).parent
+CALLERS = [PACKAGE, pathlib.Path(__file__).parent]
+
+
+def _library_defs():
+    """{callee name: [(qualified name, positional parameters, defaulted
+    parameters)]} for every def of the package.  A method's positional list
+    drops self or cls, and a class's __init__ is also listed under the class."""
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            a = f.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            cls = methods.get(id(f))
+            if cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                           for d in f.decorator_list):
+                positional = positional[1:]
+            entry = (f"{path.stem}.{cls + '.' if cls else ''}{f.name}", positional, defaulted)
+            defs.setdefault(f.name, []).append(entry)
+            if f.name == "__init__":
+                defs.setdefault(cls, []).append(entry)
+    return defs
+
+
+def _dict_keys(tree):
+    """Every key the file writes into a dict: dict(k=...), {"k": ...} and
+    d["k"] = ...; a ** argument in that file may set any of them."""
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "dict":
+            keys.update(k.arg for k in node.keywords if k.arg)
+        elif isinstance(node, ast.Dict):
+            keys.update(k.value for k in node.keys if isinstance(k, ast.Constant))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) \
+                and isinstance(node.slice, ast.Constant):
+            keys.add(node.slice.value)
+    return keys
+
+
+def test_every_library_option_has_a_caller():
+    defs = _library_defs()
+    unset = {(name, p) for entries in defs.values() for name, _, defaulted in entries
+             for p in defaulted}
+    for path in sorted(p for d in CALLERS for p in d.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spread = None
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for name, positional, _ in defs.get(callee, ()):
+                for i, arg in enumerate(call.args):
+                    if isinstance(arg, ast.Starred):
+                        unset -= {(name, p) for p in positional[i:]}
+                        break
+                    if i < len(positional):
+                        unset.discard((name, positional[i]))
+                for kw in call.keywords:
+                    if kw.arg is None:
+                        spread = _dict_keys(tree) if spread is None else spread
+                        unset -= {(name, k) for k in spread}
+                    else:
+                        unset.discard((name, kw.arg))
+    assert not unset, "options that no call sets: " + ", ".join(
+        f"{name}({p})" for name, p in sorted(unset))

@@ -107,6 +107,17 @@ def test_reduce_overflow_is_a_numeric_failure():
     assert abs(w) == pytest.approx(abs(z * 1e-20) ** sec.exponent, rel=1e-12)
 
 
+def test_reduce_underflow_is_a_numeric_failure():
+    # |z|**p underflows to 0 at |z| = 1e-40 in the sector (0, 0.3), which put
+    # a point of the open sector on its boundary
+    sec = Sector(0.0, 0.3)
+    z = complex(1e-40, 1e-41)
+    with pytest.raises(NumericFailure, match="underflows"):
+        reduce_to_halfplane(sec, z)
+    # at |z| = 1e-30, |z|**p = 1e-314 is a subnormal float, still above 0
+    assert reduce_to_halfplane(sec, z * 1e10).imag > 0.0
+
+
 @given(alpha=st.floats(0.0, 2 * PI - 1e-6),
        aperture=st.floats(0.05, 2 * PI),
        frac=st.floats(0.02, 0.98),
