@@ -449,9 +449,9 @@ def cmd_growth(args):
     f = radial_counting(nu, variation=not args.signed)
     r_lo, r_hi = args.r_lo, args.r_hi
     if r_lo is None:
-        r_lo = 2.0 * f.points[0] if f.points[0] > 0.0 else 1.0
+        r_lo = 2.0 * float(f.points[0]) if f.points[0] > 0.0 else 1.0
     if r_hi is None:
-        r_hi = max(2.0 * f.points[-1], 4.0 * r_lo)
+        r_hi = max(2.0 * float(f.points[-1]), 4.0 * r_lo)
     rep = growth_report(f, args.p, r_lo, r_hi)
     conv = rep.convergence
     report = {"command": "growth", "p": args.p, "window": [r_lo, r_hi],

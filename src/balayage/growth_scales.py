@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .charges import divergence_verdict
 from .errors import BadInput
 from .stepfn import StepFunction
@@ -21,15 +23,18 @@ ORDER_CAP = 64.0  # estimates above this are reported as +inf
 
 
 def _window_grid(f, r_lo, r_hi):
+    """The dyadic grid from r_lo, r_hi and the jump points in the window,
+    sorted, and f at each grid point."""
     if not (0.0 < r_lo < r_hi):
         raise BadInput(f"need 0 < r_lo < r_hi, got [{r_lo}, {r_hi}]")
-    grid = {r_lo, r_hi}
+    grid = [r_lo, r_hi]
     r = r_lo
     while r < r_hi:
-        grid.add(r)
+        grid.append(r)
         r *= 2.0
-    grid.update(p for p in f.points if r_lo <= p <= r_hi)
-    return sorted(grid)
+    inside = f.points[(f.points >= r_lo) & (f.points <= r_hi)]
+    grid = np.unique(np.concatenate((grid, inside)))
+    return grid.tolist(), f(grid).tolist()
 
 
 def order_at_infinity(f, r_lo, r_hi):
@@ -40,14 +45,13 @@ def order_at_infinity(f, r_lo, r_hi):
     the window therefore drives the estimate toward the tail exponent.
     Estimates above ORDER_CAP are reported as +inf.
     """
-    grid = _window_grid(f, r_lo, r_hi)
+    grid, values = _window_grid(f, r_lo, r_hi)
     cut = math.sqrt(r_lo * r_hi)
     best = 0.0
-    for r in grid:
+    for r, v in zip(grid, values):
         if r <= 1.0 or r < cut:
             continue
-        v = max(f(r), 0.0)
-        best = max(best, math.log1p(v) / math.log(r))
+        best = max(best, math.log1p(max(v, 0.0)) / math.log(r))
     return math.inf if best > ORDER_CAP else best
 
 
@@ -55,23 +59,35 @@ def type_at(f, p, r_lo, r_hi):
     """Sup of f^+(r) / r^p over the window grid (exact for step functions)."""
     if not p >= 0.0:
         raise BadInput(f"need p >= 0, got {p}")
-    return max(max(f(r), 0.0) / r ** p for r in _window_grid(f, r_lo, r_hi))
+    return max(max(v, 0.0) / r ** p for r, v in zip(*_window_grid(f, r_lo, r_hi)))
 
 
-def _abs_integral(f, p, lo, hi):
-    """Exact integral of |f(t)| / t^{p+1} over [lo, hi], lo > 0 allowed to be 0
-    only when f vanishes identically near 0."""
+def _abs_integrals(f, p, lo, his):
+    """Exact integrals of |f(t)| / t^{p+1} over [lo, hi] for each hi of the
+    increasing list his, from one pass over the jumps: each is the running
+    sum of its pieces, added in the order a pass over [lo, hi] alone would
+    add them.  With lo = 0 they are +inf unless f vanishes near 0."""
+    if lo == 0.0 and f(0.0) != 0.0:
+        return [math.inf] * len(his)
     anti = math.log if p == 0.0 else (lambda x: -x ** (-p) / p)
-    cuts = [lo] + [q for q in f.points if lo < q < hi] + [hi]
+    inside = f.points[slice(*np.searchsorted(f.points, (lo, his[-1]), side="right"))]
+    cuts = inside.tolist()
+    antis = [anti(t) for t in cuts]
+    levels = np.abs(f(inside)).tolist()
+    out = []
     total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        c = abs(f(a))
-        if c == 0.0:
-            continue
-        if a == 0.0:
-            return math.inf
-        total += c * (anti(b) - anti(a))
-    return total
+    # A = anti at the start of the open piece, c = |f| on it; A is not read
+    # while c = 0, as on the first piece when lo = 0
+    A, c = (anti(lo) if lo > 0.0 else None), abs(f(lo))
+    k = 0
+    for hi in his:
+        while k < len(cuts) and cuts[k] < hi:
+            if c != 0.0:
+                total += c * (antis[k] - A)
+            A, c = antis[k], levels[k]
+            k += 1
+        out.append(total + c * (anti(hi) - A) if c != 0.0 else total)
+    return out
 
 
 @dataclass
@@ -90,13 +106,14 @@ def convergence_integral_inf(f, p, r0, R):
     (for the signed f) and reports its residual."""
     if not (0.0 < r0 < R):
         raise BadInput(f"need 0 < r0 < R, got [{r0}, {R}]")
-    samples = []
+    his = []
     r = 2.0 * r0
     while r < R:
-        samples.append((r, _abs_integral(f, p, r0, r)))
+        his.append(r)
         r *= 2.0
-    value = _abs_integral(f, p, r0, R)
-    samples.append((R, value))
+    his.append(R)
+    samples = list(zip(his, _abs_integrals(f, p, r0, his)))
+    value = samples[-1][1]
     if len(samples) >= 3:
         _, divergent = divergence_verdict([s[0] for s in samples[-8:]],
                                           [s[1] for s in samples[-8:]])
@@ -133,22 +150,20 @@ def convergence_integral_zero(f, p, r0):
         raise BadInput(f"need r0 > 0, got {r0}")
     if not p >= 0.0:
         raise BadInput(f"need p >= 0, got {p}")
-    value = _abs_integral(f, p, 0.0, r0)
+    value = _abs_integrals(f, p, 0.0, [r0])[0]
     f0 = f(0.0)
     f_log_limit = 0.0 if f0 == 0.0 else math.copysign(math.inf, -f0)
-    if any(q == 0.0 for q in f.points):
-        s0 = f.jumps[f.points.index(0.0)]
-        log_st = math.copysign(math.inf, -s0)
+    at_zero = int(len(f) > 0 and f.points[0] == 0.0)  # points are sorted, >= 0
+    if at_zero:
+        log_st = math.copysign(math.inf, -f.jumps[0])
     else:
         log_st = f.integral_df(math.log, 0.0, r0)
 
     # shifted function g = f - f(0): integrals of g against dt start cleanly at 0
-    g = StepFunction(list(f.points), list(f.jumps), 0.0)
-    if g.points and g.points[0] == 0.0:
-        g = StepFunction(g.points[1:], g.jumps[1:], 0.0)
+    g = StepFunction(f.points[at_zero:].tolist(), f.jumps[at_zero:].tolist())
     # g vanishes below its first jump, so its integrals start there
-    shifted = lambda q: (g.integral_f_power(q, g.points[0], r0)
-                         if g.points and g.points[0] < r0 else 0.0)
+    shifted = lambda q: (g.integral_f_power(q, float(g.points[0]), r0)
+                         if len(g) and g.points[0] < r0 else 0.0)
     poch_residual = None
     if p > 0.0:
         lhs = shifted(p)

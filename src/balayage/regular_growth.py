@@ -69,11 +69,10 @@ def _check_convergence_class(n, q):
     """
     if n.offset != 0.0:
         raise BadInput("counting function must vanish near 0 (offset 0)")
-    pts = n.points
-    if not pts:
+    if not len(n):
         return
-    hi = pts[-1]
-    lo = max(pts[0], hi / 10.0)
+    hi = float(n.points[-1])
+    lo = max(float(n.points[0]), hi / 10.0)
     if hi <= lo * 1.5:
         return
     vlo = abs(n(lo))
@@ -86,26 +85,32 @@ def _check_convergence_class(n, q):
             f"fitted growth {est:.3g} reaches the convergence bound {q + 1} at infinity")
 
 
-def _stieltjes_value(n, q, z):
-    """Exact parts-identity value: sum of jumps against the genus-q kernel.
+def _stieltjes_value(n, logp, q, z):
+    """Exact parts-identity value: sum of jumps against the genus-q kernel;
+    logp holds the logs of n's jump points, formed once per function.
 
     The piecewise antiderivative of the PV density is -K_q(t, z); summing it
     over the constant pieces of n telescopes to this jump sum, with the
     symmetric excision logs cancelling exactly when z sits inside a piece.
     """
-    pts = np.asarray(n.points)
-    jmp = np.asarray(n.jumps)
     if z == 0:
         return 0.0
-    if np.any(pts == z):
+    pts = n.points
+    far = np.searchsorted(pts, 2.0 * abs(z), side="right")  # p > 2|z| from here
+    if np.any(pts[:far] == z):
         raise BadInput(f"kernel is singular at the jump point {z}")
-    # log|p - z| - log p, not log|1 - z/p|: p - z is exact for z near p
-    val = np.log(np.abs(pts - z)) - np.log(pts)
-    pw = wp = z / pts if q else None
+    wp = z / pts
+    wf = wp[far:]
+    val = np.concatenate((
+        # log|p - z| - log p, not log|1 - z/p|: p - z is exact for z near p
+        np.log(np.abs(pts[:far] - z)) - logp[:far],
+        # far jumps: log|1 - w| = log1p(|w|^2 - 2 Re w) / 2 does not cancel
+        0.5 * np.log1p(wf.real * wf.real + wf.imag * wf.imag - 2.0 * wf.real)))
+    pw = wp
     for j in range(1, q + 1):
         val = val + pw.real / j
         pw = pw * wp
-    return float(np.dot(jmp, val))
+    return float(np.dot(n.jumps, val))
 
 
 def pv_kernel_integral(n, q, z):
@@ -120,10 +125,10 @@ def pv_kernel_integral(n, q, z):
         raise BadInput("n must be a StepFunction")
     z = complex(z)
     _check_convergence_class(n, q)
-    if z.imag == 0.0 and z.real > 0.0 and any(
-            abs(p - z.real) <= 1e-12 * max(1.0, z.real) for p in n.points):
+    if z.imag == 0.0 and z.real > 0.0 and np.any(
+            np.abs(n.points - z.real) <= 1e-12 * max(1.0, z.real)):
         raise BadInput(f"counting function jumps at the singular point {z.real}")
-    return _stieltjes_value(n, q, z)
+    return _stieltjes_value(n, np.log(n.points), q, z)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +195,7 @@ def _default_crg_radii(n_by_ray, truncation=None):
     The kernel sums drift like log(r)/r from below and like r/T from data
     truncation above; the geometric middle balances the two error sources.
     """
-    supports = [n.points[-1] for n in n_by_ray if n.points]
+    supports = [float(n.points[-1]) for n in n_by_ray if len(n)]
     if not supports:
         raise BadInput("all counting functions are empty")
     T = float(truncation) if truncation is not None else max(supports)
@@ -247,6 +252,7 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
     if use_kernel:
         for n in n_by_ray:
             _check_convergence_class(n, q)
+        logs = [np.log(n.points) for n in n_by_ray]
 
     records = []
     for j, theta_j in enumerate(thetas):
@@ -262,7 +268,7 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
                         w = complex(-r)
                     else:
                         w = cmath.rect(r, delta)
-                    total += _stieltjes_value(n_by_ray[jp], q, w)
+                    total += _stieltjes_value(n_by_ray[jp], logs[jp], q, w)
                 values.append(total / r ** p)
             else:
                 values.append(n_by_ray[j](r) / r ** p)

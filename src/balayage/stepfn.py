@@ -9,92 +9,104 @@ finite sums evaluated exactly, with no quadrature error.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from operator import lt
+
+import numpy as np
 
 from .errors import BadInput
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StepFunction:
-    """f(t) = offset + sum of jumps at points <= t, on t >= 0 (right-continuous)."""
+    """f(t) = offset + sum of jumps at points <= t, on t >= 0 (right-continuous).
 
-    points: list[float] = field(default_factory=list)
-    jumps: list[float] = field(default_factory=list)
+    Immutable: points and jumps are float arrays, and the level of f on each
+    constant piece is built once, here, by one sequential cumulative sum."""
+
+    points: np.ndarray
+    jumps: np.ndarray
     offset: float = 0.0
+    _levels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.points) != len(self.jumps):
+        # checked and summed over lists: where a job builds one few-jump
+        # function (check thcup), each numpy ufunc or reduction costs
+        # 10-30 us on its first call in the job, more than the whole list
+        # pass, which stays near 1 ms at 1e4 jumps
+        ps, js = list(map(float, self.points)), list(map(float, self.jumps))
+        if len(ps) != len(js):
             raise BadInput("points and jumps must pair up")
-        prev = -math.inf
-        for t in self.points:
-            if not (t >= 0.0 and math.isfinite(t)):
-                raise BadInput(f"jump points must be finite and >= 0, got {t}")
-            if t <= prev:
-                raise BadInput("jump points must be strictly increasing")
-            prev = t
-        cum = []
-        acc = self.offset
-        for s in self.jumps:
-            acc += s
-            cum.append(acc)
-        self._cum = cum
+        if ps and not (ps[0] >= 0.0 and ps[-1] < math.inf
+                       and all(map(lt, ps, islice(ps, 1, None)))):
+            prev = -math.inf
+            for t in ps:
+                if not (t >= 0.0 and math.isfinite(t)):
+                    raise BadInput(f"jump points must be finite and >= 0, got {t}")
+                if t <= prev:
+                    raise BadInput("jump points must be strictly increasing")
+                prev = t
+        if not all(map(math.isfinite, js)):
+            raise BadInput("jumps must be finite")
+        if not math.isfinite(self.offset):
+            raise BadInput(f"offset must be finite, got {self.offset}")
+        offset = float(self.offset)
+        # levels[i] = f on [points[i-1], points[i]), from the running sum
+        # offset + jumps[0] + ... + jumps[i-1]; levels[0] = offset
+        levels = np.fromiter(accumulate(js, initial=offset), float, len(js) + 1)
+        for name, arr in (("points", np.array(ps)), ("jumps", np.array(js)),
+                          ("_levels", levels)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def from_events(cls, events, offset=0.0):
-        """Build from an unordered iterable of (point, jump); equal points merge."""
+        """Build from an unordered iterable of (point, jump): equal points
+        merge, their jumps summed in input order, and zero sums drop out."""
         acc = {}
         for t, s in events:
             acc[t] = acc.get(t, 0.0) + s
         pts = sorted(t for t in acc if acc[t] != 0.0)
-        return cls(points=pts, jumps=[acc[t] for t in pts], offset=offset)
+        return cls(pts, [acc[t] for t in pts], offset)
 
     def __call__(self, t):
-        i = bisect_right(self.points, t)
-        return self.offset if i == 0 else self._cum[i - 1]
+        """f(t) for a radius t, or the array of f at an array of radii."""
+        v = self._levels[np.searchsorted(self.points, t, side="right")]
+        return float(v) if np.ndim(v) == 0 else v
 
     def __len__(self):
         return len(self.points)
 
-    def scale(self, c):
-        return StepFunction(list(self.points), [c * s for s in self.jumps], c * self.offset)
-
     def __add__(self, other):
-        ev = list(zip(self.points, self.jumps)) + list(zip(other.points, other.jumps))
+        ev = [*zip(self.points.tolist(), self.jumps.tolist()),
+              *zip(other.points.tolist(), other.jumps.tolist())]
         return StepFunction.from_events(ev, self.offset + other.offset)
-
-    def restricted(self, lo, hi):
-        """Keep only jumps with lo < t <= hi; offset becomes the value at lo."""
-        pts, js = [], []
-        for p, s in zip(self.points, self.jumps):
-            if lo < p <= hi:
-                pts.append(p)
-                js.append(s)
-        return StepFunction(pts, js, self(lo))
 
     # -- exact Stieltjes integrals ------------------------------------------
 
     def integral_df(self, weight, lo, hi):
         """sum of weight(t_i) * jump_i over jump points in (lo, hi]."""
-        return math.fsum(weight(p) * s for p, s in zip(self.points, self.jumps)
-                         if lo < p <= hi)
-
-    def integral_f_dt(self, lo, hi, transform=None):
-        """Exact integral of f over [lo, hi]; transform(x) is an antiderivative
-        of the dt-weight (default weight 1)."""
-        if hi < lo:
-            raise BadInput(f"need lo <= hi, got [{lo}, {hi}]")
-        anti = transform if transform is not None else (lambda x: x)
-        cuts = [lo] + [p for p in self.points if lo < p < hi] + [hi]
-        total = 0.0
-        for a, b in zip(cuts, cuts[1:]):
-            total += self(a) * (anti(b) - anti(a))
-        return total
+        pts = self.points.tolist()
+        i, k = bisect_right(pts, lo), bisect_right(pts, hi)
+        return math.fsum(weight(p) * s for p, s in zip(pts[i:k], self.jumps[i:k].tolist()))
 
     def integral_f_power(self, p_exp, lo, hi):
-        """Exact integral of f(t)/t^{p_exp+1} dt over [lo, hi], lo > 0."""
+        """Exact integral of f(t)/t^{p_exp+1} dt over [lo, hi], 0 < lo <= hi."""
         if lo <= 0.0:
             raise BadInput("power-weight integral needs lo > 0")
-        if p_exp == 0.0:
-            return self.integral_f_dt(lo, hi, transform=math.log)
-        return self.integral_f_dt(lo, hi, transform=lambda x: -x ** (-p_exp) / p_exp)
+        if hi < lo:
+            raise BadInput(f"need lo <= hi, got [{lo}, {hi}]")
+        anti = math.log if p_exp == 0.0 else (lambda x: -x ** (-p_exp) / p_exp)
+        # the pieces [lo, p_i], ..., [p_k, hi] over the jump points inside,
+        # f = levels[i] on the first
+        pts = self.points.tolist()
+        i, k = bisect_right(pts, lo), bisect_left(pts, hi)
+        antis = [anti(t) for t in (lo, *pts[i:k], hi)]
+        levels = self._levels[i:i + len(antis) - 1].tolist()
+        total = 0.0
+        for a, b, c in zip(antis, antis[1:], levels):
+            total += c * (b - a)
+        return total

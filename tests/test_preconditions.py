@@ -37,6 +37,12 @@ CALLS = {
     "crg_on_rays radii nan": lambda: crg_on_rays([F, F], [0.0, math.pi], 1.0, radii=[NAN]),
     "angular_density p nan": lambda: angular_density(NU, 0.0, 1.0, NAN),
     "CanonicalPotential genus -2": lambda: CanonicalPotential(AtomicCharge([]), genus=-2),
+    # a NaN jump used to give f = nan past it, and pv_kernel_integral nan at 1j
+    "StepFunction jump nan": lambda: StepFunction([1.0, 2.0], [NAN, 1.0]),
+    "StepFunction jump inf": lambda: StepFunction([1.0, 2.0], [1.0, -math.inf]),
+    "StepFunction offset nan": lambda: StepFunction([1.0], [1.0], NAN),
+    "StepFunction offset inf": lambda: StepFunction([1.0], [1.0], math.inf),
+    "StepFunction.from_events jump nan": lambda: StepFunction.from_events([(1.0, NAN)]),
 }
 
 

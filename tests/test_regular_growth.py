@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,6 +13,8 @@ from scipy.integrate import quad
 from balayage import (AtomicCharge, BadInput, StepFunction, angular_density,
                       crg_on_rays, exgr2_functionals, indicator_estimate,
                       kernel_Kq, pv_kernel_integral, radial_counting)
+from balayage.numerics import ANGULAR_TOL
+from balayage.ray_geometry import TWO_PI, normalize_angle
 
 PI = math.pi
 
@@ -197,6 +201,105 @@ def test_pv_next_to_a_jump_is_accurate_to_the_last_bits(q):
         want = _mp_jump_sum([(3.0, 1.0)], q, z)
     assert abs(got - float(want)) <= 1e-15 * abs(float(want))
 
+
+@pytest.mark.parametrize("p, z, q", [(1e4, 2 + 1j, 2), (1e12, 3 + 0.5j, 1)])
+def test_pv_far_jump_is_accurate_to_the_last_bits(p, z, q):
+    # log|p - z| - log p cancels to about eps |log p| on a jump far past z
+    # (4.2e-16 on a term of -6.7e-13; 1.5e-15 on -4.4e-24); the log1p form
+    # of log|1 - z/p| is accurate to about eps |z/p|
+    got = pv_kernel_integral(StepFunction.from_events([(p, 1.0)]), q, z)
+    with mpmath.workdps(50):
+        want = _mp_jump_sum([(p, 1.0)], q, z)
+    cond = abs(z) / abs(z - p) + sum(abs(z / p) ** j for j in range(1, q + 1))
+    assert abs(got - float(want)) <= 1e-15 * cond
+
+
+def _stieltjes_per_call(n, q, z):
+    """The jump sum as one call per radius formed it: arrays from the lists,
+    log p_i again, one formula for the near jumps and one for p > 2|z|."""
+    pts = np.asarray(list(n.points))
+    jmp = np.asarray(list(n.jumps))
+    if z == 0:
+        return 0.0
+    if np.any(pts == z):
+        raise BadInput(f"kernel is singular at the jump point {z}")
+    far = pts > 2.0 * abs(z)
+    wp = z / pts
+    val = np.log(np.abs(pts - z)) - np.log(pts)
+    val[far] = 0.5 * np.log1p(wp.real[far] * wp.real[far] + wp.imag[far] * wp.imag[far]
+                              - 2.0 * wp.real[far])
+    pw = wp
+    for j in range(1, q + 1):
+        val = val + pw.real / j
+        pw = pw * wp
+    return float(np.dot(jmp, val))
+
+
+def _crg_values_per_radius(n_by_ray, thetas, p, radii):
+    """crg's scaled kernel sums, one jump sum per (ray, radius, ray')."""
+    q = int(math.floor(p))
+    out = []
+    for theta_j in thetas:
+        values = []
+        for r in radii:
+            total = 0.0
+            for n, theta_jp in zip(n_by_ray, thetas):
+                delta = normalize_angle(theta_j - theta_jp)
+                if delta < ANGULAR_TOL or TWO_PI - delta < ANGULAR_TOL:
+                    w = complex(r)
+                elif abs(delta - math.pi) < ANGULAR_TOL:
+                    w = complex(-r)
+                else:
+                    w = cmath.rect(r, delta)
+                total += _stieltjes_per_call(n, q, w)
+            values.append(total / r ** p)
+        out.append(values)
+    return out
+
+
+@st.composite
+def ray_counts(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    thetas = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=6.2),
+                                  min_size=k, max_size=k, unique=True)))
+    # equal points merge and cancelling jumps drop out
+    pool = st.sampled_from([0.5, 1.0, 2.0, 3.5, 8.0, 8.0, 40.0, 300.0, 1e4])
+    counts = [StepFunction.from_events(draw(st.lists(st.tuples(
+        st.one_of(pool, st.floats(min_value=0.1, max_value=2e4)),
+        st.sampled_from([-1.0, 1.0, 0.5, 2.0])), max_size=12))) for _ in thetas]
+    return counts, thetas
+
+
+@given(ray_counts(), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       st.lists(st.floats(min_value=0.3, max_value=5e3), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_crg_rows_equal_one_jump_sum_per_radius(data, p, radii):
+    counts, thetas = data
+    try:
+        want = _crg_values_per_radius(counts, thetas, p, sorted(radii))
+    except BadInput as exc:  # a radius on a jump point: the same error
+        with pytest.raises(BadInput, match=re.escape(str(exc))):
+            crg_on_rays(counts, thetas, p, radii=radii)
+        return
+    rep = crg_on_rays(counts, thetas, p, radii=radii)
+    assert [rec.values for rec in rep.per_ray] == want
+
+
+def test_crg_kernel_sums_take_memory_linear_in_the_jumps():
+    # one row per (ray pair, radius) needs a few arrays of 1e4 jumps, under
+    # 1 MB; a radius-by-jump matrix of 17 radii holds 2.7 MB per complex
+    # temporary alone
+    n = counting_arith(1.0, 10_000)
+    crg_on_rays([n, n], [0.0, PI], 1.0, truncation=1e4)
+    tracemalloc.start()
+    try:
+        crg_on_rays([n, n], [0.0, PI], 1.0, truncation=1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_crg_arithmetic_progression_stable():
     M = 20000
     n = counting_arith(1.0, M)
@@ -287,7 +390,7 @@ def _bisector_integral_by_levels(n, t):
     """int n(s) s ds / (s^4 + t^2) level by level, with the antiderivative
     atan(s^2/t) / (2t): the summation-by-parts twin of the library's jump sum."""
     pts = n.points
-    if not pts:
+    if not len(pts):
         return 0.0
     anti = [math.atan2(p * p, t) / (2.0 * t) for p in pts] + [math.pi / (4.0 * t)]
     return sum(n(pts[i]) * (anti[i + 1] - anti[i]) for i in range(len(pts)))
