@@ -29,7 +29,7 @@ from .errors import (
     SupportOffAxis,
     SupportTouchesInterval,
 )
-from .harmonic_measure import Interval, hm_interval, poisson_kernel
+from .harmonic_measure import Interval, hm_interval, imag_inv_conj, poisson_kernel
 from .numerics import BOUND_SLACK, PAIRING_TOL, QUAD_TOL, VARIATION_TOL, integrate
 from .ray_geometry import (
     REAL_AXIS,
@@ -67,10 +67,6 @@ class AtomicCharge:
     def total_mass(self):
         return math.fsum(m for _, m in self.atoms)
 
-    @property
-    def total_variation(self):
-        return math.fsum(abs(m) for _, m in self.atoms)
-
     def scaled(self, c):
         return AtomicCharge([(z, c * m) for z, m in self.atoms])
 
@@ -105,11 +101,9 @@ def counting_around(nu, x0, variation=True):
 
 
 def blaschke_halfplane(nu, r0):
-    """Sum of |m| * Im(1/conj z) over upper-half atoms outside the closed disk r0."""
-    if not r0 > 0.0:
-        raise BadInput(f"need r0 > 0, got {r0}")
-    return math.fsum(abs(m) * z.imag / (z.real * z.real + z.imag * z.imag)
-                     for z, m in nu.atoms if z.imag > 0.0 and abs(z) > r0)
+    """Sum of |m| * Im(1/conj z) over upper-half atoms outside the closed disk r0:
+    the Blaschke sum of REAL_AXIS's upper sector."""
+    return blaschke_sector(nu, REAL_AXIS.sectors[0], r0)
 
 
 def blaschke_sector(nu, sec, r0):
@@ -130,7 +124,7 @@ def _reduced_blaschke(sec, atoms):
         w = reduce_to_halfplane(sec, z)
         if w.imag <= 0.0:
             continue  # on an edge: not interior to the sector
-        total += abs(m) * w.imag / (w.real * w.real + w.imag * w.imag)
+        total += abs(m) * imag_inv_conj(w)
     return total
 
 
@@ -179,15 +173,14 @@ def lindelof_sum(nu, q, r0, r):
 
 @dataclass(frozen=True)
 class SweptAtom:
-    """Source atom swept inside its host sector (None = upper half-plane -> R)."""
+    """Source atom swept inside its host sector; the half-plane sweep's host
+    is REAL_AXIS.sectors[0], whose power map is the identity."""
 
     z: complex
     mass: float
-    sector: Sector | None
+    sector: Sector
 
     def reduced(self):
-        if self.sector is None:
-            return self.z, 1.0
         return reduce_to_halfplane(self.sector, self.z), self.sector.exponent
 
 
@@ -239,10 +232,8 @@ class BalayageCharge:
     def __post_init__(self):
         object.__setattr__(self, "swept", tuple(self.swept))
         k = len(self.rays.thetas)
-        # sector i runs from ray i to ray i+1; the half-plane sweep's one
-        # sector (None) runs from ray 0 (R+) to ray 1 (R-)
-        index = ({None: 0} if self.system is None else
-                 {sec: i for i, sec in enumerate(self.system.sectors)})
+        # sector i runs from ray i to ray i+1
+        index = {sec: i for i, sec in enumerate(self.rays.sectors)}
         records = [[] for _ in range(k)]
         for s in self.swept:
             i = index[s.sector]
@@ -269,7 +260,7 @@ class BalayageCharge:
     def to_json(self):
         out = {"kept": self.kept.to_json(),
                "swept": [{"source": {"re": s.z.real, "im": s.z.imag, "mass": s.mass},
-                          "sector": None if s.sector is None
+                          "sector": None if self.system is None
                           else [s.sector.alpha, s.sector.beta]}
                          for s in self.swept]}
         if self.system is not None:
@@ -330,7 +321,7 @@ def balayage_halfplane(nu):
     kept, swept = [], []
     for z, m in nu.atoms:
         if z.imag > 0.0 and REAL_AXIS.ray_index(z) is None:
-            swept.append(SweptAtom(z, m, None))
+            swept.append(SweptAtom(z, m, REAL_AXIS.sectors[0]))
         else:
             kept.append((z, m))
     return BalayageCharge(system=None, kept=AtomicCharge(kept), swept=swept)
@@ -381,17 +372,11 @@ def distribution_on_R(nu, x):
 
     bal = nu
     _require_real_support(bal)
-    if x >= 0.0:
-        total = math.fsum(m for z, m in bal.kept.atoms if 0.0 <= z.real <= x)
-        j = bal.rays.ray_index(1.0)
-        if j is not None and x > 0.0:
-            total += bal.ray_segment_mass(j, 0.0, x)
-        return total
-    total = math.fsum(m for z, m in bal.kept.atoms if x <= z.real < 0.0)
-    j = bal.rays.ray_index(-1.0)
-    if j is not None:
-        total += bal.ray_segment_mass(j, 0.0, -x)
-    return -total
+    j = bal.rays.ray_index(1.0 if x >= 0.0 else -1.0)
+    total = 0.0 if j is None else bal.ray_distribution(j, abs(x))
+    if x < 0.0:
+        return -total
+    return total + math.fsum(m for z, m in bal.kept.atoms if z == 0)
 
 
 def seq_balayage_distribution(Z, x):
@@ -414,6 +399,19 @@ def seq_balayage_distribution(Z, x):
 # Variation masses of a sweep (exact when signs allow, quadrature otherwise)
 
 
+def _swept_variation_on_R(swept, t1, t2):
+    """Variation the half-plane sweep puts on [t1, t2]: the harmonic-measure
+    sum when the swept masses share a sign, else the checked quadrature of
+    the density's absolute value."""
+    if not swept:
+        return 0.0
+    if len({math.copysign(1.0, s.mass) for s in swept}) == 1:
+        return math.fsum(abs(s.mass) * hm_interval(s.z, Interval(t1, t2)) for s in swept)
+    dens = lambda t: abs(math.fsum(s.mass * poisson_kernel(t, s.z) for s in swept))
+    val, _ = integrate(dens, t1, t2, "variation", epsabs=VARIATION_TOL, limit=400)
+    return val
+
+
 def _variation_interval_halfplane(bal, t1, t2):
     """Variation of the swept-onto-R part plus kept real atoms on the half-open
     interval matching the distribution-function difference conventions."""
@@ -423,16 +421,7 @@ def _variation_interval_halfplane(bal, t1, t2):
         atom_in = lambda v: t1 < v <= t2
     total = math.fsum(abs(m) for z, m in bal.kept.atoms
                       if _on_axis(z) and atom_in(z.real))
-    sw = bal.swept
-    if not sw:
-        return total
-    signs = {math.copysign(1.0, s.mass) for s in sw}
-    if len(signs) == 1:
-        total += math.fsum(abs(s.mass) * hm_interval(s.z, Interval(t1, t2)) for s in sw)
-        return total
-    dens = lambda t: abs(math.fsum(s.mass * poisson_kernel(t, s.z) for s in sw))
-    val, _ = integrate(dens, t1, t2, "variation", epsabs=VARIATION_TOL, limit=400)
-    return total + val
+    return total + _swept_variation_on_R(bal.swept, t1, t2)
 
 
 def variation_radial(bal, r):
@@ -440,16 +429,7 @@ def variation_radial(bal, r):
     swept contributions share a sign."""
     total = math.fsum(abs(m) for z, m in bal.kept.atoms if abs(z) <= r)
     if bal.system is None:
-        sw = bal.swept
-        if not sw:
-            return total
-        signs = {math.copysign(1.0, s.mass) for s in sw}
-        if len(signs) == 1:
-            return total + math.fsum(abs(s.mass) * hm_interval(s.z, Interval(-r, r))
-                                     for s in sw)
-        dens = lambda t: abs(math.fsum(s.mass * poisson_kernel(t, s.z) for s in sw))
-        val, _ = integrate(dens, -r, r, "variation", epsabs=VARIATION_TOL, limit=400)
-        return total + val
+        return total + _swept_variation_on_R(bal.swept, -r, r)
     for j in range(len(bal.system.thetas)):
         contribs = bal.ray_contributions(j)
         if not contribs:
@@ -500,8 +480,7 @@ def check_thcup_bound(nu, t1, t2, a):
     t_rad = (2.0 * r / (a * abs(x0))) * math.fsum(
         abs(m) for z, m in upper.atoms if abs(z) <= (3.0 / a) * abs(x0))
     t_bl = (r / (1.0 - a) ** 2) * math.fsum(
-        abs(m) * abs(z.imag) / (z.real ** 2 + z.imag ** 2)
-        for z, m in upper.atoms if abs(z) >= abs(x0))
+        abs(m * imag_inv_conj(z)) for z, m in upper.atoms if abs(z) >= abs(x0))
     hi = a * abs(x0)
     if hi > r:
         f = counting_around(upper, x0, variation=True)
@@ -528,8 +507,7 @@ def check_ges_bound(nu, g, r):
     gr = _gauge_value(g, r)
     bal = balayage_halfplane(nu)
     lhs = variation_radial(bal, r)
-    tail = math.fsum(abs(m) * abs(z.imag) / (z.real ** 2 + z.imag ** 2)
-                     for z, m in nu.atoms if abs(z) >= gr)
+    tail = math.fsum(abs(m * imag_inv_conj(z)) for z, m in nu.atoms if abs(z) >= gr)
     # open gauge disk: an atom exactly at |z| = g(r) is covered by the tail term
     rhs = (math.fsum(abs(m) for z, m in nu.atoms if abs(z) < gr)
            + 2.0 * r * gr * gr / (math.pi * (gr - r) ** 2) * tail)
@@ -621,9 +599,6 @@ class RayTestFunction:
         if len(distinct) > 1 or (distinct and distinct != {0.0}
                                  and len(self.breakpoints) < len(S.thetas)):
             raise BadInput("rays disagree at the origin; function not continuous")
-
-    def support_radius(self):
-        return max((pts[-1][0] for pts in self.breakpoints.values() if pts), default=0.0)
 
     def on_ray(self, j, t):
         pts = self.breakpoints.get(j)

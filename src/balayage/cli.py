@@ -683,13 +683,7 @@ def main(argv=None):
     except NumericFailure as exc:  # first: PowerMapUnderflow is also a BadInput
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except BadInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BalayageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BalayageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if holds in (None, True) else 1

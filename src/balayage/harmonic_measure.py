@@ -166,7 +166,7 @@ class BoundReport:
         return all(e.holds for e in self.entries)
 
 
-def _imag_inv_conj(z):
+def imag_inv_conj(z):
     """Im(1 / conj(z)) = Im z / |z|^2 for z != 0, without forming |z|^2."""
     return z.imag / abs(z) / abs(z)
 
@@ -231,7 +231,7 @@ def hm_bounds(z, I, a=0.5, b=2.0):
     else:
         skip("ring_lower", f"|z - x0| = {dist:.3g} < b*r = {b * r:.3g}")
 
-    iy = _imag_inv_conj(z) if az > 0.0 else None
+    iy = imag_inv_conj(z) if az > 0.0 else None
 
     # Far-field pair: a|z| >= max(|t1|, |t2|).
     if az > 0.0 and a * az >= max(abs(t1), abs(t2)):
@@ -342,7 +342,7 @@ def hm_sector_disk_bounds(sec, z, r, a):
     out = {}
     den = math.pi * (1.0 - a ** p) ** 2
     if a * abs(z) >= r:
-        out["disk_upper"] = 2.0 * radial_power(r, p) / den * _imag_inv_conj(w)
+        out["disk_upper"] = 2.0 * radial_power(r, p) / den * imag_inv_conj(w)
     if a * r >= abs(z):
         out["tail_upper"] = 2.0 * radial_power(r, -p) / den * w.imag
     return out

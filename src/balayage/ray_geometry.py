@@ -13,7 +13,6 @@ measure and balayage computations reduce to the half-plane through this map.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -113,8 +112,6 @@ class RaySystem:
 
     @classmethod
     def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         if not isinstance(obj, dict) or "rays" not in obj:
             raise BadInput('ray system JSON must be {"rays": [...]}')
         return cls(obj["rays"])
@@ -122,12 +119,7 @@ class RaySystem:
 
 def relative_angle(z, alpha):
     """Angle of z measured from the direction alpha, reduced to [0, 2*pi)."""
-    phi = math.fmod(cmath.phase(z) - alpha, TWO_PI)
-    if phi < 0.0:
-        phi += TWO_PI
-    if phi >= TWO_PI:
-        phi -= TWO_PI
-    return phi
+    return normalize_angle(cmath.phase(z) - alpha)
 
 
 def complementary_sectors(S):

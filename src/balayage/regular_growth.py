@@ -19,7 +19,7 @@ import numpy as np
 from .charges import lindelof_sum
 from .errors import BadInput
 from .numerics import ANGULAR_TOL
-from .ray_geometry import TWO_PI, normalize_angle
+from .ray_geometry import TWO_PI, normalize_angle, relative_angle
 from .stepfn import StepFunction
 
 
@@ -371,7 +371,7 @@ def exgr2_functionals(counts, t_grid=(10.0, 100.0, 1000.0), r_grid=None):
 def _in_closed_sector(z, alpha, width):
     if z == 0:
         return True
-    rel = normalize_angle(cmath.phase(z) - alpha)
+    rel = relative_angle(z, alpha)
     return rel <= width + ANGULAR_TOL or rel >= TWO_PI - ANGULAR_TOL
 
 

@@ -27,8 +27,7 @@ from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SWEEP_TOL,
                        integrate)
-from .ray_geometry import (REAL_AXIS, OnSystem, classify_point,
-                           reduce_to_halfplane)
+from .ray_geometry import OnSystem, classify_point, reduce_to_halfplane
 
 
 class Bottom:
@@ -446,8 +445,7 @@ def sweep_potential_eval(bal, z, genus=-1):
         o, p = s.reduced()
         if p <= genus:
             raise BadInput(f"kernel integral diverges: genus q = {genus} >= p_D = {p:.6g}")
-        # the half-plane sweep's one sector (None) is Im z > 0
-        if (REAL_AXIS.sectors[0] if s.sector is None else s.sector) != host:
+        if s.sector != host:
             total += s.mass * kernel_Kq(s.z, z, genus)
             continue
         w = reduce_to_halfplane(host, z) if w is None else w

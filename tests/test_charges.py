@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from balayage import (AtomicCharge, BadInput, BalayageCharge,
+from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
                       HypothesisViolated, Interval, NotInUpperHalfPlane,
                       RaySystem, RayTestFunction, SupportOffAxis,
                       SupportTouchesInterval, SweptAtom, balayage_halfplane,
@@ -407,6 +407,38 @@ def test_far_point_tiny_interval_mass_against_mpmath():
         assert bal.ray_segment_mass(0, 0.0, x2) == pytest.approx(float(want), rel=1e-13)
 
 
+def _mp_ray_density(z, sec, e, t):
+    """Density of a unit atom z on the edge e of its sector, 50 digits: the
+    power map and the Poisson kernel written out from the exact arg z."""
+    p = mpmath.pi / (mpmath.mpf(sec.beta) - mpmath.mpf(sec.alpha))
+    zz = mpmath.mpc(z.real, z.imag)
+    phi = (mpmath.arg(zz) - sec.alpha) % (2 * mpmath.pi)
+    w = abs(zz) ** p * mpmath.expj(p * phi)
+    t = mpmath.mpf(t)
+    return p * t ** (p - 1) * w.imag / (mpmath.pi * ((e * t ** p - w.real) ** 2 + w.imag ** 2))
+
+
+@pytest.mark.parametrize("z,rel", [
+    (cmath.rect(1.0, 1e-7), 1e-14),        # next to the lower edge, p = 10.47
+    (cmath.rect(3.0, 0.15), 1e-14),        # mid-sector, p = 10.47
+    (cmath.rect(1.0, 0.3 - 1e-7), 1e-9),   # next to the upper edge, see below
+    (cmath.rect(2.0, 0.3 + 1e-7), 1e-9),   # next to the wide sector's lower edge
+])
+def test_narrow_sector_density_matches_mpmath(z, rel):
+    # Next to the edge at 0.3 the angle to it, 1e-7, comes from arg z - 0.3,
+    # and arg z is rounded to about 3e-17: the density keeps about 3e-10
+    # relative there, as hm_sector_segment does.
+    S = RaySystem([0.0, 0.3])
+    bal = balayage_system(AtomicCharge([(z, 1.0)]), S)
+    sec = bal.swept[0].sector
+    with mpmath.workdps(50):
+        for j, e in ((S.thetas.index(sec.alpha), 1), (S.thetas.index(sec.beta % (2 * PI)), -1)):
+            for t in (0.5, 1.0, 1.01, 3.0):
+                want = _mp_ray_density(z, sec, e, t)
+                got = bal.ray_density(j, t)
+                assert abs(got - want) <= rel * abs(want), (j, t, got, want)
+
+
 def test_sweep_arrays_are_built_once(monkeypatch):
     calls = Counter()
     for name in ("complementary_sectors", "reduce_to_halfplane"):
@@ -447,7 +479,8 @@ def test_sweep_reads_the_systems_sectors(monkeypatch):
 
 def test_swept_images_are_checked_when_the_sweep_is_built():
     with pytest.raises(NotInUpperHalfPlane):
-        BalayageCharge(None, AtomicCharge([]), [SweptAtom(-1j, 1.0, None)])
+        BalayageCharge(None, AtomicCharge([]),
+                       [SweptAtom(-1j, 1.0, REAL_AXIS.sectors[0])])
     # |w| = |z|^2 underflows to 0 in the quarter plane's power map
     with pytest.raises(NotInUpperHalfPlane):
         balayage_system(AtomicCharge([(cmath.rect(1e-200, 0.5), 1.0)]),

@@ -1,6 +1,7 @@
 """The numeric policy shared by every module: one on-ray predicate
-(RaySystem.ray_index), one checked quadrature (numerics.integrate), and no
-library option that no caller sets."""
+(RaySystem.ray_index), one checked quadrature (numerics.integrate), no
+library option that no caller sets, and no library function that nothing
+calls."""
 
 import ast
 import cmath
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 import balayage
 from balayage import (AtomicCharge, BoundarySegment, QuadratureFailure,
                       RaySystem, RayTestFunction, StepFunction,
-                      balayage_halfplane, balayage_system,
+                      balayage_halfplane, balayage_system, blaschke_halfplane,
                       complementary_sectors, distribution_on_R,
                       exgr2_functionals, hm_system, pv_kernel_integral,
                       sweep_potential_eval, variation_radial)
@@ -41,6 +42,14 @@ PI = math.pi
 def test_atom_at_rect_pi_is_kept_on_the_axis():
     bal = balayage_system(AtomicCharge([(cmath.rect(2, PI), 1.0)]), RaySystem([0, PI]))
     assert distribution_on_R(bal, -3.0) == -1.0
+
+
+def test_atom_at_rect_pi_has_no_blaschke_weight():
+    # the half-plane Blaschke sum is the upper sector's: the atom the sweep
+    # keeps on the axis is not interior to it
+    nu = AtomicCharge([(cmath.rect(2, PI), 1.0)])
+    assert balayage_halfplane(nu).swept == ()
+    assert blaschke_halfplane(nu, 1.0) == 0.0
 
 
 def test_axis_ray_just_below_two_pi_is_the_positive_axis():
@@ -111,6 +120,29 @@ def test_ray_index_rejects_the_origin_and_points_off_the_rays():
     assert S.ray_index(cmath.rect(1.0, 1.0)) is None
     assert S.ray_index(cmath.rect(1.0, 2.0 + 1e-10)) is None
     assert S.ray_index(cmath.rect(1.0, 2.0 + 1e-10), tol=1e-9) == 1
+
+
+# ---------------------------------------------------------------------------
+# The Blaschke weight Im z / |z|^2 is formed without |z|^2
+
+
+FAR_AND_NEAR = [(1e200 * (1 + 1j), 1.0), (2 + 1j, -0.5)]
+
+
+# thcup at its defaults [t1, t2] = [1, 2], a = 1/2 scales the weights by
+# r / (1 - a)^2 = 0.5 / 0.25; ges's tail holds only the far atom
+@pytest.mark.parametrize("check, term, want", [
+    ("thcup", ("terms", "blaschke"), 0.5 / 0.25 * (0.5 / 5 + 0.5e-200)),
+    ("ges", ("detail", "tail_integral"), 0.5e-200),
+])
+def test_blaschke_weight_of_a_far_atom_does_not_overflow(check, term, want,
+                                                        charge_file, tmp_path):
+    out = tmp_path / "check.json"
+    rc = main(["check", check, "--charge", charge_file(FAR_AND_NEAR), "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["holds"] is True
+    assert report[term[0]][term[1]] == pytest.approx(want, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +390,21 @@ def test_every_library_option_has_a_caller():
                         unset.discard((name, kw.arg))
     assert not unset, "options that no call sets: " + ", ".join(
         f"{name}({p})" for name, p in sorted(unset))
+
+
+def test_every_library_function_has_a_caller():
+    """A function, method or class of the package whose name nothing in the
+    package or the tests reads (as a name or an attribute) is dead code; a
+    name stored in a table such as cli.COMMANDS is read there."""
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defs.setdefault(node.name, []).append(f"{path.stem}.{node.name}")
+    for path in sorted(p for d in CALLERS for p in d.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            defs.pop(name, None)
+    assert not defs, "functions that nothing calls: " + ", ".join(
+        sorted(q for qualified in defs.values() for q in qualified))
