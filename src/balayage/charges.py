@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -190,15 +191,20 @@ class _RayArrays(NamedTuple):
     records are the swept contributions (mass, w, p, edge): w is the source
     atom's image under its sector's power map, p the map's exponent, edge +1
     when the ray is the sector's lower edge (image in R+), -1 when it is the
-    upper edge (R-).  mass, wr, wi, p, edge hold the same records as arrays;
-    kept_r and kept_m are the kept atoms on the ray, sorted by radius."""
+    upper edge (R-).  The arrays hold, per record, the mass, ewr = edge * Re w
+    (the image seen from the ray's side: (edge*s - Re w)^2 = (s - ewr)^2
+    exactly), Im w and p, and the density's factors coef = mass * p * Im w / pi,
+    wi2 = (Im w)^2 and pm1 = p - 1; kept_r and kept_m are the kept atoms on
+    the ray, sorted by radius."""
 
     records: tuple
     mass: np.ndarray
-    wr: np.ndarray
+    ewr: np.ndarray
     wi: np.ndarray
     p: np.ndarray
-    edge: np.ndarray
+    coef: np.ndarray
+    wi2: np.ndarray
+    pm1: np.ndarray
     kept_r: np.ndarray
     kept_m: np.ndarray
 
@@ -206,14 +212,19 @@ class _RayArrays(NamedTuple):
 def _ray_arrays(records, kept):
     """_RayArrays from one ray's swept records and its kept (radius, mass) pairs.
 
-    The kernels divide by Im w without a per-call check, so it is made here."""
+    The kernels divide by Im w without a per-call check, so it is made here.
+    The factors are formed in float arithmetic, where the (Im w)^2 of a far
+    image becomes inf without a warning, and its density term 0."""
     for _, w, _, _ in records:
         if not w.imag > 0.0:
             raise NotInUpperHalfPlane(f"need Im w > 0 for every swept image, got w = {w}")
     m, w, p, e = zip(*records) if records else ((),) * 4
+    wi = [z.imag for z in w]
     kr, km = zip(*sorted(kept, key=lambda a: a[0])) if kept else ((),) * 2
     return _RayArrays(tuple(records), *(np.array(c, dtype=float) for c in (
-        m, [z.real for z in w], [z.imag for z in w], p, e, kr, km)))
+        m, [ek * z.real for ek, z in zip(e, w)], wi, p,
+        [mk * pk * y / math.pi for mk, pk, y in zip(m, p, wi)],
+        [y * y for y in wi], [pk - 1.0 for pk in p], kr, km)))
 
 
 @dataclass(frozen=True)
@@ -287,8 +298,8 @@ class BalayageCharge:
         if not 0.0 <= x1 < x2:
             raise BadInput(f"need 0 <= x1 < x2, got [{x1}, {x2}]")
         r = self._ray(j)
-        a, b = x1 ** r.p, x2 ** r.p
-        q = (r.wr - r.edge * a) * (r.wr - r.edge * b) + r.wi * r.wi
+        a, b = np.power(x1, r.p), np.power(x2, r.p)
+        q = (r.ewr - a) * (r.ewr - b) + r.wi2
         n = (b - a) * r.wi
         ang = np.arctan(n / np.where(q == 0.0, 1.0, q)) / np.pi
         om = np.where(q > 0.0, ang, np.where(q < 0.0, 1.0 + ang, 0.5))
@@ -300,9 +311,8 @@ class BalayageCharge:
     def ray_density(self, j, t):
         """Total signed swept density on ray j at radius t > 0."""
         r = self._ray(j)
-        dx = r.edge * t ** r.p - r.wr
-        total = float(np.sum(r.mass * r.p * t ** (r.p - 1.0) * r.wi
-                             / (math.pi * (dx * dx + r.wi * r.wi))))
+        dx = np.power(t, r.p) - r.ewr
+        total = float(np.dot(r.coef, np.power(t, r.pm1) / (dx * dx + r.wi2)))
         if not math.isfinite(total):
             raise NumericFailure(f"swept density on ray {j} at t = {t} is not finite")
         return total
@@ -579,6 +589,7 @@ class RayTestFunction:
     def __init__(self, S, breakpoints):
         self.S = S
         self.breakpoints = {}
+        self._knots = {}  # ray -> (knot radii, values), for on_ray's bisection
         origin_values = []
         for j, pts in breakpoints.items():
             if not 0 <= j < len(S.thetas):
@@ -594,6 +605,7 @@ class RayTestFunction:
             if pts[-1][1] != 0.0:
                 raise BadInput(f"ray {j} does not return to 0 at the support edge")
             self.breakpoints[j] = pts
+            self._knots[j] = tuple(map(list, zip(*pts)))
             origin_values.append(pts[0][1] if pts[0][0] == 0.0 else 0.0)
         distinct = {v for v in origin_values}
         if len(distinct) > 1 or (distinct and distinct != {0.0}
@@ -601,15 +613,18 @@ class RayTestFunction:
             raise BadInput("rays disagree at the origin; function not continuous")
 
     def on_ray(self, j, t):
-        pts = self.breakpoints.get(j)
-        if not pts or t < pts[0][0] or t > pts[-1][0]:
+        """F at radius t on ray j: linear between the knots of the first
+        piece [t_i, t_(i+1)] that holds t, the value at t_i on a repeated knot."""
+        ts, vs = self._knots.get(j, ((), ()))
+        if not ts or t < ts[0] or t > ts[-1]:
             return 0.0
-        for (ta, va), (tb, vb) in zip(pts, pts[1:]):
-            if ta <= t <= tb:
-                if tb == ta:
-                    return va
-                return va + (vb - va) * (t - ta) / (tb - ta)
-        return pts[-1][1]
+        i = bisect_left(ts, t, 1)  # t_(i-1) < t <= t_i, or t = t_0 and i = 1
+        if i == len(ts):
+            return vs[-1]  # a single knot
+        ta, tb, va, vb = ts[i - 1], ts[i], vs[i - 1], vs[i]
+        if tb == ta:
+            return va
+        return va + (vb - va) * (t - ta) / (tb - ta)
 
     def __call__(self, z):
         z = complex(z)
@@ -642,7 +657,8 @@ def _poisson_pairing(F, S, z):
         knots = F.ray_knots(edge_ray)
         if not knots:
             continue
-        hi = max(knots) ** p
+        # F vanishes below its first knot, so the integral starts there
+        lo, hi = knots[0] ** p, knots[-1] ** p
         if hi == 0.0:
             continue
         pts = {min(t ** p, hi) for t in knots if t > 0.0}
@@ -650,11 +666,11 @@ def _poisson_pairing(F, S, z):
         # hints quad can miss the spike entirely when hi >> |w|
         aw = abs(w)
         pts.update(aw * 2.0 ** j for j in range(-3, 40)
-                   if 0.0 < aw * 2.0 ** j < hi)
+                   if lo < aw * 2.0 ** j < hi)
         fn = lambda s, er=edge_ray, sg=sign: (
             F.on_ray(er, s ** (1.0 / p)) * poisson_kernel(sg * s, w))
-        val, _ = integrate(fn, 0.0, hi, "pairing", epsabs=QUAD_TOL, limit=600,
-                           points=sorted(q for q in pts if q < hi))
+        val, _ = integrate(fn, lo, hi, "pairing", epsabs=QUAD_TOL, limit=600,
+                           points=sorted(q for q in pts if lo < q < hi))
         total += val
     return total
 
@@ -673,12 +689,12 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL):
         knots = F.ray_knots(j)
         if not contribs or not knots:
             continue
-        hi = max(knots)
+        lo, hi = knots[0], knots[-1]  # F's support on the ray
         if hi == 0.0:
             continue
         fn = lambda t, jj=j: F.on_ray(jj, t) * bal.ray_density(jj, t)
-        val, _ = integrate(fn, 0.0, hi, "fubini", epsabs=QUAD_TOL, limit=400,
-                           points=[t for t in knots if 0.0 < t < hi])
+        val, _ = integrate(fn, lo, hi, "fubini", epsabs=QUAD_TOL, limit=400,
+                           points=[t for t in knots if lo < t < hi])
         lhs += val
     rhs = math.fsum(m * _poisson_pairing(F, S, z) for z, m in nu.atoms)
     return CheckResult(lhs, rhs, abs(lhs - rhs) <= tol, {"difference": abs(lhs - rhs)})
@@ -688,16 +704,27 @@ def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 
     """Compare the power sums of nu and of its sweep over growing radii; the
     sweep preserves the bounded-sum property when their difference stays flat."""
     bal = balayage_system(nu, S)
+    power_sums = [(lindelof_sum(nu, q, r0, r),
+                   lindelof_sum(bal.kept, q, r0, r) if bal.kept.atoms else 0.0 + 0.0j)
+                  for r in radii]
+    # t^(-q) rho_j over the shells [r0, r_1], [r_1, r_2], ...: the running
+    # sums are the integrals from r0, and the shells' errors add up to at
+    # most QUAD_TOL
+    swept = []
+    for j, th in enumerate(S.thetas):
+        if not bal.ray_contributions(j):
+            continue
+        total, cumulative = 0.0, []
+        for a, b in zip((r0, *radii), radii):
+            shell, _ = integrate(lambda t, jj=j: t ** (-q) * bal.ray_density(jj, t),
+                                 a, b, "lindelof", epsabs=QUAD_TOL / len(radii), limit=400)
+            total += shell
+            cumulative.append(total)
+        swept.append((cmath.exp(-1j * q * th), cumulative))
     diffs = []
-    for r in radii:
-        lv = lindelof_sum(nu, q, r0, r)
-        lb = lindelof_sum(bal.kept, q, r0, r) if bal.kept.atoms else 0.0 + 0.0j
-        for j, th in enumerate(S.thetas):
-            if not bal.ray_contributions(j):
-                continue
-            re_part, _ = integrate(lambda t, jj=j: t ** (-q) * bal.ray_density(jj, t),
-                                   r0, r, "lindelof", epsabs=QUAD_TOL, limit=400)
-            lb += cmath.exp(-1j * q * th) * re_part
+    for i, (lv, lb) in enumerate(power_sums):
+        for phase, cumulative in swept:
+            lb += phase * cumulative[i]
         diffs.append(abs(lv - lb))
     slope, growing = divergence_verdict(radii, diffs)
     return {"radii": list(radii), "differences": diffs,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charges import divergence_verdict
-from .errors import BadInput
-from .stepfn import StepFunction
+from .errors import BadInput, NumericFailure
+from .stepfn import StepFunction, power_antiderivative
 
 ORDER_CAP = 64.0  # estimates above this are reported as +inf
 
@@ -56,10 +56,20 @@ def order_at_infinity(f, r_lo, r_hi):
 
 
 def type_at(f, p, r_lo, r_hi):
-    """Sup of f^+(r) / r^p over the window grid (exact for step functions)."""
+    """Sup of f^+(r) / r^p over the window grid (exact for step functions).
+
+    NumericFailure where r^p leaves the float range: an r^p that underflows
+    to 0 under f(r) > 0 leaves the ratio unrepresentable."""
     if not p >= 0.0:
         raise BadInput(f"need p >= 0, got {p}")
-    return max(max(v, 0.0) / r ** p for r, v in zip(*_window_grid(f, r_lo, r_hi)))
+    grid, values = _window_grid(f, r_lo, r_hi)
+    try:
+        sup = max(max(v, 0.0) / r ** p for r, v in zip(grid, values))
+    except (ZeroDivisionError, OverflowError):
+        sup = math.inf
+    if not math.isfinite(sup):
+        raise NumericFailure(f"f(r)/r^{p:g} over [{r_lo}, {r_hi}] is not representable")
+    return sup
 
 
 def _abs_integrals(f, p, lo, his):
@@ -69,7 +79,7 @@ def _abs_integrals(f, p, lo, his):
     add them.  With lo = 0 they are +inf unless f vanishes near 0."""
     if lo == 0.0 and f(0.0) != 0.0:
         return [math.inf] * len(his)
-    anti = math.log if p == 0.0 else (lambda x: -x ** (-p) / p)
+    anti = power_antiderivative(p)
     inside = f.points[slice(*np.searchsorted(f.points, (lo, his[-1]), side="right"))]
     cuts = inside.tolist()
     antis = [anti(t) for t in cuts]
@@ -87,6 +97,10 @@ def _abs_integrals(f, p, lo, his):
             A, c = antis[k], levels[k]
             k += 1
         out.append(total + c * (anti(hi) - A) if c != 0.0 else total)
+    # the integrals grow with hi, so the last is the one that can overflow
+    if not math.isfinite(out[-1]):
+        raise NumericFailure(f"integral of |f|/t^{p + 1:g} over [{lo}, {his[-1]}] "
+                             f"is not representable")
     return out
 
 
@@ -120,10 +134,14 @@ def convergence_integral_inf(f, p, r0, R):
         trend = "divergent" if divergent else "convergent"
     else:
         trend = "convergent" if math.isfinite(value) else "divergent"
-    tail = f.integral_df((lambda t: t ** (-p)) if p != 0.0 else (lambda t: 1.0), r0, R)
-    lhs = tail
-    rhs = (f(R) / R ** p - f(r0) / r0 ** p
-           + p * f.integral_f_power(p, r0, R)) if p != 0.0 else f(R) - f(r0)
+    try:
+        tail = f.integral_df((lambda t: t ** (-p)) if p != 0.0 else (lambda t: 1.0), r0, R)
+        lhs = tail
+        rhs = (f(R) / R ** p - f(r0) / r0 ** p
+               + p * f.integral_f_power(p, r0, R)) if p != 0.0 else f(R) - f(r0)
+    except (ZeroDivisionError, OverflowError):
+        raise NumericFailure(f"the parts identity at order {p:g} over [{r0}, {R}] "
+                             f"leaves the float range") from None
     return ConvergenceReport(value=value, trend=trend, samples=samples,
                              stieltjes_tail=tail, parts_residual=abs(lhs - rhs))
 
@@ -167,7 +185,11 @@ def convergence_integral_zero(f, p, r0):
     poch_residual = None
     if p > 0.0:
         lhs = shifted(p)
-        rhs = -(g(r0)) / (p * r0 ** p) + g.integral_df(lambda t: t ** (-p), 0.0, r0) / p
+        try:
+            rhs = -(g(r0)) / (p * r0 ** p) + g.integral_df(lambda t: t ** (-p), 0.0, r0) / p
+        except (ZeroDivisionError, OverflowError):
+            raise NumericFailure(f"the parts identity at order {p:g} on (0, {r0}] "
+                                 f"leaves the float range") from None
         poch_residual = abs(lhs - rhs)
     lhs0 = shifted(0.0)
     rhs0 = g(r0) * math.log(r0) - g.integral_df(math.log, 0.0, r0)

@@ -64,13 +64,15 @@ class BoundarySegment:
 
 
 def poisson_kernel(t, z):
-    """Density of half-plane harmonic measure: (1/pi) * Im z / |t - z|^2."""
-    z = complex(z)
+    """Density of half-plane harmonic measure: (1/pi) * Im z / |t - z|^2.
+
+    The value of imag_inv_conj(z - t) / pi, with |z - t| taken once: the
+    square |t - z|^2 underflows to 0 next to a tiny z (Im z = 1e-200)."""
     y = z.imag
     if y <= 0.0:
         raise NotInUpperHalfPlane(f"need Im z > 0, got z = {z}")
-    dx = t - z.real
-    return y / (math.pi * (dx * dx + y * y))
+    d = abs(z - t)
+    return y / d / d / math.pi
 
 
 def _semidisk_form(z, I):

@@ -222,9 +222,18 @@ def reduce_to_halfplane(sec, z):
     rho = radial_power(abs(z), p)
     if rho == 0.0:
         raise PowerMapUnderflow(f"power map underflows: {abs(z)!r}**{p:.6g}")
-    ang = p * phi
-    if ang == 0.0:
-        return complex(rho, 0.0)
-    if abs(ang - math.pi) < 1e-13:
+    if phi <= 0.5 * sec.aperture:
+        ang = p * phi
+        if ang == 0.0:
+            return complex(rho, 0.0)
+        return rho * complex(math.cos(ang), math.sin(ang))
+    # Nearer the beta edge: w = -rho * e^(-i p delta), delta the angle from z
+    # to that edge, taken from the edge ray's own angle and arg z before any
+    # wrap by 2*pi.  aperture - phi would be a difference of O(1) numbers,
+    # off by an ulp of 2*pi where the sector ends at 2*pi.
+    delta = 0.0 if phi == sec.aperture else max(
+        math.remainder(normalize_angle(sec.beta) - cmath.phase(z), TWO_PI), 0.0)
+    ang = p * delta
+    if ang < 1e-13:
         return complex(-rho, 0.0)
-    return rho * complex(math.cos(ang), math.sin(ang))
+    return rho * complex(-math.cos(ang), math.sin(ang))

@@ -16,7 +16,7 @@ from operator import lt
 
 import numpy as np
 
-from .errors import BadInput
+from .errors import BadInput, NumericFailure
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +99,7 @@ class StepFunction:
             raise BadInput("power-weight integral needs lo > 0")
         if hi < lo:
             raise BadInput(f"need lo <= hi, got [{lo}, {hi}]")
-        anti = math.log if p_exp == 0.0 else (lambda x: -x ** (-p_exp) / p_exp)
+        anti = power_antiderivative(p_exp)
         # the pieces [lo, p_i], ..., [p_k, hi] over the jump points inside,
         # f = levels[i] on the first
         pts = self.points.tolist()
@@ -109,4 +109,22 @@ class StepFunction:
         total = 0.0
         for a, b, c in zip(antis, antis[1:], levels):
             total += c * (b - a)
+        if not math.isfinite(total):
+            raise NumericFailure(f"integral of f/t^{p_exp + 1:g} over [{lo}, {hi}] "
+                                 f"is not representable")
         return total
+
+
+def power_antiderivative(p):
+    """t -> the antiderivative of t^(-p-1) at t > 0: log t for p = 0, else
+    -t^(-p)/p, and -inf where t^(-p) overflows (p = 2 below t = 1e-154), so
+    that a sum built from it comes out non-finite."""
+    if p == 0.0:
+        return math.log
+
+    def anti(t):
+        try:
+            return -t ** (-p) / p
+        except OverflowError:
+            return -math.inf
+    return anti

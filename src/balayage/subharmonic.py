@@ -449,12 +449,12 @@ def sweep_potential_eval(bal, z, genus=-1):
             total += s.mass * kernel_Kq(s.z, z, genus)
             continue
         w = reduce_to_halfplane(host, z) if w is None else w
-        d = w - o
+        d = abs(w - o)  # not its square, which underflows next to a tiny atom
         if d == 0:  # z = zeta, or closer to it than the power map resolves
             total += s.mass * _coincident_limit(s.z, o, p, genus)
         else:
             total += s.mass * (kernel_Kq(s.z, z, genus) + 0.5 * math.log1p(
-                4.0 * w.imag * o.imag / (d.real * d.real + d.imag * d.imag)))
+                4.0 * (w.imag / d) * (o.imag / d)))
     if not math.isfinite(total):
         raise NumericFailure(f"swept potential at z = {z} is not finite")
     return total

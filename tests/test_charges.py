@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import warnings
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
@@ -22,6 +23,8 @@ from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
                       distribution_on_R, divergence_verdict, hm_interval,
                       lindelof_sum, poisson_kernel, radial_counting,
                       ray_geometry, seq_balayage_distribution)
+from balayage.charges import _poisson_pairing
+from balayage.numerics import QUAD_TOL
 from conftest import random_charge
 
 PI = math.pi
@@ -409,8 +412,13 @@ def test_far_point_tiny_interval_mass_against_mpmath():
 
 def _mp_ray_density(z, sec, e, t):
     """Density of a unit atom z on the edge e of its sector, 50 digits: the
-    power map and the Poisson kernel written out from the exact arg z."""
-    p = mpmath.pi / (mpmath.mpf(sec.beta) - mpmath.mpf(sec.alpha))
+    power map and the Poisson kernel written out from the exact arg z.  A
+    beta past 2*pi is its ray's angle plus the exact 2*pi, as arg z - alpha
+    is reduced by the exact 2*pi."""
+    beta = mpmath.mpf(sec.beta)
+    if sec.beta >= 2 * PI:
+        beta = mpmath.mpf(sec.beta - 2 * PI) + 2 * mpmath.pi
+    p = mpmath.pi / (beta - mpmath.mpf(sec.alpha))
     zz = mpmath.mpc(z.real, z.imag)
     phi = (mpmath.arg(zz) - sec.alpha) % (2 * mpmath.pi)
     w = abs(zz) ** p * mpmath.expj(p * phi)
@@ -423,11 +431,14 @@ def _mp_ray_density(z, sec, e, t):
     (cmath.rect(3.0, 0.15), 1e-14),        # mid-sector, p = 10.47
     (cmath.rect(1.0, 0.3 - 1e-7), 1e-9),   # next to the upper edge, see below
     (cmath.rect(2.0, 0.3 + 1e-7), 1e-9),   # next to the wide sector's lower edge
+    (cmath.rect(2.0, -1e-7), 1e-14),       # next to its upper edge, at 2*pi
 ])
 def test_narrow_sector_density_matches_mpmath(z, rel):
     # Next to the edge at 0.3 the angle to it, 1e-7, comes from arg z - 0.3,
     # and arg z is rounded to about 3e-17: the density keeps about 3e-10
-    # relative there, as hm_sector_segment does.
+    # relative there, as hm_sector_segment does.  Next to the edge at 2*pi
+    # the angle is 0 - arg z, with no 2*pi in it; formed as the aperture
+    # minus 2*pi + (arg z - 0.3), it cost about 3e-9 relative.
     S = RaySystem([0.0, 0.3])
     bal = balayage_system(AtomicCharge([(z, 1.0)]), S)
     sec = bal.swept[0].sector
@@ -489,3 +500,121 @@ def test_swept_images_are_checked_when_the_sweep_is_built():
     assert isinstance(bal.swept, tuple)
     with pytest.raises(FrozenInstanceError):
         bal.swept = ()
+
+
+# ---------------------------------------------------------------------------
+# The quadrature checks against their former routes, kept here as oracles
+
+
+def _lindelof_differences_per_radius(nu, S, q, r0, radii):
+    """check_lindelof_preservation's differences by the former route: the
+    swept part integrated afresh over [r0, r] for every radius r."""
+    bal = balayage_system(nu, S)
+    diffs = []
+    for r in radii:
+        lb = lindelof_sum(bal.kept, q, r0, r) if bal.kept.atoms else 0.0 + 0.0j
+        for j, th in enumerate(S.thetas):
+            if bal.ray_contributions(j):
+                val, _ = quad(lambda t: t ** (-q) * bal.ray_density(j, t), r0, r,
+                              epsabs=1e-10, limit=400)
+                lb += cmath.exp(-1j * q * th) * val
+        diffs.append(abs(lindelof_sum(nu, q, r0, r) - lb))
+    return diffs
+
+
+@pytest.mark.parametrize("seed, n, thetas, q, r0, radii", [
+    (7, 25, (0.4, 3.0), 1, 1.0, (4, 8, 16, 32)),
+    (8, 40, (0.3, 2.0, 4.0), 2, 1.0, (4, 8, 16, 32, 64, 128, 256)),
+    (9, 30, (0.0, 1.0, 2.5, 4.5), 1, 0.5, (2, 3, 10, 40)),
+])
+def test_lindelof_shells_equal_the_integrals_from_r0(seed, n, thetas, q, r0, radii):
+    nu = random_charge(np.random.default_rng(seed), n)
+    S = RaySystem(thetas)
+    rep = check_lindelof_preservation(nu, S, q, r0=r0, radii=radii)
+    oracle = _lindelof_differences_per_radius(nu, S, q, r0, radii)
+    for got, want in zip(rep["differences"], oracle, strict=True):
+        assert abs(got - want) <= 1e-12
+
+
+def _on_ray_by_scan(pts, t):
+    """RayTestFunction.on_ray by its former linear scan over the sorted knots."""
+    if not pts or t < pts[0][0] or t > pts[-1][0]:
+        return 0.0
+    for (ta, va), (tb, vb) in zip(pts, pts[1:]):
+        if ta <= t <= tb:
+            if tb == ta:
+                return va
+            return va + (vb - va) * (t - ta) / (tb - ta)
+    return pts[-1][1]
+
+
+KNOT = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.25]) | st.floats(0.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(knots=st.lists(st.tuples(KNOT, st.floats(0.0, 3.0)), min_size=1, max_size=9),
+       probes=st.lists(st.floats(-1.0, 12.0), max_size=6))
+def test_on_ray_bisection_equals_the_linear_scan(knots, probes):
+    # values >= 0: a 0 at the first knot sorts first and keeps F continuous;
+    # every value at the last knot is 0, so F returns to 0 there
+    pts = sorted(knots)
+    t0, t_end = pts[0][0], pts[-1][0]
+    pts = [(t, 0.0 if t == t_end or (t, v) == pts[0] and t0 > 0.0 else v)
+           for t, v in pts]
+    F = RayTestFunction(RaySystem([0.0]), {0: pts})
+    ts = [t for t, _ in F.breakpoints[0]]
+    for t in ts + [math.nextafter(t, -1.0) for t in ts] + [
+            math.nextafter(t, math.inf) for t in ts] + probes:
+        assert F.on_ray(0, t) == _on_ray_by_scan(F.breakpoints[0], t), t
+
+
+def _pairing_from_zero(F, S, z):
+    """_poisson_pairing by its former route: each edge integral over [0, hi]
+    with its scale hints all through that range."""
+    cls = ray_geometry.classify_point(S, z)
+    sec, idx = cls.sector, cls.index
+    w, p = ray_geometry.reduce_to_halfplane(sec, z), sec.exponent
+    total = 0.0
+    for edge_ray, sign in ((idx, +1), ((idx + 1) % len(S), -1)):
+        knots = F.ray_knots(edge_ray)
+        if not knots:
+            continue
+        hi = max(knots) ** p
+        pts = {min(t ** p, hi) for t in knots if t > 0.0}
+        pts.update(abs(w) * 2.0 ** j for j in range(-3, 40) if 0.0 < abs(w) * 2.0 ** j < hi)
+        val, _ = quad(lambda s: F.on_ray(edge_ray, s ** (1.0 / p)) * poisson_kernel(sign * s, w),
+                      0.0, hi, epsabs=QUAD_TOL, limit=600,
+                      points=sorted(q for q in pts if q < hi))
+        total += val
+    return total
+
+
+@pytest.mark.parametrize("z", [cmath.rect(0.05, 1.0), cmath.rect(1.2, 0.7),
+                               cmath.rect(7.0, 3.0), cmath.rect(0.3, 5.0),
+                               cmath.rect(40.0, 2.2)])
+def test_pairing_over_the_support_equals_the_integral_from_zero(z):
+    S = RaySystem([0.3, 2.0, 4.0])
+    F = RayTestFunction(S, {0: [(0.5, 0.0), (1.0, 1.0), (2.0, 0.0)],
+                            1: [(5.0, 0.0), (6.0, -2.0), (9.0, 0.0)],
+                            2: [(0.01, 0.0), (0.02, 0.5), (0.5, 0.5), (3.0, 0.0)]})
+    assert abs(_poisson_pairing(F, S, z) - _pairing_from_zero(F, S, z)) <= QUAD_TOL
+
+
+@pytest.mark.parametrize("target, far", [
+    (None, 1e200j),                              # the half-plane sweep: w = z
+    ((0.0, PI / 2), cmath.rect(1e100, PI / 4)),  # p = 2: w = 1e200 i
+])
+def test_far_image_density_builds_without_warnings(target, far):
+    nu = AtomicCharge([(far, 1.0), (cmath.rect(1.5, 0.6), -0.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bal = balayage_halfplane(nu) if target is None else balayage_system(nu, RaySystem(target))
+    assert max(w.imag for _, w, _, _ in bal.ray_contributions(0)) >= 1e199
+    # the former expression, in which (Im w)^2 overflows and the far term is 0
+    m, w, p, e = (np.array(c) for c in zip(*bal.ray_contributions(0)))
+    dx = e * 0.7 ** p - w.real
+    with np.errstate(over="ignore"):
+        got = bal.ray_density(0, 0.7)  # (Re w)^2 of the p = 2 image overflows too
+        want = float(np.sum(m * p * 0.7 ** (p - 1.0) * w.imag
+                            / (math.pi * (dx * dx + w.imag * w.imag))))
+    assert want != 0.0 and got == pytest.approx(want, rel=1e-14)

@@ -16,6 +16,7 @@ import sys
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
@@ -24,13 +25,15 @@ import balayage
 from balayage import (AtomicCharge, BoundarySegment, QuadratureFailure,
                       RaySystem, RayTestFunction, StepFunction,
                       balayage_halfplane, balayage_system, blaschke_halfplane,
-                      complementary_sectors, distribution_on_R,
-                      exgr2_functionals, hm_system, pv_kernel_integral,
+                      check_lindelof_preservation, complementary_sectors,
+                      distribution_on_R, exgr2_functionals, hm_system,
+                      poisson_kernel, pv_kernel_integral,
                       sweep_potential_eval, variation_radial)
 from balayage import numerics
 from balayage.charges import _variation_interval_halfplane
 from balayage.cli import _counts_by_ray, main
 from balayage.numerics import integrate
+from conftest import random_charge
 
 PI = math.pi
 
@@ -146,6 +149,44 @@ def test_blaschke_weight_of_a_far_atom_does_not_overflow(check, term, want,
 
 
 # ---------------------------------------------------------------------------
+# Magnitudes at the ends of the float range exit cleanly (0, or 3)
+
+
+TINY_AND_NEAR = [(1e-200 * (1 + 1j), 1.0), (2 + 1j, 1.0)]
+
+
+def test_fubini_with_an_underflowing_poisson_kernel_exits_cleanly(charge_file,
+                                                                  system_file, tmp_path):
+    # |t - w|^2 of the tiny atom's image underflows to 0; |t - w| does not
+    assert poisson_kernel(0.0, 1e-200 + 1e-200j) == pytest.approx(0.5e200 / PI, rel=1e-15)
+    out = tmp_path / "fubini.json"
+    rc = main(["check", "fubini", "--charge", charge_file(TINY_AND_NEAR),
+               "--system", system_file([0.0, 2.0, 4.0]), "--out", str(out)])
+    assert rc in (0, 3)
+    if rc == 0:
+        assert json.loads(out.read_text())["holds"] is True
+
+
+def test_swept_potential_next_to_a_tiny_atom_exits_cleanly(charge_file, system_file,
+                                                           capsys):
+    # z and the atom are 1e-200 apart: d.real^2 + d.imag^2 of their reduced
+    # coordinates underflowed to 0 in the Green term
+    rc = main(["potential", "--charge", charge_file(TINY_AND_NEAR), "--system",
+               system_file([0.0, 2.0, 4.0]), "--z=1e-200,2e-200", "--sweep"])
+    assert rc in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_growth_with_a_tiny_atom_is_a_numeric_failure(charge_file, capsys):
+    # at p = 2, r^p underflows in the type and t^(-p) overflows in the integrals
+    charge = charge_file([(1e-200 * (1 + 1j), 1.0), (2.0, 1.0)])
+    for window in ([], ["--r-lo", "1"]):
+        rc = main(["growth", "--charge", charge, "--p", "2", "--zero-side", *window])
+        assert rc == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # Mixed-sign variation: quadrature of |density| against an mpmath oracle
 # that splits the integral at the density's sign changes.
 
@@ -255,6 +296,29 @@ def test_integrate_raises_when_the_error_misses_its_budget():
     for budget in (None, 1e-8):
         with pytest.raises(QuadratureFailure, match="probe"):
             integrate(lambda t: float("nan"), 0.0, 1.0, "probe", budget=budget)
+
+
+# check_lindelof_preservation on this input made 3150 integrand evaluations
+# when it integrated every radius afresh from r0
+LINDELOF_EVALS_PER_RADIUS = 3150
+
+
+def test_lindelof_shells_at_most_halve_the_integrand_evaluations(monkeypatch):
+    evals = 0
+    real = numerics.quad
+
+    def counting(fn, *args, **kwargs):
+        def counted(t):
+            nonlocal evals
+            evals += 1
+            return fn(t)
+        return real(counted, *args, **kwargs)
+    monkeypatch.setattr(numerics, "quad", counting)
+    nu = random_charge(np.random.default_rng(12), 40)
+    rep = check_lindelof_preservation(nu, RaySystem([0.3, 2.0, 4.0]), 1,
+                                      radii=(4, 8, 16, 32))
+    assert len(rep["differences"]) == 4
+    assert 0 < evals <= LINDELOF_EVALS_PER_RADIUS // 2
 
 
 def test_exgr2_functionals_make_no_quad_call(quad_calls):
