@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,6 +45,7 @@ from .ray_geometry import (
 from .stepfn import StepFunction
 
 _SLOPE_DIVERGENT = 0.1  # fitted growth vs log r above this flags divergence
+_NEAR = 1e150  # Q and N of the semidisk form stay finite while |w| and x^p are below it
 
 
 @dataclass
@@ -175,14 +177,20 @@ def lindelof_sum(nu, q, r0, r):
 @dataclass(frozen=True)
 class SweptAtom:
     """Source atom swept inside its host sector; the half-plane sweep's host
-    is REAL_AXIS.sectors[0], whose power map is the identity."""
+    is REAL_AXIS.sectors[0], whose power map is the identity.  Its image w
+    under the sector's power map is formed once, here, and checked to lie in
+    the open upper half-plane: the kernels divide by Im w."""
 
     z: complex
     mass: float
     sector: Sector
+    w: complex = field(init=False, repr=False, compare=False)
 
-    def reduced(self):
-        return reduce_to_halfplane(self.sector, self.z), self.sector.exponent
+    def __post_init__(self):
+        w = reduce_to_halfplane(self.sector, self.z)
+        if not w.imag > 0.0:
+            raise NotInUpperHalfPlane(f"need Im w > 0 for every swept image, got w = {w}")
+        object.__setattr__(self, "w", w)
 
 
 class _RayArrays(NamedTuple):
@@ -195,7 +203,8 @@ class _RayArrays(NamedTuple):
     (the image seen from the ray's side: (edge*s - Re w)^2 = (s - ewr)^2
     exactly), Im w and p, and the density's factors coef = mass * p * Im w / pi,
     wi2 = (Im w)^2 and pm1 = p - 1; kept_r and kept_m are the kept atoms on
-    the ray, sorted by radius."""
+    the ray, sorted by radius.  Up to the radius near, no record's Q or N in
+    ray_segment_mass can overflow."""
 
     records: tuple
     mass: np.ndarray
@@ -207,24 +216,23 @@ class _RayArrays(NamedTuple):
     pm1: np.ndarray
     kept_r: np.ndarray
     kept_m: np.ndarray
+    near: float
 
 
 def _ray_arrays(records, kept):
     """_RayArrays from one ray's swept records and its kept (radius, mass) pairs.
 
-    The kernels divide by Im w without a per-call check, so it is made here.
     The factors are formed in float arithmetic, where the (Im w)^2 of a far
     image becomes inf without a warning, and its density term 0."""
-    for _, w, _, _ in records:
-        if not w.imag > 0.0:
-            raise NotInUpperHalfPlane(f"need Im w > 0 for every swept image, got w = {w}")
     m, w, p, e = zip(*records) if records else ((),) * 4
     wi = [z.imag for z in w]
     kr, km = zip(*sorted(kept, key=lambda a: a[0])) if kept else ((),) * 2
+    far = max((max(abs(z.real), z.imag) for z in w), default=0.0) >= _NEAR
     return _RayArrays(tuple(records), *(np.array(c, dtype=float) for c in (
         m, [ek * z.real for ek, z in zip(e, w)], wi, p,
         [mk * pk * y / math.pi for mk, pk, y in zip(m, p, wi)],
-        [y * y for y in wi], [pk - 1.0 for pk in p], kr, km)))
+        [y * y for y in wi], [pk - 1.0 for pk in p], kr, km)),
+        0.0 if far else _NEAR ** (1.0 / max(p, default=1.0)))
 
 
 @dataclass(frozen=True)
@@ -232,8 +240,7 @@ class BalayageCharge:
     """Result of sweeping: atoms already on the target set plus symbolic
     swept records whose densities are evaluated in closed form.
 
-    Immutable: the per-ray arrays the queries read are built once, here, and
-    every image w is checked to lie in the open upper half-plane."""
+    Immutable: the per-ray arrays the queries read are built once, here."""
 
     system: RaySystem | None  # None: swept onto R out of the upper half-plane
     kept: AtomicCharge
@@ -248,9 +255,9 @@ class BalayageCharge:
         records = [[] for _ in range(k)]
         for s in self.swept:
             i = index[s.sector]
-            w, p = s.reduced()
-            records[i].append((s.mass, w, p, +1))
-            records[(i + 1) % k].append((s.mass, w, p, -1))
+            p = s.sector.exponent
+            records[i].append((s.mass, s.w, p, +1))
+            records[(i + 1) % k].append((s.mass, s.w, p, -1))
         kept = [[] for _ in range(k)]
         for z, m in self.kept.atoms:
             j = None if z == 0 else self.rays.ray_index(z)
@@ -294,13 +301,23 @@ class BalayageCharge:
         """Swept mass landing on ray j between radii x1 < x2 (closed form).
 
         Each record contributes its harmonic measure at w of the image
-        interval e*[x1^p, x2^p], in hm_interval's arctangent form."""
+        interval e*[x1^p, x2^p], in hm_interval's arctangent form, far form
+        included: where Q overflows, Q and N are divided by d^2, d the
+        distance from w to the interval's center."""
         if not 0.0 <= x1 < x2:
             raise BadInput(f"need 0 <= x1 < x2, got [{x1}, {x2}]")
         r = self._ray(j)
         a, b = np.power(x1, r.p), np.power(x2, r.p)
-        q = (r.ewr - a) * (r.ewr - b) + r.wi2
-        n = (b - a) * r.wi
+        near = x2 <= r.near
+        with nullcontext() if near else np.errstate(over="ignore", invalid="ignore"):
+            q = (r.ewr - a) * (r.ewr - b) + r.wi2
+            n = (b - a) * r.wi
+        if not near:
+            far = ~np.isfinite(q)
+            x, y, h = r.ewr[far], r.wi[far], 0.5 * (b - a)[far]
+            d = np.hypot(x - (a[far] + h), y)
+            q[far] = (1.0 - h / d) * (1.0 + h / d)
+            n[far] = 2.0 * h / d * (y / d)
         ang = np.arctan(n / np.where(q == 0.0, 1.0, q)) / np.pi
         om = np.where(q > 0.0, ang, np.where(q < 0.0, 1.0 + ang, 0.5))
         total = float(np.sum((np.abs(r.mass) if variation else r.mass) * om))

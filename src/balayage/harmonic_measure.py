@@ -76,12 +76,13 @@ def poisson_kernel(t, z):
 
 
 def _semidisk_form(z, I):
-    """Q and N of the closed form for Im z > 0; where Q overflows, both divided
-    by d^2, d = |z - x0| (the forms use N/Q and the sign of Q = (d - r)(d + r))."""
+    """Q and N of the closed form for Im z > 0; where Q overflows (to inf, or
+    to inf - inf = nan), both divided by d^2, d = |z - x0| (the forms use N/Q
+    and the sign of Q = (d - r)(d + r))."""
     y = z.imag
     q = (z.real - I.t1) * (z.real - I.t2) + y * y
     n = (I.t2 - I.t1) * y
-    if math.isinf(q):
+    if not math.isfinite(q):
         d = abs(z - I.center)
         return (1.0 - I.radius / d) * (1.0 + I.radius / d), (I.t2 - I.t1) / d * (y / d)
     return q, n

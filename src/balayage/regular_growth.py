@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charges import lindelof_sum
-from .errors import BadInput
+from .errors import BadInput, CoincidentPoints
 from .numerics import ANGULAR_TOL
 from .ray_geometry import TWO_PI, normalize_angle, relative_angle
 from .stepfn import StepFunction
+from .subharmonic import kernel_sum
 
 
 # ---------------------------------------------------------------------------
@@ -85,39 +86,16 @@ def _check_convergence_class(n, q):
             f"fitted growth {est:.3g} reaches the convergence bound {q + 1} at infinity")
 
 
-def _stieltjes_value(n, logp, q, z):
-    """Exact parts-identity value: sum of jumps against the genus-q kernel;
-    logp holds the logs of n's jump points, formed once per function.
-
-    The piecewise antiderivative of the PV density is -K_q(t, z); summing it
-    over the constant pieces of n telescopes to this jump sum, with the
-    symmetric excision logs cancelling exactly when z sits inside a piece.
-    """
-    if z == 0:
-        return 0.0
-    pts = n.points
-    far = np.searchsorted(pts, 2.0 * abs(z), side="right")  # p > 2|z| from here
-    if np.any(pts[:far] == z):
-        raise BadInput(f"kernel is singular at the jump point {z}")
-    wp = z / pts
-    wf = wp[far:]
-    val = np.concatenate((
-        # log|p - z| - log p, not log|1 - z/p|: p - z is exact for z near p
-        np.log(np.abs(pts[:far] - z)) - logp[:far],
-        # far jumps: log|1 - w| = log1p(|w|^2 - 2 Re w) / 2 does not cancel
-        0.5 * np.log1p(wf.real * wf.real + wf.imag * wf.imag - 2.0 * wf.real)))
-    pw = wp
-    for j in range(1, q + 1):
-        val = val + pw.real / j
-        pw = pw * wp
-    return float(np.dot(n.jumps, val))
+def _jump_atoms(n):
+    """kernel_sum's arrays for the jumps of n: mass J_i at the point p_i."""
+    return n.points, n.points, np.log(n.points), n.jumps
 
 
 def pv_kernel_integral(n, q, z):
     """Principal value of int n(t) Re(z^{q+1} / (t^{q+1} (z - t))) dt over
-    t > 0, in closed form: sum_i J_i K_q(p_i, z) over the jumps J_i of n at
-    p_i (see _stieltjes_value).  At real positive z it is the
-    symmetric-excision principal value, and n may not jump at z.
+    t > 0, in closed form: the antiderivative -K_q(t, z) of the PV density
+    telescopes over n's pieces to sum_i J_i K_q(p_i, z), J_i the jump at p_i.
+    At real positive z it is the symmetric-excision PV; n may not jump at z.
     """
     if not (isinstance(q, int) and q >= 0):
         raise BadInput(f"need integer q >= 0, got {q}")
@@ -128,7 +106,7 @@ def pv_kernel_integral(n, q, z):
     if z.imag == 0.0 and z.real > 0.0 and np.any(
             np.abs(n.points - z.real) <= 1e-12 * max(1.0, z.real)):
         raise BadInput(f"counting function jumps at the singular point {z.real}")
-    return _stieltjes_value(n, np.log(n.points), q, z)
+    return kernel_sum(_jump_atoms(n), z, q)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +230,7 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
     if use_kernel:
         for n in n_by_ray:
             _check_convergence_class(n, q)
-        logs = [np.log(n.points) for n in n_by_ray]
+        atoms = [_jump_atoms(n) for n in n_by_ray]
 
     records = []
     for j, theta_j in enumerate(thetas):
@@ -268,7 +246,10 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
                         w = complex(-r)
                     else:
                         w = cmath.rect(r, delta)
-                    total += _stieltjes_value(n_by_ray[jp], logs[jp], q, w)
+                    try:
+                        total += kernel_sum(atoms[jp], w, q)
+                    except CoincidentPoints:  # w = r, a jump point of ray jp
+                        raise BadInput(f"kernel is singular at the jump point {w}") from None
                 values.append(total / r ** p)
             else:
                 values.append(n_by_ray[j](r) / r ** p)

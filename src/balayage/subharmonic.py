@@ -1,10 +1,10 @@
 """Genus-q kernels, canonical potentials, circle means, class-A functionals,
 the half-disk boundary identity, and sweeping a potential onto a ray system.
 
-The kernel of genus q >= 0 is log|1 - z/zeta| plus the first q real power
-corrections; genus -1 is the raw logarithm.  A genus schedule assigns a genus
-per radius annulus (always -1 on [0,1)).  Potentials take the explicit bottom
-value at positive-mass atoms rather than a float sentinel.
+The kernel of genus q >= 0 is log|E(z/zeta; q)|, with the Weierstrass primary
+factor E(w; q) = (1 - w) exp(w + ... + w^q/q); genus -1 is log|zeta - z|.  A
+genus schedule assigns a genus per radius annulus (always -1 on [0,1)).
+Potentials take the explicit bottom value at positive-mass atoms.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     AtomOnCircle,
@@ -72,26 +74,43 @@ def is_bottom(x):
 # Kernels
 
 
-def kernel_Kq(zeta, z, q):
-    """Genus-q kernel: log|zeta - z| for q = -1, else
-    log|1 - z/zeta| + sum_{j<=q} Re((z/zeta)^j)/j."""
-    zeta = complex(zeta)
-    z = complex(z)
-    if not (isinstance(q, int) and q >= -1):
-        raise BadInput(f"genus must be an integer >= -1, got {q}")
-    if zeta == z:
+def kernel_atoms(atoms):
+    """kernel_sum's arrays zeta, r = |zeta|, log r, m of (zeta, m) pairs, by r."""
+    zeta, m = np.array([z for z, _ in atoms], dtype=complex), np.array([m for _, m in atoms])
+    order = np.argsort(np.abs(zeta))
+    r = np.abs(zeta[order])
+    with np.errstate(divide="ignore"):  # log 0 = -inf: only genus -1 reads an atom at 0
+        return zeta[order], r, np.log(r), m[order]
+
+
+def kernel_sum(atoms, z, q):
+    """sum_i m_i K_q(zeta_i, z) over kernel_atoms' arrays.  With w = z/zeta, log|1 - w|
+    is log|zeta - z| - log|zeta| for |zeta| <= 2|z|, else log1p(|w|^2 - 2 Re w) / 2."""
+    zeta, r, logr, m = atoms
+    far = r.size if q < 0 else r.searchsorted(2.0 * abs(z), "right")
+    d = np.abs(zeta[:far] - z)
+    if np.count_nonzero(d) < far:
         raise CoincidentPoints(f"kernel is singular at zeta = z = {z}")
-    if q == -1:
-        return math.log(abs(zeta - z))
-    if zeta == 0:
+    if q < 0:
+        return float(np.dot(m, np.log(d)))
+    if far and r[0] == 0.0:
         raise ZeroCenter("genus >= 0 kernel needs zeta != 0")
     w = z / zeta
-    val = math.log(abs(1.0 - w))
-    pw = 1.0 + 0.0j
+    wf = w[far:]
+    val = np.concatenate((np.log(d) - logr[:far], 0.5 * np.log1p(
+        wf.real * wf.real + wf.imag * wf.imag - 2.0 * wf.real)))
+    pw = w
     for j in range(1, q + 1):
-        pw *= w
-        val += pw.real / j
-    return val
+        val = val + pw.real / j
+        pw = pw * w
+    return float(np.dot(m, val))
+
+
+def kernel_Kq(zeta, z, q):
+    """Genus-q kernel of one atom: kernel_sum of a unit mass at zeta."""
+    if not (isinstance(q, int) and q >= -1):
+        raise BadInput(f"genus must be an integer >= -1, got {q}")
+    return kernel_sum(kernel_atoms([(zeta, 1.0)]), complex(z), q)
 
 
 def kernel_Kq_radial_derivative(z, t, q):
@@ -181,6 +200,9 @@ class CanonicalPotential:
             raise BadInput("give exactly one of genus or schedule")
         if self.genus is not None and not (isinstance(self.genus, int) and self.genus >= -1):
             raise BadInput(f"genus must be an integer >= -1, got {self.genus}")
+        atoms = self.charge.atoms  # one kernel sum per genus
+        self._groups = [(q, kernel_atoms([a for a in atoms if self.genus_for(a[0]) == q]))
+                        for q in sorted({self.genus_for(z) for z, _ in atoms})]
 
     def genus_for(self, zeta):
         return self.genus if self.genus is not None else self.schedule.genus_at(abs(zeta))
@@ -196,10 +218,11 @@ def potential_eval(P, z):
     positive-mass atoms, +inf at negative-mass atoms."""
     z = complex(z)
     total = 0.0
-    for zeta, m in P.charge.atoms:
-        if zeta == z:
-            return BOTTOM if m > 0.0 else math.inf
-        total += m * kernel_Kq(zeta, z, P.genus_for(zeta))
+    try:
+        for q, atoms in P._groups:
+            total += kernel_sum(atoms, z, q)
+    except CoincidentPoints:  # the first atom at z decides
+        return BOTTOM if next(m for zeta, m in P.charge.atoms if zeta == z) > 0.0 else math.inf
     return total + P.harmonic_part(z)
 
 
@@ -427,7 +450,7 @@ def _coincident_limit(zeta, o, p, q):
 
 
 def sweep_potential_eval(bal, z, genus=-1):
-    """Potential of a swept charge at z, as a closed-form sum.
+    """Potential of a swept charge at z: a kernel sum plus the Green terms.
 
     Sweeping an atom zeta out of its sector D adds the Green function
     g_D(z, zeta) = log(|w - conj o| / |w - o|) = log1p(4 Im w Im o / |w - o|^2) / 2
@@ -440,21 +463,21 @@ def sweep_potential_eval(bal, z, genus=-1):
     cls = classify_point(bal.rays, z)
     host = None if isinstance(cls, OnSystem) else cls.sector
     w = None
-    total = sum(m * kernel_Kq(zeta, z, genus) for zeta, m in bal.kept.atoms)
+    total, sources = 0.0, list(bal.kept.atoms)
     for s in bal.swept:
-        o, p = s.reduced()
+        o, p = s.w, s.sector.exponent
         if p <= genus:
             raise BadInput(f"kernel integral diverges: genus q = {genus} >= p_D = {p:.6g}")
-        if s.sector != host:
-            total += s.mass * kernel_Kq(s.z, z, genus)
-            continue
-        w = reduce_to_halfplane(host, z) if w is None else w
-        d = abs(w - o)  # not its square, which underflows next to a tiny atom
-        if d == 0:  # z = zeta, or closer to it than the power map resolves
-            total += s.mass * _coincident_limit(s.z, o, p, genus)
-        else:
-            total += s.mass * (kernel_Kq(s.z, z, genus) + 0.5 * math.log1p(
-                4.0 * (w.imag / d) * (o.imag / d)))
+        if s.sector == host:
+            w = reduce_to_halfplane(host, z) if w is None else w
+            d = abs(w - o)  # not its square, which underflows next to a tiny atom
+            if d == 0:  # z = zeta, or closer to it than the power map resolves
+                total += s.mass * _coincident_limit(s.z, o, p, genus)
+                continue  # the limit holds the kernel term too
+            total += 0.5 * s.mass * math.log1p(4.0 * (w.imag / d) * (o.imag / d))
+        sources.append((s.z, s.mass))
+    with np.errstate(over="ignore"):  # an overflowing sum is the failure below
+        total += kernel_sum(kernel_atoms(sources), z, genus)
     if not math.isfinite(total):
         raise NumericFailure(f"swept potential at z = {z} is not finite")
     return total

@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
@@ -338,9 +338,13 @@ def _density_terms(bal, j, t):
 
 
 def _mass_terms(bal, j, x1, x2, variation):
+    # the endpoints by the library's np.power over the records' exponents:
+    # ** can differ from it by an ulp, which b - a amplifies by a / (b - a)
+    records = bal.ray_contributions(j)
+    ps = np.array([p for _, _, p, _ in records], dtype=float)
     terms = []
-    for m, w, p, e in bal.ray_contributions(j):
-        a, b = x1 ** p, x2 ** p
+    for (m, w, p, e), a, b in zip(records, np.power(x1, ps).tolist(),
+                                  np.power(x2, ps).tolist()):
         om = hm_interval(w, Interval(a, b) if e > 0 else Interval(-b, -a))
         terms.append((abs(m) if variation else m) * om)
     return terms
@@ -360,20 +364,37 @@ TARGETS = [None, (0.0,), (0.0, PI), (0.0, 2 * PI / 3, 4 * PI / 3),
        atoms=st.lists(st.tuples(st.floats(0.05, 50.0), st.floats(0.0, 2 * PI),
                                 st.floats(-2.0, 2.0).filter(lambda m: abs(m) > 1e-3)),
                       min_size=1, max_size=12),
-       data=st.data())
-def test_array_kernels_match_scalar_sums(target, atoms, data):
+       ray=st.integers(0, 4), t=st.floats(1e-3, 1e3),
+       x1=st.sampled_from([0.0]) | st.floats(1e-3, 100.0), dx=st.floats(1e-6, 100.0))
+# a one-ulp gap between ** and np.power at 75 ** 0.5, amplified 1e4 times
+@example(target=(0.0,), atoms=[(1.0, 1.0, 1.0)], ray=0, t=1.0, x1=75.0, dx=0.015625)
+def test_array_kernels_match_scalar_sums(target, atoms, ray, t, x1, dx):
     """target None is the half-plane sweep (rays 0 = R+, 1 = R-); (0.0,) is the
     one-ray system, whose sector has p = 1/2."""
     nu = AtomicCharge([(cmath.rect(r, th), m) for r, th, m in atoms])
     bal = balayage_halfplane(nu) if target is None else balayage_system(nu, RaySystem(target))
-    j = data.draw(st.integers(0, len(bal.rays) - 1))
-    t = data.draw(st.floats(1e-3, 1e3))
+    j = ray % len(bal.rays)
     _assert_sums_to(bal.ray_density(j, t), _density_terms(bal, j, t))
-    x1 = data.draw(st.sampled_from([0.0]) | st.floats(1e-3, 100.0))
-    x2 = x1 + data.draw(st.floats(1e-6, 100.0))
+    x2 = x1 + dx
     for variation in (False, True):
         _assert_sums_to(bal.ray_segment_mass(j, x1, x2, variation=variation),
                         _mass_terms(bal, j, x1, x2, variation))
+
+
+def test_short_segment_mass_against_mpmath():
+    # one ray, p = 1/2: both edges of the sector carry the atom's image; an
+    # ulp of a = 75^(1/2) or b moves the mass by a / (b - a) = 9.6e3 ulps
+    x1, x2 = 75.0, 75.015625
+    z = cmath.rect(1.0, 1.0)
+    got = balayage_system(AtomicCharge([(z, 1.0)]), RaySystem([0.0])).ray_segment_mass(0, x1, x2)
+    with mpmath.workdps(50):
+        w = mpmath.sqrt(mpmath.mpc(z))
+        a, b = mpmath.sqrt(x1), mpmath.sqrt(x2)
+        arc = lambda lo, hi: (mpmath.atan((hi - w.real) / w.imag)
+                              - mpmath.atan((lo - w.real) / w.imag)) / mpmath.pi
+        want = float(arc(a, b) + arc(-b, -a))
+        cond = float(a / (b - a))
+    assert abs(got - want) <= 2.0 * sys.float_info.epsilon * cond * abs(want)
 
 
 @pytest.mark.parametrize("z, x1, x2, q_sign", [

@@ -22,11 +22,11 @@ import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
 
 import balayage
-from balayage import (AtomicCharge, BoundarySegment, QuadratureFailure,
+from balayage import (AtomicCharge, BoundarySegment, Interval, QuadratureFailure,
                       RaySystem, RayTestFunction, StepFunction,
                       balayage_halfplane, balayage_system, blaschke_halfplane,
                       check_lindelof_preservation, complementary_sectors,
-                      distribution_on_R, exgr2_functionals, hm_system,
+                      distribution_on_R, exgr2_functionals, hm_interval, hm_system,
                       poisson_kernel, pv_kernel_integral,
                       sweep_potential_eval, variation_radial)
 from balayage import numerics
@@ -175,6 +175,26 @@ def test_swept_potential_next_to_a_tiny_atom_exits_cleanly(charge_file, system_f
                system_file([0.0, 2.0, 4.0]), "--z=1e-200,2e-200", "--sweep"])
     assert rc in (0, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_variation_of_a_far_atom_is_finite_without_warnings(charge_file, system_file,
+                                                           tmp_path):
+    # the p = 2 image of 1e100 e^(i pi/4) is w = 6e183 + 1e200 i: over [0, 1e200]
+    # Q = (Re w)(Re w - 1e200) + (Im w)^2 was -inf + inf = nan
+    far = cmath.rect(1e100, PI / 4)
+    out = tmp_path / "balayage.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["balayage", "--charge", charge_file([(far, 1.0), (1 + 1j, -0.5)]),
+                   "--system", system_file([0.0, PI / 2]), "--variation",
+                   "--samples", "4", "--out", str(out)])
+        assert hm_interval(6e183 + 1e200j, Interval(0.0, 1e200)) == pytest.approx(0.25, rel=1e-15)
+    assert rc == 0
+    samples = json.loads(out.read_text())["samples"]
+    for j in (0, 1):
+        first = next(s for s in samples if s["ray"] == j)
+        # a quarter of the far atom's mass and half of the near one's |mass|
+        assert first["x"] == 1e100 and first["mass"] == pytest.approx(0.25 + 0.5 * 0.5, rel=1e-12)
 
 
 def test_growth_with_a_tiny_atom_is_a_numeric_failure(charge_file, capsys):

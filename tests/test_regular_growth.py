@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -14,6 +14,7 @@ from balayage import (AtomicCharge, BadInput, StepFunction, angular_density,
                       crg_on_rays, exgr2_functionals, indicator_estimate,
                       kernel_Kq, pv_kernel_integral, radial_counting)
 from balayage.numerics import ANGULAR_TOL
+from balayage.regular_growth import _check_convergence_class
 from balayage.ray_geometry import TWO_PI, normalize_angle
 
 PI = math.pi
@@ -236,8 +237,11 @@ def _stieltjes_per_call(n, q, z):
 
 
 def _crg_values_per_radius(n_by_ray, thetas, p, radii):
-    """crg's scaled kernel sums, one jump sum per (ray, radius, ray')."""
+    """crg's scaled kernel sums, one jump sum per (ray, radius, ray'), after
+    crg's own check that each count converges at order q."""
     q = int(math.floor(p))
+    for n in n_by_ray:
+        _check_convergence_class(n, q)
     out = []
     for theta_j in thetas:
         values = []
@@ -273,11 +277,14 @@ def ray_counts(draw):
 @given(ray_counts(), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
        st.lists(st.floats(min_value=0.3, max_value=5e3), min_size=1, max_size=6))
 @settings(max_examples=80, deadline=None)
+# growth 1.95 between the jumps at 3687 and 1e4: outside the class at q = 1
+@example(data=([StepFunction.from_events([(3687.0, 0.5), (1e4, 3.0)])], [0.0]),
+         p=1.0, radii=[1.0])
 def test_crg_rows_equal_one_jump_sum_per_radius(data, p, radii):
     counts, thetas = data
     try:
         want = _crg_values_per_radius(counts, thetas, p, sorted(radii))
-    except BadInput as exc:  # a radius on a jump point: the same error
+    except BadInput as exc:  # a radius on a jump point, or a divergent count: the same error
         with pytest.raises(BadInput, match=re.escape(str(exc))):
             crg_on_rays(counts, thetas, p, radii=radii)
         return
