@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,7 +44,6 @@ from .ray_geometry import (
 from .stepfn import StepFunction
 
 _SLOPE_DIVERGENT = 0.1  # fitted growth vs log r above this flags divergence
-_NEAR = 1e150  # Q and N of the semidisk form stay finite while |w| and x^p are below it
 
 
 @dataclass
@@ -203,8 +201,7 @@ class _RayArrays(NamedTuple):
     (the image seen from the ray's side: (edge*s - Re w)^2 = (s - ewr)^2
     exactly), Im w and p, and the density's factors coef = mass * p * Im w / pi,
     wi2 = (Im w)^2 and pm1 = p - 1; kept_r and kept_m are the kept atoms on
-    the ray, sorted by radius.  Up to the radius near, no record's Q or N in
-    ray_segment_mass can overflow."""
+    the ray, sorted by radius."""
 
     records: tuple
     mass: np.ndarray
@@ -216,7 +213,6 @@ class _RayArrays(NamedTuple):
     pm1: np.ndarray
     kept_r: np.ndarray
     kept_m: np.ndarray
-    near: float
 
 
 def _ray_arrays(records, kept):
@@ -227,12 +223,10 @@ def _ray_arrays(records, kept):
     m, w, p, e = zip(*records) if records else ((),) * 4
     wi = [z.imag for z in w]
     kr, km = zip(*sorted(kept, key=lambda a: a[0])) if kept else ((),) * 2
-    far = max((max(abs(z.real), z.imag) for z in w), default=0.0) >= _NEAR
     return _RayArrays(tuple(records), *(np.array(c, dtype=float) for c in (
         m, [ek * z.real for ek, z in zip(e, w)], wi, p,
         [mk * pk * y / math.pi for mk, pk, y in zip(m, p, wi)],
-        [y * y for y in wi], [pk - 1.0 for pk in p], kr, km)),
-        0.0 if far else _NEAR ** (1.0 / max(p, default=1.0)))
+        [y * y for y in wi], [pk - 1.0 for pk in p], kr, km)))
 
 
 @dataclass(frozen=True)
@@ -303,16 +297,18 @@ class BalayageCharge:
         Each record contributes its harmonic measure at w of the image
         interval e*[x1^p, x2^p], in hm_interval's arctangent form, far form
         included: where Q overflows, Q and N are divided by d^2, d the
-        distance from w to the interval's center."""
+        distance from w to the interval's center.  An end x2^p past the
+        float range is a NumericFailure."""
         if not 0.0 <= x1 < x2:
             raise BadInput(f"need 0 <= x1 < x2, got [{x1}, {x2}]")
         r = self._ray(j)
-        a, b = np.power(x1, r.p), np.power(x2, r.p)
-        near = x2 <= r.near
-        with nullcontext() if near else np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = np.power(x1, r.p), np.power(x2, r.p)
             q = (r.ewr - a) * (r.ewr - b) + r.wi2
             n = (b - a) * r.wi
-        if not near:
+        if not np.isfinite(q).all():
+            if not np.isfinite(b).all():  # x2^p past the float range
+                raise NumericFailure(f"swept mass on ray {j} over [{x1}, {x2}] is not finite")
             far = ~np.isfinite(q)
             x, y, h = r.ewr[far], r.wi[far], 0.5 * (b - a)[far]
             d = np.hypot(x - (a[far] + h), y)

@@ -24,6 +24,8 @@ import sys
 import tempfile
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .charges import (AtomicCharge, RayTestFunction, balayage_halfplane,
                       balayage_system, blaschke_halfplane,
                       blaschke_outside_system, check_fubini,
@@ -677,7 +679,9 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         command = COMMANDS[args.command]
-        report, holds = command.run(args)
+        # the library turns an overflowing value into inf or NumericFailure itself
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, holds = command.run(args)
         table = command.table(args) if callable(command.table) else command.table
         _emit(args, report, table)
     except NumericFailure as exc:  # first: PowerMapUnderflow is also a BadInput

@@ -185,24 +185,30 @@ class GenusSchedule:
         return cls(tuple(data["radii"]), tuple(data["genera"]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CanonicalPotential:
     """Finite-sum potential of an atomic Riesz charge, genus fixed or scheduled,
-    plus an optional harmonic polynomial Re(sum c_j z^j)."""
+    plus an optional harmonic polynomial Re(sum c_j z^j).
+
+    Immutable: the atoms are grouped by genus once, here, into one kernel_sum
+    array set per genus."""
 
     charge: AtomicCharge
     genus: int | None = None
     schedule: GenusSchedule | None = None
     harmonic_coeffs: list = field(default_factory=list)
+    _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.genus is None) == (self.schedule is None):
             raise BadInput("give exactly one of genus or schedule")
         if self.genus is not None and not (isinstance(self.genus, int) and self.genus >= -1):
             raise BadInput(f"genus must be an integer >= -1, got {self.genus}")
-        atoms = self.charge.atoms  # one kernel sum per genus
-        self._groups = [(q, kernel_atoms([a for a in atoms if self.genus_for(a[0]) == q]))
-                        for q in sorted({self.genus_for(z) for z, _ in atoms})]
+        by_genus = {}
+        for a in self.charge.atoms:
+            by_genus.setdefault(self.genus_for(a[0]), []).append(a)
+        object.__setattr__(self, "_groups", tuple(
+            (q, kernel_atoms(by_genus[q])) for q in sorted(by_genus)))
 
     def genus_for(self, zeta):
         return self.genus if self.genus is not None else self.schedule.genus_at(abs(zeta))

@@ -154,6 +154,21 @@ def test_no_caller_takes_the_kernel_per_atom(kernel_calls):
     assert kernel_calls == {"kernel_Kq": 0, "kernel_sum": 7 + 2 * 2 * 3}
 
 
+def test_a_potential_groups_its_atoms_once(monkeypatch):
+    atoms = [(cmath.rect(0.5 + 0.9 * k, 0.7 * k), 1.0) for k in range(12)]
+    looked_up = []
+    genus_at = GenusSchedule.genus_at
+    monkeypatch.setattr(GenusSchedule, "genus_at",
+                        lambda self, t: looked_up.append(t) or genus_at(self, t))
+    P = CanonicalPotential(AtomicCharge(atoms), schedule=SCHEDULE)
+    assert len(looked_up) == len(atoms)  # one genus per atom
+    assert [q for q, _ in P._groups] == [-1, 0, 1]
+    # the groups are fixed at construction, so the fields that set them are too
+    for name, value in (("genus", 2), ("schedule", None), ("charge", AtomicCharge([]))):
+        with pytest.raises(AttributeError):
+            setattr(P, name, value)
+
+
 # ---------------------------------------------------------------------------
 # What the kernel does at an atom
 

@@ -32,6 +32,7 @@ from balayage import (AtomicCharge, BoundarySegment, Interval, QuadratureFailure
 from balayage import numerics
 from balayage.charges import _variation_interval_halfplane
 from balayage.cli import _counts_by_ray, main
+from balayage.errors import NumericFailure
 from balayage.numerics import integrate
 from conftest import random_charge
 
@@ -189,12 +190,40 @@ def test_variation_of_a_far_atom_is_finite_without_warnings(charge_file, system_
                    "--system", system_file([0.0, PI / 2]), "--variation",
                    "--samples", "4", "--out", str(out)])
         assert hm_interval(6e183 + 1e200j, Interval(0.0, 1e200)) == pytest.approx(0.25, rel=1e-15)
+        # main silences numpy's overflow warnings; the library call itself raises none
+        bal = balayage_system(AtomicCharge([(far, 1.0)]), RaySystem([0.0, PI / 2]))
+        assert bal.ray_segment_mass(1, 0.0, 1e100) == pytest.approx(0.25, rel=1e-15)
     assert rc == 0
     samples = json.loads(out.read_text())["samples"]
     for j in (0, 1):
         first = next(s for s in samples if s["ray"] == j)
         # a quarter of the far atom's mass and half of the near one's |mass|
         assert first["x"] == 1e100 and first["mass"] == pytest.approx(0.25 + 0.5 * 0.5, rel=1e-12)
+
+
+def test_segment_end_past_the_float_range_is_a_numeric_failure(charge_file, system_file,
+                                                               tmp_path, capsys):
+    # on the p = 2 rays [0, pi/2] the sample ends x reach 1e200, and x^2 overflows:
+    # far form or not, a segment end past the float range has no mass to report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["balayage", "--charge", charge_file([(2 + 1j, 1.0)]),
+                   "--system", system_file([0.0, PI / 2]), "--xmax", "1e200",
+                   "--out", str(tmp_path / "balayage.json")])
+    assert rc == 3 and "swept mass on ray 0" in capsys.readouterr().err
+    bal = balayage_system(AtomicCharge([(2 + 1j, 1.0)]), RaySystem([0.0, PI / 2]))
+    with pytest.raises(NumericFailure, match="is not finite"):
+        bal.ray_segment_mass(0, 0.0, 1e200)
+
+
+def test_overflowing_potential_exits_without_warnings(charge_file, capsys):
+    # the kernel sum of two masses of 1e308 overflows to inf, the value reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["potential", "--charge", charge_file([(2j, 1e308), (3j, 1e308)]),
+                   "--genus", "-1", "--z", "1e6,0"])
+    out = capsys.readouterr()
+    assert rc == 0 and not out.err and json.loads(out.out)["values"][0]["value"] == "inf"
 
 
 def test_growth_with_a_tiny_atom_is_a_numeric_failure(charge_file, capsys):
