@@ -35,11 +35,11 @@ from .regular_growth import (CRGReport, RayLimitRecord, angular_density,
                              crg_on_rays, exgr2_functionals,
                              indicator_estimate, pv_kernel_integral)
 from .stepfn import StepFunction
-from .subharmonic import (BOTTOM, Bottom, CanonicalPotential, ClassAResult,
-                          GenusSchedule, carleman_check, circle_mean,
-                          class_A_functionals, is_bottom, kernel_Kq,
-                          kernel_Kq_radial_derivative, potential_eval,
-                          subharmonic_balayage_eval, sweep_potential_eval)
+from .subharmonic import (CanonicalPotential, ClassAResult, GenusSchedule,
+                          carleman_check, circle_mean, class_A_functionals,
+                          kernel_Kq, kernel_Kq_radial_derivative,
+                          potential_eval, subharmonic_balayage_eval,
+                          sweep_potential_eval)
 
 __version__ = "0.1.0"
 

@@ -68,9 +68,6 @@ class AtomicCharge:
     def total_mass(self):
         return math.fsum(m for _, m in self.atoms)
 
-    def scaled(self, c):
-        return AtomicCharge([(z, c * m) for z, m in self.atoms])
-
     def __add__(self, other):
         return AtomicCharge(self.atoms + other.atoms)
 
@@ -477,9 +474,6 @@ class CheckResult:
     rhs: float
     holds: bool
     detail: dict = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter((self.lhs, self.rhs, self.holds))
 
 
 def check_thcup_bound(nu, t1, t2, a):

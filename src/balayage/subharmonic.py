@@ -4,7 +4,7 @@ the half-disk boundary identity, and sweeping a potential onto a ray system.
 The kernel of genus q >= 0 is log|E(z/zeta; q)|, with the Weierstrass primary
 factor E(w; q) = (1 - w) exp(w + ... + w^q/q); genus -1 is log|zeta - z|.  A
 genus schedule assigns a genus per radius annulus (always -1 on [0,1)).
-Potentials take the explicit bottom value at positive-mass atoms.
+Potentials are -inf at positive-mass atoms and +inf at negative-mass ones.
 """
 
 from __future__ import annotations
@@ -30,44 +30,6 @@ from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SWEEP_TOL,
                        integrate)
 from .ray_geometry import OnSystem, classify_point, reduce_to_halfplane
-
-
-class Bottom:
-    """Explicit -infinity for potentials: absorbing under +, below every real."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Bottom"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return not isinstance(other, Bottom)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, Bottom)
-
-
-BOTTOM = Bottom()
-
-
-def is_bottom(x):
-    return isinstance(x, Bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +182,15 @@ class CanonicalPotential:
 
 
 def potential_eval(P, z):
-    """Value of the canonical potential at z; the explicit bottom at
-    positive-mass atoms, +inf at negative-mass atoms."""
+    """Value of the canonical potential at z; -inf at positive-mass atoms,
+    +inf at negative-mass atoms."""
     z = complex(z)
     total = 0.0
     try:
         for q, atoms in P._groups:
             total += kernel_sum(atoms, z, q)
     except CoincidentPoints:  # the first atom at z decides
-        return BOTTOM if next(m for zeta, m in P.charge.atoms if zeta == z) > 0.0 else math.inf
+        return -math.inf if next(m for zeta, m in P.charge.atoms if zeta == z) > 0.0 else math.inf
     return total + P.harmonic_part(z)
 
 
@@ -254,7 +216,7 @@ def circle_mean(v, r):
         for k in range(n):
             th = (k + _JITTER) * h
             val = v(cmath.rect(r, th))
-            if is_bottom(val):
+            if val == -math.inf:
                 raise QuadratureFailure(
                     f"evaluation hit an atom on |z| = {r} despite jitter")
             vals.append(val)
@@ -393,6 +355,8 @@ def _edge_growth_exponent(v, theta, radii):
     lo, hi = radii
     vlo = max(abs(v(cmath.rect(lo, theta))), 1e-12)
     vhi = max(abs(v(cmath.rect(hi, theta))), 1e-12)
+    if not math.isfinite(vlo + vhi):  # an atom at a fit radius
+        raise TailTooLarge(f"|v| is not finite at a tail-fit radius {lo:g} or {hi:g}")
     return math.log(vhi / vlo) / math.log(hi / lo), vhi
 
 

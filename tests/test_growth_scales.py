@@ -97,7 +97,7 @@ def test_growth_report_bundle():
     lin = steps_of(lambda t: math.floor(t), 1000.0)
     rep = growth_report(lin, 1.0, 8.0, 1000.0)
     assert rep.order_estimate == pytest.approx(1.0, abs=0.05)
-    assert rep.type_is_finite
+    assert math.isfinite(rep.type_estimate)
     assert rep.convergence.trend == "divergent"
 
 

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import balayage
-from balayage import (BOTTOM, AtomicCharge, BadInput, CanonicalPotential,
+from balayage import (AtomicCharge, BadInput, CanonicalPotential,
                       CoincidentPoints, GenusSchedule, RaySystem, StepFunction,
-                      ZeroCenter, balayage_system, crg_on_rays, is_bottom,
-                      kernel_Kq, potential_eval, pv_kernel_integral,
-                      sweep_potential_eval)
+                      ZeroCenter, balayage_system, crg_on_rays, kernel_Kq,
+                      potential_eval, pv_kernel_integral, sweep_potential_eval)
 from balayage import regular_growth, subharmonic
 from balayage.subharmonic import kernel_atoms, kernel_sum
 
@@ -73,7 +72,7 @@ def _per_atom_potential(P, z):
     total = 0.0
     for zeta, m in P.charge.atoms:
         if zeta == z:
-            return BOTTOM if m > 0.0 else math.inf
+            return -math.inf if m > 0.0 else math.inf
         total += m * _scalar_kernel(zeta, z, P.genus_for(zeta))
     return total + P.harmonic_part(z)
 
@@ -108,8 +107,8 @@ def test_potential_equals_the_per_atom_series(atoms, genus, at, harmonic):
          else CanonicalPotential(nu, genus=genus, harmonic_coeffs=harmonic))
     for z in (cmath.rect(*at), nu.atoms[0][0], 0.0):
         got, want = potential_eval(P, z), _per_atom_potential(P, z)
-        if is_bottom(want) or want == math.inf:
-            assert got is want
+        if math.isinf(want):
+            assert got == want
         else:
             assert abs(got - want) <= 64 * EPS * (_term_scale(P, z) + abs(want))
 
@@ -179,11 +178,11 @@ def test_the_first_atom_at_z_decides():
         down = CanonicalPotential(AtomicCharge([(2j, 1.0), (2.0, -1.0), (2.0, 3.0)]), genus=genus)
         up = CanonicalPotential(AtomicCharge([(2.0, 3.0), (2j, 1.0), (2.0, -1.0)]), genus=genus)
         assert potential_eval(down, 2.0) == math.inf
-        assert potential_eval(up, 2.0) is BOTTOM
+        assert potential_eval(up, 2.0) == -math.inf
     scheduled = CanonicalPotential(AtomicCharge([(9.0, -0.5), (0.5, 1.0), (9.0, 2.0)]),
                                    schedule=SCHEDULE)
     assert potential_eval(scheduled, 9.0) == math.inf
-    assert potential_eval(scheduled, 0.5) is BOTTOM
+    assert potential_eval(scheduled, 0.5) == -math.inf
 
 
 def test_kernel_sum_is_singular_at_an_atom():
@@ -195,7 +194,7 @@ def test_kernel_sum_is_singular_at_an_atom():
 
 
 def test_swept_potential_at_a_kept_atom_is_coincident():
-    # the kept atom on ray 0 is not a potential's bottom: it raises
+    # at the kept atom on ray 0 the swept potential is not -inf: it raises
     bal = balayage_system(AtomicCharge([(2.0, 1.0), (1 + 1j, -0.5)]), RaySystem([0.0, PI / 2]))
     assert bal.kept.atoms == [(2.0, 1.0)]
     for genus in (-1, 0, 1):
@@ -212,8 +211,8 @@ def test_genus_zero_and_up_needs_no_atom_at_the_origin():
             potential_eval(CanonicalPotential(nu, genus=genus), 3.0 + 1j)
         with pytest.raises(ZeroCenter):
             kernel_Kq(0.0, 3.0 + 1j, genus)
-        # at the origin itself the atom there is the potential's bottom
-        assert potential_eval(CanonicalPotential(nu, genus=genus), 0.0) is BOTTOM
+        # at the origin itself the atom there makes the potential -inf
+        assert potential_eval(CanonicalPotential(nu, genus=genus), 0.0) == -math.inf
     assert math.isfinite(potential_eval(CanonicalPotential(nu, genus=-1), 3.0 + 1j))
 
 

@@ -22,12 +22,12 @@ import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
 
 import balayage
-from balayage import (AtomicCharge, BoundarySegment, Interval, QuadratureFailure,
-                      RaySystem, RayTestFunction, StepFunction,
+from balayage import (AtomicCharge, BoundarySegment, CanonicalPotential, Interval,
+                      QuadratureFailure, RaySystem, RayTestFunction, StepFunction,
                       balayage_halfplane, balayage_system, blaschke_halfplane,
                       check_lindelof_preservation, complementary_sectors,
                       distribution_on_R, exgr2_functionals, hm_interval, hm_system,
-                      poisson_kernel, pv_kernel_integral,
+                      poisson_kernel, potential_eval, pv_kernel_integral,
                       sweep_potential_eval, variation_radial)
 from balayage import numerics
 from balayage.charges import _variation_interval_halfplane
@@ -233,6 +233,34 @@ def test_growth_with_a_tiny_atom_is_a_numeric_failure(charge_file, capsys):
         rc = main(["growth", "--charge", charge, "--p", "2", "--zero-side", *window])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# A potential is -inf at an atom of positive mass (+inf at a negative one): a
+# quadrature or a tail fit that meets such a value exits 3
+
+
+@pytest.mark.parametrize("check", ["carleman", "classa"])
+def test_potential_at_an_atom_on_a_quadrature_node_is_a_numeric_failure(check, charge_file,
+                                                                        capsys):
+    # the atom at 2 sits on the centre Kronrod node of the edge integral over [1, 3],
+    # where the potential is -inf
+    rc = main(["check", check, "--charge", charge_file([(2.0, 1.0), (1.5 + 1j, 1.0)]),
+               "--r0", "1", "--r", "3"])
+    assert rc == 3 and capsys.readouterr().err.startswith("numeric failure:")
+    assert potential_eval(CanonicalPotential(AtomicCharge([(2.0, 1.0)]), genus=-1),
+                          2.0) == -math.inf
+
+
+@pytest.mark.parametrize("mass", [1.0, -1.0])
+def test_atom_at_a_tail_fit_radius_is_a_numeric_failure(mass, charge_file, system_file,
+                                                        capsys):
+    # the edge growth is fitted at R_max / 10 = 1e7 and R_max = 1e8 on ray 0, an
+    # edge of the sector of 1 + i, where this atom makes |v| infinite
+    rc = main(["potential", "--charge", charge_file([(1e7, mass)]), "--system",
+               system_file([0.0, 2.0, 4.0]), "--z", "1,1", "--sweep"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("numeric failure:") and "tail-fit" in err
 
 
 # ---------------------------------------------------------------------------
@@ -507,17 +535,25 @@ def test_every_library_option_has_a_caller():
 
 def test_every_library_function_has_a_caller():
     """A function, method or class of the package whose name nothing in the
-    package or the tests reads (as a name or an attribute) is dead code; a
-    name stored in a table such as cli.COMMANDS is read there."""
-    defs = {}
+    package or the tests reads is dead code: a method must be read as an
+    attribute, anything else as a name or an attribute (so a local variable
+    that shares a method's name does not keep the method alive); a name
+    stored in a table such as cli.COMMANDS is read there."""
+    defs = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not (node.name.startswith("__") and node.name.endswith("__")):
-                defs.setdefault(node.name, []).append(f"{path.stem}.{node.name}")
+        tree = ast.parse(path.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        defs += [(node.name, f"{path.stem}.{node.name}", id(node) in methods)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not (node.name.startswith("__") and node.name.endswith("__"))]
+    names, attrs = set(), set()
     for path in sorted(p for d in CALLERS for p in d.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
-            defs.pop(name, None)
-    assert not defs, "functions that nothing calls: " + ", ".join(
-        sorted(q for qualified in defs.values() for q in qualified))
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    dead = [q for name, q, method in defs
+            if name not in attrs and (method or name not in names)]
+    assert not dead, "functions that nothing calls: " + ", ".join(sorted(dead))

@@ -6,12 +6,12 @@ import pytest
 from scipy.integrate import quad
 
 from balayage import numerics
-from balayage import (BOTTOM, AtomicCharge, BadInput, CanonicalPotential,
+from balayage import (AtomicCharge, BadInput, CanonicalPotential,
                       CoincidentPoints, GenusSchedule, RaySystem, ZeroCenter,
                       carleman_check, circle_mean, class_A_functionals,
-                      is_bottom, kernel_Kq, kernel_Kq_radial_derivative,
-                      potential_eval, subharmonic_balayage_eval,
-                      sweep_potential_eval, balayage_system)
+                      kernel_Kq, kernel_Kq_radial_derivative, potential_eval,
+                      subharmonic_balayage_eval, sweep_potential_eval,
+                      balayage_system)
 
 PI = math.pi
 
@@ -72,7 +72,7 @@ def test_genus_schedule():
 def test_potential_values():
     P = CanonicalPotential(AtomicCharge([(2.0, 1.0)]), genus=0)
     assert potential_eval(P, 0.0) == 0.0  # log|1 - 0/2| = 0
-    assert is_bottom(potential_eval(P, 2.0))
+    assert potential_eval(P, 2.0) == -math.inf
     neg = CanonicalPotential(AtomicCharge([(2.0, -1.0)]), genus=0)
     assert potential_eval(neg, 2.0) == math.inf
     with pytest.raises(BadInput):
@@ -217,14 +217,6 @@ def test_sweep_harmonic_stencil():
     lap = (vals[h] + vals[-h] + vals[1j * h] + vals[-1j * h] - 4.0 * vals[0])
     # truncation O(h^4) plus five evaluations at 1e-8 certified accuracy
     assert abs(lap) <= 1e-7
-
-
-def test_bottom_semantics():
-    assert is_bottom(BOTTOM)
-    assert not is_bottom(-math.inf)
-    assert BOTTOM < -1e308
-    assert (BOTTOM + 5.0) is BOTTOM
-    assert max(BOTTOM, 0.0) == 0.0
 
 
 def test_riesz_mass_recovery():
