@@ -31,7 +31,8 @@ from .errors import (
     SupportTouchesInterval,
 )
 from .harmonic_measure import Interval, hm_interval, imag_inv_conj, poisson_kernel
-from .numerics import BOUND_SLACK, PAIRING_TOL, QUAD_TOL, VARIATION_TOL, integrate
+from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
+                       VARIATION_TOL, integrate)
 from .ray_geometry import (
     REAL_AXIS,
     InSector,
@@ -289,34 +290,48 @@ class BalayageCharge:
         return self._ray(j).records
 
     def ray_segment_mass(self, j, x1, x2, variation=False):
-        """Swept mass landing on ray j between radii x1 < x2 (closed form).
+        """Swept mass landing on ray j between radii x1 < x2 (closed form); x2
+        a radius, or an array of radii with an array of masses returned.
 
         Each record contributes its harmonic measure at w of the image
         interval e*[x1^p, x2^p], in hm_interval's arctangent form, far form
         included: where Q overflows, Q and N are divided by d^2, d the
         distance from w to the interval's center.  An end x2^p past the
-        float range is a NumericFailure."""
-        if not 0.0 <= x1 < x2:
-            raise BadInput(f"need 0 <= x1 < x2, got [{x1}, {x2}]")
+        float range is a NumericFailure.  The radii x records terms are
+        formed SAMPLE_BLOCK_ELEMENTS at a time."""
+        x2 = np.asarray(x2, dtype=float)
+        radii = x2.ravel()
+        if not (0.0 <= x1 and (x1 < radii).all()):
+            bad = ~(x1 < radii) | (not 0.0 <= x1)
+            raise BadInput(f"need 0 <= x1 < x2, got [{x1}, {_first(radii, bad)}]")
         r = self._ray(j)
+        weight = np.abs(r.mass) if variation else r.mass
+        total = np.empty(radii.shape)
+        step = max(1, SAMPLE_BLOCK_ELEMENTS // max(1, len(r.mass)))
         with np.errstate(over="ignore", invalid="ignore"):
-            a, b = np.power(x1, r.p), np.power(x2, r.p)
-            q = (r.ewr - a) * (r.ewr - b) + r.wi2
-            n = (b - a) * r.wi
-        if not np.isfinite(q).all():
-            if not np.isfinite(b).all():  # x2^p past the float range
-                raise NumericFailure(f"swept mass on ray {j} over [{x1}, {x2}] is not finite")
-            far = ~np.isfinite(q)
-            x, y, h = r.ewr[far], r.wi[far], 0.5 * (b - a)[far]
-            d = np.hypot(x - (a[far] + h), y)
-            q[far] = (1.0 - h / d) * (1.0 + h / d)
-            n[far] = 2.0 * h / d * (y / d)
-        ang = np.arctan(n / np.where(q == 0.0, 1.0, q)) / np.pi
-        om = np.where(q > 0.0, ang, np.where(q < 0.0, 1.0 + ang, 0.5))
-        total = float(np.sum((np.abs(r.mass) if variation else r.mass) * om))
-        if not math.isfinite(total):
-            raise NumericFailure(f"swept mass on ray {j} over [{x1}, {x2}] is not finite")
-        return total
+            for i in range(0, radii.size, step):
+                xs = radii[i:i + step, None]
+                a, b = np.power(x1, r.p), np.power(xs, r.p)
+                q = (r.ewr - a) * (r.ewr - b) + r.wi2
+                n = (b - a) * r.wi
+                far = ~np.isfinite(q)
+                has_far = far.any()
+                if has_far:
+                    x, y, a_far = (np.broadcast_to(c, q.shape)[far] for c in (r.ewr, r.wi, a))
+                    h = 0.5 * (b - a)[far]
+                    d = np.hypot(x - (a_far + h), y)
+                    q[far] = (1.0 - h / d) * (1.0 + h / d)
+                    n[far] = 2.0 * h / d * (y / d)
+                ang = np.arctan(n / np.where(q == 0.0, 1.0, q)) / np.pi
+                om = np.where(q > 0.0, ang, np.where(q < 0.0, 1.0 + ang, 0.5))
+                sums = np.sum(weight * om, axis=-1)
+                if has_far:  # an x2^p past the float range, whose Q is inf too, has no mass
+                    sums[~np.isfinite(b).all(axis=1)] = np.nan
+                total[i:i + step] = sums
+        if not np.isfinite(total).all():
+            raise NumericFailure(f"swept mass on ray {j} over "
+                                 f"[{x1}, {_first(radii, ~np.isfinite(total))}] is not finite")
+        return float(total[0]) if x2.ndim == 0 else total.reshape(x2.shape)
 
     def ray_density(self, j, t):
         """Total signed swept density on ray j at radius t > 0."""
@@ -328,12 +343,24 @@ class BalayageCharge:
         return total
 
     def ray_distribution(self, j, x, variation=False):
-        """Mass (or variation) of the closed segment of ray j out to radius x:
-        the swept part plus the kept atoms at 0 < |z| <= x."""
+        """Mass (or variation) of the closed segment of ray j out to radius x,
+        or out to each radius of an array x: the swept part, 0 at x = 0, plus
+        the kept atoms at 0 < |z| <= x."""
         r = self._ray(j)
-        total = self.ray_segment_mass(j, 0.0, x, variation=variation) if x > 0.0 else 0.0
-        m = r.kept_m[:np.searchsorted(r.kept_r, x, side="right")]
-        return total + float(np.sum(np.abs(m) if variation else m))
+        x = np.asarray(x, dtype=float)
+        total = np.zeros(x.shape)
+        pos = x > 0.0
+        if pos.any():
+            total[pos] = self.ray_segment_mass(j, 0.0, x[pos], variation=variation)
+        kept = np.cumsum(np.abs(r.kept_m) if variation else r.kept_m)
+        total = total + np.concatenate(([0.0], kept))[
+            np.searchsorted(r.kept_r, x, side="right")]
+        return float(total) if x.ndim == 0 else total
+
+
+def _first(radii, bad):
+    """The first of the radii that bad flags, for a message."""
+    return float(radii[np.argmax(bad)])
 
 
 def balayage_halfplane(nu):
@@ -390,11 +417,16 @@ def distribution_on_R(nu, x):
             return math.fsum(m for z, m in nu.atoms if 0.0 <= z.real <= x)
         return -math.fsum(m for z, m in nu.atoms if x <= z.real < 0.0)
 
-    bal = nu
+    return _swept_distribution_on_R(nu, x, x >= 0.0)
+
+
+def _swept_distribution_on_R(bal, x, right):
+    """distribution_on_R of a sweep at x, a point or an array of points all
+    >= 0 (right) or all < 0: one ray_distribution call."""
     _require_real_support(bal)
-    j = bal.rays.ray_index(1.0 if x >= 0.0 else -1.0)
+    j = bal.rays.ray_index(1.0 if right else -1.0)
     total = 0.0 if j is None else bal.ray_distribution(j, abs(x))
-    if x < 0.0:
+    if not right:
         return -total
     return total + math.fsum(m for z, m in bal.kept.atoms if z == 0)
 
@@ -570,8 +602,10 @@ def check_lipschitz(nu, x1, x2, n_grid=200, p=None):
         if _on_axis(z) and x1 <= z.real <= x2:
             raise SupportTouchesInterval(f"atom at {z.real} lies in [{x1}, {x2}]")
     bal = balayage_halfplane(nu)
-    xs = np.linspace(x1, x2, n_grid + 1).tolist()
-    vals = [distribution_on_R(bal, x) for x in xs]
+    xs = np.linspace(x1, x2, n_grid + 1)
+    # the grid avoids 0, so it lies on one side
+    vals = _swept_distribution_on_R(bal, xs, x1 > 0.0).tolist()
+    xs = xs.tolist()
     h = (x2 - x1) / n_grid
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     modulus = max(diffs) / h if diffs else 0.0
@@ -665,7 +699,11 @@ def _poisson_pairing(F, S, z):
         if not knots:
             continue
         # F vanishes below its first knot, so the integral starts there
-        lo, hi = knots[0] ** p, knots[-1] ** p
+        try:
+            lo, hi = knots[0] ** p, knots[-1] ** p
+        except OverflowError:
+            raise NumericFailure(f"pairing on ray {edge_ray}: the reduced end "
+                                 f"{knots[-1]}^{p} is past the float range") from None
         if hi == 0.0:
             continue
         pts = {min(t ** p, hi) for t in knots if t > 0.0}

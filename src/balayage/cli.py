@@ -3,7 +3,8 @@
 Commands: hm, balayage, check, growth, potential, crg.  Complex numbers are
 written "a,b" on the command line and {"re": a, "im": b} in JSON files.
 Exit codes: 0 ok, 1 a checked bound failed, 2 bad input, 3 numeric failure.
-JSON output is deterministic (sorted keys); file writes are atomic.
+A JSON report is one line of compact JSON with sorted keys, so runs with
+the same input write the same bytes; file writes are atomic.
 
 Each command is one entry of COMMANDS: the arguments it registers, a handler
 that reads the parsed arguments and returns (report, holds), and its CSV
@@ -135,7 +136,7 @@ def _jsonable(x):
     return str(x)
 
 def _json_text(report):
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_jsonable(report), sort_keys=True) + "\n"
 
 def _cell(v):
     if isinstance(v, float):
@@ -261,10 +262,12 @@ def cmd_balayage(args):
     if xmax is None:
         xmax = 4.0 * max([1.0] + [abs(z) for z, _ in nu.atoms])
     n = args.samples
-    samples = [{"ray": j, "theta": theta, "x": x,
-                "mass": bal.ray_distribution(j, x, args.variation)}
-               for j, theta in enumerate(bal.rays.thetas)
-               for x in (xmax * i / n for i in range(1, n + 1))]
+    xs = [xmax * i / n for i in range(1, n + 1)]
+    samples = []
+    for j, theta in enumerate(bal.rays.thetas):
+        masses = bal.ray_distribution(j, np.array(xs), args.variation).tolist()
+        samples += [{"ray": j, "theta": theta, "x": x, "mass": m}
+                    for x, m in zip(xs, masses)]
     report = {"command": "balayage", "charge": nu.to_json(),
               "balayage": bal.to_json(), "total_mass": bal.total_mass,
               "variation": args.variation, "samples": samples}

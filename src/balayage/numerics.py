@@ -46,6 +46,11 @@ FUNCTIONAL_BUDGET = 1e-6    # class-A functionals
 EDGE_BUDGET_SHARE = 0.1
 EDGE_BUDGET_FLOOR = 1e-9
 
+# Elements (radii x swept records) of one block of an array query on a ray:
+# each temporary of a block stays near half a megabyte, however many radii
+# are asked for.
+SAMPLE_BLOCK_ELEMENTS = 1 << 16
+
 _EPSABS = _EPSREL = 1.49e-8  # quad's own defaults
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,6 +250,7 @@ class ClassAResult:
         return abs(self.A - self.A_via_double)
 
 
+_LOG_NORMAL = -math.log(sys.float_info.min)  # |log x| of the normal floats x
 _FUNCTIONAL = dict(route="functional", budget=FUNCTIONAL_BUDGET, epsabs=QUAD_TOL,
                    epsrel=1e-10, limit=400)
 
@@ -261,6 +263,13 @@ def _edge_arc_functionals(v, alpha, beta, r0, r):
     if not (0.0 < gamma <= 2.0 * math.pi):
         raise BadInput(f"need aperture in (0, 2*pi], got {gamma}")
     p = math.pi / gamma
+    # every power weight of the functionals and of carleman_check's sums,
+    # t^(-p), t^p, t^(p - 1), t^(p + 1) and t^(2p) for r0 <= t <= r, is a normal
+    # float when the largest exponent times the largest |log t| is within the
+    # normal floats' |log x|
+    if max(p + 1.0, 2.0 * p) * max(-math.log(r0), math.log(r)) > _LOG_NORMAL:
+        raise NumericFailure(f"the power weights of exponent {p} leave the float "
+                             f"range on [{r0}, {r}]")
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
     A = 0.5 / gamma * integrate(lambda t: (t ** (-p) - t ** p / r ** (2.0 * p)) * edges(t) / t,
                                 r0, r, **_FUNCTIONAL)[0]
@@ -312,6 +321,8 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL):
         if abs(abs(z) - r0) <= 1e-13 * max(1.0, r0) or abs(abs(z) - r) <= 1e-13 * r:
             raise AtomOnCircle(f"atom at |z| = {abs(z)} sits on an integration circle")
 
+    # first: it checks that r^2 and r0^2 are normal floats
+    A, B = _edge_arc_functionals(v, 0.0, math.pi, r0, r)
     lhs = 0.0
     inner = 0.0
     for z, m in nu.restricted(lambda z: z.imag > 0.0).atoms:
@@ -322,7 +333,6 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL):
             inner += m * z.imag
     lhs += (1.0 / r0 ** 2 - 1.0 / r ** 2) * inner
 
-    A, B = _edge_arc_functionals(v, 0.0, math.pi, r0, r)
     # atoms near the contours make the integrands peaked; their projections
     # guide the subdivision
     diam_pts = sorted({abs(z.real) for z, _ in nu.atoms

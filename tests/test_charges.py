@@ -24,7 +24,8 @@ from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
                       lindelof_sum, poisson_kernel, radial_counting,
                       ray_geometry, seq_balayage_distribution)
 from balayage.charges import _poisson_pairing
-from balayage.numerics import QUAD_TOL
+from balayage.errors import NumericFailure
+from balayage.numerics import QUAD_TOL, SAMPLE_BLOCK_ELEMENTS
 from conftest import random_charge
 
 PI = math.pi
@@ -379,6 +380,61 @@ def test_array_kernels_match_scalar_sums(target, atoms, ray, t, x1, dx):
     for variation in (False, True):
         _assert_sums_to(bal.ray_segment_mass(j, x1, x2, variation=variation),
                         _mass_terms(bal, j, x1, x2, variation))
+
+
+MASS = st.floats(-2.0, 2.0).filter(lambda m: abs(m) > 1e-3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(target=st.sampled_from(TARGETS),
+       atoms=st.lists(st.tuples(st.floats(0.05, 50.0), st.floats(0.0, 2 * PI), MASS),
+                      min_size=1, max_size=8),
+       kept=st.lists(st.tuples(st.integers(0, 4), st.floats(0.05, 50.0), MASS), max_size=3),
+       far=st.booleans(), ray=st.integers(0, 4),
+       radii=st.lists(st.sampled_from([0.0]) | st.floats(1e-3, 200.0), min_size=1,
+                      max_size=30),
+       x1=st.sampled_from([0.0]) | st.floats(1e-3, 100.0), blocks=st.booleans())
+def test_array_radii_match_one_radius_calls(target, atoms, kept, far, ray, radii, x1,
+                                            blocks):
+    """One call on an array of radii gives, bit for bit, the floats of one call
+    per radius: signed charges, kept atoms and their radii, radius 0, a far
+    image (Q past the float range, the far form) and more than one block."""
+    thetas = (0.0, PI) if target is None else target
+    nu = [(cmath.rect(r, th), m) for r, th, m in atoms]
+    nu += [(cmath.rect(r, thetas[k % len(thetas)]), m) for k, r, m in kept]
+    home = ray_geometry.classify_point(REAL_AXIS if target is None else RaySystem(target),
+                                       cmath.rect(1.0, atoms[0][1]))
+    if far and isinstance(home, ray_geometry.InSector):  # |w| = 1e200: (Im w)^2 overflows
+        r = 10.0 ** min(300.0, 200.0 / home.sector.exponent)  # p = 1/2: |w| = 1e150
+        nu.append((cmath.rect(r, atoms[0][1]), 1.0))
+    nu = AtomicCharge(nu)
+    bal = balayage_halfplane(nu) if target is None else balayage_system(nu, RaySystem(target))
+    j = ray % len(bal.rays)
+    radii += [r for k, r, _ in kept if k % len(thetas) == j]
+    if blocks:  # repeat the radii past one block of records x radii
+        n = SAMPLE_BLOCK_ELEMENTS // max(1, len(bal.ray_contributions(j))) + 2
+        radii = np.resize(radii, n).tolist()
+    ends = [x1 + d for d in radii if d > 0.0]
+    for variation in (False, True):
+        for call, xs in ((lambda x: bal.ray_distribution(j, x, variation), radii),
+                         (lambda x: bal.ray_segment_mass(j, x1, x, variation), ends)):
+            one = {x: call(x) for x in set(xs)}
+            assert all(type(v) is float for v in one.values())
+            got = call(np.array(xs))
+            assert type(got) is np.ndarray and got.shape == (len(xs),)
+            assert got.tolist() == [one[x] for x in xs]
+
+
+def test_array_radii_past_the_float_range_are_a_numeric_failure():
+    # on the p = 2 rays [0, pi/2], 1e200^2 overflows: the message names that radius
+    bal = balayage_system(AtomicCharge([(2 + 1j, 1.0)]), RaySystem([0.0, PI / 2]))
+    xs = np.array([1.0, 2.0, 1e200])
+    with pytest.raises(NumericFailure, match=r"over \[0\.0, 1e\+200\] is not finite"):
+        bal.ray_segment_mass(0, 0.0, xs)
+    with pytest.raises(NumericFailure, match=r"over \[0\.0, 1e\+200\] is not finite"):
+        bal.ray_distribution(0, xs)
+    with pytest.raises(BadInput, match=r"got \[1\.0, 1\.0\]"):
+        bal.ray_segment_mass(0, 1.0, np.array([3.0, 1.0, 2.0]))
 
 
 def test_short_segment_mass_against_mpmath():

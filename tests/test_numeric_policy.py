@@ -235,6 +235,37 @@ def test_growth_with_a_tiny_atom_is_a_numeric_failure(charge_file, capsys):
         assert "numeric failure" in capsys.readouterr().err
 
 
+def test_fubini_tent_past_the_float_range_is_a_numeric_failure(charge_file, system_file,
+                                                               capsys):
+    # p = pi/2 on the sectors of [0, 2, 4]: the reduced end (3e213)^p of the
+    # tent on ray 1 overflows in the Poisson pairing
+    rc = main(["check", "fubini", "--charge", charge_file([(2 + 1j, 1.0)]),
+               "--system", system_file([0.0, 2.0, 4.0]), "--tent", "1,2e42,3e161,3e213"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("numeric failure:") and "past the float range" in err
+
+
+def _assert_weights_fail(check, r0, r, charge_file, capsys):
+    rc = main(["check", check, "--charge", charge_file([(2 + 1j, 1.0)]),
+               "--r0", r0, "--r", r])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("numeric failure:") and "float range" in err
+
+
+@pytest.mark.parametrize("r0, r", [("1e69", "1e169"),      # r^(2p) overflows at p = 1
+                                   ("1e-230", "1e-174")])  # r^(2p) underflows to 0
+def test_classa_weights_past_the_float_range_are_a_numeric_failure(r0, r, charge_file,
+                                                                   capsys):
+    _assert_weights_fail("classa", r0, r, charge_file, capsys)
+
+
+@pytest.mark.parametrize("r0, r", [("1e-152", "1e280"),    # r^2 overflows
+                                   ("1e-239", "1e-67")])   # r0^2 underflows to 0
+def test_carleman_weights_past_the_float_range_are_a_numeric_failure(r0, r, charge_file,
+                                                                     capsys):
+    _assert_weights_fail("carleman", r0, r, charge_file, capsys)
+
+
 # ---------------------------------------------------------------------------
 # A potential is -inf at an atom of positive mass (+inf at a negative one): a
 # quadrature or a tail fit that meets such a value exits 3
