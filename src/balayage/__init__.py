@@ -37,7 +37,7 @@ from .regular_growth import (CRGReport, RayLimitRecord, angular_density,
 from .stepfn import StepFunction
 from .subharmonic import (CanonicalPotential, ClassAResult, GenusSchedule,
                           carleman_check, circle_mean, class_A_functionals,
-                          kernel_Kq, kernel_Kq_radial_derivative,
+                          edge_radii, kernel_Kq, kernel_Kq_radial_derivative,
                           potential_eval, subharmonic_balayage_eval,
                           sweep_potential_eval)
 

@@ -30,7 +30,8 @@ from .errors import (
     SupportOffAxis,
     SupportTouchesInterval,
 )
-from .harmonic_measure import Interval, hm_interval, imag_inv_conj, poisson_kernel
+from .harmonic_measure import (Interval, hm_interval, imag_inv_conj, interval_form,
+                               poisson_kernel)
 from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        VARIATION_TOL, integrate)
 from .ray_geometry import (
@@ -293,12 +294,12 @@ class BalayageCharge:
         """Swept mass landing on ray j between radii x1 < x2 (closed form); x2
         a radius, or an array of radii with an array of masses returned.
 
-        Each record contributes its harmonic measure at w of the image
-        interval e*[x1^p, x2^p], in hm_interval's arctangent form, far form
-        included: where Q overflows, Q and N are divided by d^2, d the
-        distance from w to the interval's center.  An end x2^p past the
-        float range is a NumericFailure.  The radii x records terms are
-        formed SAMPLE_BLOCK_ELEMENTS at a time."""
+        Each record contributes the harmonic measure, at its image point w,
+        of the image interval e*[x1^p, x2^p]: interval_form at (e*Re w, Im w)
+        over [x1^p, x2^p], the one closed form that hm_interval evaluates on
+        one record.  An end x2^p past the float range gives a NaN mass, a
+        NumericFailure.  The radii x records terms are formed
+        SAMPLE_BLOCK_ELEMENTS at a time."""
         x2 = np.asarray(x2, dtype=float)
         radii = x2.ravel()
         if not (0.0 <= x1 and (x1 < radii).all()):
@@ -310,24 +311,9 @@ class BalayageCharge:
         step = max(1, SAMPLE_BLOCK_ELEMENTS // max(1, len(r.mass)))
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(0, radii.size, step):
-                xs = radii[i:i + step, None]
-                a, b = np.power(x1, r.p), np.power(xs, r.p)
-                q = (r.ewr - a) * (r.ewr - b) + r.wi2
-                n = (b - a) * r.wi
-                far = ~np.isfinite(q)
-                has_far = far.any()
-                if has_far:
-                    x, y, a_far = (np.broadcast_to(c, q.shape)[far] for c in (r.ewr, r.wi, a))
-                    h = 0.5 * (b - a)[far]
-                    d = np.hypot(x - (a_far + h), y)
-                    q[far] = (1.0 - h / d) * (1.0 + h / d)
-                    n[far] = 2.0 * h / d * (y / d)
-                ang = np.arctan(n / np.where(q == 0.0, 1.0, q)) / np.pi
-                om = np.where(q > 0.0, ang, np.where(q < 0.0, 1.0 + ang, 0.5))
-                sums = np.sum(weight * om, axis=-1)
-                if has_far:  # an x2^p past the float range, whose Q is inf too, has no mass
-                    sums[~np.isfinite(b).all(axis=1)] = np.nan
-                total[i:i + step] = sums
+                om = interval_form(r.ewr, r.wi, np.power(x1, r.p),
+                                   np.power(radii[i:i + step, None], r.p))[0]
+                total[i:i + step] = np.sum(weight * om, axis=-1)
         if not np.isfinite(total).all():
             raise NumericFailure(f"swept mass on ray {j} over "
                                  f"[{x1}, {_first(radii, ~np.isfinite(total))}] is not finite")

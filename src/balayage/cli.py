@@ -44,7 +44,7 @@ from .ray_geometry import RaySystem
 from .regular_growth import angular_density, crg_on_rays, exgr2_functionals
 from .stepfn import StepFunction
 from .subharmonic import (CanonicalPotential, GenusSchedule, carleman_check,
-                          class_A_functionals, potential_eval,
+                          class_A_functionals, edge_radii, potential_eval,
                           subharmonic_balayage_eval, sweep_potential_eval)
 
 
@@ -363,8 +363,8 @@ def _check_classa(args, nu):
                        f"({args.alpha}, {args.beta})")
     tol = IDENTITY_TOL if args.tol is None else args.tol
     P = CanonicalPotential(nu, genus=-1)
-    res = class_A_functionals(lambda z: potential_eval(P, z),
-                              args.alpha, args.beta, args.r0, args.r)
+    res = class_A_functionals(lambda z: potential_eval(P, z), args.alpha, args.beta,
+                              args.r0, args.r, edge_radii(nu, args.alpha, args.beta))
     holds = res.residual_J <= tol and res.residual_double <= tol
     return {"A": res.A, "B": res.B, "J": res.J, "A_via_J": res.A_via_J,
             "A_via_double": res.A_via_double, "residual_J": res.residual_J,

@@ -1,17 +1,13 @@
 """Harmonic measure for the upper half-plane, open sectors, and ray-system complements.
 
-The half-plane harmonic measure of an interval [t1, t2] seen from z is the
-normalized angle the interval subtends at z.  It is computed in closed form
-through a single arctangent:
+The half-plane harmonic measure of an interval [a, b] seen from w = x + iy is
+the normalized angle the interval subtends at w.  One function, interval_form,
+gives it in closed form on one point or on arrays alike:
 
-    Q = |z|^2 - Re(z)*(t1+t2) + t1*t2     (= |z - x0|^2 - r^2, the semidisk test)
-    N = (t2 - t1) * Im(z)
+    Q = (x - a)(x - b) + y^2 = |w - x0|^2 - r^2,   N = (b - a) y,   omega = atan2(N, Q) / pi
 
-    Q > 0 (outside the closed semidisk on the diameter):  (1/pi) * atan(N/Q)
-    Q < 0 (inside the open semidisk):                 1 + (1/pi) * atan(N/Q)
-    Q = 0 (on the semicircle):                            exactly 1/2
-
-which avoids the cancellation of the naive arctan difference when z is far
+Q > 0 outside the closed semidisk on [a, b] (center x0, radius r), Q < 0
+inside it, and Q = 0 on the semicircle gives exactly 1/2; no arctan difference cancels when w is far
 from the interval.  Sector versions reduce to the half-plane by the power map
 of ray_geometry.  An independent adaptive-quadrature oracle integrates the
 Poisson kernel directly.
@@ -21,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
 from .numerics import BOUND_SLACK, ORACLE_BUDGET, QUAD_TOL, integrate
@@ -75,17 +73,21 @@ def poisson_kernel(t, z):
     return y / d / d / math.pi
 
 
-def _semidisk_form(z, I):
-    """Q and N of the closed form for Im z > 0; where Q overflows (to inf, or
-    to inf - inf = nan), both divided by d^2, d = |z - x0| (the forms use N/Q
-    and the sign of Q = (d - r)(d + r))."""
-    y = z.imag
-    q = (z.real - I.t1) * (z.real - I.t2) + y * y
-    n = (I.t2 - I.t1) * y
-    if not math.isfinite(q):
-        d = abs(z - I.center)
-        return (1.0 - I.radius / d) * (1.0 + I.radius / d), (I.t2 - I.t1) / d * (y / d)
-    return q, n
+def interval_form(x, y, a, b):
+    """omega, Q and N of the interval [a, b] at x + iy, y >= 0, on floats or on
+    arrays that broadcast.  Where Q is not finite (inf, or inf - inf = nan), Q
+    and N are divided by s^2, s = max(d, h), d the distance to the interval's
+    center and h its half length.  An end b past the float range gives NaN."""
+    q = (x - a) * (x - b) + y * y
+    n = (b - a) * y
+    finite = np.isfinite(q)
+    if not finite.all():
+        h = 0.5 * (b - a)
+        d = np.hypot(x - (a + h), y)
+        s = np.maximum(d, h)
+        q = np.where(finite, q, (d / s - h / s) * (d / s + h / s))
+        n = np.where(finite, n, 2.0 * (h / s) * (y / s))
+    return np.arctan2(n, q) / np.pi, q, n
 
 
 def hm_interval(z, I):
@@ -106,11 +108,7 @@ def hm_interval(z, I):
         if x == I.t1 or x == I.t2:
             raise EndpointSingularity(f"real point {x} is an endpoint of [{I.t1}, {I.t2}]")
         return 1.0 if I.t1 < x < I.t2 else 0.0
-    q, n = _semidisk_form(z, I)
-    if q == 0.0:
-        return 0.5
-    w = math.atan(n / q) / math.pi
-    return w if q > 0.0 else 1.0 + w
+    return float(interval_form(z.real, y, I.t1, I.t2)[0])
 
 
 def hm_interval_quad(z, I, tol=QUAD_TOL):
@@ -199,7 +197,7 @@ def hm_bounds(z, I, a=0.5, b=2.0):
     y = z.imag
     az = abs(z)
     exact = hm_interval(z, I)
-    q, n = _semidisk_form(z, I)
+    q, n = (float(c) for c in interval_form(z.real, y, t1, t2)[1:])
     dist = abs(z - x0)
 
     rep = BoundReport(z=z, interval=I, exact=exact)

@@ -30,7 +30,7 @@ from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SWEEP_TOL,
                        integrate)
-from .ray_geometry import OnSystem, classify_point, reduce_to_halfplane
+from .ray_geometry import OnSystem, RaySystem, classify_point, reduce_to_halfplane
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,15 @@ _FUNCTIONAL = dict(route="functional", budget=FUNCTIONAL_BUDGET, epsabs=QUAD_TOL
                    epsrel=1e-10, limit=400)
 
 
-def _edge_arc_functionals(v, alpha, beta, r0, r):
+def edge_radii(nu, alpha, beta):
+    """Radii of the atoms of nu on the rays alpha and beta, ascending: where the
+    edge integrals of a sector see a log singularity of nu's potential."""
+    edges = (RaySystem([alpha]), RaySystem([beta]))
+    return sorted({abs(z) for z, _ in nu.atoms
+                   if z != 0 and any(E.ray_index(z) is not None for E in edges)})
+
+
+def _edge_arc_functionals(v, alpha, beta, r0, r, radii):
     """A and B of class_A_functionals, by one checked quadrature each."""
     if not (0.0 < r0 < r):
         raise BadInput(f"need 0 < r0 < r, got ({r0}, {r})")
@@ -272,15 +280,16 @@ def _edge_arc_functionals(v, alpha, beta, r0, r):
                              f"range on [{r0}, {r}]")
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
     A = 0.5 / gamma * integrate(lambda t: (t ** (-p) - t ** p / r ** (2.0 * p)) * edges(t) / t,
-                                r0, r, **_FUNCTIONAL)[0]
+                                r0, r, points=radii or None, **_FUNCTIONAL)[0]
     B = integrate(lambda th: v(cmath.rect(r, th)) * math.sin(p * (th - alpha)),
                   alpha, beta, **_FUNCTIONAL)[0] / (gamma * r ** p)
     return A, B
 
 
-def class_A_functionals(v, alpha, beta, r0, r):
+def class_A_functionals(v, alpha, beta, r0, r, radii):
     """The three edge/arc functionals of a sector (alpha, beta) at radii (r0, r),
-    with the two alternative routes to A as consistency data.
+    with the two alternative routes to A as consistency data.  radii, the
+    edge_radii of v's charge, are the edge integrals' breakpoints.
 
     A: weighted edge integral with the inner/outer power weight
     B: arc integral against the aperture sine
@@ -289,17 +298,19 @@ def class_A_functionals(v, alpha, beta, r0, r):
     A_via_double: the double integral pi/(gamma^2 r^2p) int_r0^r t^(2p-1) int_r0^t
       edges(s) s^(-p-1) ds dt with its order exchanged, one quadrature in log t
     """
-    A, B = _edge_arc_functionals(v, alpha, beta, r0, r)
+    A, B = _edge_arc_functionals(v, alpha, beta, r0, r, radii)
     gamma = beta - alpha
     p = math.pi / gamma
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
-    J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, **_FUNCTIONAL)
-    A_via_J = 0.5 / gamma * (J - integrate(
-        lambda t: edges(t) * t ** (p - 1.0), r0, r, **_FUNCTIONAL)[0] / r ** (2.0 * p))
+    pts = radii or None
+    J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, points=pts, **_FUNCTIONAL)
+    A_via_J = 0.5 / gamma * (J - integrate(lambda t: edges(t) * t ** (p - 1.0), r0, r,
+                                           points=pts, **_FUNCTIONAL)[0] / r ** (2.0 * p))
     # int_s^r t^(2p-1) dt = (r^2p - s^2p) / 2p, and pi / (2p gamma^2) = 1 / (2 gamma)
     A_via_double = 0.5 / gamma * integrate(
         lambda u: (math.exp(-p * u) - math.exp(p * (u - 2.0 * math.log(r))))
-        * edges(math.exp(u)), math.log(r0), math.log(r), **_FUNCTIONAL)[0]
+        * edges(math.exp(u)), math.log(r0), math.log(r),
+        points=[math.log(t) for t in radii] or None, **_FUNCTIONAL)[0]
     return ClassAResult(A=A, B=B, J=J, A_via_J=A_via_J, A_via_double=A_via_double)
 
 
@@ -322,7 +333,7 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL):
             raise AtomOnCircle(f"atom at |z| = {abs(z)} sits on an integration circle")
 
     # first: it checks that r^2 and r0^2 are normal floats
-    A, B = _edge_arc_functionals(v, 0.0, math.pi, r0, r)
+    A, B = _edge_arc_functionals(v, 0.0, math.pi, r0, r, edge_radii(nu, 0.0, math.pi))
     lhs = 0.0
     inner = 0.0
     for z, m in nu.restricted(lambda z: z.imag > 0.0).atoms:

@@ -304,7 +304,7 @@ def test_criterion_08_kernel_identities():
     # class-A identity: both alternative routes to the edge functional
     for center in (1.5j, -0.7 + 2.0j):
         v = lambda z: math.log(abs(z - center)) if z != center else 0.0
-        res = class_A_functionals(v, 0.0, PI, 1.0, 12.0)
+        res = class_A_functionals(v, 0.0, PI, 1.0, 12.0, ())
         assert res.residual_J <= 1e-6
         assert res.residual_double <= 1e-6
     _finish(8, t0, 10.0, "200 derivative checks, 60 parts identities, class-A routes")

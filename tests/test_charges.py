@@ -469,6 +469,32 @@ def test_segment_mass_branches(z, x1, x2, q_sign):
         assert bal.ray_segment_mass(0, x1, x2) == -0.75
 
 
+@pytest.mark.parametrize("z, x1, x2", [
+    (cmath.rect(1e200, 1.0), 1.0, 2.0),      # far point: Q overflows, the far form
+    (2 + 1j, 3.0, 3.0 * (1.0 + 1e-12)),      # short segment: b - a = 1e-12 * a
+    (1 + 1j, 0.0, 2.0),                      # on the semicircle: Q = 0, exactly 1/2
+    (1 + 0.5j, 0.0, 2.0),                    # inside the semidisk: Q < 0
+])
+def test_interval_measure_against_mpmath(z, x1, x2):
+    """hm_interval and the one-atom half-plane sweep's ray_segment_mass share
+    interval_form; both against the Poisson kernel integrated to 50 digits."""
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+        kernel = lambda t: y / ((t - x) ** 2 + y * y)
+        # mpmath's tolerance is absolute: integrate the kernel over its value at x1
+        scale = kernel(x1)
+        split = [x] if x1 < z.real < x2 else []
+        want = float(mpmath.quad(lambda t: kernel(t) / scale, [x1, *split, x2])
+                     * scale / mpmath.pi)
+    got = (hm_interval(z, Interval(x1, x2)),
+           balayage_halfplane(AtomicCharge([(z, 1.0)])).ray_segment_mass(0, x1, x2))
+    assert all(type(g) is float for g in got)
+    if z == 1 + 1j:
+        assert got == (0.5, 0.5)
+    for g in got:
+        assert g == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_far_point_tiny_interval_mass_against_mpmath():
     with mpmath.workdps(50):
         # half-plane sweep: ray 1 carries the image interval [-x2, -x1]

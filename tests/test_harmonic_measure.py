@@ -269,3 +269,14 @@ def test_far_point_bounds_bracket_the_exact_value(tmp_path):
     assert {e["name"] for e in entries} >= {"off_axis_upper", "far_upper", "disk_exterior_upper"}
     for e in entries:
         assert (e["value"] >= exact) if e["side"] == "upper" else (e["value"] <= exact), e
+
+
+def test_overflowing_q_near_a_long_interval_keeps_its_measure():
+    # Q = -1e600 overflows while w sits 1e-10 above the centre of a 2e300-long
+    # interval: the far form scales by the half length, not by d = 1e-10 (whose
+    # h/d overflows to a NaN measure), nor by d = 0 for a real w at the centre
+    assert hm_interval(1e-10j, (-1e300, 1e300)) == 1.0
+    for z in (1e-10j, 0j):
+        rep = hm_bounds(z, Interval(-1e200, 1e200))
+        assert rep.exact == 1.0 and rep.all_hold
+        assert [e.name for e in rep.entries] == ["inside_semidisk_lower"]

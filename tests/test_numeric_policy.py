@@ -25,8 +25,9 @@ import balayage
 from balayage import (AtomicCharge, BoundarySegment, CanonicalPotential, Interval,
                       QuadratureFailure, RaySystem, RayTestFunction, StepFunction,
                       balayage_halfplane, balayage_system, blaschke_halfplane,
-                      check_lindelof_preservation, complementary_sectors,
-                      distribution_on_R, exgr2_functionals, hm_interval, hm_system,
+                      check_lindelof_preservation, class_A_functionals,
+                      complementary_sectors, distribution_on_R, edge_radii,
+                      exgr2_functionals, hm_interval, hm_system,
                       poisson_kernel, potential_eval, pv_kernel_integral,
                       sweep_potential_eval, variation_radial)
 from balayage import numerics
@@ -267,20 +268,38 @@ def test_carleman_weights_past_the_float_range_are_a_numeric_failure(r0, r, char
 
 
 # ---------------------------------------------------------------------------
-# A potential is -inf at an atom of positive mass (+inf at a negative one): a
-# quadrature or a tail fit that meets such a value exits 3
+# A potential is -inf at an atom of positive mass (+inf at a negative one): an
+# atom on a sector edge is a breakpoint of the edge integrals, which then never
+# sample it; a tail fit that meets such a value exits 3
+
+
+@mpmath.workdps(30)
+def _edge_functional_A(atoms, r0, r, split):
+    """A of class_A_functionals on the upper half-plane (p = 1) for the genus -1
+    potential of atoms, by mpmath quadrature split at the given radii."""
+    v = lambda t: mpmath.fsum(m * mpmath.log(abs(t - mpmath.mpc(z))) for z, m in atoms)
+    weighted = lambda t: (1 / t - t / mpmath.mpf(r) ** 2) * (v(t) + v(-t)) / t
+    return float(mpmath.quad(weighted, [r0, *split, r]) / (2 * mpmath.pi))
 
 
 @pytest.mark.parametrize("check", ["carleman", "classa"])
-def test_potential_at_an_atom_on_a_quadrature_node_is_a_numeric_failure(check, charge_file,
-                                                                        capsys):
-    # the atom at 2 sits on the centre Kronrod node of the edge integral over [1, 3],
+def test_atom_on_an_edge_is_a_breakpoint_of_the_edge_integrals(check, charge_file, tmp_path):
+    # the atom at 2 sits on the centre Kronrod node of the edge integrals over [1, 3],
     # where the potential is -inf
-    rc = main(["check", check, "--charge", charge_file([(2.0, 1.0), (1.5 + 1j, 1.0)]),
-               "--r0", "1", "--r", "3"])
-    assert rc == 3 and capsys.readouterr().err.startswith("numeric failure:")
-    assert potential_eval(CanonicalPotential(AtomicCharge([(2.0, 1.0)]), genus=-1),
-                          2.0) == -math.inf
+    atoms = [(2.0, 1.0), (1.5 + 1j, 1.0)]
+    out = tmp_path / "check.json"
+    rc = main(["check", check, "--charge", charge_file(atoms), "--r0", "1", "--r", "3",
+               "--out", str(out)])
+    assert rc == 0 and json.loads(out.read_text())["holds"] is True
+    nu = AtomicCharge(atoms)
+    P = CanonicalPotential(nu, genus=-1)
+    assert potential_eval(P, 2.0) == -math.inf
+    assert edge_radii(nu, 0.0, PI) == [2.0]
+    res = class_A_functionals(lambda z: potential_eval(P, z), 0.0, PI, 1.0, 3.0,
+                              edge_radii(nu, 0.0, PI))
+    A = _edge_functional_A(atoms, 1, 3, [2])
+    for route in (res.A, res.A_via_J, res.A_via_double):
+        assert abs(route - A) <= 1e-12
 
 
 @pytest.mark.parametrize("mass", [1.0, -1.0])

@@ -9,7 +9,7 @@ from balayage import numerics
 from balayage import (AtomicCharge, BadInput, CanonicalPotential,
                       CoincidentPoints, GenusSchedule, RaySystem, ZeroCenter,
                       carleman_check, circle_mean, class_A_functionals,
-                      kernel_Kq, kernel_Kq_radial_derivative, potential_eval,
+                      edge_radii, kernel_Kq, kernel_Kq_radial_derivative, potential_eval,
                       subharmonic_balayage_eval, sweep_potential_eval,
                       balayage_system)
 
@@ -134,14 +134,23 @@ def test_eight_point_submean():
 
 def test_class_A_route_consistency():
     v = lambda z: math.log(abs(z - 1.5j)) if z != 1.5j else 0.0
-    res = class_A_functionals(v, 0.0, PI, 1.0, 20.0)
+    res = class_A_functionals(v, 0.0, PI, 1.0, 20.0, ())
     assert res.residual_J <= 1e-6
     assert res.residual_double <= 1e-6
 
 
 def test_class_A_zero_function():
-    res = class_A_functionals(lambda z: 0.0, 0.0, PI, 1.0, 8.0)
+    res = class_A_functionals(lambda z: 0.0, 0.0, PI, 1.0, 8.0, ())
     assert res.A == res.B == res.J == 0.0
+
+
+def test_edge_radii_are_the_atoms_on_either_edge():
+    nu = AtomicCharge([(cmath.rect(3.0, 2.0), 1.0), (cmath.rect(1.5, 0.3), -1.0),
+                       (cmath.rect(1.5, 2.3), 1.0), (1j, 1.0), (0, 1.0)])
+    assert edge_radii(nu, 0.3, 2.0) == [1.5, 3.0]
+    # a full aperture: both edges are the ray at 0.3
+    assert edge_radii(nu, 0.3, 0.3 + 2.0 * PI) == [1.5]
+    assert edge_radii(nu, 0.0, PI) == []
 
 
 def test_carleman_analytic_example():
@@ -281,7 +290,7 @@ FIVE_ATOMS = [(-0.4773723245774813 + 1.2380570046663448j, 1.8436592226159714),
     (_canonical(FIVE_ATOMS), 8.0),
 ])
 def test_class_A_exchanged_order_matches_the_nested_integral(v, r):
-    res = class_A_functionals(v, 0.0, PI, 1.0, r)
+    res = class_A_functionals(v, 0.0, PI, 1.0, r, ())
     nested = _nested_A(v, 0.0, PI, 1.0, r)
     assert abs(nested - res.A_via_double) <= 1e-8
     assert abs(nested - res.A) <= 1e-8
@@ -314,7 +323,7 @@ def test_carleman_makes_four_quadratures(quad_log):
 
 def test_class_A_makes_five_quadratures(quad_log):
     # A, B, J, the outer-weight part of A_via_J and A_via_double
-    class_A_functionals(_canonical(FIVE_ATOMS), 0.0, PI, 1.0, 8.0)
+    class_A_functionals(_canonical(FIVE_ATOMS), 0.0, PI, 1.0, 8.0, ())
     assert (quad_log["calls"], quad_log["nested"]) == (5, 0)
 
 
@@ -351,7 +360,7 @@ ATOMS_49 = [
 
 def test_class_A_and_carleman_on_the_25_atom_charge():
     v = _canonical(ATOMS_49)
-    res = class_A_functionals(v, 0.0, PI, 1.0, 32.0)
+    res = class_A_functionals(v, 0.0, PI, 1.0, 32.0, ())
     assert res.residual_J <= 1e-6
     assert res.residual_double <= 1e-6
     assert carleman_check(AtomicCharge(ATOMS_49), v, 1.0, 32.0).holds
