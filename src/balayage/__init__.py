@@ -11,7 +11,7 @@ from .charges import (AtomicCharge, BalayageCharge, CheckResult,
                       check_lindelof_preservation, check_lipschitz,
                       check_thcup_bound, counting_around, distribution_on_R,
                       divergence_verdict, fit_slope_vs_log, lindelof_sum,
-                      radial_counting, seq_balayage_distribution,
+                      seq_balayage_distribution,
                       variation_radial)
 from .errors import (AtomOnCircle, BadGauge, BadInput, BalayageError,
                      CoincidentPoints, EndpointSingularity, HypothesisViolated,

@@ -17,6 +17,7 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -36,64 +37,74 @@ from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS
                        VARIATION_TOL, integrate)
 from .ray_geometry import (
     REAL_AXIS,
-    InSector,
-    OnSystem,
     RaySystem,
     Sector,
-    classify_point,
+    modulus,
+    on_system,
+    radial_power,
     reduce_to_halfplane,
+    sector_of,
 )
 from .stepfn import StepFunction
 
 _SLOPE_DIVERGENT = 0.1  # fitted growth vs log r above this flags divergence
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, init=False)
 class AtomicCharge:
-    """Finite signed atomic charge: atoms as (location, mass) pairs."""
+    """Finite signed atomic charge: read-only arrays z (complex) and m (float)
+    of its atoms' locations and masses, in input order.  Built and checked in
+    one place, from (location, mass) pairs: every atom finite, atoms of zero
+    mass dropped; a part or a sum of charges is built from their arrays."""
 
-    atoms: list[tuple[complex, float]] = field(default_factory=list)
+    z: np.ndarray
+    m: np.ndarray
 
-    def __post_init__(self):
-        cleaned = []
-        for z, m in self.atoms:
-            z = complex(z)
-            m = float(m)
-            if not (math.isfinite(m) and math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise BadInput(f"non-finite atom ({z}, {m})")
-            if m == 0.0:
-                continue
-            cleaned.append((z, m))
-        self.atoms = cleaned
+    def __init__(self, atoms):
+        atoms = list(atoms)
+        z = np.array([complex(z) for z, _ in atoms], dtype=complex)
+        m = np.array([float(m) for _, m in atoms], dtype=float)
+        bad = ~(np.isfinite(z) & np.isfinite(m))
+        if bad.any():
+            i = bad.argmax()
+            raise BadInput(f"non-finite atom ({complex(z[i])}, {float(m[i])})")
+        self._set(z[m != 0.0], m[m != 0.0])
+
+    @classmethod
+    def _of(cls, z, m):
+        return cls.__new__(cls)._set(z, m)
+
+    def _set(self, z, m):
+        for name, arr in (("z", z), ("m", m)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        return self
 
     @property
     def total_mass(self):
-        return math.fsum(m for _, m in self.atoms)
+        return math.fsum(self.m.tolist())
+
+    def __getitem__(self, mask):
+        """The atoms that the boolean mask selects."""
+        return AtomicCharge._of(self.z[mask], self.m[mask])
 
     def __add__(self, other):
-        return AtomicCharge(self.atoms + other.atoms)
-
-    def restricted(self, pred):
-        return AtomicCharge([(z, m) for z, m in self.atoms if pred(z)])
+        return AtomicCharge._of(np.concatenate((self.z, other.z)),
+                                np.concatenate((self.m, other.m)))
 
     def to_json(self):
-        return {"atoms": [{"re": z.real, "im": z.imag, "mass": m} for z, m in self.atoms]}
+        return {"atoms": [{"re": x, "im": y, "mass": m} for x, y, m in zip(
+            self.z.real.tolist(), self.z.imag.tolist(), self.m.tolist())]}
 
     @classmethod
     def from_json(cls, data):
-        return cls([(complex(a["re"], a["im"]), a["mass"]) for a in data["atoms"]])
-
-
-def radial_counting(nu, variation=False):
-    """Step function r -> nu(closed disk of radius r), or its variation version."""
-    ev = [(abs(z), abs(m) if variation else m) for z, m in nu.atoms]
-    return StepFunction.from_events(ev)
+        return cls((complex(a["re"], a["im"]), a["mass"]) for a in data["atoms"])
 
 
 def counting_around(nu, x0, variation=True):
     """Step function t -> mass in the closed disk centered x0 of radius t."""
-    ev = [(abs(z - x0), abs(m) if variation else m) for z, m in nu.atoms]
-    return StepFunction.from_events(ev)
+    return StepFunction.from_events(zip(modulus(nu.z - x0).tolist(),
+                                        (np.abs(nu.m) if variation else nu.m).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +122,14 @@ def blaschke_sector(nu, sec, r0):
     outside the closed disk r0 (in original coordinates)."""
     if not r0 > 0.0:
         raise BadInput(f"need r0 > 0, got {r0}")
-    return _reduced_blaschke(sec, [(z, m) for z, m in nu.atoms if abs(z) > r0])
+    return _reduced_blaschke(sec, nu[modulus(nu.z) > r0])
 
 
-def _reduced_blaschke(sec, atoms):
-    """Sum of |m| * Im(w) / |w|^2 over the atoms strictly inside the sector,
-    w their images under the sector's power map."""
+def _reduced_blaschke(sec, nu):
+    """Sum of |m| * Im(w) / |w|^2 over the atoms of nu strictly inside the
+    sector, w their images under the sector's power map."""
     total = 0.0
-    for z, m in atoms:
+    for z, m in zip(nu.z.tolist(), nu.m.tolist()):
         if z == 0 or not sec.contains(z):
             continue
         w = reduce_to_halfplane(sec, z)
@@ -159,11 +170,11 @@ def lindelof_sum(nu, q, r0, r):
         raise BadInput(f"need 0 < r0 < r, got r0={r0}, r={r}")
     if not (isinstance(q, int) and q >= 1):
         raise BadInput(f"need a positive integer exponent, got {q}")
+    az = modulus(nu.z)
+    inside = (r0 < az) & (az <= r)
     total = 0.0 + 0.0j
-    for z, m in nu.atoms:
-        az = abs(z)
-        if r0 < az <= r:
-            total += m / z ** q
+    for z, m in zip(nu.z[inside].tolist(), nu.m[inside].tolist()):
+        total += m / z ** q
     return total
 
 
@@ -199,8 +210,7 @@ class _RayArrays(NamedTuple):
     upper edge (R-).  The arrays hold, per record, the mass, ewr = edge * Re w
     (the image seen from the ray's side: (edge*s - Re w)^2 = (s - ewr)^2
     exactly), Im w and p, and the density's factors coef = mass * p * Im w / pi,
-    wi2 = (Im w)^2 and pm1 = p - 1; kept_r and kept_m are the kept atoms on
-    the ray, sorted by radius."""
+    wi2 = (Im w)^2 and pm1 = p - 1."""
 
     records: tuple
     mass: np.ndarray
@@ -210,22 +220,19 @@ class _RayArrays(NamedTuple):
     coef: np.ndarray
     wi2: np.ndarray
     pm1: np.ndarray
-    kept_r: np.ndarray
-    kept_m: np.ndarray
 
 
-def _ray_arrays(records, kept):
-    """_RayArrays from one ray's swept records and its kept (radius, mass) pairs.
+def _ray_arrays(records):
+    """_RayArrays from one ray's swept records.
 
     The factors are formed in float arithmetic, where the (Im w)^2 of a far
     image becomes inf without a warning, and its density term 0."""
     m, w, p, e = zip(*records) if records else ((),) * 4
     wi = [z.imag for z in w]
-    kr, km = zip(*sorted(kept, key=lambda a: a[0])) if kept else ((),) * 2
     return _RayArrays(tuple(records), *(np.array(c, dtype=float) for c in (
         m, [ek * z.real for ek, z in zip(e, w)], wi, p,
         [mk * pk * y / math.pi for mk, pk, y in zip(m, p, wi)],
-        [y * y for y in wi], [pk - 1.0 for pk in p], kr, km)))
+        [y * y for y in wi], [pk - 1.0 for pk in p])))
 
 
 @dataclass(frozen=True)
@@ -233,7 +240,8 @@ class BalayageCharge:
     """Result of sweeping: atoms already on the target set plus symbolic
     swept records whose densities are evaluated in closed form.
 
-    Immutable: the per-ray arrays the queries read are built once, here."""
+    Immutable: the per-ray arrays the queries read are built once, here, and
+    the kept atoms by ray on the first query that reads them."""
 
     system: RaySystem | None  # None: swept onto R out of the upper half-plane
     kept: AtomicCharge
@@ -251,13 +259,16 @@ class BalayageCharge:
             p = s.sector.exponent
             records[i].append((s.mass, s.w, p, +1))
             records[(i + 1) % k].append((s.mass, s.w, p, -1))
-        kept = [[] for _ in range(k)]
-        for z, m in self.kept.atoms:
-            j = None if z == 0 else self.rays.ray_index(z)
-            if j is not None:
-                kept[j].append((abs(z), m))
-        object.__setattr__(self, "_arrays",
-                           tuple(_ray_arrays(r, a) for r, a in zip(records, kept)))
+        object.__setattr__(self, "_arrays", tuple(_ray_arrays(r) for r in records))
+
+    @cached_property
+    def _kept_on_rays(self):
+        """(radii, masses) of the kept atoms on each ray, by radius."""
+        kept = self.kept[self.kept.z != 0]
+        r = modulus(kept.z)
+        order = np.argsort(r, kind="stable")
+        j, r, m = self.rays.ray_index(kept.z[order]), r[order], kept.m[order]
+        return tuple((r[j == i], m[j == i]) for i in range(len(self._arrays)))
 
     @property
     def total_mass(self):
@@ -332,62 +343,52 @@ class BalayageCharge:
         """Mass (or variation) of the closed segment of ray j out to radius x,
         or out to each radius of an array x: the swept part, 0 at x = 0, plus
         the kept atoms at 0 < |z| <= x."""
-        r = self._ray(j)
+        self._ray(j)  # BadInput for a ray the target lacks
+        kept_r, kept_m = self._kept_on_rays[j]
         x = np.asarray(x, dtype=float)
         total = np.zeros(x.shape)
         pos = x > 0.0
         if pos.any():
             total[pos] = self.ray_segment_mass(j, 0.0, x[pos], variation=variation)
-        kept = np.cumsum(np.abs(r.kept_m) if variation else r.kept_m)
+        kept = np.cumsum(np.abs(kept_m) if variation else kept_m)
         total = total + np.concatenate(([0.0], kept))[
-            np.searchsorted(r.kept_r, x, side="right")]
+            np.searchsorted(kept_r, x, side="right")]
         return float(total) if x.ndim == 0 else total
 
 
-def _first(radii, bad):
-    """The first of the radii that bad flags, for a message."""
-    return float(radii[np.argmax(bad)])
+def _first(values, bad):
+    """The first of the values that bad flags, a Python number, for a message."""
+    return values[np.argmax(bad)].item()
 
 
 def balayage_halfplane(nu):
     """Sweep the open-upper-half part of nu onto R; the closed lower half stays."""
-    kept, swept = [], []
-    for z, m in nu.atoms:
-        if z.imag > 0.0 and REAL_AXIS.ray_index(z) is None:
-            swept.append(SweptAtom(z, m, REAL_AXIS.sectors[0]))
-        else:
-            kept.append((z, m))
-    return BalayageCharge(system=None, kept=AtomicCharge(kept), swept=swept)
+    swept = (nu.z.imag > 0.0) & ~on_system(REAL_AXIS, nu.z)
+    return BalayageCharge(system=None, kept=nu[~swept], swept=[
+        SweptAtom(z, m, REAL_AXIS.sectors[0])
+        for z, m in zip(nu.z[swept].tolist(), nu.m[swept].tolist())])
 
 
 def balayage_system(nu, S):
     """Sweep nu onto the closed ray system S; atoms on S (origin included) stay."""
-    kept, swept = [], []
-    for z, m in nu.atoms:
-        cls = classify_point(S, z)
-        if isinstance(cls, OnSystem):
-            kept.append((z, m))
-        else:
-            assert isinstance(cls, InSector)
-            swept.append(SweptAtom(z, m, cls.sector))
-    return BalayageCharge(system=S, kept=AtomicCharge(kept), swept=swept)
+    on = on_system(S, nu.z)
+    return BalayageCharge(system=S, kept=nu[on], swept=[
+        SweptAtom(z, m, sector_of(S, z).sector)
+        for z, m in zip(nu.z[~on].tolist(), nu.m[~on].tolist())])
 
 
 # ---------------------------------------------------------------------------
 # Distribution functions on R
 
 
-def _on_axis(z):
-    return z == 0 or REAL_AXIS.ray_index(z) is not None
-
-
 def _require_real_support(bal):
-    for th in bal.rays.thetas:
-        if not _on_axis(cmath.rect(1.0, th)):
-            raise SupportOffAxis(f"system ray at angle {th} is off the real axis")
-    for z, m in bal.kept.atoms:
-        if not _on_axis(z):
-            raise SupportOffAxis(f"kept atom at {z} is off the real axis")
+    off = ~on_system(REAL_AXIS, [cmath.rect(1.0, th) for th in bal.rays.thetas])
+    if off.any():
+        raise SupportOffAxis(f"system ray at angle {_first(np.array(bal.rays.thetas), off)} "
+                             "is off the real axis")
+    off = ~on_system(REAL_AXIS, bal.kept.z)
+    if off.any():
+        raise SupportOffAxis(f"kept atom at {_first(bal.kept.z, off)} is off the real axis")
 
 
 def distribution_on_R(nu, x):
@@ -396,12 +397,13 @@ def distribution_on_R(nu, x):
     BalayageCharge whose target lies in R."""
     x = float(x)
     if isinstance(nu, AtomicCharge):
-        for z, _ in nu.atoms:
-            if not _on_axis(z):
-                raise SupportOffAxis(f"atom at {z} is off the real axis")
+        off = ~on_system(REAL_AXIS, nu.z)
+        if off.any():
+            raise SupportOffAxis(f"atom at {_first(nu.z, off)} is off the real axis")
+        t = nu.z.real
         if x >= 0.0:
-            return math.fsum(m for z, m in nu.atoms if 0.0 <= z.real <= x)
-        return -math.fsum(m for z, m in nu.atoms if x <= z.real < 0.0)
+            return math.fsum(nu.m[(0.0 <= t) & (t <= x)].tolist())
+        return -math.fsum(nu.m[(x <= t) & (t < 0.0)].tolist())
 
     return _swept_distribution_on_R(nu, x, x >= 0.0)
 
@@ -414,7 +416,7 @@ def _swept_distribution_on_R(bal, x, right):
     total = 0.0 if j is None else bal.ray_distribution(j, abs(x))
     if not right:
         return -total
-    return total + math.fsum(m for z, m in bal.kept.atoms if z == 0)
+    return total + math.fsum(bal.kept.m[bal.kept.z == 0].tolist())
 
 
 def seq_balayage_distribution(Z, x):
@@ -423,14 +425,8 @@ def seq_balayage_distribution(Z, x):
     Z is a sequence of points or (point, mass) pairs; each off-axis point is
     swept within its half-plane (lower points mirror through the power map),
     real points stay."""
-    atoms = []
-    for item in Z:
-        if isinstance(item, tuple):
-            atoms.append((complex(item[0]), float(item[1])))
-        else:
-            atoms.append((complex(item), 1.0))
-    bal = balayage_system(AtomicCharge(atoms), REAL_AXIS)
-    return distribution_on_R(bal, x)
+    nu = AtomicCharge(item if isinstance(item, tuple) else (item, 1.0) for item in Z)
+    return distribution_on_R(balayage_system(nu, REAL_AXIS), x)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +449,16 @@ def _swept_variation_on_R(swept, t1, t2):
 def _variation_interval_halfplane(bal, t1, t2):
     """Variation of the swept-onto-R part plus kept real atoms on the half-open
     interval matching the distribution-function difference conventions."""
-    if t2 <= 0.0:
-        atom_in = lambda v: t1 <= v < t2
-    else:
-        atom_in = lambda v: t1 < v <= t2
-    total = math.fsum(abs(m) for z, m in bal.kept.atoms
-                      if _on_axis(z) and atom_in(z.real))
+    t = bal.kept.z.real
+    atom_in = (t1 <= t) & (t < t2) if t2 <= 0.0 else (t1 < t) & (t <= t2)
+    total = math.fsum(np.abs(bal.kept.m[atom_in & on_system(REAL_AXIS, bal.kept.z)]).tolist())
     return total + _swept_variation_on_R(bal.swept, t1, t2)
 
 
 def variation_radial(bal, r):
     """|nu^bal| mass of the closed disk of radius r, exact when each ray's
     swept contributions share a sign."""
-    total = math.fsum(abs(m) for z, m in bal.kept.atoms if abs(z) <= r)
+    total = math.fsum(np.abs(bal.kept.m[modulus(bal.kept.z) <= r]).tolist())
     if bal.system is None:
         return total + _swept_variation_on_R(bal.swept, -r, r)
     for j in range(len(bal.system.thetas)):
@@ -506,16 +499,15 @@ def check_thcup_bound(nu, t1, t2, a):
         raise BadInput(f"need a in (0,1), got {a}")
     x0 = 0.5 * (t1 + t2)
     r = 0.5 * (t2 - t1)
-    upper = nu.restricted(lambda z: z.imag >= 0.0)
+    upper = nu[nu.z.imag >= 0.0]
     bal = balayage_halfplane(nu)
 
     lhs = _variation_interval_halfplane(bal, t1, t2)
 
-    t_disk = math.fsum(abs(m) for z, m in upper.atoms if abs(z - x0) <= r)
-    t_rad = (2.0 * r / (a * abs(x0))) * math.fsum(
-        abs(m) for z, m in upper.atoms if abs(z) <= (3.0 / a) * abs(x0))
-    t_bl = (r / (1.0 - a) ** 2) * math.fsum(
-        abs(m * imag_inv_conj(z)) for z, m in upper.atoms if abs(z) >= abs(x0))
+    az, mass = modulus(upper.z), np.abs(upper.m)
+    t_disk = math.fsum(mass[modulus(upper.z - x0) <= r].tolist())
+    t_rad = (2.0 * r / (a * abs(x0))) * math.fsum(mass[az <= (3.0 / a) * abs(x0)].tolist())
+    t_bl = (r / (1.0 - a) ** 2) * _blaschke_weight(upper[az >= abs(x0)])
     hi = a * abs(x0)
     if hi > r:
         f = counting_around(upper, x0, variation=True)
@@ -534,6 +526,23 @@ def _gauge_value(g, r):
     return gr
 
 
+def _blaschke_weight(nu):
+    """fsum of |m| * Im(1 / conj z) over the atoms of nu, all off the origin."""
+    az = modulus(nu.z)
+    return math.fsum(np.abs(nu.m * (nu.z.imag / az / az)).tolist())
+
+
+def _gauge_bound(nu, r, gr, tail):
+    """|nu| of the open gauge disk plus tail (g / (g - r))^2, the ges bounds'
+    right side, or NumericFailure.  The factor is a ratio: g^2 and (g - r)^2
+    leave the float range long before it does; the scaled tail is at most |nu|."""
+    q = gr / (gr - r)
+    rhs = math.fsum(np.abs(nu.m[modulus(nu.z) < gr]).tolist()) + tail * q * q
+    if not math.isfinite(rhs):
+        raise NumericFailure(f"the gauge bound at r = {r}, g(r) = {gr} is not finite")
+    return rhs
+
+
 def check_ges_bound(nu, g, r):
     """Radial growth of the half-plane sweep against the gauge bound
     |nu|^rad(g(r)) + (2 r g^2 / (pi (g-r)^2)) * tail Blaschke integral."""
@@ -542,10 +551,9 @@ def check_ges_bound(nu, g, r):
     gr = _gauge_value(g, r)
     bal = balayage_halfplane(nu)
     lhs = variation_radial(bal, r)
-    tail = math.fsum(abs(m * imag_inv_conj(z)) for z, m in nu.atoms if abs(z) >= gr)
     # open gauge disk: an atom exactly at |z| = g(r) is covered by the tail term
-    rhs = (math.fsum(abs(m) for z, m in nu.atoms if abs(z) < gr)
-           + 2.0 * r * gr * gr / (math.pi * (gr - r) ** 2) * tail)
+    tail = _blaschke_weight(nu[modulus(nu.z) >= gr])
+    rhs = _gauge_bound(nu, r, gr, 2.0 * r / math.pi * tail)
     return CheckResult(lhs, rhs, lhs <= rhs + BOUND_SLACK, {"tail_integral": tail})
 
 
@@ -558,12 +566,13 @@ def check_ges_bound_system(nu, S, g, r):
     bal = balayage_system(nu, S)
     lhs = variation_radial(bal, r)
     # closed at the gauge: an atom at |z| = g(r) counts here, not in the disk term
-    far = [(z, m) for z, m in nu.atoms if abs(z) >= gr]
+    far = nu[modulus(nu.z) >= gr]
     c_plus = 0.0
     for sec in S.sectors:
-        c_plus += r ** sec.exponent * _reduced_blaschke(sec, far)
-    rhs = (math.fsum(abs(m) for z, m in nu.atoms if abs(z) < gr)
-           + 8.0 * gr * gr / (math.pi * (gr - r) ** 2) * c_plus)
+        b = _reduced_blaschke(sec, far)
+        if b:  # a sector without far atoms adds 0, however large r^p is
+            c_plus += radial_power(r, sec.exponent) * b
+    rhs = _gauge_bound(nu, r, gr, 8.0 / math.pi * c_plus)
     return CheckResult(lhs, rhs, lhs <= rhs + BOUND_SLACK, {"c_plus": c_plus})
 
 
@@ -584,9 +593,10 @@ def check_lipschitz(nu, x1, x2, n_grid=200, p=None):
         raise BadInput(f"need n_grid >= 1, got {n_grid}")
     if x1 <= 0.0 <= x2:
         raise BadInput("interval must avoid 0")
-    for z, _ in nu.atoms:
-        if _on_axis(z) and x1 <= z.real <= x2:
-            raise SupportTouchesInterval(f"atom at {z.real} lies in [{x1}, {x2}]")
+    t = nu.z.real
+    touch = on_system(REAL_AXIS, nu.z) & (x1 <= t) & (t <= x2)
+    if touch.any():
+        raise SupportTouchesInterval(f"atom at {_first(t, touch)} lies in [{x1}, {x2}]")
     bal = balayage_halfplane(nu)
     xs = np.linspace(x1, x2, n_grid + 1)
     # the grid avoids 0, so it lies on one side
@@ -595,12 +605,8 @@ def check_lipschitz(nu, x1, x2, n_grid=200, p=None):
     h = (x2 - x1) / n_grid
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     modulus = max(diffs) / h if diffs else 0.0
-    fitted_b = None
-    if p is not None:
-        fitted_b = 0.0
-        for (xa, fa), (xb, fb) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-            x0 = 0.5 * (xa + xb)
-            fitted_b = max(fitted_b, abs(fb - fa) / (h * abs(x0) ** (p - 1.0)))
+    fitted_b = None if p is None else max(0.0, *(
+        d / (h * abs(0.5 * (xa + xb)) ** (p - 1.0)) for d, xa, xb in zip(diffs, xs, xs[1:])))
     return LipschitzReport(modulus=modulus, grid_step=h, fitted_b=fitted_b)
 
 
@@ -670,14 +676,13 @@ class RayTestFunction:
         return [t for t, _ in self.breakpoints.get(j, [])]
 
 
-def _poisson_pairing(F, S, z):
-    """Value at z of the harmonic extension of F to the complement of S."""
-    cls = classify_point(S, z)
-    if isinstance(cls, OnSystem):
-        return F(z)
-    sec, idx = cls.sector, cls.index
+def _poisson_pairing(F, S, s):
+    """Value at the swept atom s's location of the harmonic extension of F to
+    the complement of S: Poisson integrals over its sector's edges, in the
+    reduced variable of its image s.w."""
+    sec, w = s.sector, s.w
+    idx = S.sectors.index(sec)
     k = len(S.thetas)
-    w = reduce_to_halfplane(sec, z)
     p = sec.exponent
     total = 0.0
     for edge_ray, sign in ((idx, +1), ((idx + 1) % k, -1)):
@@ -714,7 +719,9 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL):
     variable); the right side groups by atom (Poisson integrals in the reduced
     variable), two genuinely independent computations."""
     bal = balayage_system(nu, S)
-    lhs = math.fsum(m * F(z) for z, m in bal.kept.atoms)
+    # F itself at the kept atoms, on S
+    kept = [m * F(z) for z, m in zip(bal.kept.z.tolist(), bal.kept.m.tolist())]
+    lhs = math.fsum(kept)
     for j in range(len(S.thetas)):
         contribs = bal.ray_contributions(j)
         knots = F.ray_knots(j)
@@ -727,7 +734,8 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL):
         val, _ = integrate(fn, lo, hi, "fubini", epsabs=QUAD_TOL, limit=400,
                            points=[t for t in knots if lo < t < hi])
         lhs += val
-    rhs = math.fsum(m * _poisson_pairing(F, S, z) for z, m in nu.atoms)
+    # the sweep classified the atoms once: F's extension is F on S
+    rhs = math.fsum(kept + [s.mass * _poisson_pairing(F, S, s) for s in bal.swept])
     return CheckResult(lhs, rhs, abs(lhs - rhs) <= tol, {"difference": abs(lhs - rhs)})
 
 
@@ -736,7 +744,7 @@ def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 
     sweep preserves the bounded-sum property when their difference stays flat."""
     bal = balayage_system(nu, S)
     power_sums = [(lindelof_sum(nu, q, r0, r),
-                   lindelof_sum(bal.kept, q, r0, r) if bal.kept.atoms else 0.0 + 0.0j)
+                   lindelof_sum(bal.kept, q, r0, r))
                   for r in radii]
     # t^(-q) rho_j over the shells [r0, r_1], [r_1, r_2], ...: the running
     # sums are the integrals from r0, and the shells' errors add up to at

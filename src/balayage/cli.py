@@ -32,15 +32,15 @@ from .charges import (AtomicCharge, RayTestFunction, balayage_halfplane,
                       blaschke_outside_system, check_fubini,
                       check_ges_bound, check_ges_bound_system,
                       check_lindelof_preservation, check_lipschitz,
-                      check_thcup_bound, radial_counting)
+                      check_thcup_bound, counting_around)
 from .errors import BadInput, BalayageError, NumericFailure
 from .growth_scales import convergence_integral_zero, growth_report
 from .harmonic_measure import (BoundarySegment, Interval, hm_bounds,
                                hm_interval, hm_interval_quad, hm_system,
                                hm_system_quad)
-from .numerics import (IDENTITY_TOL, INPUT_ANGULAR_TOL, PAIRING_TOL, QUAD_TOL,
-                       SWEEP_TOL)
-from .ray_geometry import RaySystem
+from .numerics import (IDENTITY_TOL, INPUT_ANGULAR_TOL, ORACLE_BUDGET, PAIRING_TOL,
+                       QUAD_TOL, SWEEP_TOL)
+from .ray_geometry import RaySystem, modulus
 from .regular_growth import angular_density, crg_on_rays, exgr2_functionals
 from .stepfn import StepFunction
 from .subharmonic import (CanonicalPotential, GenusSchedule, carleman_check,
@@ -97,7 +97,7 @@ def _charge(path):
         raise BadInput(f'{path}: charge JSON must be {{"atoms": [...]}}')
     try:
         return AtomicCharge.from_json(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"{path}: bad atom entry ({exc})")
 
 def _system(path):
@@ -123,16 +123,12 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, bool) or x is None:
+    if x is None or isinstance(x, (int, str)):  # bool is an int
         return x
     if isinstance(x, complex):
         return {"im": x.imag, "re": x.real}
-    if isinstance(x, int):
-        return x
     if isinstance(x, float):
         return x if math.isfinite(x) else repr(x)
-    if isinstance(x, str):
-        return x
     return str(x)
 
 def _json_text(report):
@@ -190,6 +186,7 @@ def _hm_arguments(p):
                    help=f"accuracy asked of the quadrature oracle (default {QUAD_TOL})")
 
 def cmd_hm(args):
+    # the oracle's error is within ORACLE_BUDGET: a larger difference fails
     z = _complex(args.z)
     if (args.interval is None) == (args.system is None):
         raise BadInput("hm needs exactly one of --interval or --system")
@@ -210,7 +207,7 @@ def cmd_hm(args):
                                           for e in bounds.entries],
                               "skipped": [list(s) for s in bounds.skipped],
                               "all_hold": bounds.all_hold})
-        return report, bounds.all_hold
+        return report, bounds.all_hold and report["difference"] <= ORACLE_BUDGET
     if args.disk is None and not args.segment:
         raise BadInput("--system mode needs --disk and/or --segment")
     segs = []
@@ -223,7 +220,7 @@ def cmd_hm(args):
     report.update(system=S.to_json(), disk=args.disk,
                   segments=[[s.ray_index, s.a, s.b] for s in segs],
                   exact=exact, oracle=oracle, difference=abs(exact - oracle))
-    return report, None
+    return report, report["difference"] <= ORACLE_BUDGET
 
 def _hm_rows(report):
     rows = [("exact", "", report["exact"], "", True),
@@ -260,7 +257,7 @@ def cmd_balayage(args):
         bal = balayage_halfplane(nu)
     xmax = args.xmax
     if xmax is None:
-        xmax = 4.0 * max([1.0] + [abs(z) for z, _ in nu.atoms])
+        xmax = 4.0 * modulus(nu.z).max(initial=1.0).item()
     n = args.samples
     xs = [xmax * i / n for i in range(1, n + 1)]
     samples = []
@@ -445,9 +442,9 @@ def cmd_growth(args):
     if args.r0 is not None and not args.r0 > 0.0:
         raise BadInput(f"need --r0 > 0, got {args.r0}")
     nu = _charge(args.charge)
-    if not nu.atoms:
+    if not nu.m.size:
         raise BadInput("growth analysis needs a nonempty charge")
-    f = radial_counting(nu, variation=not args.signed)
+    f = counting_around(nu, 0.0, variation=not args.signed)
     r_lo, r_hi = args.r_lo, args.r_hi
     if r_lo is None:
         r_lo = 2.0 * float(f.points[0]) if f.points[0] > 0.0 else 1.0
@@ -555,15 +552,14 @@ def _crg_arguments(p):
                    help="bisector functionals (four-ray systems)")
 
 def _counts_by_ray(nu, S):
-    events = [[] for _ in S.thetas]
-    for z, m in nu.atoms:
-        if z == 0:
-            raise BadInput("an origin atom lies on every ray; remove it first")
-        j = S.ray_index(z, tol=INPUT_ANGULAR_TOL)
-        if j is None:
-            raise BadInput(f"atom at {z} is not on the ray system")
-        events[j].append((abs(z), m))
-    return [StepFunction.from_events(ev) for ev in events]
+    if (nu.z == 0).any():
+        raise BadInput("an origin atom lies on every ray; remove it first")
+    j = S.ray_index(nu.z, tol=INPUT_ANGULAR_TOL)
+    if (j < 0).any():
+        raise BadInput(f"atom at {nu.z[(j < 0).argmax()].item()} is not on the ray system")
+    r = modulus(nu.z)
+    return [StepFunction.from_events(zip(r[j == k].tolist(), nu.m[j == k].tolist()))
+            for k in range(len(S))]
 
 def cmd_crg(args):
     radii = _floats(args.radii, what="--radii") if args.radii else None

@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadInput, NumericFailure, PowerMapUnderflow, ZeroPoint
 from .numerics import ANGULAR_TOL
 
@@ -80,6 +82,7 @@ class RaySystem:
             if b - a <= ANGULAR_TOL:
                 raise BadInput("duplicate ray angles")
         self.thetas = tuple(ts)
+        self._angles = np.array(ts)
         self.sectors = tuple(complementary_sectors(self))
 
     def __len__(self):
@@ -92,20 +95,26 @@ class RaySystem:
         return f"RaySystem({list(self.thetas)})"
 
     def ray_index(self, z, tol=ANGULAR_TOL):
-        """Index of the ray nearest to the point z within tol radians, or None.
+        """Index of the ray nearest to the point z within tol radians, or None;
+        for an array of points, their indices, -1 for a point on no ray.
 
-        This is the package's one on-ray test.  The origin lies on every ray
-        and has no index, so z = 0 raises ZeroPoint.
-        """
-        if z == 0:
+        The package's one on-ray test; a point is its 0-d case.  arg z is
+        cmath.phase's (numpy's arctan2 can be an ulp off), and |remainder(arg z
+        - theta, 2 pi)| is exact as the lesser of |fmod| and 2 pi minus it.  The
+        last nearest ray wins a tie; the origin, on every ray, raises ZeroPoint."""
+        z = np.asarray(z, dtype=complex)
+        points = z.ravel().tolist()
+        if 0 in points:
             raise ZeroPoint("the origin lies on every ray")
-        phi = cmath.phase(z)
-        best, best_d = None, tol
-        for j, t in enumerate(self.thetas):
-            d = abs(math.remainder(phi - t, TWO_PI))
-            if d <= best_d:
-                best, best_d = j, d
-        return best
+        d = np.array([cmath.phase(w) for w in points])[:, None] - self._angles
+        d = np.abs(np.fmod(d, TWO_PI, out=d), out=d)
+        d = np.minimum(d, TWO_PI - d)
+        j = len(self.thetas) - 1 - d[:, ::-1].argmin(axis=1)
+        j[~(d.min(axis=1) <= tol)] = -1
+        j = j.reshape(z.shape)
+        if z.ndim:
+            return j
+        return None if j < 0 else int(j)
 
     def to_json(self):
         return {"rays": list(self.thetas)}
@@ -115,6 +124,20 @@ class RaySystem:
         if not isinstance(obj, dict) or "rays" not in obj:
             raise BadInput('ray system JSON must be {"rays": [...]}')
         return cls(obj["rays"])
+
+
+def modulus(z):
+    """|z| at each point of z, by libm's hypot as abs(complex): numpy's abs is not."""
+    z = np.asarray(z, dtype=complex)
+    return np.hypot(z.real, z.imag)
+
+
+def on_system(S, z):
+    """Mask of the points of the 1-d array z on S, the origin included."""
+    z = np.asarray(z, dtype=complex)
+    on = z == 0
+    on[~on] = S.ray_index(z[~on]) >= 0
+    return on
 
 
 def relative_angle(z, alpha):
@@ -129,29 +152,16 @@ def complementary_sectors(S):
     Sector i runs from ray i to the next ray counterclockwise.
     """
     ts = S.thetas
-    k = len(ts)
-    out = []
-    for i in range(k):
-        alpha = ts[i]
-        beta = ts[(i + 1) % k] if i + 1 < k else ts[0] + TWO_PI
-        if k == 1:
-            beta = alpha + TWO_PI
-        out.append(Sector(alpha, beta))
-    return out
+    return [Sector(a, b) for a, b in zip(ts, ts[1:] + (ts[0] + TWO_PI,))]
 
 
 # The target of the half-plane sweeps: ray 0 is R+, ray 1 is R-.
 REAL_AXIS = RaySystem([0.0, math.pi])
 
 
+@dataclass(frozen=True)
 class OnSystem:
     """Classification result: the point lies on the ray system (or is the origin)."""
-
-    def __repr__(self):
-        return "OnSystem()"
-
-    def __eq__(self, other):
-        return isinstance(other, OnSystem)
 
 
 @dataclass(frozen=True)
@@ -167,6 +177,11 @@ def classify_point(S, z):
     z = complex(z)
     if z == 0 or S.ray_index(z) is not None:
         return OnSystem()
+    return sector_of(S, z)
+
+
+def sector_of(S, z):
+    """The InSector of the point z != 0 off the ray system S."""
     for i, sec in enumerate(S.sectors):
         psi = relative_angle(z, sec.alpha)
         if psi < sec.aperture:

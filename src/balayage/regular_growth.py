@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .charges import lindelof_sum
-from .errors import BadInput, CoincidentPoints
+from .errors import BadInput, CoincidentPoints, NumericFailure
 from .numerics import ANGULAR_TOL
-from .ray_geometry import TWO_PI, normalize_angle, relative_angle
+from .ray_geometry import TWO_PI, modulus, normalize_angle, radial_power, relative_angle
 from .stepfn import StepFunction
 from .subharmonic import kernel_sum
 
@@ -125,16 +125,7 @@ class RayLimitRecord:
     values: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "theta": self.theta,
-            "limit": self.limit,
-            "window": list(self.window),
-            "spread": self.spread,
-            "exceptional_fraction": self.exceptional_fraction,
-            "stable": self.stable,
-            "radii": list(self.radii),
-            "values": list(self.values),
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 @dataclass
@@ -225,6 +216,9 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
     radii = sorted(float(r) for r in radii)
     if not all(r > 0.0 for r in radii):
         raise BadInput("radii must be positive")
+    # the values are scaled by r^p, which must be a positive float at every radius
+    if not 0.0 < radial_power(radii[0], p) <= radial_power(radii[-1], p):
+        raise NumericFailure(f"r^{p:g} underflows at the radius {radii[0]}")
     q = int(math.floor(p))
     use_kernel = p >= 1.0
     if use_kernel:
@@ -366,17 +360,16 @@ def angular_density(nu, alpha, beta, p):
     width = beta - alpha
     if not (0.0 < width <= TWO_PI + ANGULAR_TOL):
         raise BadInput(f"need aperture in (0, 2*pi], got {width}")
-    r_hi = max([abs(z) for z, _ in nu.atoms] or [1.0])
+    az = modulus(nu.z)
+    r_hi = az.max().item() if az.size else 1.0
     r_lo = max(1.0, r_hi / 2.0 ** 8)
     if r_lo >= r_hi:
         r_lo = 0.5 * r_hi
     radii = _dyadic_grid(r_lo, r_hi, per_octave=4)
 
-    inside = [(abs(z), m) for z, m in nu.atoms if _in_closed_sector(z, alpha, width)]
-    ratios = []
-    for r in radii:
-        mass = math.fsum(m for az, m in inside if az <= r)
-        ratios.append(mass / r ** p)
+    inside = np.array([_in_closed_sector(z, alpha, width) for z in nu.z.tolist()], dtype=bool)
+    az, m = az[inside], nu.m[inside]
+    ratios = [math.fsum(m[az <= r].tolist()) / r ** p for r in radii]
     tail = ratios[len(ratios) // 2:]
     limit = float(np.median(tail))
     out = {"radii": radii, "ratios": ratios, "limit": limit}

@@ -30,20 +30,20 @@ from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SWEEP_TOL,
                        integrate)
-from .ray_geometry import OnSystem, RaySystem, classify_point, reduce_to_halfplane
+from .ray_geometry import OnSystem, RaySystem, classify_point, modulus, reduce_to_halfplane
 
 
 # ---------------------------------------------------------------------------
 # Kernels
 
 
-def kernel_atoms(atoms):
-    """kernel_sum's arrays zeta, r = |zeta|, log r, m of (zeta, m) pairs, by r."""
-    zeta, m = np.array([z for z, _ in atoms], dtype=complex), np.array([m for _, m in atoms])
-    order = np.argsort(np.abs(zeta))
-    r = np.abs(zeta[order])
+def kernel_atoms(nu):
+    """kernel_sum's arrays zeta, r = |zeta|, log r, m of the charge nu's atoms, by r."""
+    order = np.argsort(np.abs(nu.z))
+    zeta = nu.z[order]
+    r = np.abs(zeta)
     with np.errstate(divide="ignore"):  # log 0 = -inf: only genus -1 reads an atom at 0
-        return zeta[order], r, np.log(r), m[order]
+        return zeta, r, np.log(r), nu.m[order]
 
 
 def kernel_sum(atoms, z, q):
@@ -73,7 +73,7 @@ def kernel_Kq(zeta, z, q):
     """Genus-q kernel of one atom: kernel_sum of a unit mass at zeta."""
     if not (isinstance(q, int) and q >= -1):
         raise BadInput(f"genus must be an integer >= -1, got {q}")
-    return kernel_sum(kernel_atoms([(zeta, 1.0)]), complex(z), q)
+    return kernel_sum(kernel_atoms(AtomicCharge([(zeta, 1.0)])), complex(z), q)
 
 
 def kernel_Kq_radial_derivative(z, t, q):
@@ -116,29 +116,20 @@ class GenusSchedule:
             raise BadInput("schedule radii must increase")
         if any(q2 < q1 for q1, q2 in zip(genera, genera[1:])):
             raise BadInput("genera must not decrease")
-        if any(q < -1 for q in genera):
-            raise BadInput("genera must be >= -1")
 
     def genus_at(self, t):
-        if t < 0.0:
+        """The genus at radius t, or the array of genera at an array of radii."""
+        if np.any(np.less(t, 0.0)):
             raise BadInput(f"need t >= 0, got {t}")
-        g = self.genera[0]
-        for r, q in zip(self.radii, self.genera):
-            if r <= t:
-                g = q
-            else:
-                break
-        return g
+        q = np.array(self.genera)[np.searchsorted(self.radii, t, side="right") - 1]
+        return int(q) if np.ndim(q) == 0 else q
 
     def convergence_sum(self, nu, x0):
         """Exact sum of |m| (x0/|zeta|)^{q(|zeta|)+1} over atoms off the origin."""
-        total = 0.0
-        for zch, m in nu.atoms:
-            az = abs(zch)
-            if az == 0.0:
-                continue
-            total += abs(m) * (x0 / az) ** (self.genus_at(az) + 1)
-        return total
+        az = modulus(nu.z)
+        off = az != 0.0
+        az = az[off]
+        return math.fsum((np.abs(nu.m[off]) * (x0 / az) ** (self.genus_at(az) + 1.0)).tolist())
 
     def to_json(self):
         return {"radii": list(self.radii), "genera": list(self.genera)}
@@ -167,14 +158,10 @@ class CanonicalPotential:
             raise BadInput("give exactly one of genus or schedule")
         if self.genus is not None and not (isinstance(self.genus, int) and self.genus >= -1):
             raise BadInput(f"genus must be an integer >= -1, got {self.genus}")
-        by_genus = {}
-        for a in self.charge.atoms:
-            by_genus.setdefault(self.genus_for(a[0]), []).append(a)
+        genera = (np.full(self.charge.m.shape, self.genus) if self.genus is not None
+                  else self.schedule.genus_at(modulus(self.charge.z)))
         object.__setattr__(self, "_groups", tuple(
-            (q, kernel_atoms(by_genus[q])) for q in sorted(by_genus)))
-
-    def genus_for(self, zeta):
-        return self.genus if self.genus is not None else self.schedule.genus_at(abs(zeta))
+            (int(q), kernel_atoms(self.charge[genera == q])) for q in np.unique(genera)))
 
     def harmonic_part(self, z):
         if not self.harmonic_coeffs:
@@ -191,7 +178,7 @@ def potential_eval(P, z):
         for q, atoms in P._groups:
             total += kernel_sum(atoms, z, q)
     except CoincidentPoints:  # the first atom at z decides
-        return -math.inf if next(m for zeta, m in P.charge.atoms if zeta == z) > 0.0 else math.inf
+        return -math.inf if P.charge.m[P.charge.z == z][0] > 0.0 else math.inf
     return total + P.harmonic_part(z)
 
 
@@ -258,9 +245,17 @@ _FUNCTIONAL = dict(route="functional", budget=FUNCTIONAL_BUDGET, epsabs=QUAD_TOL
 def edge_radii(nu, alpha, beta):
     """Radii of the atoms of nu on the rays alpha and beta, ascending: where the
     edge integrals of a sector see a log singularity of nu's potential."""
-    edges = (RaySystem([alpha]), RaySystem([beta]))
-    return sorted({abs(z) for z, _ in nu.atoms
-                   if z != 0 and any(E.ray_index(z) is not None for E in edges)})
+    z = nu.z[nu.z != 0]
+    on = (RaySystem([alpha]).ray_index(z) >= 0) | (RaySystem([beta]).ray_index(z) >= 0)
+    return np.unique(modulus(z[on])).tolist()
+
+
+def _edge_breakpoints(r0, r, radii):
+    """The edge integrals' breakpoints inside (r0, r), or None: the edge radii,
+    and the powers of ten, where the weights t^(+-p) change scale; unsplit,
+    quad's first rules over many decades miss the mass near r0."""
+    decades = (10.0 ** k for k in range(math.floor(math.log10(r0)), math.ceil(math.log10(r)) + 1))
+    return sorted({t for t in (*radii, *decades) if r0 < t < r}) or None
 
 
 def _edge_arc_functionals(v, alpha, beta, r0, r, radii):
@@ -280,7 +275,7 @@ def _edge_arc_functionals(v, alpha, beta, r0, r, radii):
                              f"range on [{r0}, {r}]")
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
     A = 0.5 / gamma * integrate(lambda t: (t ** (-p) - t ** p / r ** (2.0 * p)) * edges(t) / t,
-                                r0, r, points=radii or None, **_FUNCTIONAL)[0]
+                                r0, r, points=_edge_breakpoints(r0, r, radii), **_FUNCTIONAL)[0]
     B = integrate(lambda th: v(cmath.rect(r, th)) * math.sin(p * (th - alpha)),
                   alpha, beta, **_FUNCTIONAL)[0] / (gamma * r ** p)
     return A, B
@@ -289,7 +284,8 @@ def _edge_arc_functionals(v, alpha, beta, r0, r, radii):
 def class_A_functionals(v, alpha, beta, r0, r, radii):
     """The three edge/arc functionals of a sector (alpha, beta) at radii (r0, r),
     with the two alternative routes to A as consistency data.  radii, the
-    edge_radii of v's charge, are the edge integrals' breakpoints.
+    edge_radii of v's charge, and the powers of ten are the edge integrals'
+    breakpoints.
 
     A: weighted edge integral with the inner/outer power weight
     B: arc integral against the aperture sine
@@ -302,7 +298,7 @@ def class_A_functionals(v, alpha, beta, r0, r, radii):
     gamma = beta - alpha
     p = math.pi / gamma
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
-    pts = radii or None
+    pts = _edge_breakpoints(r0, r, radii)
     J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, points=pts, **_FUNCTIONAL)
     A_via_J = 0.5 / gamma * (J - integrate(lambda t: edges(t) * t ** (p - 1.0), r0, r,
                                            points=pts, **_FUNCTIONAL)[0] / r ** (2.0 * p))
@@ -310,7 +306,7 @@ def class_A_functionals(v, alpha, beta, r0, r, radii):
     A_via_double = 0.5 / gamma * integrate(
         lambda u: (math.exp(-p * u) - math.exp(p * (u - 2.0 * math.log(r))))
         * edges(math.exp(u)), math.log(r0), math.log(r),
-        points=[math.log(t) for t in radii] or None, **_FUNCTIONAL)[0]
+        points=pts and [math.log(t) for t in pts], **_FUNCTIONAL)[0]
     return ClassAResult(A=A, B=B, J=J, A_via_J=A_via_J, A_via_double=A_via_double)
 
 
@@ -328,29 +324,29 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL):
     """
     if not (0.0 < r0 < r):
         raise BadInput(f"need 0 < r0 < r, got ({r0}, {r})")
-    for z, _ in nu.atoms:
-        if abs(abs(z) - r0) <= 1e-13 * max(1.0, r0) or abs(abs(z) - r) <= 1e-13 * r:
-            raise AtomOnCircle(f"atom at |z| = {abs(z)} sits on an integration circle")
+    az = modulus(nu.z)
+    on = (np.abs(az - r0) <= 1e-13 * max(1.0, r0)) | (np.abs(az - r) <= 1e-13 * r)
+    if on.any():
+        raise AtomOnCircle(f"atom at |z| = {az[on][0]} sits on an integration circle")
 
     # first: it checks that r^2 and r0^2 are normal floats
     A, B = _edge_arc_functionals(v, 0.0, math.pi, r0, r, edge_radii(nu, 0.0, math.pi))
     lhs = 0.0
     inner = 0.0
-    for z, m in nu.restricted(lambda z: z.imag > 0.0).atoms:
-        az = abs(z)
-        if r0 < az <= r:
+    upper = nu[nu.z.imag > 0.0]
+    for z, m in zip(upper.z.tolist(), upper.m.tolist()):
+        if r0 < abs(z) <= r:
             lhs += m * ((1.0 / z.conjugate()).imag - (z / r ** 2).imag)
-        elif 0.0 < az < r0:
+        elif 0.0 < abs(z) < r0:
             inner += m * z.imag
     lhs += (1.0 / r0 ** 2 - 1.0 / r ** 2) * inner
 
     # atoms near the contours make the integrands peaked; their projections
     # guide the subdivision
-    diam_pts = sorted({abs(z.real) for z, _ in nu.atoms
-                       if abs(z.imag) < r0 and 0.0 < abs(z.real) < r0})
-    arc_pts = sorted({cmath.phase(z) for z, _ in nu.atoms
-                      if r0 / 4.0 < abs(z) < 4.0 * r0
-                      and 0.0 < cmath.phase(z) < math.pi})
+    x, ph = np.abs(nu.z.real), np.array([cmath.phase(z) for z in nu.z.tolist()])
+    diam_pts = np.unique(x[(np.abs(nu.z.imag) < r0) & (0.0 < x) & (x < r0)]).tolist()
+    arc_pts = np.unique(ph[(r0 / 4.0 < az) & (az < 4.0 * r0)
+                           & (0.0 < ph) & (ph < math.pi)]).tolist()
     opts = dict(route="inner correction", budget=POTENTIAL_BUDGET,
                 epsabs=QUAD_TOL, limit=400)
     diam, _ = integrate(lambda t: v(-t) + v(t), 0.0, r0,
@@ -454,7 +450,7 @@ def sweep_potential_eval(bal, z, genus=-1):
     cls = classify_point(bal.rays, z)
     host = None if isinstance(cls, OnSystem) else cls.sector
     w = None
-    total, sources = 0.0, list(bal.kept.atoms)
+    total, sources = 0.0, []
     for s in bal.swept:
         o, p = s.w, s.sector.exponent
         if p <= genus:
@@ -468,7 +464,7 @@ def sweep_potential_eval(bal, z, genus=-1):
             total += 0.5 * s.mass * math.log1p(4.0 * (w.imag / d) * (o.imag / d))
         sources.append((s.z, s.mass))
     with np.errstate(over="ignore"):  # an overflowing sum is the failure below
-        total += kernel_sum(kernel_atoms(sources), z, genus)
+        total += kernel_sum(kernel_atoms(bal.kept + AtomicCharge(sources)), z, genus)
     if not math.isfinite(total):
         raise NumericFailure(f"swept potential at z = {z} is not finite")
     return total

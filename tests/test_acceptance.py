@@ -154,7 +154,7 @@ def test_criterion_04_mass_conservation():
         nu = AtomicCharge(atoms)
         for S in systems:
             bal = balayage_system(nu, S)
-            total = math.fsum(m for _, m in bal.kept.atoms)
+            total = math.fsum(bal.kept.m.tolist())
             for j in range(len(S.thetas)):
                 total += math.fsum(
                     m * _halfline_mass(w, e)

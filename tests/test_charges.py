@@ -19,9 +19,9 @@ from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
                       blaschke_outside_system, blaschke_sector,
                       check_fubini, check_ges_bound, check_ges_bound_system,
                       check_lindelof_preservation, check_lipschitz,
-                      check_thcup_bound, complementary_sectors,
+                      check_thcup_bound, complementary_sectors, counting_around,
                       distribution_on_R, divergence_verdict, hm_interval,
-                      lindelof_sum, poisson_kernel, radial_counting,
+                      lindelof_sum, poisson_kernel,
                       ray_geometry, seq_balayage_distribution)
 from balayage.charges import _poisson_pairing
 from balayage.errors import NumericFailure
@@ -33,19 +33,20 @@ PI = math.pi
 
 def test_charge_validation():
     nu = AtomicCharge([(1j, 1.0), (2.0, 0.0)])
-    assert len(nu.atoms) == 1  # zero masses dropped
+    assert nu.z.tolist() == [1j] and nu.m.tolist() == [1.0]  # zero masses dropped
     assert nu.total_mass == 1.0
     with pytest.raises(BadInput):
         AtomicCharge([(1j, math.inf)])
 
 
 def test_radial_counting_examples():
-    f = radial_counting(AtomicCharge([(1j, 1.0)]))
+    f = counting_around(AtomicCharge([(1j, 1.0)]), 0.0, variation=False)
     assert f(0.5) == 0.0 and f(1.0) == 1.0 and f(2.0) == 1.0
     sym = AtomicCharge([(1j, 1.0), (-1j, -1.0)])
-    assert radial_counting(sym)(5.0) == 0.0
-    assert radial_counting(sym, variation=True)(5.0) == 2.0
-    stair = radial_counting(AtomicCharge([(1.0, 1.0), (2j, 1.0), (-3.0, 1.0)]))
+    assert counting_around(sym, 0.0, variation=False)(5.0) == 0.0
+    assert counting_around(sym, 0.0, variation=True)(5.0) == 2.0
+    stair = counting_around(AtomicCharge([(1.0, 1.0), (2j, 1.0), (-3.0, 1.0)]), 0.0,
+                            variation=False)
     assert [stair(r) for r in (1, 2, 3)] == [1.0, 2.0, 3.0]
 
 
@@ -132,7 +133,7 @@ def test_lindelof_sum_examples():
 
 def test_balayage_halfplane_density_and_mass():
     bal = balayage_halfplane(AtomicCharge([(1j, 1.0)]))
-    assert not bal.kept.atoms
+    assert not bal.kept.m.size
     for t in (0.0, 0.7, -2.0):
         want = 1.0 / (PI * (1.0 + t * t))
         got = bal.ray_density(0, abs(t)) if t >= 0 else bal.ray_density(1, abs(t))
@@ -146,7 +147,7 @@ def test_balayage_halfplane_density_and_mass():
 
 def test_balayage_halfplane_keeps_lower_atoms():
     bal = balayage_halfplane(AtomicCharge([(-3j, 2.0)]))
-    assert bal.kept.atoms == [(-3j, 2.0)]
+    assert bal.kept.z.tolist() == [-3j] and bal.kept.m.tolist() == [2.0]
     assert not bal.swept
 
 
@@ -154,7 +155,7 @@ def test_balayage_system_halfplane_consistency():
     nu = AtomicCharge([(2j, 1.0), (1 - 1j, 0.5)])
     S = RaySystem([0.0, PI])
     bal = balayage_system(nu, S)
-    half_up = balayage_halfplane(nu.restricted(lambda z: z.imag > 0))
+    half_up = balayage_halfplane(nu[nu.z.imag > 0])
     for x in (0.5, 1.5, -2.0):
         lhs = distribution_on_R(bal, x)
         # mirror the lower atom into the upper half-plane by hand
@@ -184,7 +185,8 @@ def test_balayage_on_system_kept():
     S = RaySystem([0.0, PI / 2])
     nu = AtomicCharge([(3j, 1.0), (2.0, 1.0), (0.0, 4.0)])
     bal = balayage_system(nu, S)
-    kept = sorted(bal.kept.atoms, key=lambda zm: (zm[0].real, zm[0].imag))
+    kept = sorted(zip(bal.kept.z.tolist(), bal.kept.m.tolist()),
+                  key=lambda zm: (zm[0].real, zm[0].imag))
     assert kept == [(0.0 + 0j, 4.0), (3j, 1.0), (2.0 + 0j, 1.0)]
     assert not bal.swept
 
@@ -210,7 +212,7 @@ def test_variation_dominance_on_segments():
         nu = random_charge(rng, 6)
         bal = balayage_system(nu, S)
         bal_var = balayage_system(
-            AtomicCharge([(z, abs(m)) for z, m in nu.atoms]), S)
+            AtomicCharge(zip(nu.z, np.abs(nu.m))), S)
         for j in (0, 1):
             a = rng.uniform(0.0, 4.0)
             b = a + rng.uniform(0.1, 4.0)
@@ -249,7 +251,7 @@ def test_check_thcup_random_suite():
         if t1 * t2 < 0:
             continue
         res = check_thcup_bound(nu, t1, t2, rng.uniform(0.15, 0.85))
-        assert res.holds, (nu.atoms, t1, t2)
+        assert res.holds, (nu.z, nu.m, t1, t2)
 
 
 def test_check_ges_examples():
@@ -322,7 +324,7 @@ def test_check_ges_system_closed_at_the_gauge():
     S = RaySystem([0.0, PI / 2, PI, 3 * PI / 2])
     nu = AtomicCharge([(complex(1.2, 1.6), 1.5), (3.0, 2.0), (cmath.rect(3.0, PI / 2), 0.7),
                        (complex(-2.5, 3.0), -0.5), (complex(0.3, 0.4), 1.0)])
-    assert abs(nu.atoms[0][0]) == 2.0
+    assert abs(nu.z[0].item()) == 2.0
     res = check_ges_bound_system(nu, S, 2.0, 1.0)
     assert res.detail["c_plus"] == 0.3922493953238377
     open_sum = math.fsum(blaschke_sector(nu, sec, 2.0) for sec in complementary_sectors(S))
@@ -615,7 +617,7 @@ def _lindelof_differences_per_radius(nu, S, q, r0, radii):
     bal = balayage_system(nu, S)
     diffs = []
     for r in radii:
-        lb = lindelof_sum(bal.kept, q, r0, r) if bal.kept.atoms else 0.0 + 0.0j
+        lb = lindelof_sum(bal.kept, q, r0, r) if bal.kept.m.size else 0.0 + 0.0j
         for j, th in enumerate(S.thetas):
             if bal.ray_contributions(j):
                 val, _ = quad(lambda t: t ** (-q) * bal.ray_density(j, t), r0, r,
@@ -700,7 +702,8 @@ def test_pairing_over_the_support_equals_the_integral_from_zero(z):
     F = RayTestFunction(S, {0: [(0.5, 0.0), (1.0, 1.0), (2.0, 0.0)],
                             1: [(5.0, 0.0), (6.0, -2.0), (9.0, 0.0)],
                             2: [(0.01, 0.0), (0.02, 0.5), (0.5, 0.5), (3.0, 0.0)]})
-    assert abs(_poisson_pairing(F, S, z) - _pairing_from_zero(F, S, z)) <= QUAD_TOL
+    s = SweptAtom(z, 1.0, ray_geometry.classify_point(S, z).sector)
+    assert abs(_poisson_pairing(F, S, s) - _pairing_from_zero(F, S, z)) <= QUAD_TOL
 
 
 @pytest.mark.parametrize("target, far", [

@@ -1,0 +1,166 @@
+"""Every failure of the command line is an exit code: 0 ok, 1 a check ran and
+failed, 2 bad input, 3 no representable value.  No exception escapes main,
+whatever the magnitudes of the inputs, and only the commands that return a
+verdict (hm and check) exit 1."""
+
+import cmath
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from balayage.cli import main
+from conftest import write_json
+
+PI = math.pi
+VERDICT_COMMANDS = {"hm", "check"}
+CHECKS = ("blaschke", "carleman", "thcup", "ges", "lipschitz", "fubini", "lindelof",
+          "classa")
+
+# magnitudes log-uniform over 1e-300 to 1e300
+mags = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+angles = st.floats(0.0, 2.0 * PI, exclude_max=True)
+# arbitrary points, and points on the negative axis as cmath.rect forms them
+# (imaginary part 1.2e-16 |z|)
+points = st.one_of(st.builds(cmath.rect, mags, angles),
+                   st.builds(cmath.rect, mags, st.just(PI)))
+signed = st.builds(lambda m, s: m * s, mags, st.sampled_from([1.0, -1.0]))
+systems = st.lists(angles, min_size=1, max_size=4, unique=True).filter(
+    lambda ts: all(abs(math.remainder(a - b, 2.0 * PI)) > 0.1
+                   for i, a in enumerate(ts) for b in ts[:i]))
+
+
+def _c(z):
+    return f"{z.real!r},{z.imag!r}"
+
+
+def _two(draw):
+    a, b = sorted(draw(st.lists(mags, min_size=2, max_size=2, unique=True)))
+    return repr(a), repr(b)
+
+
+def _argv(kind, draw, files):
+    """argv of one call of kind (a subcommand, or check <name>), its inputs
+    drawn and its JSON files written by files(name, obj)."""
+    atoms = draw(st.lists(st.tuples(points, signed), min_size=1, max_size=3))
+    charge = files("charge", {"atoms": [{"re": z.real, "im": z.imag, "mass": m}
+                                        for z, m in atoms]})
+    thetas = draw(systems)
+    system = files("system", {"rays": thetas})
+    if kind == "hm":
+        if draw(st.booleans()):
+            t1, t2 = sorted(draw(st.lists(signed, min_size=2, max_size=2, unique=True)))
+            return ["hm", f"--z={_c(draw(points))}", f"--interval={t1!r},{t2!r}"]
+        a, b = _two(draw)
+        return ["hm", f"--z={_c(draw(points))}", "--system", system, "--disk", a,
+                "--segment", f"{draw(st.integers(0, len(thetas) - 1))},{a},{b}"]
+    if kind == "balayage":
+        return ["balayage", "--charge", charge, "--samples", "3", "--xmax",
+                repr(draw(mags))] + (["--system", system] if draw(st.booleans()) else [])
+    if kind == "growth":
+        return ["growth", "--charge", charge, "--p", repr(draw(st.floats(0.1, 4.0))),
+                "--zero-side"]
+    if kind == "potential":
+        argv = ["potential", "--charge", charge, f"--z={_c(draw(points))}",
+                "--genus", str(draw(st.integers(-1, 2)))]
+        return argv + (["--sweep", "--system", system, "--rmax", repr(draw(mags))]
+                       if draw(st.booleans()) else [])
+    if kind == "crg":
+        on_rays = [{"re": z.real, "im": z.imag, "mass": 1.0} for z in
+                   (cmath.rect(draw(mags), draw(st.sampled_from(thetas))) for _ in range(3))]
+        return ["crg", "--charge", files("charge", {"atoms": on_rays}), "--system", system,
+                "--p", repr(draw(st.floats(0.5, 3.0)))]
+    name = kind.split()[1]
+    r0, r = _two(draw)
+    argv = ["check", name, "--charge", charge, "--r0", r0, "--r", r]
+    if name in ("blaschke", "ges", "fubini", "lindelof") and draw(st.booleans()):
+        argv += ["--system", system]
+    if name == "thcup":
+        t1, t2 = _two(draw)
+        argv += ["--t1", t1, "--t2", t2]
+    if name == "lipschitz":
+        x1, x2 = _two(draw)
+        argv += ["--x1", x1, "--x2", x2, "--n-grid", "4"]
+    if name == "fubini":
+        t = sorted(draw(st.lists(mags, min_size=3, max_size=3, unique=True)))
+        argv += ["--system", system, "--tent",
+                 f"{draw(st.integers(0, len(thetas) - 1))},{t[0]!r},{t[1]!r},{t[2]!r}"]
+    if name == "lindelof":
+        argv += ["--system", system]
+    if name == "ges":
+        argv += ["--gauge-scale", repr(1.0 + draw(mags))]
+    return argv
+
+
+@pytest.mark.parametrize("kind", ["hm", "balayage", "growth", "potential", "crg",
+                                  *(f"check {name}" for name in CHECKS)])
+@settings(max_examples=6, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_failure_is_an_exit_code(kind, data, tmp_path):
+    files = lambda name, obj: write_json(tmp_path / f"{name}.json", obj)
+    argv = _argv(kind, data.draw, files) + ["--out", str(tmp_path / "out.json")]
+    rc = main(argv)
+    assert rc in (0, 1, 2, 3), argv
+    assert rc != 1 or argv[0] in VERDICT_COMMANDS, argv
+
+
+# ---------------------------------------------------------------------------
+# Families that escaped main as exceptions, each with one unit atom at 2 + i
+
+
+@pytest.mark.parametrize("r, rays", [
+    ("1e200", None),               # (g - r)^2 overflowed
+    ("1e-200", None),              # (g - r)^2 underflowed to 0
+    ("1e-200", [0.0, 2.0, 4.0]),   # the same in the system bound
+    ("1e156", [0.0, 2.0, 4.0]),    # g^2 overflowed
+])
+def test_ges_gauge_factor_is_formed_as_a_ratio(r, rays, charge_file, system_file, tmp_path):
+    out = tmp_path / "ges.json"
+    system = [] if rays is None else ["--system", system_file(rays)]
+    rc = main(["check", "ges", "--charge", charge_file([(2 + 1j, 1.0)]), "--r", r,
+               *system, "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 0 and report["holds"] and math.isfinite(report["rhs"])
+    if float(r) > 1.0:  # the whole atom inside the gauge disk
+        assert report["lhs"] == pytest.approx(1.0, rel=1e-12) and report["rhs"] == 1.0
+
+
+def test_ges_bound_past_the_float_range_is_a_numeric_failure(charge_file, capsys):
+    # g(r) one ulp above r = 1: (g / (g - r))^2 = 2e31 times a scaled tail of
+    # 1.3e299 has no float; it used to read inf, and the bound held
+    rc = main(["check", "ges", "--charge", charge_file([(2 + 1j, 1e300)]), "--r", "1",
+               "--gauge-scale", "1.0000000000000002"])
+    err = capsys.readouterr().err
+    assert rc == 3 and "gauge bound" in err
+
+
+@pytest.mark.parametrize("radii", ["1e100,1e200", "1e-200,1e-100"])
+def test_crg_radii_past_the_float_range_are_a_numeric_failure(radii, charge_file,
+                                                              system_file, capsys):
+    # the values are scaled by r^2, which overflows at 1e200 and underflows at 1e-200
+    rc = main(["crg", "--charge", charge_file([(2.0, 1.0), (3.0, 1.0)]), "--system",
+               system_file([0.0]), "--p", "2", "--radii", radii])
+    assert rc == 3 and capsys.readouterr().err.startswith("numeric failure:")
+
+
+def test_hm_oracle_disagreement_exits_1(tmp_path):
+    # the closed form reads 1 (z inside the semidisk on a huge interval); the
+    # oracle's quadrature never sees the spike at 0 and reads 0
+    out, ok = tmp_path / "hm.json", tmp_path / "ok.json"
+    rc = main(["hm", "--z=0,1e-10", "--interval=-1e300,1e300", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 1 and report["exact"] == 1.0 and report["difference"] == 1.0
+    assert report["bounds"]["all_hold"]
+    # the report keeps its keys
+    assert main(["hm", "--z=0,1", "--interval=-1,1", "--out", str(ok)]) == 0
+    assert set(report) == set(json.loads(ok.read_text()))
+
+
+def test_a_mass_that_is_no_number_is_bad_input(tmp_path, capsys):
+    # float("two") raised a ValueError that escaped main
+    charge = write_json(tmp_path / "charge.json",
+                        {"atoms": [{"re": 2.0, "im": 1.0, "mass": "two"}]})
+    assert main(["growth", "--charge", charge, "--p", "1"]) == 2
+    assert "bad atom entry" in capsys.readouterr().err

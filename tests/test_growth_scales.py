@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from balayage import (AtomicCharge, BadInput, StepFunction,
                       convergence_integral_inf, convergence_integral_zero,
-                      growth_report, order_at_infinity, radial_counting,
+                      counting_around, growth_report, order_at_infinity,
                       type_at)
 
 PI = math.pi
@@ -53,7 +53,7 @@ def test_type_examples():
 def test_type_sine_zero_counting():
     nu = AtomicCharge([(k * PI, 1.0) for k in range(1, 800)]
                       + [(-k * PI, 1.0) for k in range(1, 800)])
-    n = radial_counting(nu)
+    n = counting_around(nu, 0.0, variation=False)
     assert type_at(n, 1.0, 50.0, 2000.0) == pytest.approx(2.0 / PI, abs=0.02)
 
 

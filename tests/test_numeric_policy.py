@@ -32,9 +32,10 @@ from balayage import (AtomicCharge, BoundarySegment, CanonicalPotential, Interva
                       sweep_potential_eval, variation_radial)
 from balayage import numerics
 from balayage.charges import _variation_interval_halfplane
+from balayage.subharmonic import _edge_arc_functionals
 from balayage.cli import _counts_by_ray, main
 from balayage.errors import NumericFailure
-from balayage.numerics import integrate
+from balayage.numerics import ANGULAR_TOL, INPUT_ANGULAR_TOL, integrate
 from conftest import random_charge
 
 PI = math.pi
@@ -103,7 +104,7 @@ def test_atoms_built_on_a_ray_are_on_that_ray_everywhere(S, r, data):
     assert S.ray_index(z) == j
 
     bal = balayage_system(AtomicCharge([(z, 1.0)]), S)
-    assert bal.kept.atoms == [(z, 1.0)] and bal.swept == ()
+    assert bal.kept.z.tolist() == [z] and bal.kept.m.tolist() == [1.0] and bal.swept == ()
 
     F = RayTestFunction(S, {j: [(0.5 * r, 0.0), (0.9 * r, 1.0), (1.1 * r, 1.0),
                                 (2.0 * r, 0.0)]})
@@ -125,6 +126,40 @@ def test_ray_index_rejects_the_origin_and_points_off_the_rays():
     assert S.ray_index(cmath.rect(1.0, 1.0)) is None
     assert S.ray_index(cmath.rect(1.0, 2.0 + 1e-10)) is None
     assert S.ray_index(cmath.rect(1.0, 2.0 + 1e-10), tol=1e-9) == 1
+    assert S.ray_index(np.array([1.0, 1j, cmath.rect(3.0, 2.0)])).tolist() == [0, -1, 1]
+    with pytest.raises(balayage.ZeroPoint):
+        S.ray_index(np.array([1.0, 0j]))
+
+
+def _ray_index_by_remainder(S, z, tol):
+    """The former scalar on-ray test: |remainder(arg z - theta, 2 pi)| ray by
+    ray, the last nearest ray within tol winning."""
+    best, best_d = None, tol
+    for j, t in enumerate(S.thetas):
+        d = abs(math.remainder(cmath.phase(z) - t, 2.0 * PI))
+        if d <= best_d:
+            best, best_d = j, d
+    return best
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(S=systems(), tol=st.sampled_from([ANGULAR_TOL, INPUT_ANGULAR_TOL]),
+       r=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), data=st.data())
+def test_ray_index_of_an_array_is_the_index_of_each_point(S, tol, r, data):
+    ts = S.thetas
+    # on each ray, at +-tol from it and an ulp either side of that, at the
+    # midpoints between neighbouring rays (ties where two rays are within tol),
+    # and on the negative axis as cmath.rect forms it
+    angles = [t + s * d for t in ts for s in (1.0, -1.0)
+              for d in (0.0, tol, math.nextafter(tol, 0.0), math.nextafter(tol, 1.0))]
+    angles += [0.5 * (a + b) for a, b in zip(ts, ts[1:] + (ts[0] + 2.0 * PI,))]
+    angles += [PI, data.draw(st.floats(-7.0, 7.0))]
+    z = [cmath.rect(r, a) for a in angles]
+    got = S.ray_index(np.array(z), tol=tol)
+    assert got.shape == (len(z),)
+    for zk, jk in zip(z, got.tolist()):
+        assert S.ray_index(zk, tol=tol) == (None if jk < 0 else jk) \
+            == _ray_index_by_remainder(S, zk, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +335,21 @@ def test_atom_on_an_edge_is_a_breakpoint_of_the_edge_integrals(check, charge_fil
     A = _edge_functional_A(atoms, 1, 3, [2])
     for route in (res.A, res.A_via_J, res.A_via_double):
         assert abs(route - A) <= 1e-12
+
+
+def test_edge_integrals_over_many_decades_split_at_each_power_of_ten(charge_file, tmp_path):
+    # over [0.01, 1e8], split at no decade, QUADPACK's first rules missed the
+    # mass near r0: A came out -1.2e-7 where 25.7 is due, and the check
+    # failed with residual 25.7
+    atoms = [(2 + 1j, 1.0)]
+    out = tmp_path / "check.json"
+    rc = main(["check", "carleman", "--charge", charge_file(atoms), "--r0", "0.01",
+               "--r", "1e8", "--out", str(out)])
+    assert rc == 0 and json.loads(out.read_text())["residual"] <= 1e-12
+    P = CanonicalPotential(AtomicCharge(atoms), genus=-1)
+    A, _ = _edge_arc_functionals(lambda z: potential_eval(P, z), 0.0, PI, 0.01, 1e8, [])
+    want = _edge_functional_A(atoms, 0.01, 1e8, [10.0 ** k for k in range(-1, 8)])
+    assert want == pytest.approx(25.7, abs=0.05) and abs(A - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("mass", [1.0, -1.0])

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from balayage import (AtomicCharge, BadInput, StepFunction, angular_density,
                       crg_on_rays, exgr2_functionals, indicator_estimate,
-                      kernel_Kq, pv_kernel_integral, radial_counting)
+                      kernel_Kq, pv_kernel_integral)
 from balayage.numerics import ANGULAR_TOL
 from balayage.regular_growth import _check_convergence_class
 from balayage.ray_geometry import TWO_PI, normalize_angle

@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balayage import (BadInput, NumericFailure, StepFunction, convergence_integral_inf,
@@ -60,6 +60,8 @@ def abs_integral(f, p, lo, hi):
         if a == 0.0:
             return math.inf
         total += c * (anti(b) - anti(a))
+    if not math.isfinite(total):  # finite pieces whose sum has no float
+        raise OverflowError(f"|f| / t^{p + 1:g} over [{lo}, {hi}] is past the float range")
     return total
 
 
@@ -146,6 +148,8 @@ def test_stieltjes_integrals_equal_the_list_form(data, lo, width, p):
 
 @given(step_data(), st.floats(min_value=0.01, max_value=50.0),
        st.floats(min_value=1.5, max_value=1e4), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+# the zero-side integral 2 (2^1023 - 1) of a jump 2 at 2^-1023 has no float
+@example(data=([(2.0 ** -1023, 2.0)], 0.0), r_lo=1.0, width=2.0, p=1.0)
 @settings(max_examples=120, deadline=None)
 def test_one_pass_windows_equal_one_scan_per_radius(data, r_lo, width, p):
     f = StepFunction.from_events(*data)

@@ -40,7 +40,8 @@ def kernel_quadrature(bal, z, q):
     integrates each ray piece by piece, with t = u^(1/a) on the first piece
     to remove the vertex singularity t^(a-1)."""
     z = complex(z)
-    total = math.fsum(m * kernel_Kq(zeta, z, q) for zeta, m in bal.kept.atoms)
+    total = math.fsum(m * kernel_Kq(zeta, z, q)
+                      for zeta, m in zip(bal.kept.z.tolist(), bal.kept.m.tolist()))
     spent = scale = 0.0
     for j, th in enumerate(bal.rays.thetas):
         recs = bal.ray_contributions(j)
@@ -79,7 +80,8 @@ def mp_kernel_quadrature(bal, z, q):
             return mpmath.log(abs(1 - w)) + mpmath.fsum(
                 mpmath.re(w ** j) / j for j in range(1, q + 1))
 
-        total = mpmath.fsum(m * K(mpmath.mpc(zeta)) for zeta, m in bal.kept.atoms)
+        total = mpmath.fsum(m * K(mpmath.mpc(zeta))
+                            for zeta, m in zip(bal.kept.z.tolist(), bal.kept.m.tolist()))
         for j, th in enumerate(bal.rays.thetas):
             recs = bal.ray_contributions(j)
             if not recs:
@@ -131,8 +133,8 @@ def test_green_sum_matches_the_kernel_quadrature(thetas, q, nu, r, phi):
     bal = balayage_halfplane(nu) if thetas is None else balayage_system(nu, RaySystem(thetas))
     # the oracle's quadrature needs the peaks of the integrands resolved
     assume(_off_rays(bal.rays.thetas, phi))
-    assume(all(_off_rays(bal.rays.thetas, cmath.phase(zeta)) for zeta, _ in nu.atoms))
-    assume(all(abs(abs(zeta) - math.exp(r)) > 1e-3 for zeta, _ in nu.atoms))
+    assume(all(_off_rays(bal.rays.thetas, cmath.phase(zeta)) for zeta in nu.z.tolist()))
+    assume(all(abs(abs(zeta) - math.exp(r)) > 1e-3 for zeta in nu.z.tolist()))
     z = cmath.rect(math.exp(r), phi)
     assert sweep_potential_eval(bal, z, genus=q) == pytest.approx(
         kernel_quadrature(bal, z, q), abs=1e-9)
