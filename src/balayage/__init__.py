@@ -4,7 +4,7 @@ diagnostics, convergence-condition checkers, boundary-identity verification,
 and regular-growth analysis of zero distributions."""
 
 from .charges import (AtomicCharge, BalayageCharge, CheckResult,
-                      LipschitzReport, RayTestFunction, SweptAtom,
+                      LipschitzReport, RayTestFunction,
                       balayage_halfplane, balayage_system, blaschke_halfplane,
                       blaschke_outside_system, blaschke_sector, check_fubini,
                       check_ges_bound, check_ges_bound_system,

@@ -3,7 +3,7 @@ or onto a closed system of rays.
 
 A charge is a finite list of weighted atoms.  Sweeping replaces each atom off
 the target set by its harmonic-measure image; the result is kept symbolic as
-(source atom, host sector) records, so the distribution function along any
+source atoms and their host sectors, so the distribution function along any
 ray is a finite sum of closed-form arctangent terms and never needs the
 density to be discretized.  All the quantitative checks (interval mass,
 radial growth, Lipschitz modulus, test-function pairing, power-sum
@@ -31,14 +31,12 @@ from .errors import (
     SupportOffAxis,
     SupportTouchesInterval,
 )
-from .harmonic_measure import (Interval, hm_interval, imag_inv_conj, interval_form,
-                               poisson_kernel)
+from .harmonic_measure import imag_inv_conj, interval_form, poisson_kernel
 from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        VARIATION_TOL, integrate)
 from .ray_geometry import (
     REAL_AXIS,
     RaySystem,
-    Sector,
     modulus,
     on_system,
     radial_power,
@@ -48,6 +46,14 @@ from .ray_geometry import (
 from .stepfn import StepFunction
 
 _SLOPE_DIVERGENT = 0.1  # fitted growth vs log r above this flags divergence
+
+
+def _freeze(obj, **arrays):
+    """Set the arrays, read-only, as attributes of the frozen dataclass obj."""
+    for name, arr in arrays.items():
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+    return obj
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -68,17 +74,11 @@ class AtomicCharge:
         if bad.any():
             i = bad.argmax()
             raise BadInput(f"non-finite atom ({complex(z[i])}, {float(m[i])})")
-        self._set(z[m != 0.0], m[m != 0.0])
+        _freeze(self, z=z[m != 0.0], m=m[m != 0.0])
 
     @classmethod
     def _of(cls, z, m):
-        return cls.__new__(cls)._set(z, m)
-
-    def _set(self, z, m):
-        for name, arr in (("z", z), ("m", m)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        return self
+        return _freeze(cls.__new__(cls), z=z, m=m)
 
     @property
     def total_mass(self):
@@ -182,84 +182,73 @@ def lindelof_sum(nu, q, r0, r):
 # Balayage
 
 
-@dataclass(frozen=True)
-class SweptAtom:
-    """Source atom swept inside its host sector; the half-plane sweep's host
-    is REAL_AXIS.sectors[0], whose power map is the identity.  Its image w
-    under the sector's power map is formed once, here, and checked to lie in
-    the open upper half-plane: the kernels divide by Im w."""
-
-    z: complex
-    mass: float
-    sector: Sector
-    w: complex = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        w = reduce_to_halfplane(self.sector, self.z)
-        if not w.imag > 0.0:
-            raise NotInUpperHalfPlane(f"need Im w > 0 for every swept image, got w = {w}")
-        object.__setattr__(self, "w", w)
-
-
 class _RayArrays(NamedTuple):
-    """What a sweep puts on one ray, built once with the sweep.
+    """What a sweep puts on one ray, built once with the sweep: for each swept
+    atom whose sector has the ray as an edge, in the atoms' order, its mass,
+    its image w under the sector's power map, the map's exponent p, and edge
+    +1 when the ray is the sector's lower edge (image in R+), -1 when it is
+    the upper edge (R-); and the kernels' factors ewr = edge * Re w (the
+    image seen from the ray's side: (edge*s - Re w)^2 = (s - ewr)^2 exactly),
+    coef = mass * p * Im w / pi, wi2 = (Im w)^2 and pm1 = p - 1."""
 
-    records are the swept contributions (mass, w, p, edge): w is the source
-    atom's image under its sector's power map, p the map's exponent, edge +1
-    when the ray is the sector's lower edge (image in R+), -1 when it is the
-    upper edge (R-).  The arrays hold, per record, the mass, ewr = edge * Re w
-    (the image seen from the ray's side: (edge*s - Re w)^2 = (s - ewr)^2
-    exactly), Im w and p, and the density's factors coef = mass * p * Im w / pi,
-    wi2 = (Im w)^2 and pm1 = p - 1."""
-
-    records: tuple
     mass: np.ndarray
-    ewr: np.ndarray
-    wi: np.ndarray
+    w: np.ndarray
     p: np.ndarray
+    edge: np.ndarray
+    ewr: np.ndarray
     coef: np.ndarray
     wi2: np.ndarray
     pm1: np.ndarray
 
 
-def _ray_arrays(records):
-    """_RayArrays from one ray's swept records.
-
-    The factors are formed in float arithmetic, where the (Im w)^2 of a far
-    image becomes inf without a warning, and its density term 0."""
-    m, w, p, e = zip(*records) if records else ((),) * 4
-    wi = [z.imag for z in w]
-    return _RayArrays(tuple(records), *(np.array(c, dtype=float) for c in (
-        m, [ek * z.real for ek, z in zip(e, w)], wi, p,
-        [mk * pk * y / math.pi for mk, pk, y in zip(m, p, wi)],
-        [y * y for y in wi], [pk - 1.0 for pk in p])))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalayageCharge:
-    """Result of sweeping: atoms already on the target set plus symbolic
-    swept records whose densities are evaluated in closed form.
+    """Result of sweeping: the atoms already on the target set, and the swept
+    atoms, whose densities are evaluated in closed form.
 
-    Immutable: the per-ray arrays the queries read are built once, here, and
-    the kept atoms by ray on the first query that reads them."""
+    swept holds the source atoms and sector, read-only, the index into
+    rays.sectors of each one's host sector.  The images w of the swept atoms
+    under their sectors' power maps are formed and checked once, here; the
+    per-ray arrays and the kept atoms by ray are built on the first query
+    that reads them (the half-plane variation reads neither)."""
 
     system: RaySystem | None  # None: swept onto R out of the upper half-plane
     kept: AtomicCharge
-    swept: tuple[SweptAtom, ...]
-    _arrays: tuple[_RayArrays, ...] = field(init=False, repr=False, compare=False)
+    swept: AtomicCharge
+    sector: np.ndarray
+    w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "swept", tuple(self.swept))
-        k = len(self.rays.thetas)
-        # sector i runs from ray i to ray i+1
-        index = {sec: i for i, sec in enumerate(self.rays.sectors)}
-        records = [[] for _ in range(k)]
-        for s in self.swept:
-            i = index[s.sector]
-            p = s.sector.exponent
-            records[i].append((s.mass, s.w, p, +1))
-            records[(i + 1) % k].append((s.mass, s.w, p, -1))
-        object.__setattr__(self, "_arrays", tuple(_ray_arrays(r) for r in records))
+        secs = self.rays.sectors
+        sector = np.array(self.sector, dtype=np.intp)
+        if sector.shape != self.swept.m.shape or sector.size and not (
+                0 <= sector.min() and sector.max() < len(secs)):
+            raise BadInput(f"need a sector in [0, {len(secs)}) per swept atom, got {sector}")
+        w = np.array([reduce_to_halfplane(secs[i], z) for i, z in
+                      zip(sector.tolist(), self.swept.z.tolist())], dtype=complex)
+        if not (w.imag > 0.0).all():  # the kernels divide by Im w
+            raise NotInUpperHalfPlane("need Im w > 0 for every swept image, got "
+                                      f"w = {_first(w, ~(w.imag > 0.0))}")
+        _freeze(self, sector=sector, w=w)
+
+    @cached_property
+    def _arrays(self):
+        """The _RayArrays of each ray."""
+        k = len(self.rays)
+        # sector i runs from ray i, its lower edge, to ray i+1, its upper edge;
+        # sorted by ray, stably, each ray's (atom, edge) pairs keep the atoms' order
+        ray = (self.sector[:, None] + (0, 1)) % k
+        atom, upper = np.divmod(np.argsort(ray, axis=None, kind="stable"), 2)
+        m, w = self.swept.m[atom], self.w[atom]
+        p = np.array([sec.exponent for sec in self.rays.sectors])[self.sector[atom]]
+        edge = 1.0 - 2.0 * upper
+        with np.errstate(over="ignore"):  # a far image's (Im w)^2 is inf, its term 0
+            cols = (m, w, p, edge, edge * w.real, m * p * w.imag / np.pi,
+                    w.imag * w.imag, p - 1.0)
+        for c in cols:
+            c.flags.writeable = False
+        ends = [0, *np.bincount(ray.ravel(), minlength=k).cumsum().tolist()]
+        return tuple(_RayArrays(*(c[a:b] for c in cols)) for a, b in zip(ends, ends[1:]))
 
     @cached_property
     def _kept_on_rays(self):
@@ -268,11 +257,11 @@ class BalayageCharge:
         r = modulus(kept.z)
         order = np.argsort(r, kind="stable")
         j, r, m = self.rays.ray_index(kept.z[order]), r[order], kept.m[order]
-        return tuple((r[j == i], m[j == i]) for i in range(len(self._arrays)))
+        return tuple((r[j == i], m[j == i]) for i in range(len(self.rays)))
 
     @property
     def total_mass(self):
-        return self.kept.total_mass + math.fsum(s.mass for s in self.swept)
+        return (self.kept + self.swept).total_mass
 
     @property
     def rays(self):
@@ -280,11 +269,11 @@ class BalayageCharge:
         return REAL_AXIS if self.system is None else self.system
 
     def to_json(self):
+        secs = self.rays.sectors
         out = {"kept": self.kept.to_json(),
-               "swept": [{"source": {"re": s.z.real, "im": s.z.imag, "mass": s.mass},
-                          "sector": None if self.system is None
-                          else [s.sector.alpha, s.sector.beta]}
-                         for s in self.swept]}
+               "swept": [{"source": a, "sector": None if self.system is None
+                          else [secs[i].alpha, secs[i].beta]}
+                         for a, i in zip(self.swept.to_json()["atoms"], self.sector.tolist())]}
         if self.system is not None:
             out["system"] = self.system.to_json()
         return out
@@ -297,19 +286,20 @@ class BalayageCharge:
         return self._arrays[j]
 
     def ray_contributions(self, j):
-        """Swept contributions to ray j as (mass, w, p, edge) with edge +1 if
-        the ray is the sector's lower edge (image in R+), -1 if upper (R-)."""
-        return self._ray(j).records
+        """Swept contributions to ray j: the read-only arrays (mass, w, p, edge),
+        edge +1 where the ray is the sector's lower edge (image in R+), -1 where
+        it is the upper edge (R-)."""
+        return self._ray(j)[:4]
 
     def ray_segment_mass(self, j, x1, x2, variation=False):
         """Swept mass landing on ray j between radii x1 < x2 (closed form); x2
         a radius, or an array of radii with an array of masses returned.
 
-        Each record contributes the harmonic measure, at its image point w,
-        of the image interval e*[x1^p, x2^p]: interval_form at (e*Re w, Im w)
-        over [x1^p, x2^p], the one closed form that hm_interval evaluates on
-        one record.  An end x2^p past the float range gives a NaN mass, a
-        NumericFailure.  The radii x records terms are formed
+        Each contribution is the harmonic measure, at its image point w, of
+        the image interval e*[x1^p, x2^p]: interval_form at (e*Re w, Im w)
+        over [x1^p, x2^p], the one closed form that hm_interval evaluates at
+        one point.  An end x2^p past the float range gives a NaN mass, a
+        NumericFailure.  The radii x contributions terms are formed
         SAMPLE_BLOCK_ELEMENTS at a time."""
         x2 = np.asarray(x2, dtype=float)
         radii = x2.ravel()
@@ -322,7 +312,7 @@ class BalayageCharge:
         step = max(1, SAMPLE_BLOCK_ELEMENTS // max(1, len(r.mass)))
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(0, radii.size, step):
-                om = interval_form(r.ewr, r.wi, np.power(x1, r.p),
+                om = interval_form(r.ewr, r.w.imag, np.power(x1, r.p),
                                    np.power(radii[i:i + step, None], r.p))[0]
                 total[i:i + step] = np.sum(weight * om, axis=-1)
         if not np.isfinite(total).all():
@@ -362,19 +352,18 @@ def _first(values, bad):
 
 
 def balayage_halfplane(nu):
-    """Sweep the open-upper-half part of nu onto R; the closed lower half stays."""
+    """Sweep the open-upper-half part of nu onto R, each swept atom in
+    REAL_AXIS.sectors[0]; the closed lower half stays."""
     swept = (nu.z.imag > 0.0) & ~on_system(REAL_AXIS, nu.z)
-    return BalayageCharge(system=None, kept=nu[~swept], swept=[
-        SweptAtom(z, m, REAL_AXIS.sectors[0])
-        for z, m in zip(nu.z[swept].tolist(), nu.m[swept].tolist())])
+    return BalayageCharge(None, nu[~swept], nu[swept],
+                          np.zeros(np.count_nonzero(swept), dtype=np.intp))
 
 
 def balayage_system(nu, S):
     """Sweep nu onto the closed ray system S; atoms on S (origin included) stay."""
     on = on_system(S, nu.z)
-    return BalayageCharge(system=S, kept=nu[on], swept=[
-        SweptAtom(z, m, sector_of(S, z).sector)
-        for z, m in zip(nu.z[~on].tolist(), nu.m[~on].tolist())])
+    return BalayageCharge(S, nu[on], nu[~on],
+                          [sector_of(S, z).index for z in nu.z[~on].tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +422,27 @@ def seq_balayage_distribution(Z, x):
 # Variation masses of a sweep (exact when signs allow, quadrature otherwise)
 
 
+# The variation integrals of a mixed-sign sweep: quad's default epsrel (1.49e-8)
+# applies, so each asks for max(VARIATION_TOL, 1.49e-8 * |value|).
+_VARIATION = dict(route="variation", epsabs=VARIATION_TOL, limit=400)
+
+
+def _one_sign(m):
+    """True when the nonzero masses m share a sign (or there are none)."""
+    neg = np.signbit(m)
+    return neg.all() or not neg.any()
+
+
 def _swept_variation_on_R(swept, t1, t2):
-    """Variation the half-plane sweep puts on [t1, t2]: the harmonic-measure
-    sum when the swept masses share a sign, else the checked quadrature of
-    the density's absolute value."""
-    if not swept:
-        return 0.0
-    if len({math.copysign(1.0, s.mass) for s in swept}) == 1:
-        return math.fsum(abs(s.mass) * hm_interval(s.z, Interval(t1, t2)) for s in swept)
-    dens = lambda t: abs(math.fsum(s.mass * poisson_kernel(t, s.z) for s in swept))
-    val, _ = integrate(dens, t1, t2, "variation", epsabs=VARIATION_TOL, limit=400)
-    return val
+    """Variation the half-plane sweep, whose images are its swept atoms,
+    puts on [t1, t2]: the harmonic-measure sum when the swept masses share a
+    sign, else the checked quadrature of the density's absolute value."""
+    z, m = swept.z, swept.m
+    if _one_sign(m):
+        return math.fsum((np.abs(m) * interval_form(z.real, z.imag, t1, t2)[0]).tolist())
+    z, m = z.tolist(), m.tolist()
+    dens = lambda t: abs(math.fsum(mk * poisson_kernel(t, zk) for zk, mk in zip(z, m)))
+    return integrate(dens, t1, t2, **_VARIATION)[0]
 
 
 def _variation_interval_halfplane(bal, t1, t2):
@@ -462,16 +461,14 @@ def variation_radial(bal, r):
     if bal.system is None:
         return total + _swept_variation_on_R(bal.swept, -r, r)
     for j in range(len(bal.system.thetas)):
-        contribs = bal.ray_contributions(j)
-        if not contribs:
+        mass = bal.ray_contributions(j)[0]
+        if not mass.size:
             continue
-        signs = {math.copysign(1.0, m) for m, *_ in contribs}
-        if len(signs) == 1:
+        if _one_sign(mass):
             total += abs(bal.ray_segment_mass(j, 0.0, r))
         else:
             dens = lambda t, jj=j: abs(bal.ray_density(jj, t))
-            val, _ = integrate(dens, 0.0, r, "variation", epsabs=VARIATION_TOL, limit=400)
-            total += val
+            total += integrate(dens, 0.0, r, **_VARIATION)[0]
     return total
 
 
@@ -676,16 +673,14 @@ class RayTestFunction:
         return [t for t, _ in self.breakpoints.get(j, [])]
 
 
-def _poisson_pairing(F, S, s):
-    """Value at the swept atom s's location of the harmonic extension of F to
-    the complement of S: Poisson integrals over its sector's edges, in the
-    reduced variable of its image s.w."""
-    sec, w = s.sector, s.w
-    idx = S.sectors.index(sec)
+def _poisson_pairing(F, S, i, w):
+    """Value at a point of sector i of S, w its image under the sector's
+    power map, of the harmonic extension of F to the complement of S:
+    Poisson integrals over the sector's edges, in the reduced variable."""
     k = len(S.thetas)
-    p = sec.exponent
+    p = S.sectors[i].exponent
     total = 0.0
-    for edge_ray, sign in ((idx, +1), ((idx + 1) % k, -1)):
+    for edge_ray, sign in ((i, +1), ((i + 1) % k, -1)):
         knots = F.ray_knots(edge_ray)
         if not knots:
             continue
@@ -723,9 +718,8 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL):
     kept = [m * F(z) for z, m in zip(bal.kept.z.tolist(), bal.kept.m.tolist())]
     lhs = math.fsum(kept)
     for j in range(len(S.thetas)):
-        contribs = bal.ray_contributions(j)
         knots = F.ray_knots(j)
-        if not contribs or not knots:
+        if not bal.ray_contributions(j)[0].size or not knots:
             continue
         lo, hi = knots[0], knots[-1]  # F's support on the ray
         if hi == 0.0:
@@ -735,7 +729,8 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL):
                            points=[t for t in knots if lo < t < hi])
         lhs += val
     # the sweep classified the atoms once: F's extension is F on S
-    rhs = math.fsum(kept + [s.mass * _poisson_pairing(F, S, s) for s in bal.swept])
+    rhs = math.fsum(kept + [m * _poisson_pairing(F, S, i, w) for m, i, w in zip(
+        bal.swept.m.tolist(), bal.sector.tolist(), bal.w.tolist())])
     return CheckResult(lhs, rhs, abs(lhs - rhs) <= tol, {"difference": abs(lhs - rhs)})
 
 
@@ -751,7 +746,7 @@ def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 
     # most QUAD_TOL
     swept = []
     for j, th in enumerate(S.thetas):
-        if not bal.ray_contributions(j):
+        if not bal.ray_contributions(j)[0].size:
             continue
         total, cumulative = 0.0, []
         for a, b in zip((r0, *radii), radii):

@@ -25,7 +25,7 @@ INPUT_ANGULAR_TOL = 1e-9
 
 # Absolute accuracy (epsabs) asked of quad: the harmonic-measure oracles'
 # default tol, and the checks' quadratures, whose accuracy is fixed and not a
-# parameter; the variation integrals of a mixed-sign sweep ask VARIATION_TOL.
+# parameter.  Mixed-sign variation integrals: max(VARIATION_TOL, 1.49e-8 |value|).
 QUAD_TOL = 1e-10
 VARIATION_TOL = 1e-11
 # A bound check holds when its left side exceeds the right (or, for a lower
@@ -46,7 +46,7 @@ FUNCTIONAL_BUDGET = 1e-6    # class-A functionals
 EDGE_BUDGET_SHARE = 0.1
 EDGE_BUDGET_FLOOR = 1e-9
 
-# Elements (radii x swept records) of one block of an array query on a ray:
+# Elements (radii x swept contributions) of one block of an array query on a ray:
 # each temporary of a block stays near half a megabyte, however many radii
 # are asked for.
 SAMPLE_BLOCK_ELEMENTS = 1 << 16

@@ -300,8 +300,9 @@ def class_A_functionals(v, alpha, beta, r0, r, radii):
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
     pts = _edge_breakpoints(r0, r, radii)
     J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, points=pts, **_FUNCTIONAL)
-    A_via_J = 0.5 / gamma * (J - integrate(lambda t: edges(t) * t ** (p - 1.0), r0, r,
-                                           points=pts, **_FUNCTIONAL)[0] / r ** (2.0 * p))
+    # r^-2p inside the integral: the budget holds the term that enters A_via_J
+    A_via_J = 0.5 / gamma * (J - integrate(lambda t: edges(t) * t ** (p - 1.0) / r ** (2.0 * p),
+                                           r0, r, points=pts, **_FUNCTIONAL)[0])
     # int_s^r t^(2p-1) dt = (r^2p - s^2p) / 2p, and pi / (2p gamma^2) = 1 / (2 gamma)
     A_via_double = 0.5 / gamma * integrate(
         lambda u: (math.exp(-p * u) - math.exp(p * (u - 2.0 * math.log(r))))
@@ -447,24 +448,24 @@ def sweep_potential_eval(bal, z, genus=-1):
     t^(p_D - 1) at the vertex and the kernel like t^(-q).
     """
     z = complex(z)
+    p = min((bal.rays.sectors[i].exponent for i in set(bal.sector.tolist())), default=math.inf)
+    if p <= genus:
+        raise BadInput(f"kernel integral diverges: genus q = {genus} >= p_D = {p:.6g}")
     cls = classify_point(bal.rays, z)
-    host = None if isinstance(cls, OnSystem) else cls.sector
-    w = None
-    total, sources = 0.0, []
-    for s in bal.swept:
-        o, p = s.w, s.sector.exponent
-        if p <= genus:
-            raise BadInput(f"kernel integral diverges: genus q = {genus} >= p_D = {p:.6g}")
-        if s.sector == host:
-            w = reduce_to_halfplane(host, z) if w is None else w
+    total = 0.0
+    keep = np.ones(bal.sector.shape, dtype=bool)  # the sources of the kernel sum
+    if not isinstance(cls, OnSystem) and cls.index in bal.sector:
+        w, p = reduce_to_halfplane(cls.sector, z), cls.sector.exponent
+        for i in np.flatnonzero(bal.sector == cls.index).tolist():
+            zeta, m, o = bal.swept.z[i].item(), bal.swept.m[i].item(), bal.w[i].item()
             d = abs(w - o)  # not its square, which underflows next to a tiny atom
             if d == 0:  # z = zeta, or closer to it than the power map resolves
-                total += s.mass * _coincident_limit(s.z, o, p, genus)
-                continue  # the limit holds the kernel term too
-            total += 0.5 * s.mass * math.log1p(4.0 * (w.imag / d) * (o.imag / d))
-        sources.append((s.z, s.mass))
+                total += m * _coincident_limit(zeta, o, p, genus)
+                keep[i] = False  # the limit holds the kernel term too
+            else:
+                total += 0.5 * m * math.log1p(4.0 * (w.imag / d) * (o.imag / d))
     with np.errstate(over="ignore"):  # an overflowing sum is the failure below
-        total += kernel_sum(kernel_atoms(bal.kept + AtomicCharge(sources)), z, genus)
+        total += kernel_sum(kernel_atoms(bal.kept + bal.swept[keep]), z, genus)
     if not math.isfinite(total):
         raise NumericFailure(f"swept potential at z = {z} is not finite")
     return total

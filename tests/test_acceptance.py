@@ -156,9 +156,10 @@ def test_criterion_04_mass_conservation():
             bal = balayage_system(nu, S)
             total = math.fsum(bal.kept.m.tolist())
             for j in range(len(S.thetas)):
+                m, w, _, e = bal.ray_contributions(j)
                 total += math.fsum(
-                    m * _halfline_mass(w, e)
-                    for m, w, p, e in bal.ray_contributions(j))
+                    mk * _halfline_mass(wk, ek)
+                    for mk, wk, ek in zip(m.tolist(), w.tolist(), e.tolist()))
             worst = max(worst, abs(total - nu.total_mass))
     assert worst <= 1e-10
     _finish(4, t0, 10.0, f"500 sweeps, worst mass defect {worst:.2e}")

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
                       HypothesisViolated, Interval, NotInUpperHalfPlane,
                       RaySystem, RayTestFunction, SupportOffAxis,
-                      SupportTouchesInterval, SweptAtom, balayage_halfplane,
+                      SupportTouchesInterval, balayage_halfplane,
                       balayage_system, blaschke_halfplane,
                       blaschke_outside_system, blaschke_sector,
                       check_fubini, check_ges_bound, check_ges_bound_system,
@@ -24,6 +24,7 @@ from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
                       lindelof_sum, poisson_kernel,
                       ray_geometry, seq_balayage_distribution)
 from balayage.charges import _poisson_pairing
+from balayage.cli import main
 from balayage.errors import NumericFailure
 from balayage.numerics import QUAD_TOL, SAMPLE_BLOCK_ELEMENTS
 from conftest import random_charge
@@ -148,7 +149,7 @@ def test_balayage_halfplane_density_and_mass():
 def test_balayage_halfplane_keeps_lower_atoms():
     bal = balayage_halfplane(AtomicCharge([(-3j, 2.0)]))
     assert bal.kept.z.tolist() == [-3j] and bal.kept.m.tolist() == [2.0]
-    assert not bal.swept
+    assert not bal.swept.m.size and not bal.sector.size
 
 
 def test_balayage_system_halfplane_consistency():
@@ -188,7 +189,7 @@ def test_balayage_on_system_kept():
     kept = sorted(zip(bal.kept.z.tolist(), bal.kept.m.tolist()),
                   key=lambda zm: (zm[0].real, zm[0].imag))
     assert kept == [(0.0 + 0j, 4.0), (3j, 1.0), (2.0 + 0j, 1.0)]
-    assert not bal.swept
+    assert not bal.swept.m.size and not bal.sector.size
 
 
 def test_balayage_linearity_exact():
@@ -335,18 +336,22 @@ def test_check_ges_system_closed_at_the_gauge():
 # The swept charge's array kernels against the per-record scalar kernels
 
 
+def _contributions(bal, j):
+    """Ray j's swept contributions, one (mass, w, p, edge) of Python numbers each."""
+    return list(zip(*(c.tolist() for c in bal.ray_contributions(j))))
+
+
 def _density_terms(bal, j, t):
     return [m * p * t ** (p - 1.0) * poisson_kernel(e * t ** p, w)
-            for m, w, p, e in bal.ray_contributions(j)]
+            for m, w, p, e in _contributions(bal, j)]
 
 
 def _mass_terms(bal, j, x1, x2, variation):
-    # the endpoints by the library's np.power over the records' exponents:
+    # the endpoints by the library's np.power over the contributions' exponents:
     # ** can differ from it by an ulp, which b - a amplifies by a / (b - a)
-    records = bal.ray_contributions(j)
-    ps = np.array([p for _, _, p, _ in records], dtype=float)
+    ps = bal.ray_contributions(j)[2]
     terms = []
-    for (m, w, p, e), a, b in zip(records, np.power(x1, ps).tolist(),
+    for (m, w, p, e), a, b in zip(_contributions(bal, j), np.power(x1, ps).tolist(),
                                   np.power(x2, ps).tolist()):
         om = hm_interval(w, Interval(a, b) if e > 0 else Interval(-b, -a))
         terms.append((abs(m) if variation else m) * om)
@@ -413,8 +418,8 @@ def test_array_radii_match_one_radius_calls(target, atoms, kept, far, ray, radii
     bal = balayage_halfplane(nu) if target is None else balayage_system(nu, RaySystem(target))
     j = ray % len(bal.rays)
     radii += [r for k, r, _ in kept if k % len(thetas) == j]
-    if blocks:  # repeat the radii past one block of records x radii
-        n = SAMPLE_BLOCK_ELEMENTS // max(1, len(bal.ray_contributions(j))) + 2
+    if blocks:  # repeat the radii past one block of contributions x radii
+        n = SAMPLE_BLOCK_ELEMENTS // max(1, bal.ray_contributions(j)[0].size) + 2
         radii = np.resize(radii, n).tolist()
     ends = [x1 + d for d in radii if d > 0.0]
     for variation in (False, True):
@@ -546,7 +551,7 @@ def test_narrow_sector_density_matches_mpmath(z, rel):
     # minus 2*pi + (arg z - 0.3), it cost about 3e-9 relative.
     S = RaySystem([0.0, 0.3])
     bal = balayage_system(AtomicCharge([(z, 1.0)]), S)
-    sec = bal.swept[0].sector
+    sec = S.sectors[bal.sector[0]]
     with mpmath.workdps(50):
         for j, e in ((S.thetas.index(sec.alpha), 1), (S.thetas.index(sec.beta % (2 * PI)), -1)):
             for t in (0.5, 1.0, 1.01, 3.0):
@@ -588,23 +593,52 @@ def test_sweep_reads_the_systems_sectors(monkeypatch):
         if vars(mod).get("complementary_sectors") is original:
             monkeypatch.setattr(mod, "complementary_sectors", counted)
     bal = balayage_system(random_charge(np.random.default_rng(50), 50), S)
-    assert len(bal.swept) > 0
+    assert bal.swept.m.size > 0
     assert calls["complementary_sectors"] == 0
     assert S.sectors == tuple(original(S))
 
 
 def test_swept_images_are_checked_when_the_sweep_is_built():
+    # a lower atom given the upper half-plane as its host: its image w = z
     with pytest.raises(NotInUpperHalfPlane):
-        BalayageCharge(None, AtomicCharge([]),
-                       [SweptAtom(-1j, 1.0, REAL_AXIS.sectors[0])])
+        BalayageCharge(None, AtomicCharge([]), AtomicCharge([(-1j, 1.0)]), [0])
+    for sector in ([], [1, 0], [2], [-1]):  # one index per atom, into rays.sectors
+        with pytest.raises(BadInput, match="per swept atom"):
+            BalayageCharge(None, AtomicCharge([]), AtomicCharge([(1j, 1.0)]), sector)
     # |w| = |z|^2 underflows to 0 in the quarter plane's power map
     with pytest.raises(NotInUpperHalfPlane):
         balayage_system(AtomicCharge([(cmath.rect(1e-200, 0.5), 1.0)]),
                         RaySystem([0.0, PI / 2]))
     bal = balayage_halfplane(AtomicCharge([(1j, 1.0)]))
-    assert isinstance(bal.swept, tuple)
+    assert isinstance(bal.swept, AtomicCharge)
     with pytest.raises(FrozenInstanceError):
-        bal.swept = ()
+        bal.swept = AtomicCharge([])
+
+
+def test_the_swept_arrays_are_read_only():
+    bal = balayage_system(AtomicCharge([(1 + 1j, 1.0), (-2 - 1j, -0.5)]),
+                          RaySystem([0.0, PI / 2, PI]))
+    assert bal.sector.tolist() == [0, 2]
+    assert np.allclose(bal.w, [2j, 2 + 1j], rtol=0.0, atol=1e-15)
+    for arr in (bal.swept.z, bal.swept.m, bal.sector, bal.w, *bal.ray_contributions(0)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_a_sweeps_total_mass_is_one_correctly_rounded_sum():
+    # kept 1e16, swept 1 and -1e16: two rounded sums gave 1e16 - 1e16 = 0
+    bal = balayage_halfplane(AtomicCharge([(1, 1e16), (1j, 1), (2j, -1e16)]))
+    assert bal.kept.m.tolist() == [1e16] and bal.swept.m.tolist() == [1.0, -1e16]
+    assert bal.total_mass == 1.0
+
+
+def test_the_halfplane_sweep_report_has_no_sector_and_no_system(charge_file, tmp_path):
+    out = tmp_path / "bal.json"
+    charge = charge_file([(0.5 + 1j, 1.0), (3.0, -0.25), (-1 - 2j, 0.5)])
+    assert main(["balayage", "--charge", charge, "--samples", "2", "--out", str(out)]) == 0
+    assert ('"balayage": {"kept": {"atoms": [{"im": 0.0, "mass": -0.25, "re": 3.0}, '
+            '{"im": -2.0, "mass": 0.5, "re": -1.0}]}, "swept": [{"sector": null, '
+            '"source": {"im": 1.0, "mass": 1.0, "re": 0.5}}]}, "charge": ') in out.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +653,7 @@ def _lindelof_differences_per_radius(nu, S, q, r0, radii):
     for r in radii:
         lb = lindelof_sum(bal.kept, q, r0, r) if bal.kept.m.size else 0.0 + 0.0j
         for j, th in enumerate(S.thetas):
-            if bal.ray_contributions(j):
+            if bal.ray_contributions(j)[0].size:
                 val, _ = quad(lambda t: t ** (-q) * bal.ray_density(j, t), r0, r,
                               epsabs=1e-10, limit=400)
                 lb += cmath.exp(-1j * q * th) * val
@@ -702,8 +736,9 @@ def test_pairing_over_the_support_equals_the_integral_from_zero(z):
     F = RayTestFunction(S, {0: [(0.5, 0.0), (1.0, 1.0), (2.0, 0.0)],
                             1: [(5.0, 0.0), (6.0, -2.0), (9.0, 0.0)],
                             2: [(0.01, 0.0), (0.02, 0.5), (0.5, 0.5), (3.0, 0.0)]})
-    s = SweptAtom(z, 1.0, ray_geometry.classify_point(S, z).sector)
-    assert abs(_poisson_pairing(F, S, s) - _pairing_from_zero(F, S, z)) <= QUAD_TOL
+    cls = ray_geometry.classify_point(S, z)
+    w = ray_geometry.reduce_to_halfplane(cls.sector, z)
+    assert abs(_poisson_pairing(F, S, cls.index, w) - _pairing_from_zero(F, S, z)) <= QUAD_TOL
 
 
 @pytest.mark.parametrize("target, far", [
@@ -715,9 +750,9 @@ def test_far_image_density_builds_without_warnings(target, far):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bal = balayage_halfplane(nu) if target is None else balayage_system(nu, RaySystem(target))
-    assert max(w.imag for _, w, _, _ in bal.ray_contributions(0)) >= 1e199
+    m, w, p, e = bal.ray_contributions(0)
+    assert w.imag.max() >= 1e199
     # the former expression, in which (Im w)^2 overflows and the far term is 0
-    m, w, p, e = (np.array(c) for c in zip(*bal.ray_contributions(0)))
     dx = e * 0.7 ** p - w.real
     with np.errstate(over="ignore"):
         got = bal.ray_density(0, 0.7)  # (Re w)^2 of the p = 2 image overflows too

@@ -35,7 +35,7 @@ from balayage.charges import _variation_interval_halfplane
 from balayage.subharmonic import _edge_arc_functionals
 from balayage.cli import _counts_by_ray, main
 from balayage.errors import NumericFailure
-from balayage.numerics import ANGULAR_TOL, INPUT_ANGULAR_TOL, integrate
+from balayage.numerics import ANGULAR_TOL, IDENTITY_TOL, INPUT_ANGULAR_TOL, integrate
 from conftest import random_charge
 
 PI = math.pi
@@ -54,7 +54,7 @@ def test_atom_at_rect_pi_has_no_blaschke_weight():
     # the half-plane Blaschke sum is the upper sector's: the atom the sweep
     # keeps on the axis is not interior to it
     nu = AtomicCharge([(cmath.rect(2, PI), 1.0)])
-    assert balayage_halfplane(nu).swept == ()
+    assert not balayage_halfplane(nu).swept.m.size
     assert blaschke_halfplane(nu, 1.0) == 0.0
 
 
@@ -104,7 +104,8 @@ def test_atoms_built_on_a_ray_are_on_that_ray_everywhere(S, r, data):
     assert S.ray_index(z) == j
 
     bal = balayage_system(AtomicCharge([(z, 1.0)]), S)
-    assert bal.kept.z.tolist() == [z] and bal.kept.m.tolist() == [1.0] and bal.swept == ()
+    assert bal.kept.z.tolist() == [z] and bal.kept.m.tolist() == [1.0]
+    assert not bal.swept.m.size
 
     F = RayTestFunction(S, {j: [(0.5 * r, 0.0), (0.9 * r, 1.0), (1.1 * r, 1.0),
                                 (2.0 * r, 0.0)]})
@@ -350,6 +351,22 @@ def test_edge_integrals_over_many_decades_split_at_each_power_of_ten(charge_file
     A, _ = _edge_arc_functionals(lambda z: potential_eval(P, z), 0.0, PI, 0.01, 1e8, [])
     want = _edge_functional_A(atoms, 0.01, 1e8, [10.0 ** k for k in range(-1, 8)])
     assert want == pytest.approx(25.7, abs=0.05) and abs(A - want) <= 1e-12 * want
+
+
+def test_classa_over_many_decades_holds_the_outer_integral_of_A_via_J_to_its_budget(
+        charge_file, tmp_path):
+    # over [0.01, 1e8] the outer-weight integral of A_via_J is about 3.5e9, with
+    # error about 0.34; only its quotient by r^2 = 1e16 enters A_via_J, so the
+    # quotient is what FUNCTIONAL_BUDGET has to hold
+    atoms = [(2 + 1j, 1.0)]
+    out = tmp_path / "check.json"
+    rc = main(["check", "classa", "--charge", charge_file(atoms), "--r0", "0.01",
+               "--r", "1e8", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 0 and report["holds"] is True
+    assert max(report["residual_J"], report["residual_double"]) <= IDENTITY_TOL
+    want = _edge_functional_A(atoms, 0.01, 1e8, [10.0 ** k for k in range(-1, 8)])
+    assert abs(report["A_via_J"] - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("mass", [1.0, -1.0])

@@ -20,17 +20,19 @@ PI = math.pi
 FIVE_RAYS = [0.1, 1.3, 2.5, 3.9, 5.0]  # sector exponents 2.24 ... 2.86
 
 
-def _vertex_exponent(recs, q):
+def _vertex_exponent(p, q):
     """a with the ray integrand ~ t^(a-1) at the vertex: the density behaves
-    like t^(p-1), the kernel like t^(-q) for q >= 1 and like log t for q = 0."""
-    return min(p for _, _, p, _ in recs) - max(q, 0)
+    like t^(p-1) for each exponent of p, the kernel like t^(-q) for q >= 1
+    and like log t for q = 0."""
+    return min(p.tolist()) - max(q, 0)
 
 
-def _ray_breakpoints(recs, z):
+def _ray_breakpoints(w, p, z):
     """Ascending radii: first the end c of the vertex piece, half the least of
-    |z| and the images' radii, then |z| and the radii where the images peak."""
-    c = 0.5 * min([abs(z)] + [abs(w) ** (1.0 / p) for _, w, p, _ in recs])
-    peaks = {abs(z)} | {abs(w.real) ** (1.0 / p) for _, w, p, _ in recs}
+    |z| and the images' radii, then |z| and the radii where the images w peak."""
+    wp = list(zip(w.tolist(), p.tolist()))
+    c = 0.5 * min([abs(z)] + [abs(wk) ** (1.0 / pk) for wk, pk in wp])
+    peaks = {abs(z)} | {abs(wk.real) ** (1.0 / pk) for wk, pk in wp}
     return [c] + sorted(t for t in peaks if t > c)
 
 
@@ -44,15 +46,15 @@ def kernel_quadrature(bal, z, q):
                       for zeta, m in zip(bal.kept.z.tolist(), bal.kept.m.tolist()))
     spent = scale = 0.0
     for j, th in enumerate(bal.rays.thetas):
-        recs = bal.ray_contributions(j)
-        if not recs:
+        _, w, p, _ = bal.ray_contributions(j)
+        if not p.size:
             continue
 
         def f(t, j=j, th=th):
             return 0.0 if t == 0.0 else kernel_Kq(cmath.rect(t, th), z, q) * bal.ray_density(j, t)
 
-        a = _vertex_exponent(recs, q)
-        pts = _ray_breakpoints(recs, z)
+        a = _vertex_exponent(p, q)
+        pts = _ray_breakpoints(w, p, z)
         with warnings.catch_warnings():  # the error estimates are checked below
             warnings.simplefilter("ignore", IntegrationWarning)
             pieces = [quad(lambda u: f(u ** (1.0 / a)) * u ** (1.0 / a - 1.0) / a,
@@ -83,9 +85,10 @@ def mp_kernel_quadrature(bal, z, q):
         total = mpmath.fsum(m * K(mpmath.mpc(zeta))
                             for zeta, m in zip(bal.kept.z.tolist(), bal.kept.m.tolist()))
         for j, th in enumerate(bal.rays.thetas):
-            recs = bal.ray_contributions(j)
-            if not recs:
+            m, w, p, edge = bal.ray_contributions(j)
+            if not m.size:
                 continue
+            recs = list(zip(m.tolist(), w.tolist(), p.tolist(), edge.tolist()))
             e = mpmath.expj(mpmath.mpf(th))
 
             def f(t):
@@ -95,8 +98,8 @@ def mp_kernel_quadrature(bal, z, q):
                     for m, w, p, edge in recs)
                 return K(t * e) * dens
 
-            a = mpmath.mpf(_vertex_exponent(recs, q))
-            pts = [mpmath.mpf(t) for t in _ray_breakpoints(recs, z)]
+            a = mpmath.mpf(_vertex_exponent(p, q))
+            pts = [mpmath.mpf(t) for t in _ray_breakpoints(w, p, z)]
             total += mpmath.quad(lambda u: f(u ** (1 / a)) * u ** (1 / a - 1) / a,
                                  [0, pts[0] ** a])
             total += mpmath.quad(f, pts + [mpmath.inf])
