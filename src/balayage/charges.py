@@ -118,19 +118,14 @@ def blaschke_halfplane(nu, r0):
 
 
 def blaschke_sector(nu, sec, r0):
-    """Reduced-coordinate Blaschke sum over atoms strictly inside the sector,
+    """Reduced-coordinate Blaschke sum, of |m| * Im(w) / |w|^2 with w the image
+    under the sector's power map, over atoms strictly inside the sector,
     outside the closed disk r0 (in original coordinates)."""
     if not r0 > 0.0:
         raise BadInput(f"need r0 > 0, got {r0}")
-    return _reduced_blaschke(sec, nu[modulus(nu.z) > r0])
-
-
-def _reduced_blaschke(sec, nu):
-    """Sum of |m| * Im(w) / |w|^2 over the atoms of nu strictly inside the
-    sector, w their images under the sector's power map."""
     total = 0.0
     for z, m in zip(nu.z.tolist(), nu.m.tolist()):
-        if z == 0 or not sec.contains(z):
+        if not (abs(z) > r0 and sec.contains(z)):
             continue
         w = reduce_to_halfplane(sec, z)
         if w.imag <= 0.0:
@@ -183,11 +178,11 @@ def lindelof_sum(nu, q, r0, r):
 
 
 class _RayArrays(NamedTuple):
-    """What a sweep puts on one ray, built once with the sweep: for each swept
-    atom whose sector has the ray as an edge, in the atoms' order, its mass,
-    its image w under the sector's power map, the map's exponent p, and edge
-    +1 when the ray is the sector's lower edge (image in R+), -1 when it is
-    the upper edge (R-); and the kernels' factors ewr = edge * Re w (the
+    """What a sweep puts on one ray, built once, on the first ray query: for
+    each swept atom whose sector has the ray as an edge, in the atoms' order,
+    its mass, its image w under the sector's power map, the map's exponent p,
+    and edge +1 when the ray is the sector's lower edge (image in R+), -1 when
+    it is the upper edge (R-); and the kernels' factors ewr = edge * Re w (the
     image seen from the ray's side: (edge*s - Re w)^2 = (s - ewr)^2 exactly),
     coef = mass * p * Im w / pi, wi2 = (Im w)^2 and pm1 = p - 1."""
 
@@ -562,13 +557,16 @@ def check_ges_bound_system(nu, S, g, r):
     gr = _gauge_value(g, r)
     bal = balayage_system(nu, S)
     lhs = variation_radial(bal, r)
-    # closed at the gauge: an atom at |z| = g(r) counts here, not in the disk term
-    far = nu[modulus(nu.z) >= gr]
+    # closed at the gauge: an atom at |z| = g(r) counts here, not in the disk term;
+    # far atoms on S are kept, so the reduced weights are the swept ones' sector sums
+    far = modulus(bal.swept.z) >= gr
+    b = [0.0] * len(S.sectors)
+    for m, i, w in zip(bal.swept.m[far].tolist(), bal.sector[far].tolist(), bal.w[far].tolist()):
+        b[i] += abs(m) * imag_inv_conj(w)
     c_plus = 0.0
-    for sec in S.sectors:
-        b = _reduced_blaschke(sec, far)
-        if b:  # a sector without far atoms adds 0, however large r^p is
-            c_plus += radial_power(r, sec.exponent) * b
+    for sec, bi in zip(S.sectors, b):
+        if bi:  # a sector without far atoms adds 0, however large r^p is
+            c_plus += radial_power(r, sec.exponent) * bi
     rhs = _gauge_bound(nu, r, gr, 8.0 / math.pi * c_plus)
     return CheckResult(lhs, rhs, lhs <= rhs + BOUND_SLACK, {"c_plus": c_plus})
 

@@ -301,7 +301,8 @@ def class_A_functionals(v, alpha, beta, r0, r, radii):
     pts = _edge_breakpoints(r0, r, radii)
     J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, points=pts, **_FUNCTIONAL)
     # r^-2p inside the integral: the budget holds the term that enters A_via_J
-    A_via_J = 0.5 / gamma * (J - integrate(lambda t: edges(t) * t ** (p - 1.0) / r ** (2.0 * p),
+    r2p = r ** (2.0 * p)
+    A_via_J = 0.5 / gamma * (J - integrate(lambda t: edges(t) * t ** (p - 1.0) / r2p,
                                            r0, r, points=pts, **_FUNCTIONAL)[0])
     # int_s^r t^(2p-1) dt = (r^2p - s^2p) / 2p, and pi / (2p gamma^2) = 1 / (2 gamma)
     A_via_double = 0.5 / gamma * integrate(

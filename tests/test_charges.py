@@ -750,7 +750,7 @@ def test_far_image_density_builds_without_warnings(target, far):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bal = balayage_halfplane(nu) if target is None else balayage_system(nu, RaySystem(target))
-    m, w, p, e = bal.ray_contributions(0)
+        m, w, p, e = bal.ray_contributions(0)  # the per-ray arrays are built here
     assert w.imag.max() >= 1e199
     # the former expression, in which (Im w)^2 overflows and the far term is 0
     dx = e * 0.7 ** p - w.real
