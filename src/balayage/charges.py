@@ -33,7 +33,7 @@ from .errors import (
 )
 from .harmonic_measure import imag_inv_conj, interval_form, poisson_kernel
 from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
-                       VARIATION_TOL, integrate)
+                       VARIATION_HALVINGS, VARIATION_TOL, integrate)
 from .ray_geometry import (
     REAL_AXIS,
     RaySystem,
@@ -205,7 +205,8 @@ class BalayageCharge:
     rays.sectors of each one's host sector.  The images w of the swept atoms
     under their sectors' power maps are formed and checked once, here; the
     per-ray arrays and the kept atoms by ray are built on the first query
-    that reads them (the half-plane variation reads neither)."""
+    that reads them (the variation reads the arrays of every ray, REAL_AXIS's
+    two for the half-plane sweep)."""
 
     system: RaySystem | None  # None: swept onto R out of the upper half-plane
     kept: AtomicCharge
@@ -414,12 +415,7 @@ def seq_balayage_distribution(Z, x):
 
 
 # ---------------------------------------------------------------------------
-# Variation masses of a sweep (exact when signs allow, quadrature otherwise)
-
-
-# The variation integrals of a mixed-sign sweep: quad's default epsrel (1.49e-8)
-# applies, so each asks for max(VARIATION_TOL, 1.49e-8 * |value|).
-_VARIATION = dict(route="variation", epsabs=VARIATION_TOL, limit=400)
+# Variation masses of a sweep
 
 
 def _one_sign(m):
@@ -428,43 +424,77 @@ def _one_sign(m):
     return neg.all() or not neg.any()
 
 
-def _swept_variation_on_R(swept, t1, t2):
-    """Variation the half-plane sweep, whose images are its swept atoms,
-    puts on [t1, t2]: the harmonic-measure sum when the swept masses share a
-    sign, else the checked quadrature of the density's absolute value."""
-    z, m = swept.z, swept.m
-    if _one_sign(m):
-        return math.fsum((np.abs(m) * interval_form(z.real, z.imag, t1, t2)[0]).tolist())
-    z, m = z.tolist(), m.tolist()
-    dens = lambda t: abs(math.fsum(mk * poisson_kernel(t, zk) for zk, mk in zip(z, m)))
-    return integrate(dens, t1, t2, **_VARIATION)[0]
+def _hidden_variation(terms, u, v):
+    """Per piece [u, v] of a ray whose density has the terms (coef, ewr, Im w,
+    p), a bound on what |mass| of the piece misses of its variation, 0 where
+    the density keeps its sign.  Term by term, t^(1-q) rho(t), q the least p,
+    lies in [lo, hi]: t^(p-q) at u or v, and the Lorentzian in s = t^p at the
+    farthest or nearest s in [u^p, v^p], formed as poisson_kernel forms it,
+    Im w / h / h.  |mass| misses at most 2 max(0, min(hi, -lo)) (v^q - u^q) / q."""
+    coef, ewr, y, p = terms
+    q = p.min()
+    du, dv = np.power(u[:, None], p) - ewr, np.power(v[:, None], p) - ewr
+    near = np.hypot(np.maximum(np.maximum(du, -dv), 0.0), y)
+    far = np.hypot(np.maximum(-du, dv), y)
+    # the Lorentzian first: coef * t^(p-q) can underflow where the bound does not
+    at_near = coef / near / near * np.power(v[:, None], p - q)
+    at_far = coef / far / far * np.power(u[:, None], p - q)
+    lo = np.minimum(at_near, at_far).sum(axis=1)
+    hi = np.maximum(at_near, at_far).sum(axis=1)
+    return 2.0 * np.maximum(0.0, np.minimum(hi, -lo)) * (v ** q - u ** q) / q
+
+
+def _ray_variation(bal, j, a, b):
+    """Variation the sweep puts on the segment [a, b] of ray j: |mass| of the
+    segment when the ray's masses share a sign, else the fsum of |mass| over
+    pieces, halving [a, b] (a level's open pieces at once) until each keeps
+    its sign or the open ones miss at most VARIATION_TOL in all.  Atoms with
+    one image are one term, so opposite masses there cancel exactly; halving
+    more than VARIATION_HALVINGS pieces is a NumericFailure."""
+    if not a < b:
+        return 0.0
+    r = bal._ray(j)
+    if _one_sign(r.mass):
+        return abs(bal.ray_segment_mass(j, a, b))
+    (ewr, y, p), one = np.unique(np.stack((r.ewr, r.w.imag, r.p)), axis=1, return_inverse=True)
+    terms = (np.bincount(one.ravel(), weights=r.coef), ewr, y, p)
+    step = max(1, SAMPLE_BLOCK_ELEMENTS // p.size)
+    u, v, cuts, halvings = np.array([a]), np.array([b]), [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while u.size:
+            hidden = np.concatenate([_hidden_variation(terms, u[i:i + step], v[i:i + step])
+                                     for i in range(0, u.size, step)])
+            # a NaN bound neither proves a sign nor fits the tolerance
+            whole = (hidden <= 0.0) | (hidden.sum() <= VARIATION_TOL)
+            cuts.append(v[whole])
+            u, v = u[~whole], v[~whole]
+            halvings += u.size
+            if halvings > VARIATION_HALVINGS:
+                raise NumericFailure(f"the sign of the swept density on ray {j} over "
+                                     f"[{a}, {b}] is not settled in {VARIATION_HALVINGS} halvings")
+            mid = 0.5 * (u + v)
+            u, v = np.concatenate((u, mid)), np.concatenate((mid, v))
+    mass = bal.ray_segment_mass(j, a, np.sort(np.concatenate(cuts)))
+    return math.fsum(np.abs(np.diff(mass, prepend=0.0)).tolist())
 
 
 def _variation_interval_halfplane(bal, t1, t2):
     """Variation of the swept-onto-R part plus kept real atoms on the half-open
-    interval matching the distribution-function difference conventions."""
+    interval matching the distribution-function difference conventions: the
+    swept part on [t1, t2] split at 0 onto REAL_AXIS's rays at 0 and pi."""
     t = bal.kept.z.real
     atom_in = (t1 <= t) & (t < t2) if t2 <= 0.0 else (t1 < t) & (t <= t2)
     total = math.fsum(np.abs(bal.kept.m[atom_in & on_system(REAL_AXIS, bal.kept.z)]).tolist())
-    return total + _swept_variation_on_R(bal.swept, t1, t2)
+    return total + _ray_variation(bal, 0, max(t1, 0.0), t2) + _ray_variation(
+        bal, 1, max(-t2, 0.0), -t1)
 
 
 def variation_radial(bal, r):
-    """|nu^bal| mass of the closed disk of radius r, exact when each ray's
-    swept contributions share a sign."""
+    """|nu^bal| mass of the closed disk of radius r: the kept atoms in it and
+    the swept variation on [0, r] of every ray (REAL_AXIS's two for the
+    half-plane sweep)."""
     total = math.fsum(np.abs(bal.kept.m[modulus(bal.kept.z) <= r]).tolist())
-    if bal.system is None:
-        return total + _swept_variation_on_R(bal.swept, -r, r)
-    for j in range(len(bal.system.thetas)):
-        mass = bal.ray_contributions(j)[0]
-        if not mass.size:
-            continue
-        if _one_sign(mass):
-            total += abs(bal.ray_segment_mass(j, 0.0, r))
-        else:
-            dens = lambda t, jj=j: abs(bal.ray_density(jj, t))
-            total += integrate(dens, 0.0, r, **_VARIATION)[0]
-    return total
+    return total + math.fsum(_ray_variation(bal, j, 0.0, r) for j in range(len(bal.rays)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
 from .numerics import BOUND_SLACK, ORACLE_BUDGET, QUAD_TOL, integrate
 from .ray_geometry import InSector, OnSystem, classify_point, radial_power, reduce_to_halfplane
 
+# The least positive normal float: a product below it has lost bits to underflow.
+_NORMAL_MIN = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -75,18 +78,19 @@ def poisson_kernel(t, z):
 
 def interval_form(x, y, a, b):
     """omega, Q and N of the interval [a, b] at x + iy, y >= 0, on floats or on
-    arrays that broadcast.  Where Q is not finite (inf, or inf - inf = nan), Q
-    and N are divided by s^2, s = max(d, h), d the distance to the interval's
-    center and h its half length.  An end b past the float range gives NaN."""
+    arrays that broadcast.  Where Q or N is not finite (inf, or inf - inf =
+    nan), or both are below the normal float range (their products
+    underflowed: a point and an interval near 1e-160), Q and N are divided by
+    s^2 factor by factor, s = max(|x - a|, |x - b|, y).  An end b past the
+    float range gives NaN."""
     q = (x - a) * (x - b) + y * y
     n = (b - a) * y
-    finite = np.isfinite(q)
-    if not finite.all():
-        h = 0.5 * (b - a)
-        d = np.hypot(x - (a + h), y)
-        s = np.maximum(d, h)
-        q = np.where(finite, q, (d / s - h / s) * (d / s + h / s))
-        n = np.where(finite, n, 2.0 * (h / s) * (y / s))
+    size = np.maximum(np.abs(q), np.abs(n))  # NaN where Q or N is
+    plain = (_NORMAL_MIN <= size) & (size < np.inf)
+    if not plain.all():
+        s = np.maximum(np.maximum(np.abs(x - a), np.abs(x - b)), y)
+        q = np.where(plain, q, ((x - a) / s) * ((x - b) / s) + (y / s) * (y / s))
+        n = np.where(plain, n, ((b - a) / s) * (y / s))
     return np.arctan2(n, q) / np.pi, q, n
 
 

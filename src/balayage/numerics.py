@@ -25,9 +25,15 @@ INPUT_ANGULAR_TOL = 1e-9
 
 # Absolute accuracy (epsabs) asked of quad: the harmonic-measure oracles'
 # default tol, and the checks' quadratures, whose accuracy is fixed and not a
-# parameter.  Mixed-sign variation integrals: max(VARIATION_TOL, 1.49e-8 |value|).
+# parameter.
 QUAD_TOL = 1e-10
+# The swept variation on a ray segment whose masses have mixed signs is a sum
+# of |mass| over pieces (charges._ray_variation): the pieces on which no
+# enclosure proves the density's sign miss at most VARIATION_TOL of it
+# (absolute, per segment).  Halving more than VARIATION_HALVINGS pieces to
+# find them is a NumericFailure.
 VARIATION_TOL = 1e-11
+VARIATION_HALVINGS = 1 << 16
 # A bound check holds when its left side exceeds the right (or, for a lower
 # bound, the right exceeds the left) by no more than this (absolute).
 BOUND_SLACK = 1e-12

@@ -502,6 +502,23 @@ def test_interval_measure_against_mpmath(z, x1, x2):
         assert g == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("z, x2, scale", [
+    (1 + 1j, 1e50, 1e-200),       # the products in Q and N underflowed to 0:
+    (1 + 1j, 1e50, 1e-250),       # omega read 0
+    (1 + 1j, 1e50, 1e-300),
+    (0.999 + 0.1j, 1.0, 1e155),   # N overflowed while Q stayed finite: omega read 1/2
+])
+def test_interval_measure_is_scale_invariant_at_the_float_range_ends(z, x2, scale):
+    """omega(scale z, scale I) = omega(z, I), for hm_interval and for the
+    one-atom half-plane sweep's ray_segment_mass."""
+    want = hm_interval(z, Interval(0.0, x2))
+    got = (hm_interval(scale * z, Interval(0.0, scale * x2)),
+           balayage_halfplane(AtomicCharge([(scale * z, 1.0)])).ray_segment_mass(
+               0, 0.0, scale * x2))
+    for g in got:
+        assert g == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_far_point_tiny_interval_mass_against_mpmath():
     with mpmath.workdps(50):
         # half-plane sweep: ray 1 carries the image interval [-x2, -x1]
