@@ -120,7 +120,8 @@ def blaschke_halfplane(nu, r0):
 def blaschke_sector(nu, sec, r0):
     """Reduced-coordinate Blaschke sum, of |m| * Im(w) / |w|^2 with w the image
     under the sector's power map, over atoms strictly inside the sector,
-    outside the closed disk r0 (in original coordinates)."""
+    outside the closed disk r0 (in original coordinates); a sum past the float
+    range is a NumericFailure."""
     if not r0 > 0.0:
         raise BadInput(f"need r0 > 0, got {r0}")
     total = 0.0
@@ -131,6 +132,8 @@ def blaschke_sector(nu, sec, r0):
         if w.imag <= 0.0:
             continue  # on an edge: not interior to the sector
         total += abs(m) * imag_inv_conj(w)
+    if not math.isfinite(total):
+        raise NumericFailure(f"the Blaschke sum outside r0 = {r0!r} passes the float range")
     return total
 
 
@@ -160,7 +163,8 @@ def divergence_verdict(radii, partial_sums):
 
 
 def lindelof_sum(nu, q, r0, r):
-    """Sum of m / z^q over atoms with r0 < |z| <= r (principal power)."""
+    """Sum of m / z^q over atoms with r0 < |z| <= r (principal power); a sum
+    past the float range is a NumericFailure."""
     if not (0.0 < r0 < r):
         raise BadInput(f"need 0 < r0 < r, got r0={r0}, r={r}")
     if not (isinstance(q, int) and q >= 1):
@@ -170,6 +174,8 @@ def lindelof_sum(nu, q, r0, r):
     total = 0.0 + 0.0j
     for z, m in zip(nu.z[inside].tolist(), nu.m[inside].tolist()):
         total += m / z ** q
+    if not cmath.isfinite(total):
+        raise NumericFailure(f"the power sum over ({r0!r}, {r!r}] passes the float range")
     return total
 
 
@@ -611,7 +617,8 @@ class LipschitzReport:
 def check_lipschitz(nu, x1, x2, n_grid=200, p=None):
     """Empirical Lipschitz modulus of the sweep's distribution function on
     [x1, x2] (an interval off 0, away from the support).  With p given, also
-    fits the constant b in |dF| <= b |dt| |x0|^{p-1} over sampled pairs."""
+    fits the constant b in |dF| <= b |dt| |x0|^{p-1} over sampled pairs.
+    The modulus is +inf where a difference over the grid step has no float."""
     if not x1 < x2:
         raise BadInput(f"need x1 < x2, got [{x1}, {x2}]")
     if not n_grid >= 1:

@@ -3,8 +3,12 @@
 Commands: hm, balayage, check, growth, potential, crg.  Complex numbers are
 written "a,b" on the command line and {"re": a, "im": b} in JSON files.
 Exit codes: 0 ok, 1 a checked bound failed, 2 bad input, 3 numeric failure.
-A JSON report is one line of compact JSON with sorted keys, so runs with
-the same input write the same bytes; file writes are atomic.
+A JSON report is one line of strict JSON with sorted keys, so runs with the
+same input write the same bytes; file writes are atomic.  It holds no NaN;
+the infinities a library contract documents (potential values, hm bound
+values, the growth order and the zero-side integrals, the lipschitz modulus)
+are the strings "inf"/"-inf", and any other non-finite value exits 3.  A
+non-finite number on the command line exits 2.
 
 Each command is one entry of COMMANDS: the arguments it registers, a handler
 that reads the parsed arguments and returns (report, holds), and its CSV
@@ -57,6 +61,8 @@ def _floats(text, n=None, what="value list"):
         vals = [float(p) for p in str(text).split(",")]
     except ValueError:
         raise BadInput(f"cannot parse {what} {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise BadInput(f"{what} needs finite numbers, got {text!r}")
     if n is not None and len(vals) != n:
         raise BadInput(f"{what} needs {n} comma-separated numbers, got {text!r}")
     return vals
@@ -118,28 +124,22 @@ class Table(NamedTuple):
     rows: object = None
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if x is None or isinstance(x, (int, str)):  # bool is an int
-        return x
+def _inf_text(x):
+    """x, or "inf"/"-inf" for a value whose library contract documents an
+    infinity; a NaN stays a float, which the encoder refuses."""
+    return repr(x) if math.isinf(x) else x
+
+def _complex_json(x):
     if isinstance(x, complex):
         return {"im": x.imag, "re": x.real}
-    if isinstance(x, float):
-        return x if math.isfinite(x) else repr(x)
-    return str(x)
+    raise TypeError(f"a report holds no {type(x).__name__}")
 
 def _json_text(report):
-    return json.dumps(_jsonable(report), sort_keys=True) + "\n"
-
-def _cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, complex):
-        return f"{v.real!r}+{v.imag!r}j"
-    return v
+    try:
+        return json.dumps(report, sort_keys=True, allow_nan=False,
+                          default=_complex_json) + "\n"
+    except ValueError:  # a NaN, or an infinity no contract documents
+        raise NumericFailure("the report holds a non-finite value") from None
 
 def _csv_text(table, report):
     header, rows = table
@@ -151,8 +151,7 @@ def _csv_text(table, report):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 def _atomic_write(path, text):
@@ -201,7 +200,7 @@ def cmd_hm(args):
         report.update(interval=[I.t1, I.t2], exact=exact, oracle=oracle,
                       difference=abs(exact - oracle),
                       bounds={"entries": [{"name": e.name, "side": e.side,
-                                           "value": e.value,
+                                           "value": _inf_text(e.value),
                                            "hypothesis": e.hypothesis,
                                            "holds": e.holds}
                                           for e in bounds.entries],
@@ -316,7 +315,7 @@ def _check_ges(args, nu):
 def _check_lipschitz(args, nu):
     rep = check_lipschitz(nu, args.x1, args.x2, n_grid=args.n_grid, p=args.p)
     finite = math.isfinite(rep.modulus)
-    return {"modulus": rep.modulus, "grid_step": rep.grid_step,
+    return {"modulus": _inf_text(rep.modulus), "grid_step": rep.grid_step,
             "fitted_b": rep.fitted_b, "finite": finite}, finite
 
 def _check_fubini(args, nu):
@@ -453,7 +452,7 @@ def cmd_growth(args):
     rep = growth_report(f, args.p, r_lo, r_hi)
     conv = rep.convergence
     report = {"command": "growth", "p": args.p, "window": [r_lo, r_hi],
-              "order_estimate": rep.order_estimate,
+              "order_estimate": _inf_text(rep.order_estimate),
               "type_estimate": rep.type_estimate,
               # type_at raises for a non-finite type; the key stays in the
               # report, which perfbench/reference/growth_scan.json records
@@ -464,8 +463,9 @@ def cmd_growth(args):
                               "samples": [list(s) for s in conv.samples]}}
     if args.zero_side:
         z = convergence_integral_zero(f, args.p, r_lo if args.r0 is None else args.r0)
-        report["zero_side"] = {"value": z.value, "f_log_limit": z.f_log_limit,
-                               "log_stieltjes": z.log_stieltjes,
+        report["zero_side"] = {"value": _inf_text(z.value),
+                               "f_log_limit": _inf_text(z.f_log_limit),
+                               "log_stieltjes": _inf_text(z.log_stieltjes),
                                "poch_residual": z.poch_residual,
                                "log_residual": z.log_residual}
     return report, None
@@ -519,7 +519,7 @@ def cmd_potential(args):
         bal = balayage_system(nu, S)
     values = []
     for z in zs:
-        entry = {"z": z, "value": potential_eval(P, z)}
+        entry = {"z": z, "value": _inf_text(potential_eval(P, z))}
         if args.sweep:
             route = sweep_potential_eval(bal, z, genus=genus)
             swept = subharmonic_balayage_eval(
@@ -529,6 +529,13 @@ def cmd_potential(args):
         values.append(entry)
     return {"command": "potential", "genus": genus, "harmonic_coeffs": harmonic,
             "values": values}, None
+
+def _potential_table(args):
+    header = (("z", "value", "swept", "swept_charge_route") if args.sweep
+              else ("z", "value"))
+    return Table(header, lambda report: [
+        (f"{v['z'].real!r}+{v['z'].imag!r}j", *(v[h] for h in header[1:]))
+        for v in report["values"]])
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +635,7 @@ COMMANDS = {
                             lambda report: report["convergence"]["samples"])),
     "potential": Command("evaluate a canonical potential (optionally its "
                          "sweep) at points", _potential_arguments, cmd_potential,
-                         lambda args: Table(("z", "value", "swept", "swept_charge_route")
-                                            if args.sweep else ("z", "value"), "values")),
+                         _potential_table),
     "crg": Command("radial-limit run over a ray system (regular-growth "
                    "diagnostics)", _crg_arguments, cmd_crg,
                    Table(("theta", "radius", "value", "stable"), _crg_rows)),
@@ -681,7 +687,8 @@ def main(argv=None):
             report, holds = command.run(args)
         table = command.table(args) if callable(command.table) else command.table
         _emit(args, report, table)
-    except NumericFailure as exc:  # first: PowerMapUnderflow is also a BadInput
+    # NumericFailure first: PowerMapUnderflow is also a BadInput
+    except (NumericFailure, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (BalayageError, OSError) as exc:

@@ -149,7 +149,8 @@ def hm_system_quad(S, z, segments=(), disk=None, tol=QUAD_TOL):
 @dataclass(frozen=True)
 class BoundEntry:
     """One applicable bound: its side, value, the hypothesis that qualified it,
-    and whether it brackets the exact value."""
+    and whether it brackets the exact value.  An upper bound whose formula
+    passes the float range has the value +inf."""
 
     name: str
     side: str  # "upper" | "lower"

@@ -205,7 +205,8 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
     Re(w^{q+1} / (t^{q+1} (w - t))) against n_{j'}, with q = floor(p) and
     w = r e^{i(theta_j - theta_j')} (each ray is rotated to the positive axis
     before the kernel is applied).  For p < 1 the scaled counting function
-    n_j(r)/r^p itself carries the diagnostic.
+    n_j(r)/r^p itself carries the diagnostic.  A scaled value past the float
+    range is a NumericFailure.
     """
     if len(n_by_ray) != len(thetas) or not thetas:
         raise BadInput("one counting function per ray angle is required")
@@ -247,6 +248,9 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
                 values.append(total / r ** p)
             else:
                 values.append(n_by_ray[j](r) / r ** p)
+        if not all(map(math.isfinite, values)):
+            raise NumericFailure(f"a scaled value on the ray at {theta_j:g} passes the "
+                                 "float range")
         limit, spread, exceptional, stable = _fit_limit(
             radii, values, tol, drop_fraction)
         records.append(RayLimitRecord(

@@ -30,7 +30,8 @@ from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SWEEP_TOL,
                        integrate)
-from .ray_geometry import OnSystem, RaySystem, classify_point, modulus, reduce_to_halfplane
+from .ray_geometry import (OnSystem, RaySystem, classify_point, modulus, radial_power,
+                           reduce_to_halfplane)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +398,7 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL):
     k = len(S.thetas)
     p = sec.exponent
     w = reduce_to_halfplane(sec, z)
-    s_max = R_max ** p
+    s_max = radial_power(R_max, p)
     if s_max < 2.0 * abs(w):
         raise TailTooLarge(f"truncation R_max = {R_max} is inside the near zone of {z}")
 

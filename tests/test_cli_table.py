@@ -87,6 +87,8 @@ REJECTED = [
     "hm --z 0,1 --system @sys2 --segment 5,0,1",
     "hm --z 1,0 --system @sys2 --segment 5,0,1",
     "hm --z 0,1 --system @sys2 --segment 0,0,1 --tol 0",
+    # a non-finite part of a comma list
+    "hm --z=inf,1 --interval=0,1",
     # balayage
     "balayage --charge @charge --samples 1",
     "balayage --charge @charge --xmax 0",
@@ -176,6 +178,8 @@ REJECTED = [
     "potential --charge @charge --z 1,1 --tol 0",
     "potential --charge @charge --z 1,1 --tol nan",
     "potential --charge @bad --z 1,1",
+    "potential --charge @charge --z=inf,0",
+    "potential --charge @charge --z=nan,0",
     # crg
     "crg --charge @axis --system @sys2 --p 0",
     "crg --charge @axis --system @sys2 --p nan",

@@ -164,3 +164,85 @@ def test_a_mass_that_is_no_number_is_bad_input(tmp_path, capsys):
                         {"atoms": [{"re": 2.0, "im": 1.0, "mass": "two"}]})
     assert main(["growth", "--charge", charge, "--p", "1"]) == 2
     assert "bad atom entry" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Sums past the float range: exit 3 at their source, in the JSON and the CSV report
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
+@pytest.mark.parametrize("atoms, rays, argv", [
+    # m / z: 1e250 / 1e-100 has no float; the differences read "inf", the
+    # slope "nan", and the verdict bounded
+    ([(-1e-100, 1e250)], [0.0], ["check", "lindelof", "--r0", "1e-200"]),
+    # |m| Im(1 / conj z) = 5e309 read "halfplane_sum": "inf"
+    ([(1e-10 + 1e-10j, 1e300)], None, ["check", "blaschke", "--r0", "1e-290"]),
+    # the kernel of the atom at 1e-200 read "limit": "inf" and "spread": "nan"
+    ([(1e-200, 1.0), (2.0, 1.0), (3.0, 1.0)], [0.0], ["crg", "--p", "2.14"]),
+], ids=["lindelof", "blaschke", "crg"])
+def test_an_overflowing_sum_is_a_numeric_failure(atoms, rays, argv, fmt, charge_file,
+                                                 system_file, capsys):
+    system = [] if rays is None else ["--system", system_file(rays)]
+    rc = main([*argv, "--charge", charge_file(atoms), *system, *fmt])
+    out = capsys.readouterr()
+    assert rc == 3 and not out.out and out.err.startswith("numeric failure:")
+
+
+BIG = [(2 + 1j, 1e308), (3 + 1j, 1e308)]
+
+
+@pytest.mark.parametrize("atoms, argv", [
+    # OverflowError: intermediate overflow in fsum
+    (BIG, ["balayage"]),
+    (BIG, ["check", "ges"]),
+    (BIG, ["check", "ges", "--system", [0.0, 2.0, 4.0]]),
+    (BIG, ["check", "thcup"]),
+    # R_max ** p overflowed in the sweep of the potential
+    ([(cmath.rect(1.0, PI), 1.0)],
+     ["potential", "--genus", "0", "--z=1,0", "--sweep", "--system", [1.0, 6.0],
+      "--rmax", "1e126"]),
+], ids=["balayage", "ges", "ges-system", "thcup", "potential-sweep"])
+def test_an_overflow_error_is_a_numeric_failure(atoms, argv, charge_file, system_file,
+                                                capsys):
+    argv = [system_file(a) if isinstance(a, list) else a for a in argv]
+    rc = main([*argv, "--charge", charge_file(atoms)])
+    assert rc == 3 and capsys.readouterr().err.startswith("numeric failure:")
+
+
+# ---------------------------------------------------------------------------
+# The report encoder: strict JSON, with the documented infinities as strings
+
+
+def _strict(text):
+    def no_constant(name):
+        raise AssertionError(f"{name} is no JSON value")
+    return json.loads(text, parse_constant=no_constant)
+
+
+def test_documented_infinities_are_strings_of_strict_json(charge_file, capsys):
+    def report(argv):
+        assert main(argv) == 0
+        return _strict(capsys.readouterr().out)
+
+    zero = report(["growth", "--charge", charge_file([(0j, 1.0), (2 + 0j, 1.0)]),
+                   "--p", "1", "--zero-side"])["zero_side"]
+    assert (zero["value"], zero["f_log_limit"], zero["log_stieltjes"]) == (
+        "inf", "-inf", "-inf")
+    growth = report(["growth", "--charge", charge_file([(2 + 0j, 1.0), (4 + 0j, 1e300)]),
+                     "--p", "1"])
+    assert growth["order_estimate"] == "inf"
+    hm = report(["hm", "--z=-1.261653806642407e-172,6.524387077007737e-173",
+                 "--interval=1.0,5.085547939563322e+145"])
+    upper = [e["value"] for e in hm["bounds"]["entries"] if e["side"] == "upper"]
+    assert "inf" in upper and all(v == "inf" or math.isfinite(v) for v in upper)
+
+
+def test_a_nan_in_a_report_is_a_numeric_failure(charge_file, tmp_path, monkeypatch,
+                                                capsys):
+    # a NaN is never written, not even where an infinity would be
+    monkeypatch.setattr("balayage.cli.potential_eval", lambda P, z: math.nan)
+    out = tmp_path / "pot.json"
+    rc = main(["potential", "--charge", charge_file([(2j, 1.0)]), "--z=1,0",
+               "--out", str(out)])
+    assert rc == 3 and capsys.readouterr().err.startswith("numeric failure:")
+    assert not out.exists() and not list(tmp_path.glob(".job_*.part"))
