@@ -7,8 +7,8 @@ A JSON report is one line of strict JSON with sorted keys, so runs with the
 same input write the same bytes; file writes are atomic.  It holds no NaN;
 the infinities a library contract documents (potential values, hm bound
 values, the growth order and the zero-side integrals, the lipschitz modulus)
-are the strings "inf"/"-inf", and any other non-finite value exits 3.  A
-non-finite number on the command line exits 2.
+are the strings "inf"/"-inf", and any other non-finite value exits 3, in a
+CSV table too.  A non-finite number on the command line exits 2.
 
 Each command is one entry of COMMANDS: the arguments it registers, a handler
 that reads the parsed arguments and returns (report, holds), and its CSV
@@ -147,7 +147,9 @@ def _csv_text(table, report):
         records = [report] if rows is None else report[rows]
         rows = [[rec[h] for h in header] for rec in records]
     else:
-        rows = rows(report)
+        rows = list(rows(report))
+    if not all(map(math.isfinite, [c for row in rows for c in row if isinstance(c, float)])):
+        raise NumericFailure("the report holds a non-finite value")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -517,16 +519,16 @@ def cmd_potential(args):
     if args.sweep:
         S = _system(args.system)
         bal = balayage_system(nu, S)
-    values = []
-    for z in zs:
-        entry = {"z": z, "value": _inf_text(potential_eval(P, z))}
-        if args.sweep:
+    values = [{"z": z, "value": _inf_text(v)}
+              for z, v in zip(zs, potential_eval(P, np.array(zs)).tolist())]
+    if args.sweep:
+        for entry in values:
+            z = entry["z"]
             route = sweep_potential_eval(bal, z, genus=genus)
             swept = subharmonic_balayage_eval(
                 lambda w: potential_eval(P, w), S, z, R_max=args.rmax, tol=args.tol)
             entry.update(swept=swept, swept_charge_route=route,
                          route_difference=abs(swept - route))
-        values.append(entry)
     return {"command": "potential", "genus": genus, "harmonic_coeffs": harmonic,
             "values": values}, None
 

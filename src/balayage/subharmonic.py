@@ -28,8 +28,8 @@ from .errors import (
 from .charges import AtomicCharge, CheckResult
 from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
-                       IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SWEEP_TOL,
-                       integrate)
+                       IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
+                       SWEEP_TOL, integrate)
 from .ray_geometry import (OnSystem, RaySystem, classify_point, modulus, radial_power,
                            reduce_to_halfplane)
 
@@ -48,26 +48,63 @@ def kernel_atoms(nu):
 
 
 def kernel_sum(atoms, z, q):
-    """sum_i m_i K_q(zeta_i, z) over kernel_atoms' arrays.  With w = z/zeta, log|1 - w|
-    is log|zeta - z| - log|zeta| for |zeta| <= 2|z|, else log1p(|w|^2 - 2 Re w) / 2."""
+    """sum_i m_i K_q(zeta_i, z) over kernel_atoms' arrays at the complex point z,
+    or the array of those sums at the points of the 1-d array z,
+    SAMPLE_BLOCK_ELEMENTS points x atoms at a time.  CoincidentPoints where a
+    point is an atom; ZeroCenter for an atom at 0 at genus >= 0."""
+    if isinstance(z, complex):
+        return float(_kernel_block(atoms, z, q))
+    out = np.empty(z.shape)
+    step = max(1, SAMPLE_BLOCK_ELEMENTS // max(1, atoms[0].size))
+    for i in range(0, z.size, step):
+        out[i:i + step] = _kernel_block(atoms, z[i:i + step, None], q)
+    return out
+
+
+def _kernel_block(atoms, z, q):
+    """kernel_sum at the point z, or at each point of the column z.  With w = z/zeta,
+    log|1 - w| is log|zeta - z| - log|zeta| where |zeta| <= 2|z| (near), else
+    log1p(|w|^2 - 2 Re w) / 2 (far).  The atoms are sorted by |zeta|, so a point's
+    near atoms are the prefix [:far].  Over a column every point's prefix holds
+    [:min far] and none holds [max far:]: only the band between takes a
+    per-element mask, so each element meets one form, and a point has no band."""
     zeta, r, logr, m = atoms
-    far = r.size if q < 0 else r.searchsorted(2.0 * abs(z), "right")
-    d = np.abs(zeta[:far] - z)
-    if np.count_nonzero(d) < far:
-        raise CoincidentPoints(f"kernel is singular at zeta = z = {z}")
+    point = isinstance(z, complex)
     if q < 0:
-        return float(np.dot(m, np.log(d)))
-    if far and r[0] == 0.0:
+        d = np.abs(zeta - z)
+    else:
+        far = r.searchsorted(2.0 * abs(z), "right")
+        hi = far if point else far.max()
+        d = np.abs(zeta[:hi] - z)  # a band atom off the prefix has |zeta| > 2|z|, so d > 0
+    if np.count_nonzero(d) < d.size:
+        at = z if point else z[(d == 0).any(axis=1), 0][0].item()
+        raise CoincidentPoints(f"kernel is singular at zeta = z = {at}")
+    # vecdot: one BLAS dot per point, so a point's sum, its rounding and its
+    # overflow do not depend on the points beside it
+    if q < 0:
+        return np.dot(np.log(d), m) if point else np.vecdot(np.log(d), m)
+    if hi and r[0] == 0.0:
         raise ZeroCenter("genus >= 0 kernel needs zeta != 0")
     w = z / zeta
-    wf = w[far:]
-    val = np.concatenate((np.log(d) - logr[:far], 0.5 * np.log1p(
-        wf.real * wf.real + wf.imag * wf.imag - 2.0 * wf.real)))
+    if point:
+        val = np.concatenate((np.log(d) - logr[:far], _log_far(w[far:])))
+    else:
+        lo = far.min()
+        near = np.arange(lo, hi) < far
+        band = np.empty(near.shape)
+        band[near] = np.log(d[:, lo:][near]) - np.broadcast_to(logr[lo:hi], near.shape)[near]
+        band[~near] = _log_far(w[:, lo:hi][~near])
+        val = np.concatenate((np.log(d[:, :lo]) - logr[:lo], band, _log_far(w[:, hi:])), axis=1)
     pw = w
     for j in range(1, q + 1):
         val = val + pw.real / j
         pw = pw * w
-    return float(np.dot(m, val))
+    return np.dot(val, m) if point else np.vecdot(val, m)
+
+
+def _log_far(w):
+    """log|1 - w| = log1p(|w|^2 - 2 Re w) / 2, which does not cancel for |w| < 1/2."""
+    return 0.5 * np.log1p(w.real * w.real + w.imag * w.imag - 2.0 * w.real)
 
 
 def kernel_Kq(zeta, z, q):
@@ -165,22 +202,49 @@ class CanonicalPotential:
             (int(q), kernel_atoms(self.charge[genera == q])) for q in np.unique(genera)))
 
     def harmonic_part(self, z):
+        """Re(sum c_j z^j) at the point z, or at each point of the array z.  Each
+        point takes Python's complex power, whose OverflowError past the float
+        range the CLI reports as a numeric failure."""
         if not self.harmonic_coeffs:
             return 0.0
+        if isinstance(z, np.ndarray):
+            return np.array([self.harmonic_part(x) for x in z.tolist()])
         return sum(c * z ** j for j, c in enumerate(self.harmonic_coeffs)).real
 
 
 def potential_eval(P, z):
-    """Value of the canonical potential at z; -inf at positive-mass atoms,
-    +inf at negative-mass atoms."""
+    """Value of the canonical potential at the point z, or the array of its values
+    at the points of the 1-d array z, one kernel_sum per genus group.  At an atom
+    it is -inf for a positive mass and +inf for a negative one, the first atom
+    there in list order deciding, and the other points keep their values.  A sum
+    that overflows to inf - inf is a NumericFailure."""
+    if isinstance(z, np.ndarray):
+        at = np.isin(z, P.charge.z)
+        off = z[~at]
+        total = np.empty(z.shape)
+        total[~at] = (sum(kernel_sum(atoms, off, q) for q, atoms in P._groups)
+                      + P.harmonic_part(off))
+        total[at] = [_atom_value(P, x) for x in z[at].tolist()]
+        nan = np.isnan(total)
+        if nan.any():
+            raise NumericFailure(f"potential at z = {z[nan][0].item()} overflows to inf - inf")
+        return total
     z = complex(z)
     total = 0.0
     try:
         for q, atoms in P._groups:
             total += kernel_sum(atoms, z, q)
-    except CoincidentPoints:  # the first atom at z decides
-        return -math.inf if P.charge.m[P.charge.z == z][0] > 0.0 else math.inf
-    return total + P.harmonic_part(z)
+    except CoincidentPoints:
+        return _atom_value(P, z)
+    total += P.harmonic_part(z)
+    if math.isnan(total):
+        raise NumericFailure(f"potential at z = {z} overflows to inf - inf")
+    return total
+
+
+def _atom_value(P, z):
+    """The potential at an atom z: the first atom there in list order decides."""
+    return -math.inf if P.charge.m[P.charge.z == z][0] > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------

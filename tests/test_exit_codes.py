@@ -10,7 +10,8 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from balayage.cli import main
+from balayage import NumericFailure
+from balayage.cli import Table, _csv_text, main
 from conftest import write_json
 
 PI = math.pi
@@ -179,7 +180,11 @@ def test_a_mass_that_is_no_number_is_bad_input(tmp_path, capsys):
     ([(1e-10 + 1e-10j, 1e300)], None, ["check", "blaschke", "--r0", "1e-290"]),
     # the kernel of the atom at 1e-200 read "limit": "inf" and "spread": "nan"
     ([(1e-200, 1.0), (2.0, 1.0), (3.0, 1.0)], [0.0], ["crg", "--p", "2.14"]),
-], ids=["lindelof", "blaschke", "crg"])
+    # w^2 overflows at both atoms, so the genus-2 potential is inf - inf
+    ([(81.62257703906704 + 1.1884740215660785e-07j, 1.0),
+      (-0.8726486224011847 + 0.5116084083144479j, -1.0)], None,
+     ["potential", "--genus", "2", "--z=8.672957794169844e+254,-7.652948606001044e+289"]),
+], ids=["lindelof", "blaschke", "crg", "potential"])
 def test_an_overflowing_sum_is_a_numeric_failure(atoms, rays, argv, fmt, charge_file,
                                                  system_file, capsys):
     system = [] if rays is None else ["--system", system_file(rays)]
@@ -237,10 +242,19 @@ def test_documented_infinities_are_strings_of_strict_json(charge_file, capsys):
     assert "inf" in upper and all(v == "inf" or math.isfinite(v) for v in upper)
 
 
+def test_a_csv_cell_that_is_not_finite_is_a_numeric_failure():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericFailure):
+            _csv_text(Table(("z", "value")), {"z": 1.0, "value": bad})
+    # a documented infinity is already the string "inf"
+    assert _csv_text(Table(("z", "value")), {"z": 1.0, "value": "inf"}) == "z,value\n1.0,inf\n"
+
+
 def test_a_nan_in_a_report_is_a_numeric_failure(charge_file, tmp_path, monkeypatch,
                                                 capsys):
-    # a NaN is never written, not even where an infinity would be
-    monkeypatch.setattr("balayage.cli.potential_eval", lambda P, z: math.nan)
+    # a NaN is never written, not even where an infinity would be; the stub
+    # returns NaN at a point and at each point of an array
+    monkeypatch.setattr("balayage.cli.potential_eval", lambda P, z: z.real * math.nan)
     out = tmp_path / "pot.json"
     rc = main(["potential", "--charge", charge_file([(2j, 1.0)]), "--z=1,0",
                "--out", str(out)])

@@ -6,15 +6,17 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import balayage
 from balayage import (AtomicCharge, BadInput, CanonicalPotential,
-                      CoincidentPoints, GenusSchedule, RaySystem, StepFunction,
-                      ZeroCenter, balayage_system, crg_on_rays, kernel_Kq,
+                      CoincidentPoints, GenusSchedule, NumericFailure, RaySystem,
+                      StepFunction, ZeroCenter, balayage_system, crg_on_rays, kernel_Kq,
                       potential_eval, pv_kernel_integral, sweep_potential_eval)
 from balayage import regular_growth, subharmonic
+from balayage.numerics import SAMPLE_BLOCK_ELEMENTS
 from balayage.subharmonic import kernel_atoms, kernel_sum
 
 PI = math.pi
@@ -118,6 +120,98 @@ def test_potential_equals_the_per_atom_series(atoms, genus, at, harmonic):
 
 
 # ---------------------------------------------------------------------------
+# The array call is the point calls
+
+
+def _term_sizes(P, z):
+    """Sum over atoms of |m| times the size of the term kernel_sum adds for it:
+    |log|zeta - z|| at genus -1, else |log|1 - w|| plus each |w|^j / j.  The
+    array and point calls form the same terms, so only their sum's rounding,
+    a few ulps of this, may differ."""
+    total = 0.0
+    for zeta, m in zip(P.charge.z.tolist(), P.charge.m.tolist()):
+        q = _genus_for(P, zeta)
+        if q < 0:
+            size = abs(math.log(abs(zeta - z)))
+        else:
+            w = z / zeta
+            size = abs(math.log(abs(1.0 - w))) + sum(abs(w) ** j / j for j in range(1, q + 1))
+        total += abs(m) * size
+    return total
+
+
+def _point_calls(fn, zs):
+    """fn at each point alone: its value, or the type of what it raised."""
+    out = []
+    for z in zs:
+        try:
+            out.append(fn(z))
+        except (CoincidentPoints, ZeroCenter) as exc:
+            out.append(type(exc))
+    return out
+
+
+# a pick maps an atom onto a point: the atom itself, a point next to it, where
+# only the near form keeps log|1 - w|, or a point of half its modulus, for which
+# the atom sits on the near/far boundary |zeta| = 2|z|
+PICKS = (lambda a: a, lambda a: a * (1.0 + 1e-9), lambda a: a / 2.0, lambda a: -a / 2.0,
+         lambda a: 0.5j * a, lambda a: a.conjugate() / 2.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(atoms=st.lists(st.tuples(polar, st.floats(-2.0, 2.0).filter(lambda m: abs(m) > 1e-3)),
+                      min_size=1, max_size=12),
+       genus=st.integers(-1, 3), scheduled=st.booleans(), at_zero=st.booleans(),
+       free=st.lists(polar, max_size=6),
+       picks=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(range(len(PICKS)))),
+                      max_size=8),
+       harmonic=st.sampled_from([[], [0.5, 0.0, -1.0]]), blocks=st.booleans())
+def test_the_array_call_is_the_point_calls(atoms, genus, scheduled, at_zero, free, picks,
+                                           harmonic, blocks):
+    """kernel_sum and potential_eval over an array of points against one call per
+    point, within 1e-13 of the size of the terms summed: points on the near/far
+    boundary, at atoms, at 0 (with and without an atom there) and elsewhere,
+    in one block and, repeated, in several."""
+    nu = AtomicCharge([(cmath.rect(*rt), m) for rt, m in atoms] + [(0j, 1.0)] * at_zero)
+    zs = ([cmath.rect(*rt) for rt in free] + [0j]
+          + [PICKS[f](nu.z[k % len(nu.z)].item()) for k, f in picks])
+    reps = SAMPLE_BLOCK_ELEMENTS // (len(zs) * len(nu.z)) + 2 if blocks else 1
+    za = np.tile(np.array(zs), reps)
+    atoms_q = kernel_atoms(nu)
+    P = (CanonicalPotential(nu, schedule=SCHEDULE, harmonic_coeffs=harmonic) if scheduled
+         else CanonicalPotential(nu, genus=genus, harmonic_coeffs=harmonic))
+    for fn, scale_of in ((lambda z: kernel_sum(atoms_q, z, genus),
+                          CanonicalPotential(nu, genus=genus)),
+                         (lambda z: potential_eval(P, z), P)):
+        want = _point_calls(fn, zs)
+        raised = tuple({w for w in want if isinstance(w, type)})
+        if raised:  # the array call raises what a point call raises
+            with pytest.raises(raised):
+                fn(za)
+            continue
+        got = fn(za).reshape(reps, len(zs))
+        for z, g, w in zip(zs, got.T.tolist(), want):
+            if math.isinf(w):
+                assert g == [w] * reps
+            else:
+                assert max(abs(x - w) for x in g) <= 1e-13 * _term_sizes(scale_of, z)
+
+
+def test_an_inf_minus_inf_potential_is_a_numeric_failure():
+    # w^2 overflows at both atoms, with opposite masses: the sum is inf - inf
+    nu = AtomicCharge([(81.62257703906704 + 1.1884740215660785e-07j, 1.0),
+                       (-0.8726486224011847 + 0.5116084083144479j, -1.0)])
+    P = CanonicalPotential(nu, genus=2)
+    z = 8.672957794169844e+254 - 7.652948606001044e+289j
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericFailure, match="inf - inf"):
+            potential_eval(P, z)
+        with pytest.raises(NumericFailure, match="inf - inf"):
+            potential_eval(P, np.array([1 + 1j, z]))
+    assert math.isfinite(potential_eval(P, 1 + 1j))
+
+
+# ---------------------------------------------------------------------------
 # No caller takes the kernel one atom at a time
 
 
@@ -148,13 +242,18 @@ def test_no_caller_takes_the_kernel_per_atom(kernel_calls):
     for z in (0.3 + 2j, -4.0 + 1j):
         potential_eval(P, z)
     assert kernel_calls == {"kernel_Kq": 0, "kernel_sum": 6}
+    # an array of points takes one sum per band too, in one block or in several
+    for size in (1, 100, 2 * SAMPLE_BLOCK_ELEMENTS):
+        potential_eval(P, np.linspace(0.1, 30.0, size) * np.exp(0.3j))
+    assert kernel_calls == {"kernel_Kq": 0, "kernel_sum": 6 + 3 * 3}
     bal = balayage_system(nu, RaySystem([0.3, 2.0, 4.0]))
     sweep_potential_eval(bal, 3.0 + 1j, genus=0)
-    assert kernel_calls == {"kernel_Kq": 0, "kernel_sum": 7}
+    assert kernel_calls == {"kernel_Kq": 0, "kernel_sum": 16}
     n = StepFunction.from_events([(k + 0.5, 1.0) for k in range(40)])
     crg_on_rays([n, n], [0.0, PI], 1.5, radii=[3.3, 7.1, 12.9])
-    # one sum per (ray, ray', radius)
-    assert kernel_calls == {"kernel_Kq": 0, "kernel_sum": 7 + 2 * 2 * 3}
+    # one sum per (ray, ray', radius): one call over the 17 radii of a ray pair's
+    # default grid measured 1.1-2.3 times slower at 10^3-10^4 jumps (CHANGES.md)
+    assert kernel_calls == {"kernel_Kq": 0, "kernel_sum": 16 + 2 * 2 * 3}
 
 
 def test_a_potential_groups_its_atoms_once(monkeypatch):
