@@ -6,7 +6,7 @@ and regular-growth analysis of zero distributions."""
 from .charges import (AtomicCharge, BalayageCharge, CheckResult,
                       LipschitzReport, RayTestFunction,
                       balayage_halfplane, balayage_system, blaschke_halfplane,
-                      blaschke_outside_system, blaschke_sector, check_fubini,
+                      blaschke_outside_system, check_fubini,
                       check_ges_bound, check_ges_bound_system,
                       check_lindelof_preservation, check_lipschitz,
                       check_thcup_bound, counting_around, distribution_on_R,
@@ -27,10 +27,8 @@ from .harmonic_measure import (BoundarySegment, BoundEntry, BoundReport,
                                hm_sector_disk_bounds, hm_sector_segment,
                                hm_system, hm_system_quad, poisson_kernel)
 from .numerics import ANGULAR_TOL
-from .ray_geometry import (REAL_AXIS, InSector, OnSystem, RaySystem, Sector,
-                           classify_point, complementary_sectors,
-                           normalize_angle, reduce_to_halfplane,
-                           relative_angle)
+from .ray_geometry import (REAL_AXIS, RaySystem, Sector, complementary_sectors,
+                           normalize_angle, reduce_to_halfplane, relative_angle)
 from .regular_growth import (CRGReport, RayLimitRecord, angular_density,
                              crg_on_rays, exgr2_functionals,
                              indicator_estimate, pv_kernel_integral)

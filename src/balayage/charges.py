@@ -34,15 +34,7 @@ from .errors import (
 from .harmonic_measure import imag_inv_conj, interval_form, poisson_kernel
 from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        VARIATION_HALVINGS, VARIATION_TOL, integrate)
-from .ray_geometry import (
-    REAL_AXIS,
-    RaySystem,
-    modulus,
-    on_system,
-    radial_power,
-    reduce_to_halfplane,
-    sector_of,
-)
+from .ray_geometry import REAL_AXIS, RaySystem, modulus, radial_power, reduce_to_halfplane
 from .stepfn import StepFunction
 
 _SLOPE_DIVERGENT = 0.1  # fitted growth vs log r above this flags divergence
@@ -113,34 +105,27 @@ def counting_around(nu, x0, variation=True):
 
 def blaschke_halfplane(nu, r0):
     """Sum of |m| * Im(1/conj z) over upper-half atoms outside the closed disk r0:
-    the Blaschke sum of REAL_AXIS's upper sector."""
-    return blaschke_sector(nu, REAL_AXIS.sectors[0], r0)
-
-
-def blaschke_sector(nu, sec, r0):
-    """Reduced-coordinate Blaschke sum, of |m| * Im(w) / |w|^2 with w the image
-    under the sector's power map, over atoms strictly inside the sector,
-    outside the closed disk r0 (in original coordinates); a sum past the float
-    range is a NumericFailure."""
-    if not r0 > 0.0:
-        raise BadInput(f"need r0 > 0, got {r0}")
-    total = 0.0
-    for z, m in zip(nu.z.tolist(), nu.m.tolist()):
-        if not (abs(z) > r0 and sec.contains(z)):
-            continue
-        w = reduce_to_halfplane(sec, z)
-        if w.imag <= 0.0:
-            continue  # on an edge: not interior to the sector
-        total += abs(m) * imag_inv_conj(w)
-    if not math.isfinite(total):
-        raise NumericFailure(f"the Blaschke sum outside r0 = {r0!r} passes the float range")
-    return total
+    the Blaschke sum of REAL_AXIS's upper sector (the lower one's is not formed)."""
+    return blaschke_outside_system(nu[nu.z.imag > 0.0], REAL_AXIS, r0)[0]
 
 
 def blaschke_outside_system(nu, S, r0):
-    """Per-sector Blaschke sums for the complement of the ray system."""
-    return {i: blaschke_sector(nu, sec, r0)
-            for i, sec in enumerate(S.sectors)}
+    """Per-sector Blaschke sums for the complement of the ray system, by
+    sector index: of |m| * Im(w) / |w|^2, w the image under the sector's power
+    map, over the atoms strictly inside the sector and outside the closed disk
+    r0 (in original coordinates).  Only those atoms are mapped; a sum past the
+    float range is a NumericFailure."""
+    if not r0 > 0.0:
+        raise BadInput(f"need r0 > 0, got {r0}")
+    sums = [0.0] * len(S)
+    for z, m, i in zip(nu.z.tolist(), nu.m.tolist(), S.sector_index(nu.z).tolist()):
+        if i >= 0 and abs(z) > r0:  # off S, outside the disk
+            w = reduce_to_halfplane(S.sectors[i], z)
+            if w.imag > 0.0:  # not on an edge
+                sums[i] += abs(m) * imag_inv_conj(w)
+    if not all(map(math.isfinite, sums)):
+        raise NumericFailure(f"the Blaschke sum outside r0 = {r0!r} passes the float range")
+    return dict(enumerate(sums))
 
 
 def fit_slope_vs_log(radii, values):
@@ -356,16 +341,16 @@ def _first(values, bad):
 def balayage_halfplane(nu):
     """Sweep the open-upper-half part of nu onto R, each swept atom in
     REAL_AXIS.sectors[0]; the closed lower half stays."""
-    swept = (nu.z.imag > 0.0) & ~on_system(REAL_AXIS, nu.z)
+    swept = REAL_AXIS.sector_index(nu.z) == 0
     return BalayageCharge(None, nu[~swept], nu[swept],
                           np.zeros(np.count_nonzero(swept), dtype=np.intp))
 
 
 def balayage_system(nu, S):
     """Sweep nu onto the closed ray system S; atoms on S (origin included) stay."""
-    on = on_system(S, nu.z)
-    return BalayageCharge(S, nu[on], nu[~on],
-                          [sector_of(S, z).index for z in nu.z[~on].tolist()])
+    sector = S.sector_index(nu.z)
+    on = sector < 0
+    return BalayageCharge(S, nu[on], nu[~on], sector[~on])
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +358,11 @@ def balayage_system(nu, S):
 
 
 def _require_real_support(bal):
-    off = ~on_system(REAL_AXIS, [cmath.rect(1.0, th) for th in bal.rays.thetas])
+    off = REAL_AXIS.sector_index([cmath.rect(1.0, th) for th in bal.rays.thetas]) >= 0
     if off.any():
         raise SupportOffAxis(f"system ray at angle {_first(np.array(bal.rays.thetas), off)} "
                              "is off the real axis")
-    off = ~on_system(REAL_AXIS, bal.kept.z)
+    off = REAL_AXIS.sector_index(bal.kept.z) >= 0
     if off.any():
         raise SupportOffAxis(f"kept atom at {_first(bal.kept.z, off)} is off the real axis")
 
@@ -388,7 +373,7 @@ def distribution_on_R(nu, x):
     BalayageCharge whose target lies in R."""
     x = float(x)
     if isinstance(nu, AtomicCharge):
-        off = ~on_system(REAL_AXIS, nu.z)
+        off = REAL_AXIS.sector_index(nu.z) >= 0
         if off.any():
             raise SupportOffAxis(f"atom at {_first(nu.z, off)} is off the real axis")
         t = nu.z.real
@@ -490,7 +475,8 @@ def _variation_interval_halfplane(bal, t1, t2):
     swept part on [t1, t2] split at 0 onto REAL_AXIS's rays at 0 and pi."""
     t = bal.kept.z.real
     atom_in = (t1 <= t) & (t < t2) if t2 <= 0.0 else (t1 < t) & (t <= t2)
-    total = math.fsum(np.abs(bal.kept.m[atom_in & on_system(REAL_AXIS, bal.kept.z)]).tolist())
+    atom_in &= REAL_AXIS.sector_index(bal.kept.z) < 0
+    total = math.fsum(np.abs(bal.kept.m[atom_in]).tolist())
     return total + _ray_variation(bal, 0, max(t1, 0.0), t2) + _ray_variation(
         bal, 1, max(-t2, 0.0), -t1)
 
@@ -626,7 +612,7 @@ def check_lipschitz(nu, x1, x2, n_grid=200, p=None):
     if x1 <= 0.0 <= x2:
         raise BadInput("interval must avoid 0")
     t = nu.z.real
-    touch = on_system(REAL_AXIS, nu.z) & (x1 <= t) & (t <= x2)
+    touch = (REAL_AXIS.sector_index(nu.z) < 0) & (x1 <= t) & (t <= x2)
     if touch.any():
         raise SupportTouchesInterval(f"atom at {_first(t, touch)} lies in [{x1}, {x2}]")
     bal = balayage_halfplane(nu)

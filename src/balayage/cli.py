@@ -80,10 +80,14 @@ def _whole(x, what):
         raise BadInput(f"{what} ray index must be a whole number, got {x}")
     return int(x)
 
+def _number(text):
+    # a float option's type: BadInput is not one of the errors argparse turns
+    # into a usage message, so it leaves parse_args and main reports it like
+    # any other, and a value that is no finite number exits 2
+    return _floats(text, 1, "option value")[0]
+
 def _tolerance(text):
-    # BadInput is not one of the errors argparse turns into a usage message,
-    # so it leaves parse_args and main reports it like any other: exit 2
-    tol = float(text)
+    tol = _floats(text, 1, "--tol")[0]
     if not tol > 0.0:
         raise BadInput(f"need --tol > 0, got {tol}")
     return tol
@@ -178,11 +182,11 @@ def _hm_arguments(p):
     p.add_argument("--z", required=True, help="evaluation point 're,im'")
     p.add_argument("--interval", help="real interval 't1,t2' (half-plane mode)")
     p.add_argument("--system", help="ray-system JSON path")
-    p.add_argument("--disk", type=float, help="origin disk radius (system mode)")
+    p.add_argument("--disk", type=_number, help="origin disk radius (system mode)")
     p.add_argument("--segment", action="append",
                    help="ray segment 'j,a,b' (repeatable, system mode)")
-    p.add_argument("--a", type=float, default=0.5, help="bound parameter a")
-    p.add_argument("--b", type=float, default=2.0, help="bound parameter b")
+    p.add_argument("--a", type=_number, default=0.5, help="bound parameter a")
+    p.add_argument("--b", type=_number, default=2.0, help="bound parameter b")
     p.add_argument("--tol", type=_tolerance, default=QUAD_TOL,
                    help=f"accuracy asked of the quadrature oracle (default {QUAD_TOL})")
 
@@ -241,7 +245,7 @@ def _balayage_arguments(p):
                                     "upper half-plane onto R)")
     p.add_argument("--samples", type=int, default=80,
                    help="samples per ray (default 80)")
-    p.add_argument("--xmax", type=float, help="sampling radius "
+    p.add_argument("--xmax", type=_number, help="sampling radius "
                                               "(default 4*max atom radius)")
     p.add_argument("--variation", action="store_true",
                    help="sample the variation distribution |nu|^bal")
@@ -390,19 +394,19 @@ def _check_arguments(p):
     p.add_argument("name", choices=sorted(_CHECKS), help="which check to run")
     p.add_argument("--charge", required=True, help="charge JSON path")
     p.add_argument("--system", help="ray-system JSON path")
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=10.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--t2", type=float, default=2.0)
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=math.pi)
-    p.add_argument("--x1", type=float, default=1.0)
-    p.add_argument("--x2", type=float, default=2.0)
+    p.add_argument("--r0", type=_number, default=1.0)
+    p.add_argument("--r", type=_number, default=10.0)
+    p.add_argument("--t1", type=_number, default=1.0)
+    p.add_argument("--t2", type=_number, default=2.0)
+    p.add_argument("--a", type=_number, default=0.5)
+    p.add_argument("--alpha", type=_number, default=0.0)
+    p.add_argument("--beta", type=_number, default=math.pi)
+    p.add_argument("--x1", type=_number, default=1.0)
+    p.add_argument("--x2", type=_number, default=2.0)
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--p", type=float, help="comparison order of lipschitz")
+    p.add_argument("--p", type=_number, help="comparison order of lipschitz")
     p.add_argument("--n-grid", type=int, default=200)
-    p.add_argument("--gauge-scale", type=float, default=2.0,
+    p.add_argument("--gauge-scale", type=_number, default=2.0,
                    help="gauge g(r) = scale*r for the ges check")
     p.add_argument("--radii", help="comma-separated radius grid")
     p.add_argument("--tent", action="append",
@@ -427,10 +431,10 @@ def cmd_check(args):
 
 def _growth_arguments(p):
     p.add_argument("--charge", required=True, help="charge JSON path")
-    p.add_argument("--p", type=float, required=True, help="comparison order")
-    p.add_argument("--r-lo", type=float, help="window start")
-    p.add_argument("--r-hi", type=float, help="window end")
-    p.add_argument("--r0", type=float, help="zero-side radius")
+    p.add_argument("--p", type=_number, required=True, help="comparison order")
+    p.add_argument("--r-lo", type=_number, help="window start")
+    p.add_argument("--r-hi", type=_number, help="window end")
+    p.add_argument("--r0", type=_number, help="zero-side radius")
     p.add_argument("--signed", action="store_true",
                    help="use the signed counting function")
     p.add_argument("--zero-side", action="store_true",
@@ -488,7 +492,7 @@ def _potential_arguments(p):
     p.add_argument("--sweep", action="store_true",
                    help="also evaluate the sweep onto --system")
     p.add_argument("--system", help="ray-system JSON path (with --sweep)")
-    p.add_argument("--rmax", type=float, default=1e8,
+    p.add_argument("--rmax", type=_number, default=1e8,
                    help="truncation radius for the sweep integral")
     p.add_argument("--tol", type=_tolerance, default=SWEEP_TOL,
                    help=f"tail tolerance of the sweep (default {SWEEP_TOL})")
@@ -548,12 +552,12 @@ def _crg_arguments(p):
     p.add_argument("--charge", required=True, help="charge JSON path "
                                                    "(atoms on the rays)")
     p.add_argument("--system", required=True, help="ray-system JSON path")
-    p.add_argument("--p", type=float, required=True, help="growth order")
+    p.add_argument("--p", type=_number, required=True, help="growth order")
     p.add_argument("--radii", help="comma-separated radius grid")
-    p.add_argument("--truncation", type=float,
+    p.add_argument("--truncation", type=_number,
                    help="declared truncation radius of the data")
-    p.add_argument("--stability-tol", type=float, default=0.05)
-    p.add_argument("--drop", type=float, default=0.05,
+    p.add_argument("--stability-tol", type=_number, default=0.05)
+    p.add_argument("--drop", type=_number, default=0.05,
                    help="fraction of radii allowed exceptional")
     p.add_argument("--angular", help="sector 'alpha,beta' for the angular "
                                      "density table")

@@ -25,8 +25,8 @@ ORDER_CAP = 64.0  # estimates above this are reported as +inf
 def _window_grid(f, r_lo, r_hi):
     """The dyadic grid from r_lo, r_hi and the jump points in the window,
     sorted, and f at each grid point."""
-    if not (0.0 < r_lo < r_hi):
-        raise BadInput(f"need 0 < r_lo < r_hi, got [{r_lo}, {r_hi}]")
+    if not (0.0 < r_lo < r_hi < math.inf):
+        raise BadInput(f"need 0 < r_lo < r_hi < inf, got [{r_lo}, {r_hi}]")
     grid = [r_lo, r_hi]
     r = r_lo
     while r < r_hi:

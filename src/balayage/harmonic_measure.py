@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
 from .numerics import BOUND_SLACK, ORACLE_BUDGET, QUAD_TOL, integrate
-from .ray_geometry import InSector, OnSystem, classify_point, radial_power, reduce_to_halfplane
+from .ray_geometry import radial_power, reduce_to_halfplane
 
 # The least positive normal float: a product below it has lost bits to underflow.
 _NORMAL_MIN = np.finfo(float).tiny
@@ -134,12 +134,12 @@ def hm_system_quad(S, z, segments=(), disk=None, tol=QUAD_TOL):
     image interval is integrated by hm_interval_quad instead of evaluated in
     closed form."""
     _check_boundary_set(S, segments, disk)
-    cls = classify_point(S, z)
-    if not isinstance(cls, InSector):
+    i = S.sector_index(z)
+    if i < 0:
         return hm_system(S, z, segments=segments, disk=disk)
-    w = reduce_to_halfplane(cls.sector, z)
+    w = reduce_to_halfplane(S.sectors[i], z)
     return sum((hm_interval_quad(w, I, tol=tol)
-                for I in _boundary_images(S, cls, segments, disk)), 0.0)
+                for I in _boundary_images(S, i, segments, disk)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +373,8 @@ def hm_system(S, z, segments=(), disk=None):
     """
     _check_boundary_set(S, segments, disk)
     z = complex(z)
-    cls = classify_point(S, z)
-    if isinstance(cls, OnSystem):
+    i = S.sector_index(z)
+    if i < 0:
         az = abs(z)
         if disk is not None and az <= disk:
             return 1.0
@@ -384,15 +384,15 @@ def hm_system(S, z, segments=(), disk=None):
                 return 1.0
         return 0.0
 
-    w = reduce_to_halfplane(cls.sector, z)
-    return sum((hm_interval(w, I) for I in _boundary_images(S, cls, segments, disk)), 0.0)
+    w = reduce_to_halfplane(S.sectors[i], z)
+    return sum((hm_interval(w, I) for I in _boundary_images(S, i, segments, disk)), 0.0)
 
 
-def _boundary_images(S, cls, segments, disk):
-    """Image intervals, under the power map of the sector cls (an InSector of
-    S), of the boundary set's parts on the sector's edges: the disk (both edges
-    inside it) first, then each segment on the lower or the upper edge."""
-    sec, idx = cls.sector, cls.index
+def _boundary_images(S, idx, segments, disk):
+    """Image intervals, under the power map of S's sector idx, of the boundary
+    set's parts on the sector's edges: the disk (both edges inside it) first,
+    then each segment on the lower or the upper edge."""
+    sec = S.sectors[idx]
     if disk is not None:
         rp = radial_power(disk, sec.exponent)
         yield Interval(-rp, rp)

@@ -1,7 +1,8 @@
 """The package's numeric policy: every tolerance, and checked quadrature.
 
 A point z != 0 lies on a ray when its argument is within ANGULAR_TOL of the
-ray's angle (RaySystem.ray_index applies this everywhere).  Every quadrature
+ray's angle, and otherwise in the open sector between its neighbouring rays
+(RaySystem.sector_index classifies every point, on ray_index's test).  Every quadrature
 goes through integrate(), which compares scipy's error estimate with a budget
 and raises QuadratureFailure instead of returning a value it cannot vouch for.
 
@@ -19,6 +20,14 @@ from .errors import QuadratureFailure
 
 # On-ray classification, in radians.
 ANGULAR_TOL = 1e-12
+# reduce_to_halfplane snaps a point this far (radians) outside its closed
+# sector onto the nearer edge, and raises BadInput farther out: the points on
+# an edge that hm_sector_* pass it can have a rounded arg just outside.
+EDGE_SNAP_TOL = 10 * ANGULAR_TOL
+# An image angle p * delta below this, delta a point's angle to its sector's
+# beta edge, maps the point onto the negative reals exactly: an edge point's
+# rounded arg would give its image an imaginary part of order |w| * 1e-16.
+EDGE_IMAGE_ANGLE_TOL = 1e-13
 # The crg input reader assigns an atom to the nearest ray within this angle,
 # so charges whose angles were rounded to about nine digits still read.
 INPUT_ANGULAR_TOL = 1e-9

@@ -8,6 +8,8 @@ maps onto the upper half-plane by the power map
 
 with the branch chosen positive on the sector's lower edge.  All harmonic
 measure and balayage computations reduce to the half-plane through this map.
+RaySystem.sector_index says, for one point or an array, which sector holds
+each point, or that it lies on S: the one classification every caller uses.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInput, NumericFailure, PowerMapUnderflow, ZeroPoint
-from .numerics import ANGULAR_TOL
+from .numerics import ANGULAR_TOL, EDGE_IMAGE_ANGLE_TOL, EDGE_SNAP_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,13 +62,6 @@ class Sector:
         """Power-map exponent pi / (beta - alpha)."""
         return math.pi / self.aperture
 
-    def contains(self, z):
-        """True when z != 0 lies strictly inside the open sector."""
-        if z == 0:
-            return False
-        phi = relative_angle(z, self.alpha)
-        return ANGULAR_TOL < phi < self.aperture - ANGULAR_TOL
-
 
 class RaySystem:
     """Finitely many rays from the origin, stored as sorted angles in [0, 2*pi),
@@ -83,6 +78,8 @@ class RaySystem:
                 raise BadInput("duplicate ray angles")
         self.thetas = tuple(ts)
         self._angles = np.array(ts)
+        # sector of each searchsorted slot of arg z: slot 0, below every ray, is in the last
+        self._slot_sector = np.array([len(ts) - 1, *range(len(ts))])
         self.sectors = tuple(complementary_sectors(self))
 
     def __len__(self):
@@ -94,27 +91,52 @@ class RaySystem:
     def __repr__(self):
         return f"RaySystem({list(self.thetas)})"
 
+    def _arg_and_gaps(self, points):
+        """arg w of each point w, and |remainder(arg w - theta, 2 pi)| from it
+        to each ray theta, a row per point: ray_index's and sector_index's one
+        pass.  arg w is cmath.phase's (numpy's arctan2 can be an ulp off), and
+        the remainder is exact as the lesser of |fmod| and 2 pi minus it."""
+        arg = np.array([cmath.phase(w) for w in points])
+        d = arg[:, None] - self._angles
+        d = np.abs(np.fmod(d, TWO_PI, out=d), out=d)
+        return arg, np.minimum(d, TWO_PI - d)
+
     def ray_index(self, z, tol=ANGULAR_TOL):
         """Index of the ray nearest to the point z within tol radians, or None;
         for an array of points, their indices, -1 for a point on no ray.
 
-        The package's one on-ray test; a point is its 0-d case.  arg z is
-        cmath.phase's (numpy's arctan2 can be an ulp off), and |remainder(arg z
-        - theta, 2 pi)| is exact as the lesser of |fmod| and 2 pi minus it.  The
-        last nearest ray wins a tie; the origin, on every ray, raises ZeroPoint."""
+        The package's one on-ray test; a point is its 0-d case.  The last
+        nearest ray wins a tie; the origin, on every ray, raises ZeroPoint."""
         z = np.asarray(z, dtype=complex)
         points = z.ravel().tolist()
         if 0 in points:
             raise ZeroPoint("the origin lies on every ray")
-        d = np.array([cmath.phase(w) for w in points])[:, None] - self._angles
-        d = np.abs(np.fmod(d, TWO_PI, out=d), out=d)
-        d = np.minimum(d, TWO_PI - d)
+        _, d = self._arg_and_gaps(points)
         j = len(self.thetas) - 1 - d[:, ::-1].argmin(axis=1)
         j[~(d.min(axis=1) <= tol)] = -1
         j = j.reshape(z.shape)
         if z.ndim:
             return j
         return None if j < 0 else int(j)
+
+    def sector_index(self, z):
+        """Index into `sectors` of the open sector that holds the point z, or
+        -1 for z on a ray or at the origin; for an array of points, their
+        indices.
+
+        The package's one classification of points, a point its 0-d case: on
+        a ray is ray_index's test, from the same pass.  Off the rays, the sector
+        starts at the last ray at or below arg z mod 2 pi; a point below every
+        ray is in the last sector, the one across the angle 0."""
+        z = np.asarray(z, dtype=complex)
+        points = z.ravel().tolist()
+        arg, d = self._arg_and_gaps(points)
+        i = self._slot_sector[np.searchsorted(self._angles, arg % TWO_PI, side="right")]
+        i[d.min(axis=1) <= ANGULAR_TOL] = -1
+        if 0 in points:
+            i[z.ravel() == 0] = -1
+        i = i.reshape(z.shape)
+        return i if z.ndim else int(i)
 
     def to_json(self):
         return {"rays": list(self.thetas)}
@@ -130,14 +152,6 @@ def modulus(z):
     """|z| at each point of z, by libm's hypot as abs(complex): numpy's abs is not."""
     z = np.asarray(z, dtype=complex)
     return np.hypot(z.real, z.imag)
-
-
-def on_system(S, z):
-    """Mask of the points of the 1-d array z on S, the origin included."""
-    z = np.asarray(z, dtype=complex)
-    on = z == 0
-    on[~on] = S.ray_index(z[~on]) >= 0
-    return on
 
 
 def relative_angle(z, alpha):
@@ -157,37 +171,6 @@ def complementary_sectors(S):
 
 # The target of the half-plane sweeps: ray 0 is R+, ray 1 is R-.
 REAL_AXIS = RaySystem([0.0, math.pi])
-
-
-@dataclass(frozen=True)
-class OnSystem:
-    """Classification result: the point lies on the ray system (or is the origin)."""
-
-
-@dataclass(frozen=True)
-class InSector:
-    """Classification result: the point lies in this complementary sector."""
-
-    sector: Sector
-    index: int
-
-
-def classify_point(S, z):
-    """OnSystem for z on a ray (or z = 0), else the containing sector."""
-    z = complex(z)
-    if z == 0 or S.ray_index(z) is not None:
-        return OnSystem()
-    return sector_of(S, z)
-
-
-def sector_of(S, z):
-    """The InSector of the point z != 0 off the ray system S."""
-    for i, sec in enumerate(S.sectors):
-        psi = relative_angle(z, sec.alpha)
-        if psi < sec.aperture:
-            return InSector(sec, i)
-    # Floating point can push psi to exactly aperture on the last sector.
-    return InSector(S.sectors[-1], len(S) - 1)
 
 
 def radial_power(t, p):
@@ -228,9 +211,9 @@ def reduce_to_halfplane(sec, z):
     # Points on the beta edge come in with phi = aperture; points numerically
     # a hair below alpha wrap to ~2*pi and must be snapped back to the edge.
     if phi > sec.aperture:
-        if phi >= TWO_PI - ANGULAR_TOL * 10:
+        if phi >= TWO_PI - EDGE_SNAP_TOL:
             phi = 0.0
-        elif phi <= sec.aperture + ANGULAR_TOL * 10:
+        elif phi <= sec.aperture + EDGE_SNAP_TOL:
             phi = sec.aperture
         else:
             raise BadInput(f"point not in the closed sector: {z}")
@@ -249,6 +232,6 @@ def reduce_to_halfplane(sec, z):
     delta = 0.0 if phi == sec.aperture else max(
         math.remainder(normalize_angle(sec.beta) - cmath.phase(z), TWO_PI), 0.0)
     ang = p * delta
-    if ang < 1e-13:
+    if ang < EDGE_IMAGE_ANGLE_TOL:
         return complex(-rho, 0.0)
     return rho * complex(-math.cos(ang), math.sin(ang))

@@ -30,8 +30,7 @@ from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        SWEEP_TOL, integrate)
-from .ray_geometry import (OnSystem, RaySystem, classify_point, modulus, radial_power,
-                           reduce_to_halfplane)
+from .ray_geometry import RaySystem, modulus, radial_power, reduce_to_halfplane
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +454,10 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL):
     the sector exponent or the bound exceeds tol.
     """
     z = complex(z)
-    cls = classify_point(S, z)
-    if isinstance(cls, OnSystem):
+    idx = S.sector_index(z)
+    if idx < 0:
         return v(z)
-    sec, idx = cls.sector, cls.index
+    sec = S.sectors[idx]
     k = len(S.thetas)
     p = sec.exponent
     w = reduce_to_halfplane(sec, z)
@@ -517,12 +516,13 @@ def sweep_potential_eval(bal, z, genus=-1):
     p = min((bal.rays.sectors[i].exponent for i in set(bal.sector.tolist())), default=math.inf)
     if p <= genus:
         raise BadInput(f"kernel integral diverges: genus q = {genus} >= p_D = {p:.6g}")
-    cls = classify_point(bal.rays, z)
+    idx = bal.rays.sector_index(z)
     total = 0.0
     keep = np.ones(bal.sector.shape, dtype=bool)  # the sources of the kernel sum
-    if not isinstance(cls, OnSystem) and cls.index in bal.sector:
-        w, p = reduce_to_halfplane(cls.sector, z), cls.sector.exponent
-        for i in np.flatnonzero(bal.sector == cls.index).tolist():
+    if idx in bal.sector:  # never for z on S (-1)
+        sec = bal.rays.sectors[idx]
+        w, p = reduce_to_halfplane(sec, z), sec.exponent
+        for i in np.flatnonzero(bal.sector == idx).tolist():
             zeta, m, o = bal.swept.z[i].item(), bal.swept.m[i].item(), bal.w[i].item()
             d = abs(w - o)  # not its square, which underflows next to a tiny atom
             if d == 0:  # z = zeta, or closer to it than the power map resolves

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import sys
 import warnings
@@ -16,7 +17,7 @@ from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
                       RaySystem, RayTestFunction, SupportOffAxis,
                       SupportTouchesInterval, balayage_halfplane,
                       balayage_system, blaschke_halfplane,
-                      blaschke_outside_system, blaschke_sector,
+                      blaschke_outside_system,
                       check_fubini, check_ges_bound, check_ges_bound_system,
                       check_lindelof_preservation, check_lipschitz,
                       check_thcup_bound, complementary_sectors, counting_around,
@@ -101,13 +102,26 @@ def test_blaschke_halfplane_trends():
 
 def test_blaschke_sector_reduction():
     nu = AtomicCharge([(2 * cmath.exp(1j * PI / 4), 1.0)])
-    secs = complementary_sectors(RaySystem([0.0, PI / 2, PI, 3 * PI / 2]))
-    assert blaschke_sector(nu, secs[0], 1.0) == pytest.approx(0.25, abs=1e-13)
-    assert blaschke_sector(nu, secs[1], 1.0) == 0.0
-    half = complementary_sectors(RaySystem([0.0, PI]))[0]
+    sums = blaschke_outside_system(nu, RaySystem([0.0, PI / 2, PI, 3 * PI / 2]), 1.0)
+    assert sums[0] == pytest.approx(0.25, abs=1e-13)
+    assert sums[1] == 0.0
     up = AtomicCharge([(0.3 + 2j, 1.0), (-1 + 1j, 0.5)])
-    assert blaschke_sector(up, half, 0.9) == pytest.approx(
+    assert blaschke_outside_system(up, RaySystem([0.0, PI]), 0.9)[0] == pytest.approx(
         blaschke_halfplane(up, 0.9), abs=1e-13)
+
+
+def test_blaschke_sums_map_only_the_far_atoms(charge_file, system_file, capsys):
+    # in the sector (0, pi/10), p = 10: the atom at 1e-40 lies inside r0 = 1,
+    # and its image |w| = 1e-400 underflows.  The Blaschke sums never map it;
+    # the sweep maps every atom off S and fails on it
+    charge = charge_file([(cmath.rect(1e-40, 0.05), 1.0), (cmath.rect(3.0, 0.05), 2.0)])
+    system = system_file([0.0, PI / 10])
+    assert main(["check", "blaschke", "--charge", charge, "--system", system, "--r0", "1"]) == 0
+    total = json.loads(capsys.readouterr().out)["sectors"][0]["sum"]
+    assert total == 1.623822718773232e-05
+    assert total == pytest.approx(2.0 * math.sin(0.5) / 3.0 ** 10, rel=1e-14)  # 2 Im w / |w|^2
+    assert main(["balayage", "--charge", charge, "--system", system]) == 3
+    assert "power map underflows" in capsys.readouterr().err
 
 
 def test_blaschke_outside_system_per_sector():
@@ -320,7 +334,7 @@ def test_lindelof_preservation_symmetric():
 
 def test_check_ges_system_closed_at_the_gauge():
     # g(r) = 2: the atom at |1.2 + 1.6i| = 2 counts in c_plus (closed at the
-    # gauge), which blaschke_sector at r0 = 2 would drop; atoms on a ray
+    # gauge), which blaschke_outside_system at r0 = 2 would drop; atoms on a ray
     # (sector edges) are kept by the sweep and add nothing
     S = RaySystem([0.0, PI / 2, PI, 3 * PI / 2])
     nu = AtomicCharge([(complex(1.2, 1.6), 1.5), (3.0, 2.0), (cmath.rect(3.0, PI / 2), 0.7),
@@ -328,7 +342,7 @@ def test_check_ges_system_closed_at_the_gauge():
     assert abs(nu.z[0].item()) == 2.0
     res = check_ges_bound_system(nu, S, 2.0, 1.0)
     assert res.detail["c_plus"] == 0.3922493953238377
-    open_sum = math.fsum(blaschke_sector(nu, sec, 2.0) for sec in complementary_sectors(S))
+    open_sum = math.fsum(blaschke_outside_system(nu, S, 2.0).values())
     assert res.detail["c_plus"] == pytest.approx(open_sum + 1.5 * 0.24, rel=1e-15)
 
 
@@ -409,10 +423,10 @@ def test_array_radii_match_one_radius_calls(target, atoms, kept, far, ray, radii
     thetas = (0.0, PI) if target is None else target
     nu = [(cmath.rect(r, th), m) for r, th, m in atoms]
     nu += [(cmath.rect(r, thetas[k % len(thetas)]), m) for k, r, m in kept]
-    home = ray_geometry.classify_point(REAL_AXIS if target is None else RaySystem(target),
-                                       cmath.rect(1.0, atoms[0][1]))
-    if far and isinstance(home, ray_geometry.InSector):  # |w| = 1e200: (Im w)^2 overflows
-        r = 10.0 ** min(300.0, 200.0 / home.sector.exponent)  # p = 1/2: |w| = 1e150
+    system = REAL_AXIS if target is None else RaySystem(target)
+    home = system.sector_index(cmath.rect(1.0, atoms[0][1]))
+    if far and home >= 0:  # |w| = 1e200: (Im w)^2 overflows
+        r = 10.0 ** min(300.0, 200.0 / system.sectors[home].exponent)  # p = 1/2: |w| = 1e150
         nu.append((cmath.rect(r, atoms[0][1]), 1.0))
     nu = AtomicCharge(nu)
     bal = balayage_halfplane(nu) if target is None else balayage_system(nu, RaySystem(target))
@@ -727,8 +741,8 @@ def test_on_ray_bisection_equals_the_linear_scan(knots, probes):
 def _pairing_from_zero(F, S, z):
     """_poisson_pairing by its former route: each edge integral over [0, hi]
     with its scale hints all through that range."""
-    cls = ray_geometry.classify_point(S, z)
-    sec, idx = cls.sector, cls.index
+    idx = S.sector_index(z)
+    sec = S.sectors[idx]
     w, p = ray_geometry.reduce_to_halfplane(sec, z), sec.exponent
     total = 0.0
     for edge_ray, sign in ((idx, +1), ((idx + 1) % len(S), -1)):
@@ -753,9 +767,9 @@ def test_pairing_over_the_support_equals_the_integral_from_zero(z):
     F = RayTestFunction(S, {0: [(0.5, 0.0), (1.0, 1.0), (2.0, 0.0)],
                             1: [(5.0, 0.0), (6.0, -2.0), (9.0, 0.0)],
                             2: [(0.01, 0.0), (0.02, 0.5), (0.5, 0.5), (3.0, 0.0)]})
-    cls = ray_geometry.classify_point(S, z)
-    w = ray_geometry.reduce_to_halfplane(cls.sector, z)
-    assert abs(_poisson_pairing(F, S, cls.index, w) - _pairing_from_zero(F, S, z)) <= QUAD_TOL
+    idx = S.sector_index(z)
+    w = ray_geometry.reduce_to_halfplane(S.sectors[idx], z)
+    assert abs(_poisson_pairing(F, S, idx, w) - _pairing_from_zero(F, S, z)) <= QUAD_TOL
 
 
 @pytest.mark.parametrize("target, far", [

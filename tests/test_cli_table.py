@@ -74,6 +74,7 @@ REJECTED = [
     "hm --z 0,1 --interval=-1,1 --tol 0",
     "hm --z 0,1 --interval=-1,1 --tol -1",
     "hm --z 0,1 --interval=-1,1 --tol nan",
+    "hm --z 0,1 --interval=-1,1 --tol inf",
     "hm --z 0,1 --system @sys2 --disk 0",
     "hm --z 1,0 --system @sys2 --disk 0",
     "hm --z 0,1 --system @sys2 --disk -1",
@@ -93,12 +94,14 @@ REJECTED = [
     "balayage --charge @charge --samples 1",
     "balayage --charge @charge --xmax 0",
     "balayage --charge @charge --xmax nan",
+    "balayage --charge @charge --xmax inf",
     "balayage --charge @bad",
     "balayage --charge @charge --system @bad",
     "balayage --charge @charge --tol 0",
     # check
     "check blaschke --charge @charge --r0 0",
     "check blaschke --charge @charge --r0 nan",
+    "check blaschke --charge @charge --r0 inf",
     "check blaschke --charge @charge --system @sys3 --r0 0",
     "check blaschke --charge @charge --system @sys3 --r0 nan",
     "check blaschke --charge @bad",
@@ -106,9 +109,11 @@ REJECTED = [
     "check carleman --charge @charge --r0 nan",
     "check carleman --charge @charge --r0 10 --r 10",
     "check carleman --charge @charge --r nan",
+    "check carleman --charge @charge --tol inf",
     "check carleman --charge @charge --tol 0",
     "check thcup --charge @charge --t1 2 --t2 1",
     "check thcup --charge @charge --t1 nan",
+    "check thcup --charge @charge --t1=-inf --t2=-1",
     "check thcup --charge @charge --t1=-1 --t2 1",
     "check thcup --charge @charge --a 0",
     "check thcup --charge @charge --a 1",
@@ -119,10 +124,12 @@ REJECTED = [
     "check ges --charge @charge --r nan",
     "check ges --charge @charge --gauge-scale 1",
     "check ges --charge @charge --gauge-scale nan",
+    "check ges --charge @charge --gauge-scale inf",
     "check ges --charge @charge --system @sys3 --r nan",
     "check ges --charge @charge --system @sys3 --gauge-scale 0.5",
     "check lipschitz --charge @charge --x1 2 --x2 1",
     "check lipschitz --charge @charge --x1 nan",
+    "check lipschitz --charge @charge --x2 inf",
     "check lipschitz --charge @charge --n-grid 0",
     "check lipschitz --charge @charge --n-grid -1",
     "check fubini --charge @charge",
@@ -149,6 +156,7 @@ REJECTED = [
     "check classa --charge @charge --r0 0",
     "check classa --charge @charge --r0 10 --r 10",
     "check classa --charge @charge --r0 nan",
+    "check classa --charge @charge --r inf",
     "check classa --charge @charge --tol 0",
     # growth
     "growth --charge @charge --p 0",
@@ -161,6 +169,7 @@ REJECTED = [
     "growth --charge @charge --p 1 --r-lo nan --r-hi 8",
     "growth --charge @charge --p 1 --r-lo nan",
     "growth --charge @charge --p 1 --r-hi nan",
+    "growth --charge @charge --p 1 --r-hi inf",
     "growth --charge @charge --p 1 --r0 0",
     "growth --charge @charge --p 1 --r0 nan --zero-side",
     "growth --charge @empty --p 1",
@@ -175,6 +184,7 @@ REJECTED = [
     "potential --charge @charge --z 1,1 --sweep --system @sys2 --schedule @schedule",
     "potential --charge @charge --z 1,1 --sweep --system @sys2 --rmax 1",
     "potential --charge @charge --z 1,1 --sweep --system @sys2 --rmax nan",
+    "potential --charge @charge --z 1,1 --sweep --system @sys2 --rmax inf",
     "potential --charge @charge --z 1,1 --tol 0",
     "potential --charge @charge --z 1,1 --tol nan",
     "potential --charge @bad --z 1,1",

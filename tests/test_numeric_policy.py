@@ -412,9 +412,9 @@ def _ray_density(S, atoms, j):
     terms = []
     for z, m in atoms:
         for i, sec in enumerate(complementary_sectors(S)):
-            if sec.contains(z):
+            phi = (cmath.phase(z) - sec.alpha) % (2.0 * PI)
+            if ANGULAR_TOL < phi < sec.aperture - ANGULAR_TOL:  # z inside the open sector
                 p = mpmath.pi / (mpmath.mpf(sec.beta) - sec.alpha)
-                phi = (cmath.phase(z) - sec.alpha) % (2.0 * PI)
                 w = mpmath.mpf(abs(z)) ** p * mpmath.expj(p * phi)
                 terms += [(m, w, p, e) for e, hit in ((1, i == j), (-1, (i + 1) % k == j))
                           if hit]

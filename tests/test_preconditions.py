@@ -30,6 +30,8 @@ CALLS = {
     "check_lipschitz n_grid 0": lambda: check_lipschitz(NU, 1.0, 2.0, n_grid=0),
     "check_lipschitz n_grid -1": lambda: check_lipschitz(NU, 1.0, 2.0, n_grid=-1),
     "type_at p nan": lambda: type_at(F, NAN, 1.0, 8.0),
+    # an infinite window end used to reach np.polyfit, whose SVD did not converge
+    "type_at r_hi inf": lambda: type_at(F, 1.0, 1.0, math.inf),
     "convergence_integral_zero r0 nan": lambda: convergence_integral_zero(F, 1.0, NAN),
     "convergence_integral_zero p nan": lambda: convergence_integral_zero(F, NAN, 1.0),
     "indicator_estimate p nan": lambda: indicator_estimate(lambda z: 0.0, 0.0, NAN, (1.0, 8.0)),

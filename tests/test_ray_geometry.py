@@ -1,12 +1,13 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from balayage import (ANGULAR_TOL, BadInput, InSector, NumericFailure,
-                      OnSystem, RaySystem, Sector, ZeroPoint, classify_point,
-                      complementary_sectors, normalize_angle,
+from balayage import (ANGULAR_TOL, REAL_AXIS, BadInput, NumericFailure, RaySystem,
+                      Sector, ZeroPoint, complementary_sectors, normalize_angle,
                       reduce_to_halfplane)
 
 PI = math.pi
@@ -64,16 +65,68 @@ def test_apertures_sum_to_two_pi():
         assert total == pytest.approx(2 * PI, abs=1e-12)
 
 
-def test_classify_point():
+def test_sector_index():
     S = RaySystem([0.0, PI])
-    assert classify_point(S, 3.0) == OnSystem()
-    assert classify_point(S, 0.0) == OnSystem()
-    res = classify_point(S, 1 + 1j)
-    assert isinstance(res, InSector)
-    assert (res.sector.alpha, res.sector.beta) == (0.0, PI)
-    res = classify_point(RaySystem([PI / 2]), -1.0)
-    assert isinstance(res, InSector)
-    assert res.sector.alpha == PI / 2
+    assert S.sector_index(3.0) == -1
+    assert S.sector_index(0.0) == -1
+    sec = S.sectors[S.sector_index(1 + 1j)]
+    assert (sec.alpha, sec.beta) == (0.0, PI)
+    T = RaySystem([PI / 2])
+    assert T.sectors[T.sector_index(-1.0)].alpha == PI / 2
+
+
+def _sector_oracle(S, z):
+    """The sector of S that holds the point z off S, from arg z in 50 digits:
+    the first sector whose alpha is within its aperture below arg z."""
+    with mpmath.workdps(50):
+        arg = mpmath.arg(mpmath.mpc(z.real, z.imag))
+        for i, sec in enumerate(S.sectors):
+            if (arg - sec.alpha) % (2 * mpmath.pi) < mpmath.mpf(sec.beta) - sec.alpha:
+                return i
+    return None
+
+
+# rays at 0, pi and either side of 2 pi, where arg z wraps, or anywhere
+RAY_ANGLES = st.sampled_from([0.0, PI, math.nextafter(2 * PI, 0.0), 2 * PI - 3 * ANGULAR_TOL,
+                              0.5 * ANGULAR_TOL]) | st.floats(0.0, 2 * PI, exclude_max=True)
+# 1e-320 is subnormal: its components round, and arg z with them
+RADII = st.sampled_from([1e-300, 1e-320, 1e-10, 1.0, 1e10, 1e300]) | st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(thetas=st.lists(RAY_ANGLES, min_size=1, max_size=6) | st.just(None),
+       near=st.lists(st.tuples(st.integers(0, 5),
+                               st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                               st.sampled_from([1.0, -1.0]), RADII), max_size=12),
+       free=st.lists(st.tuples(st.floats(-4 * PI, 4 * PI), RADII), max_size=6),
+       axis=st.lists(st.tuples(RADII, st.sampled_from([1.0, -1.0]),
+                               st.sampled_from([0.0, -0.0])), max_size=4))
+def test_sector_index_is_the_sector_that_holds_arg_z(thetas, near, free, axis):
+    """Points {0, 0.5, 1, 1.5, 2, 3} ANGULAR_TOL either side of each ray, across
+    the 0/2 pi wrap, on the real and imaginary axes with +-0.0 parts, at the
+    origin and at radii 1e+-300: on S (-1) exactly where ray_index says so,
+    else the sector of the 50-digit arg z; each point's 0-d call is its entry
+    of the array call."""
+    if thetas is None:
+        S = REAL_AXIS
+    else:
+        try:
+            S = RaySystem(thetas)
+        except BadInput:  # duplicate rays
+            assume(False)
+    points = [0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    points += [cmath.rect(r, S.thetas[j % len(S)] + sign * k * ANGULAR_TOL)
+               for j, k, sign, r in near]
+    points += [cmath.rect(r, th) for th, r in free]
+    points += [z for r, sign, zero in axis
+               for z in (complex(sign * r, zero), complex(zero, sign * r))]
+    index = S.sector_index(np.array(points))
+    assert index.shape == (len(points),) and index.dtype.kind == "i"
+    for z, i in zip(points, index.tolist()):
+        assert S.sector_index(z) == i, z
+        assert (i < 0) == (z == 0 or S.ray_index(z) is not None), z
+        if i >= 0:
+            assert i == _sector_oracle(S, z), z
 
 
 def test_reduce_identity_on_half_plane():
