@@ -31,7 +31,7 @@ from .errors import (
     SupportOffAxis,
     SupportTouchesInterval,
 )
-from .harmonic_measure import imag_inv_conj, interval_form, poisson_kernel
+from .harmonic_measure import interval_form, poisson_kernel
 from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        VARIATION_HALVINGS, VARIATION_TOL, integrate)
 from .ray_geometry import REAL_AXIS, RaySystem, modulus, radial_power, reduce_to_halfplane
@@ -113,19 +113,23 @@ def blaschke_outside_system(nu, S, r0):
     """Per-sector Blaschke sums for the complement of the ray system, by
     sector index: of |m| * Im(w) / |w|^2, w the image under the sector's power
     map, over the atoms strictly inside the sector and outside the closed disk
-    r0 (in original coordinates).  Only those atoms are mapped; a sum past the
+    r0 (in original coordinates).  Only those atoms are swept; a sum past the
     float range is a NumericFailure."""
     if not r0 > 0.0:
         raise BadInput(f"need r0 > 0, got {r0}")
-    sums = [0.0] * len(S)
-    for z, m, i in zip(nu.z.tolist(), nu.m.tolist(), S.sector_index(nu.z).tolist()):
-        if i >= 0 and abs(z) > r0:  # off S, outside the disk
-            w = reduce_to_halfplane(S.sectors[i], z)
-            if w.imag > 0.0:  # not on an edge
-                sums[i] += abs(m) * imag_inv_conj(w)
+    bal = balayage_system(nu[modulus(nu.z) > r0], S)
+    sums = _sector_sums(bal.sector, bal.swept.m, bal.w, len(S))
     if not all(map(math.isfinite, sums)):
         raise NumericFailure(f"the Blaschke sum outside r0 = {r0!r} passes the float range")
     return dict(enumerate(sums))
+
+
+def _sector_sums(sector, m, w, k):
+    """Per sector 0..k-1, the sum of |m| * Im w / |w| / |w| = |m| * Im(1 / conj w)
+    (no |w|^2 to overflow) in the atoms' order; inf past the float range."""
+    aw = modulus(w)
+    with np.errstate(over="ignore"):
+        return np.bincount(sector, np.abs(m) * (w.imag / aw / aw), minlength=k).tolist()
 
 
 def fit_slope_vs_log(radii, values):
@@ -582,9 +586,7 @@ def check_ges_bound_system(nu, S, g, r):
     # closed at the gauge: an atom at |z| = g(r) counts here, not in the disk term;
     # far atoms on S are kept, so the reduced weights are the swept ones' sector sums
     far = modulus(bal.swept.z) >= gr
-    b = [0.0] * len(S.sectors)
-    for m, i, w in zip(bal.swept.m[far].tolist(), bal.sector[far].tolist(), bal.w[far].tolist()):
-        b[i] += abs(m) * imag_inv_conj(w)
+    b = _sector_sums(bal.sector[far], bal.swept.m[far], bal.w[far], len(S))
     c_plus = 0.0
     for sec, bi in zip(S.sectors, b):
         if bi:  # a sector without far atoms adds 0, however large r^p is

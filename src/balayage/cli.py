@@ -39,9 +39,8 @@ from .charges import (AtomicCharge, RayTestFunction, balayage_halfplane,
                       check_thcup_bound, counting_around)
 from .errors import BadInput, BalayageError, NumericFailure
 from .growth_scales import convergence_integral_zero, growth_report
-from .harmonic_measure import (BoundarySegment, Interval, hm_bounds,
-                               hm_interval, hm_interval_quad, hm_system,
-                               hm_system_quad)
+from .harmonic_measure import (BoundarySegment, Interval, hm_bounds, hm_interval_quad,
+                               hm_system, hm_system_quad)
 from .numerics import (IDENTITY_TOL, INPUT_ANGULAR_TOL, ORACLE_BUDGET, PAIRING_TOL,
                        QUAD_TOL, SWEEP_TOL)
 from .ray_geometry import RaySystem, modulus
@@ -201,7 +200,7 @@ def cmd_hm(args):
             raise BadInput("--disk/--segment apply only with --system")
         I = Interval(*_floats(args.interval, 2, "--interval"))
         bounds = hm_bounds(z, I, a=args.a, b=args.b)
-        exact = hm_interval(z, I)
+        exact = bounds.exact
         oracle = hm_interval_quad(z, I, tol=args.tol)
         report.update(interval=[I.t1, I.t2], exact=exact, oracle=oracle,
                       difference=abs(exact - oracle),
@@ -455,6 +454,8 @@ def cmd_growth(args):
         r_lo = 2.0 * float(f.points[0]) if f.points[0] > 0.0 else 1.0
     if r_hi is None:
         r_hi = max(2.0 * float(f.points[-1]), 4.0 * r_lo)
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi)):  # a given end is finite
+        raise NumericFailure(f"the default window [{r_lo}, {r_hi}] passes the float range")
     rep = growth_report(f, args.p, r_lo, r_hi)
     conv = rep.convergence
     report = {"command": "growth", "p": args.p, "window": [r_lo, r_hi],

@@ -129,19 +129,6 @@ def hm_interval_quad(z, I, tol=QUAD_TOL):
     return val
 
 
-def hm_system_quad(S, z, segments=(), disk=None, tol=QUAD_TOL):
-    """Quadrature oracle for hm_system: the same sector reduction, but each
-    image interval is integrated by hm_interval_quad instead of evaluated in
-    closed form."""
-    _check_boundary_set(S, segments, disk)
-    i = S.sector_index(z)
-    if i < 0:
-        return hm_system(S, z, segments=segments, disk=disk)
-    w = reduce_to_halfplane(S.sectors[i], z)
-    return sum((hm_interval_quad(w, I, tol=tol)
-                for I in _boundary_images(S, i, segments, disk)), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Bound catalog
 
@@ -307,21 +294,22 @@ def hm_bounds(z, I, a=0.5, b=2.0):
 # Sector and system measures
 
 
-def _segment_image(sec, seg):
-    """Image interval of a sector-edge segment under the power map."""
+def _segment_image(sec, edge, a, b):
+    """Image interval, under the power map, of the radial segment [a, b] of a
+    sector edge (0 = lower edge, 1 = upper edge)."""
     p = sec.exponent
-    a, b = radial_power(seg.a, p), radial_power(seg.b, p)
-    if seg.ray_index == 0:  # lower edge -> positive reals
+    a, b = radial_power(a, p), radial_power(b, p)
+    if edge == 0:  # lower edge -> positive reals
         return Interval(a, b)
-    if seg.ray_index == 1:  # upper edge -> negative reals
+    if edge == 1:  # upper edge -> negative reals
         return Interval(-b, -a)
-    raise BadInput(f"sector edge index must be 0 or 1, got {seg.ray_index}")
+    raise BadInput(f"sector edge index must be 0 or 1, got {edge}")
 
 
 def hm_sector_segment(sec, z, seg):
     """Harmonic measure, within the sector, of a radial segment of one edge."""
     w = reduce_to_halfplane(sec, z)
-    return hm_interval(w, _segment_image(sec, seg))
+    return hm_interval(w, _segment_image(sec, seg.ray_index, seg.a, seg.b))
 
 
 def hm_sector_disk(sec, z, r):
@@ -354,16 +342,6 @@ def hm_sector_disk_bounds(sec, z, r, a):
     return out
 
 
-def _check_boundary_set(S, segments, disk):
-    """Every segment must lie on a ray of S, and the disk have a radius > 0."""
-    k = len(S.thetas)
-    for seg in segments:
-        if not 0 <= seg.ray_index < k:
-            raise BadInput(f"no ray {seg.ray_index} in a {k}-ray system")
-    if disk is not None and not disk > 0.0:
-        raise BadInput(f"need disk > 0, got {disk}")
-
-
 def hm_system(S, z, segments=(), disk=None):
     """Harmonic measure of a boundary set for the complement of a ray system.
 
@@ -371,7 +349,26 @@ def hm_system(S, z, segments=(), disk=None):
     closed origin disk of the given radius; parts must be disjoint (disk and
     segments are not deduplicated).  For z on S the measure is the Dirac mass.
     """
-    _check_boundary_set(S, segments, disk)
+    return _hm_system(S, z, segments, disk, hm_interval)
+
+
+def hm_system_quad(S, z, segments=(), disk=None, tol=QUAD_TOL):
+    """Quadrature oracle for hm_system: the same dispatch, but each image
+    interval is integrated by hm_interval_quad instead of evaluated in closed
+    form."""
+    return _hm_system(S, z, segments, disk, lambda w, I: hm_interval_quad(w, I, tol=tol))
+
+
+def _hm_system(S, z, segments, disk, measure):
+    """hm_system's one dispatch: z classified once, and off S the sum of
+    measure(w, I), a half-plane measure at z's image w, over the images I of
+    the set's parts on the edges of z's sector, the disk's first."""
+    k = len(S.thetas)
+    for seg in segments:
+        if not 0 <= seg.ray_index < k:
+            raise BadInput(f"no ray {seg.ray_index} in a {k}-ray system")
+    if disk is not None and not disk > 0.0:
+        raise BadInput(f"need disk > 0, got {disk}")
     z = complex(z)
     i = S.sector_index(z)
     if i < 0:
@@ -384,20 +381,17 @@ def hm_system(S, z, segments=(), disk=None):
                 return 1.0
         return 0.0
 
-    w = reduce_to_halfplane(S.sectors[i], z)
-    return sum((hm_interval(w, I) for I in _boundary_images(S, i, segments, disk)), 0.0)
+    sec = S.sectors[i]
+    w = reduce_to_halfplane(sec, z)
 
+    def images():  # lazily: a part's measure fails before a later part's image
+        if disk is not None:
+            rp = radial_power(disk, sec.exponent)
+            yield Interval(-rp, rp)
+        for seg in segments:
+            # for a one-ray system the same ray is both edges
+            for e, j in ((0, i), (1, (i + 1) % k)):
+                if seg.ray_index == j:
+                    yield _segment_image(sec, e, seg.a, seg.b)
 
-def _boundary_images(S, idx, segments, disk):
-    """Image intervals, under the power map of S's sector idx, of the boundary
-    set's parts on the sector's edges: the disk (both edges inside it) first,
-    then each segment on the lower or the upper edge."""
-    sec = S.sectors[idx]
-    if disk is not None:
-        rp = radial_power(disk, sec.exponent)
-        yield Interval(-rp, rp)
-    for seg in segments:
-        # for a one-ray system the same ray is both edges
-        for e, j in ((0, idx), (1, (idx + 1) % len(S.thetas))):
-            if seg.ray_index == j:
-                yield _segment_image(sec, BoundarySegment(e, seg.a, seg.b))
+    return sum((measure(w, I) for I in images()), 0.0)

@@ -206,7 +206,9 @@ BIG = [(2 + 1j, 1e308), (3 + 1j, 1e308)]
     ([(cmath.rect(1.0, PI), 1.0)],
      ["potential", "--genus", "0", "--z=1,0", "--sweep", "--system", [1.0, 6.0],
       "--rmax", "1e126"]),
-], ids=["balayage", "ges", "ges-system", "thcup", "potential-sweep"])
+    # the default window end 2 max|z| overflowed, and the window read as bad input
+    ([(1.5e308, 1.0), (2 + 1j, 1.0)], ["growth", "--p", "1"]),
+], ids=["balayage", "ges", "ges-system", "thcup", "potential-sweep", "growth-window"])
 def test_an_overflow_error_is_a_numeric_failure(atoms, argv, charge_file, system_file,
                                                 capsys):
     argv = [system_file(a) if isinstance(a, list) else a for a in argv]

@@ -5,15 +5,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from balayage import (BoundarySegment, EndpointSingularity, Interval,
+from balayage import (AtomicCharge, BoundarySegment, EndpointSingularity, Interval,
                       NotInUpperHalfPlane, NumericFailure, RaySystem, Sector,
-                      hm_bounds, hm_interval, hm_interval_quad, hm_sector_disk,
-                      hm_sector_disk_bounds, hm_sector_segment, hm_system,
-                      hm_system_quad, poisson_kernel)
+                      balayage_system, hm_bounds, hm_interval, hm_interval_quad,
+                      hm_sector_disk, hm_sector_disk_bounds, hm_sector_segment,
+                      hm_system, hm_system_quad, poisson_kernel)
 from balayage.cli import main
+from balayage.numerics import ORACLE_BUDGET
 
 PI = math.pi
 
@@ -252,6 +253,48 @@ def test_hm_system_cross_disk():
     z = 2 * cmath.exp(1j * PI / 4)
     assert hm_system(S, z, disk=1.0) == pytest.approx(
         math.atan(8 / 15) / PI, abs=1e-14)
+
+
+@st.composite
+def system_point_segment(draw):
+    """A system of 1-5 rays (its sectors at least 0.69 rad wide, so p <= 4.5),
+    a point at least 0.069 rad off its rays, a segment [a, b] of any ray (a
+    may be 0) and a disk radius, all within the oracle's reach."""
+    gaps = np.array(draw(st.lists(st.floats(1.0, 2.0), min_size=1, max_size=5)))
+    width = 2 * PI * gaps / gaps.sum()  # the ray after ends[i] lies width[i + 1] past it
+    ends = draw(st.floats(0.0, 2 * PI)) + np.cumsum(width)
+    k = draw(st.integers(0, len(gaps) - 1))
+    arg = ends[k] + draw(st.floats(0.1, 0.9)) * width[(k + 1) % len(gaps)]
+    z = cmath.rect(math.exp(draw(st.floats(-0.5, 0.5))), arg)
+    a = draw(st.one_of(st.just(0.0), st.floats(0.1, 1.5)))
+    seg = BoundarySegment(draw(st.integers(0, len(gaps) - 1)), a, a + draw(st.floats(0.1, 1.5)))
+    return RaySystem([math.remainder(t, 2 * PI) for t in ends]), z, seg, draw(st.floats(0.1, 3.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=system_point_segment())
+def test_hm_system_is_the_sweep_of_a_unit_atom(case):
+    # the harmonic measure at z is the balayage of the unit atom at z: the
+    # scalar dispatch, its oracle and the array sweep agree, one-ray systems included
+    S, z, seg, r = case
+    bal = balayage_system(AtomicCharge([(z, 1.0)]), S)
+    i = bal.sector[0]
+    on_seg = bal.ray_segment_mass(seg.ray_index, seg.a, seg.b)
+    in_disk = sum(bal.ray_segment_mass(j, 0.0, r) for j in {i, (i + 1) % len(S)})
+    assert abs(hm_system(S, z, [seg]) - on_seg) <= 1e-13
+    assert abs(hm_system(S, z, disk=r) - in_disk) <= 1e-13
+    assert abs(hm_system_quad(S, z, [seg]) - on_seg) <= ORACLE_BUDGET
+    assert abs(hm_system_quad(S, z, disk=r) - in_disk) <= ORACLE_BUDGET
+
+
+def test_hm_system_quad_classifies_its_point_once(monkeypatch):
+    calls = []
+    classify = RaySystem.sector_index
+    monkeypatch.setattr(RaySystem, "sector_index",
+                        lambda self, z: calls.append(z) or classify(self, z))
+    S = RaySystem([0.0, PI])
+    assert hm_system_quad(S, 2.0, segments=[BoundarySegment(0, 0.0, 3.0)]) == 1.0
+    assert calls == [2.0]
 
 
 def test_far_point_bounds_bracket_the_exact_value(tmp_path):

@@ -658,6 +658,37 @@ def test_quad_is_bound_in_one_module_only():
             assert "IntegrationWarning" not in inspect.getsource(mod), mod.__name__
 
 
+def _callers(callee):
+    """module.function of every package function that calls callee by name: a
+    method as Class.method, a nested def as the def that holds it, and code
+    outside any def as <module> (or the class)."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                units = [(f"{top.name}.{n.name}" if isinstance(n, ast.FunctionDef)
+                          else top.name, n) for n in top.body]
+            else:
+                units = [(getattr(top, "name", "<module>"), top)]
+            found |= {f"{path.stem}.{owner}" for owner, unit in units
+                      for c in ast.walk(unit) if isinstance(c, ast.Call)
+                      and callee in (getattr(c.func, "id", None), getattr(c.func, "attr", None))}
+    return found
+
+
+def test_sector_images_are_formed_once_per_object():
+    # a sweep's images are formed in BalayageCharge, and the Blaschke sums
+    # read them; hm_system and its oracle share one dispatch
+    assert _callers("reduce_to_halfplane") == {
+        "charges.BalayageCharge.__post_init__", "harmonic_measure._hm_system",
+        "harmonic_measure.hm_sector_segment", "harmonic_measure.hm_sector_disk",
+        "harmonic_measure.hm_sector_disk_bounds", "subharmonic.subharmonic_balayage_eval",
+        "subharmonic.sweep_potential_eval"}
+    # a boundary segment is input, not an edge tag: only the CLI builds one
+    owners = _callers("BoundarySegment")
+    assert owners and {o.split(".")[0] for o in owners} == {"cli"}, owners
+
+
 COLD_START = """
 import sys
 import {module}
