@@ -11,7 +11,6 @@ from .charges import (AtomicCharge, BalayageCharge, CheckResult,
                       check_lindelof_preservation, check_lipschitz,
                       check_thcup_bound, counting_around, distribution_on_R,
                       divergence_verdict, fit_slope_vs_log, lindelof_sum,
-                      seq_balayage_distribution,
                       variation_radial)
 from .errors import (AtomOnCircle, BadGauge, BadInput, BalayageError,
                      CoincidentPoints, EndpointSingularity, HypothesisViolated,
@@ -34,7 +33,7 @@ from .regular_growth import (CRGReport, RayLimitRecord, angular_density,
                              indicator_estimate, pv_kernel_integral)
 from .stepfn import StepFunction
 from .subharmonic import (CanonicalPotential, ClassAResult, GenusSchedule,
-                          carleman_check, circle_mean, class_A_functionals,
+                          carleman_check, class_A_functionals,
                           edge_radii, kernel_Kq, kernel_Kq_radial_derivative,
                           potential_eval, subharmonic_balayage_eval,
                           sweep_potential_eval)

@@ -106,7 +106,7 @@ def counting_around(nu, x0, variation=True):
 def blaschke_halfplane(nu, r0):
     """Sum of |m| * Im(1/conj z) over upper-half atoms outside the closed disk r0:
     the Blaschke sum of REAL_AXIS's upper sector (the lower one's is not formed)."""
-    return blaschke_outside_system(nu[nu.z.imag > 0.0], REAL_AXIS, r0)[0]
+    return blaschke_outside_system(nu[REAL_AXIS.sector_index(nu.z) == 0], REAL_AXIS, r0)[0]
 
 
 def blaschke_outside_system(nu, S, r0):
@@ -399,16 +399,6 @@ def _swept_distribution_on_R(bal, x, right):
     return total + math.fsum(bal.kept.m[bal.kept.z == 0].tolist())
 
 
-def seq_balayage_distribution(Z, x):
-    """Distribution function of the full-plane sweep of a point sequence onto R.
-
-    Z is a sequence of points or (point, mass) pairs; each off-axis point is
-    swept within its half-plane (lower points mirror through the power map),
-    real points stay."""
-    nu = AtomicCharge(item if isinstance(item, tuple) else (item, 1.0) for item in Z)
-    return distribution_on_R(balayage_system(nu, REAL_AXIS), x)
-
-
 # ---------------------------------------------------------------------------
 # Variation masses of a sweep
 
@@ -517,7 +507,8 @@ def check_thcup_bound(nu, t1, t2, a):
         raise BadInput(f"need a in (0,1), got {a}")
     x0 = 0.5 * (t1 + t2)
     r = 0.5 * (t2 - t1)
-    upper = nu[nu.z.imag >= 0.0]
+    sec = REAL_AXIS.sector_index(nu.z)  # 0 above R, -1 on it
+    upper = nu[sec <= 0]
     bal = balayage_halfplane(nu)
 
     lhs = _variation_interval_halfplane(bal, t1, t2)
@@ -525,7 +516,9 @@ def check_thcup_bound(nu, t1, t2, a):
     az, mass = modulus(upper.z), np.abs(upper.m)
     t_disk = math.fsum(mass[modulus(upper.z - x0) <= r].tolist())
     t_rad = (2.0 * r / (a * abs(x0))) * math.fsum(mass[az <= (3.0 / a) * abs(x0)].tolist())
-    t_bl = (r / (1.0 - a) ** 2) * _blaschke_weight(upper[az >= abs(x0)])
+    # the upper sector's Blaschke term: an atom on R adds 0, whatever its Im z
+    far = (az >= abs(x0)) & (sec[sec <= 0] == 0)
+    t_bl = (r / (1.0 - a) ** 2) * _blaschke_weight(upper[far])
     hi = a * abs(x0)
     if hi > r:
         f = counting_around(upper, x0, variation=True)

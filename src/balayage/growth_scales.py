@@ -17,9 +17,18 @@ import numpy as np
 
 from .charges import divergence_verdict
 from .errors import BadInput, NumericFailure
-from .stepfn import StepFunction, power_antiderivative
+from .stepfn import StepFunction, power_integrals
 
 ORDER_CAP = 64.0  # estimates above this are reported as +inf
+
+
+def _doublings(r, R):
+    """r, 2r, 4r, ... below R: the dyadic radii of the windows."""
+    out = []
+    while r < R:
+        out.append(r)
+        r *= 2.0
+    return out
 
 
 def _window_grid(f, r_lo, r_hi):
@@ -27,11 +36,7 @@ def _window_grid(f, r_lo, r_hi):
     sorted, and f at each grid point."""
     if not (0.0 < r_lo < r_hi < math.inf):
         raise BadInput(f"need 0 < r_lo < r_hi < inf, got [{r_lo}, {r_hi}]")
-    grid = [r_lo, r_hi]
-    r = r_lo
-    while r < r_hi:
-        grid.append(r)
-        r *= 2.0
+    grid = [r_lo, r_hi, *_doublings(r_lo, r_hi)]
     inside = f.points[(f.points >= r_lo) & (f.points <= r_hi)]
     grid = np.unique(np.concatenate((grid, inside)))
     return grid.tolist(), f(grid).tolist()
@@ -74,34 +79,9 @@ def type_at(f, p, r_lo, r_hi):
 
 def _abs_integrals(f, p, lo, his):
     """Exact integrals of |f(t)| / t^{p+1} over [lo, hi] for each hi of the
-    increasing list his, from one pass over the jumps: each is the running
-    sum of its pieces, added in the order a pass over [lo, hi] alone would
-    add them.  With lo = 0 they are +inf unless f vanishes near 0."""
-    if lo == 0.0 and f(0.0) != 0.0:
-        return [math.inf] * len(his)
-    anti = power_antiderivative(p)
-    inside = f.points[slice(*np.searchsorted(f.points, (lo, his[-1]), side="right"))]
-    cuts = inside.tolist()
-    antis = [anti(t) for t in cuts]
-    levels = np.abs(f(inside)).tolist()
-    out = []
-    total = 0.0
-    # A = anti at the start of the open piece, c = |f| on it; A is not read
-    # while c = 0, as on the first piece when lo = 0
-    A, c = (anti(lo) if lo > 0.0 else None), abs(f(lo))
-    k = 0
-    for hi in his:
-        while k < len(cuts) and cuts[k] < hi:
-            if c != 0.0:
-                total += c * (antis[k] - A)
-            A, c = antis[k], levels[k]
-            k += 1
-        out.append(total + c * (anti(hi) - A) if c != 0.0 else total)
-    # the integrals grow with hi, so the last is the one that can overflow
-    if not math.isfinite(out[-1]):
-        raise NumericFailure(f"integral of |f|/t^{p + 1:g} over [{lo}, {his[-1]}] "
-                             f"is not representable")
-    return out
+    increasing list his, by power_integrals over |f|'s levels: with lo = 0
+    they are +inf unless f vanishes near 0."""
+    return power_integrals(f.points, np.abs(f.levels), p, lo, his, "|f|")
 
 
 @dataclass
@@ -120,12 +100,7 @@ def convergence_integral_inf(f, p, r0, R):
     (for the signed f) and reports its residual."""
     if not (0.0 < r0 < R):
         raise BadInput(f"need 0 < r0 < R, got [{r0}, {R}]")
-    his = []
-    r = 2.0 * r0
-    while r < R:
-        his.append(r)
-        r *= 2.0
-    his.append(R)
+    his = [*_doublings(2.0 * r0, R), R]
     samples = list(zip(his, _abs_integrals(f, p, r0, his)))
     value = samples[-1][1]
     if len(samples) >= 3:
@@ -179,9 +154,8 @@ def convergence_integral_zero(f, p, r0):
 
     # shifted function g = f - f(0): integrals of g against dt start cleanly at 0
     g = StepFunction(f.points[at_zero:].tolist(), f.jumps[at_zero:].tolist())
-    # g vanishes below its first jump, so its integrals start there
-    shifted = lambda q: (g.integral_f_power(q, float(g.points[0]), r0)
-                         if len(g) and g.points[0] < r0 else 0.0)
+    # g vanishes near 0: its pieces below the first jump add nothing
+    shifted = lambda q: g.integral_f_power(q, 0.0, r0)
     poch_residual = None
     if p > 0.0:
         lhs = shifted(p)

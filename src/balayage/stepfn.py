@@ -23,13 +23,13 @@ from .errors import BadInput, NumericFailure
 class StepFunction:
     """f(t) = offset + sum of jumps at points <= t, on t >= 0 (right-continuous).
 
-    Immutable: points and jumps are float arrays, and the level of f on each
-    constant piece is built once, here, by one sequential cumulative sum."""
+    Immutable: points, jumps and levels (f on each constant piece, built once,
+    here, by one sequential cumulative sum) are read-only float arrays."""
 
     points: np.ndarray
     jumps: np.ndarray
     offset: float = 0.0
-    _levels: np.ndarray = field(init=False, repr=False)
+    levels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # checked and summed over lists: where a job builds one few-jump
@@ -57,7 +57,7 @@ class StepFunction:
         # offset + jumps[0] + ... + jumps[i-1]; levels[0] = offset
         levels = np.fromiter(accumulate(js, initial=offset), float, len(js) + 1)
         for name, arr in (("points", np.array(ps)), ("jumps", np.array(js)),
-                          ("_levels", levels)):
+                          ("levels", levels)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "offset", offset)
@@ -74,7 +74,7 @@ class StepFunction:
 
     def __call__(self, t):
         """f(t) for a radius t, or the array of f at an array of radii."""
-        v = self._levels[np.searchsorted(self.points, t, side="right")]
+        v = self.levels[np.searchsorted(self.points, t, side="right")]
         return float(v) if np.ndim(v) == 0 else v
 
     def __len__(self):
@@ -94,25 +94,45 @@ class StepFunction:
         return math.fsum(weight(p) * s for p, s in zip(pts[i:k], self.jumps[i:k].tolist()))
 
     def integral_f_power(self, p_exp, lo, hi):
-        """Exact integral of f(t)/t^{p_exp+1} dt over [lo, hi], 0 < lo <= hi."""
-        if lo <= 0.0:
-            raise BadInput("power-weight integral needs lo > 0")
-        if hi < lo:
-            raise BadInput(f"need lo <= hi, got [{lo}, {hi}]")
-        anti = power_antiderivative(p_exp)
-        # the pieces [lo, p_i], ..., [p_k, hi] over the jump points inside,
-        # f = levels[i] on the first
-        pts = self.points.tolist()
-        i, k = bisect_right(pts, lo), bisect_left(pts, hi)
-        antis = [anti(t) for t in (lo, *pts[i:k], hi)]
-        levels = self._levels[i:i + len(antis) - 1].tolist()
-        total = 0.0
-        for a, b, c in zip(antis, antis[1:], levels):
-            total += c * (b - a)
-        if not math.isfinite(total):
-            raise NumericFailure(f"integral of f/t^{p_exp + 1:g} over [{lo}, {hi}] "
-                                 f"is not representable")
-        return total
+        """Exact integral of f(t)/t^{p_exp+1} dt over [lo, hi], 0 <= lo <= hi,
+        by power_integrals over f's levels: +-inf from lo = 0 where f(0) != 0."""
+        if not 0.0 <= lo <= hi:
+            raise BadInput(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
+        return power_integrals(self.points, self.levels, p_exp, lo, [hi], "f")[0]
+
+
+def power_integrals(points, levels, p, lo, his, name):
+    """Exact integrals over [lo, hi] of c(t)/t^{p+1} dt for each hi of the
+    increasing list his, c = levels[i] on [points[i-1], points[i]) (f's or |f|'s).
+
+    The one Stieltjes pass of the package: each integral is the running sum
+    of c * (A_next - A) over its pieces [lo, p_i], ..., [p_k, hi] in order, A
+    the antiderivative at a piece's ends; the last piece is added to the
+    total, not stored in it.  A piece of level 0 adds nothing, so an A that
+    overflowed is not read under it.  From lo = 0 under a level c != 0 the
+    integrals are c * inf; where the last has no float otherwise (the last is
+    the largest where c >= 0), NumericFailure names the integrand `name`."""
+    i, k = np.searchsorted(points, (lo, his[-1]), side="right").tolist()
+    cuts = points[i:k].tolist()
+    cs = levels[i:k + 1].tolist()  # cs[j]: the level on the piece cuts[j] ends
+    if lo == 0.0 and cs[0] != 0.0:
+        return [cs[0] * math.inf] * len(his)
+    anti = power_antiderivative(p)
+    antis = [anti(t) for t in cuts]
+    A = anti(lo) if lo > 0.0 else None  # not read while the level is 0
+    out, total, j = [], 0.0, 0
+    for hi in his:
+        n = bisect_left(cuts, hi, j)  # the pieces cuts[j:n] end below hi
+        for c, a in zip(cs[j:n], antis[j:n]):
+            if c != 0.0:
+                total += c * (a - A)
+            A = a
+        j = n
+        out.append(total + cs[j] * (anti(hi) - A) if cs[j] != 0.0 else total)
+    if not math.isfinite(out[-1]):
+        raise NumericFailure(f"integral of {name}/t^{p + 1:g} over [{lo}, {his[-1]}] "
+                             f"is not representable")
+    return out
 
 
 def power_antiderivative(p):

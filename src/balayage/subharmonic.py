@@ -1,5 +1,5 @@
-"""Genus-q kernels, canonical potentials, circle means, class-A functionals,
-the half-disk boundary identity, and sweeping a potential onto a ray system.
+"""Genus-q kernels, canonical potentials, class-A functionals, the half-disk
+boundary identity, and sweeping a potential onto a ray system.
 
 The kernel of genus q >= 0 is log|E(z/zeta; q)|, with the Weierstrass primary
 factor E(w; q) = (1 - w) exp(w + ... + w^q/q); genus -1 is log|zeta - z|.  A
@@ -21,7 +21,6 @@ from .errors import (
     BadInput,
     CoincidentPoints,
     NumericFailure,
-    QuadratureFailure,
     TailTooLarge,
     ZeroCenter,
 )
@@ -30,7 +29,7 @@ from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        SWEEP_TOL, integrate)
-from .ray_geometry import RaySystem, modulus, radial_power, reduce_to_halfplane
+from .ray_geometry import REAL_AXIS, RaySystem, modulus, radial_power, reduce_to_halfplane
 
 
 # ---------------------------------------------------------------------------
@@ -247,40 +246,6 @@ def _atom_value(P, z):
 
 
 # ---------------------------------------------------------------------------
-# Circle means
-
-
-_JITTER = 0.5 * (math.sqrt(5.0) - 1.0)  # irrational phase offset, fixed
-
-
-def circle_mean(v, r):
-    """Mean of v over the circle |z| = r by the periodic trapezoid rule,
-    doubling nodes from 64 until two refinements agree within 1e-8 (at most
-    2^19 nodes).  Nodes carry a fixed irrational phase jitter so atoms at
-    rational angles are missed."""
-    if r <= 0.0:
-        raise BadInput(f"need r > 0, got {r}")
-    n = 64
-    prev = None
-    while n <= 1 << 19:
-        h = 2.0 * math.pi / n
-        vals = []
-        for k in range(n):
-            th = (k + _JITTER) * h
-            val = v(cmath.rect(r, th))
-            if val == -math.inf:
-                raise QuadratureFailure(
-                    f"evaluation hit an atom on |z| = {r} despite jitter")
-            vals.append(val)
-        cur = math.fsum(vals) / n
-        if prev is not None and abs(cur - prev) <= 1e-8:
-            return cur
-        prev = cur
-        n *= 2
-    raise QuadratureFailure("circle mean did not stabilize to 1e-08 by 524288 nodes")
-
-
-# ---------------------------------------------------------------------------
 # Class-A functionals on a sector
 
 
@@ -385,7 +350,8 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL):
 
     Left: sum over atoms in r0 < |z| <= r of m * Im(1/conj z - z/r^2), plus
     (1/r0^2 - 1/r^2) * sum over |z| <= r0 of m * Im z, both over the atoms
-    with Im z > 0 (the others are harmonic in the half-disk).  Right: the
+    in the open upper half-plane, REAL_AXIS's sector 0 (the others, those on R
+    among them, are harmonic in the half-disk).  Right: the
     sector functionals A + B for (0, pi) plus the two inner-radius corrections.
     """
     if not (0.0 < r0 < r):
@@ -399,7 +365,7 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL):
     A, B = _edge_arc_functionals(v, 0.0, math.pi, r0, r, edge_radii(nu, 0.0, math.pi))
     lhs = 0.0
     inner = 0.0
-    upper = nu[nu.z.imag > 0.0]
+    upper = nu[REAL_AXIS.sector_index(nu.z) == 0]
     for z, m in zip(upper.z.tolist(), upper.m.tolist()):
         if r0 < abs(z) <= r:
             lhs += m * ((1.0 / z.conjugate()).imag - (z / r ** 2).imag)

@@ -23,7 +23,7 @@ from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
                       check_thcup_bound, complementary_sectors, counting_around,
                       distribution_on_R, divergence_verdict, hm_interval,
                       lindelof_sum, poisson_kernel,
-                      ray_geometry, seq_balayage_distribution)
+                      ray_geometry)
 from balayage.charges import _poisson_pairing
 from balayage.cli import main
 from balayage.errors import NumericFailure
@@ -234,6 +234,16 @@ def test_variation_dominance_on_segments():
             signed = abs(bal.ray_segment_mass(j, a, b))
             upper = bal_var.ray_segment_mass(j, a, b)
             assert signed <= upper + 1e-12
+
+
+def seq_balayage_distribution(Z, x):
+    """Distribution function of the full-plane sweep of a point sequence onto R.
+
+    Z is a sequence of points or (point, mass) pairs; each off-axis point is
+    swept within its half-plane (lower points mirror through the power map),
+    real points stay."""
+    nu = AtomicCharge(item if isinstance(item, tuple) else (item, 1.0) for item in Z)
+    return distribution_on_R(balayage_system(nu, REAL_AXIS), x)
 
 
 def test_seq_balayage_distribution():

@@ -216,6 +216,17 @@ def test_an_overflow_error_is_a_numeric_failure(atoms, argv, charge_file, system
     assert rc == 3 and capsys.readouterr().err.startswith("numeric failure:")
 
 
+@pytest.mark.parametrize("sign", [[], ["--signed"]], ids=["variation", "signed"])
+def test_a_window_from_below_the_float_range_of_t_to_the_minus_p(sign, charge_file,
+                                                               tmp_path):
+    # f = 0 on [1e-160, 2.23], where t^-2 overflows: the zero piece adds
+    # nothing to the parts identity's integral, which read 0 * inf = nan
+    rc = main(["growth", "--charge", charge_file([(2 + 1j, 1.0), (-3 + 0.5j, -1.0)]),
+               "--p", "2", "--r-lo", "1e-160", "--r-hi", "100", *sign,
+               "--out", str(tmp_path / "growth.json")])
+    assert rc == 0
+
+
 # ---------------------------------------------------------------------------
 # The report encoder: strict JSON, with the documented infinities as strings
 

@@ -59,6 +59,38 @@ def test_atom_at_rect_pi_has_no_blaschke_weight():
     assert blaschke_halfplane(nu, 1.0) == 0.0
 
 
+# an atom on the negative axis three ways: exactly, and as cmath.rect forms it
+# at +pi and at -pi, with an Im z of +2.4e-16 and -2.4e-16
+ON_AXIS = [-2.0 + 0j, cmath.rect(2, PI), cmath.rect(2, -PI)]
+
+
+def _reports(argv, atoms, charge_file, tmp_path):
+    out = tmp_path / "check.json"
+    for z in ON_AXIS:
+        assert main([*argv, "--charge", charge_file([(z, 1.0), *atoms]),
+                     "--out", str(out)]) == 0
+        yield json.loads(out.read_text())
+
+
+def test_thcup_reads_an_atom_on_the_axis_as_on_it(charge_file, tmp_path):
+    # the sweep keeps the atom on R and counts it on the left; the right side's
+    # closed upper half holds it too, and its Blaschke term, the upper
+    # sector's, gets 0 from it: one report, where the atom at -pi read
+    # lhs 1.03 > rhs 1.0 and the atom at +pi a Blaschke term of 2.4e-16
+    a, b, c = _reports(["check", "thcup", "--t1=-3", "--t2=-1"], [(1 + 1j, 0.5)],
+                       charge_file, tmp_path)
+    assert a == b == c and a["rhs"] == 4.0 and a["terms"]["blaschke"] == 0.0
+
+
+def test_carleman_sums_only_the_atoms_above_the_axis(charge_file, tmp_path):
+    # the atom on R is harmonic in the half-disk: it adds nothing to the left
+    # side (at +pi it added 5e-17); the right side's quadratures see the
+    # three atoms as three points and may differ in their last bits
+    lhs = [rep["lhs"] for rep in _reports(["check", "carleman", "--r0", "1", "--r", "10"],
+                                          [(1 + 1j, 0.5)], charge_file, tmp_path)]
+    assert lhs[0] == lhs[1] == lhs[2]
+
+
 def test_axis_ray_just_below_two_pi_is_the_positive_axis():
     nu = AtomicCharge([(2j, 1.0)])
     near = balayage_system(nu, RaySystem([-1e-13, PI]))
@@ -656,6 +688,33 @@ def test_quad_is_bound_in_one_module_only():
     for mod in modules:
         if mod.__name__ != "balayage.numerics":
             assert "IntegrationWarning" not in inspect.getsource(mod), mod.__name__
+
+
+def _package_trees():
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_the_power_antiderivative_is_read_in_stepfn_only():
+    # stepfn's one Stieltjes pass sums a step function against dt/t^(p+1)
+    readers = {stem for stem, tree in _package_trees() for node in ast.walk(tree)
+               if "power_antiderivative" in (getattr(node, "id", None),
+                                             getattr(node, "attr", None),
+                                             getattr(node, "name", None))}
+    assert readers == {"stepfn"}
+
+
+def test_upper_half_masks_read_the_point_classification():
+    # a bare <charge>.z.imag against a constant misreads the atoms that
+    # cmath.rect puts an ulp off the axis; sector_index reads them on it
+    def bare_imag(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "imag"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "z")
+    found = [f"{stem}:{node.lineno}" for stem, tree in _package_trees()
+             if stem != "ray_geometry" for node in ast.walk(tree)
+             if isinstance(node, ast.Compare)
+             and any(map(bare_imag, [node.left, *node.comparators]))
+             and any(isinstance(op, ast.Constant) for op in [node.left, *node.comparators])]
+    assert not found, found
 
 
 def _callers(callee):

@@ -165,6 +165,28 @@ def test_one_pass_windows_equal_one_scan_per_radius(data, r_lo, width, p):
                        (OverflowError, ZeroDivisionError)))
 
 
+@given(step_data(), st.floats(-160.0, 2.0), st.floats(1.0, 1e3),
+       st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+# at p = 2, t^-2 overflows below 1e-154: f = 0 there, and the piece adds nothing
+@example(data=([(2.0, 1.0)], 0.0), lo_exp=-160.0, width=50.0, p=2.0)
+@settings(max_examples=120, deadline=None)
+def test_the_pieces_below_the_first_jump_add_nothing(data, lo_exp, width, p):
+    f = StepFunction.from_events(data[0])  # offset 0: f = 0 below its first jump
+    if not len(f):
+        return
+    p0 = float(f.points[0])
+    lo, hi = min(p0, 10.0 ** lo_exp), max(p0, 1e-3) * width
+    assert (outcome(lambda: f.integral_f_power(p, lo, hi), NumericFailure)
+            == outcome(lambda: f.integral_f_power(p, p0, hi), NumericFailure))
+
+
+def test_a_zero_piece_under_an_overflowing_antiderivative_adds_nothing():
+    # 1/(2 t^2) from 2 to 100; the zero piece from 1e-160, where t^-2 overflows,
+    # read 0 * inf = nan
+    f = StepFunction.from_events([(2.0, 1.0)])
+    assert f.integral_f_power(2.0, 1e-160, 100.0) == 0.12495
+
+
 def test_windows_with_no_jump_and_a_jump_at_zero():
     empty = StepFunction.from_events([], offset=2.0)
     at_zero = StepFunction.from_events([(0.0, 1.0), (5.0, -3.0), (5.0, 3.0), (9.0, 0.5)])

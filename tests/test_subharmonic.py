@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from balayage import numerics
 from balayage import (AtomicCharge, BadInput, CanonicalPotential,
-                      CoincidentPoints, GenusSchedule, RaySystem, ZeroCenter,
-                      carleman_check, circle_mean, class_A_functionals,
+                      CoincidentPoints, GenusSchedule, QuadratureFailure, RaySystem,
+                      ZeroCenter, carleman_check, class_A_functionals,
                       edge_radii, kernel_Kq, kernel_Kq_radial_derivative, potential_eval,
                       subharmonic_balayage_eval, sweep_potential_eval,
                       balayage_system)
@@ -99,6 +99,41 @@ def test_potential_harmonic_shift():
     z = 3.0 - 1j
     harm = (0.5 + 2.0 * z * z).real
     assert potential_eval(shifted, z) == potential_eval(base, z) + harm
+
+
+# ---------------------------------------------------------------------------
+# Circle means: the periodic trapezoid rule, a test-side oracle (the library
+# integrates only through numerics.integrate)
+
+
+_JITTER = 0.5 * (math.sqrt(5.0) - 1.0)  # irrational phase offset, fixed
+
+
+def circle_mean(v, r):
+    """Mean of v over the circle |z| = r by the periodic trapezoid rule,
+    doubling nodes from 64 until two refinements agree within 1e-8 (at most
+    2^19 nodes).  Nodes carry a fixed irrational phase jitter so atoms at
+    rational angles are missed."""
+    if r <= 0.0:
+        raise BadInput(f"need r > 0, got {r}")
+    n = 64
+    prev = None
+    while n <= 1 << 19:
+        h = 2.0 * math.pi / n
+        vals = []
+        for k in range(n):
+            th = (k + _JITTER) * h
+            val = v(cmath.rect(r, th))
+            if val == -math.inf:
+                raise QuadratureFailure(
+                    f"evaluation hit an atom on |z| = {r} despite jitter")
+            vals.append(val)
+        cur = math.fsum(vals) / n
+        if prev is not None and abs(cur - prev) <= 1e-8:
+            return cur
+        prev = cur
+        n *= 2
+    raise QuadratureFailure("circle mean did not stabilize to 1e-08 by 524288 nodes")
 
 
 def test_circle_mean_log_kernel():
