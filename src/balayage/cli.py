@@ -588,7 +588,7 @@ def cmd_crg(args):
         raise BadInput(f"need 0 <= --drop < 1, got {args.drop}")
     if args.angular is not None:
         alpha, beta = _floats(args.angular, 2, "--angular")
-        # angular_density allows an aperture up to 2*pi + ANGULAR_TOL
+        # angular_density's Sector takes the same apertures; checked before the crg work
         if not alpha < beta <= alpha + 2.0 * math.pi:
             raise BadInput(f"need alpha < beta <= alpha + 2*pi, got {args.angular!r}")
     nu = _charge(args.charge)

@@ -22,12 +22,32 @@ from .stepfn import StepFunction, power_integrals
 ORDER_CAP = 64.0  # estimates above this are reported as +inf
 
 
-def _doublings(r, R):
-    """r, 2r, 4r, ... below R: the dyadic radii of the windows."""
+def radius_grid(r_lo, r_hi, per_octave):
+    """The package's one radius grid: geometric from r_lo to r_hi with
+    2^(1/per_octave) steps, and r_hi, not a step within 1e-12 (relative) of it."""
+    if not (0.0 < r_lo < r_hi):
+        raise BadInput(f"need 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
+    ratio = 2.0 ** (1.0 / per_octave)
     out = []
-    while r < R:
+    r = r_lo
+    while r < r_hi * (1.0 - 1e-12):
         out.append(r)
-        r *= 2.0
+        r *= ratio
+    out.append(r_hi)
+    return out
+
+
+def exact_ratios(values, radii, p, scale, failure):
+    """v / (scale * r^p) for each exact datum v (a count or a mass) at the
+    radius r: v itself where v is 0, whatever r^p is, even past the float
+    range; NumericFailure(failure) where a nonzero v's quotient has no float
+    (r^p under- or overflowed, or the quotient did)."""
+    try:
+        out = [v and v / (scale * r ** p) for v, r in zip(values, radii)]
+    except (ZeroDivisionError, OverflowError):
+        raise NumericFailure(failure) from None
+    if not np.isfinite(out).all():
+        raise NumericFailure(failure)
     return out
 
 
@@ -36,7 +56,7 @@ def _window_grid(f, r_lo, r_hi):
     sorted, and f at each grid point."""
     if not (0.0 < r_lo < r_hi < math.inf):
         raise BadInput(f"need 0 < r_lo < r_hi < inf, got [{r_lo}, {r_hi}]")
-    grid = [r_lo, r_hi, *_doublings(r_lo, r_hi)]
+    grid = [r_lo, *radius_grid(r_lo, r_hi, 1)]
     inside = f.points[(f.points >= r_lo) & (f.points <= r_hi)]
     grid = np.unique(np.concatenate((grid, inside)))
     return grid.tolist(), f(grid).tolist()
@@ -68,13 +88,8 @@ def type_at(f, p, r_lo, r_hi):
     if not p >= 0.0:
         raise BadInput(f"need p >= 0, got {p}")
     grid, values = _window_grid(f, r_lo, r_hi)
-    try:
-        sup = max(max(v, 0.0) / r ** p for r, v in zip(grid, values))
-    except (ZeroDivisionError, OverflowError):
-        sup = math.inf
-    if not math.isfinite(sup):
-        raise NumericFailure(f"f(r)/r^{p:g} over [{r_lo}, {r_hi}] is not representable")
-    return sup
+    return max(exact_ratios([max(v, 0.0) for v in values], grid, p, 1.0,
+                            f"f(r)/r^{p:g} over [{r_lo}, {r_hi}] is not representable"))
 
 
 def _abs_integrals(f, p, lo, his):
@@ -100,7 +115,8 @@ def convergence_integral_inf(f, p, r0, R):
     (for the signed f) and reports its residual."""
     if not (0.0 < r0 < R):
         raise BadInput(f"need 0 < r0 < R, got [{r0}, {R}]")
-    his = [*_doublings(2.0 * r0, R), R]
+    # the grid's dyadic radii above r0, and R; r0 within 1e-12 of R leaves only R
+    his = radius_grid(r0, R, 1)[1:] or [R]
     samples = list(zip(his, _abs_integrals(f, p, r0, his)))
     value = samples[-1][1]
     if len(samples) >= 3:
@@ -109,14 +125,17 @@ def convergence_integral_inf(f, p, r0, R):
         trend = "divergent" if divergent else "convergent"
     else:
         trend = "convergent" if math.isfinite(value) else "divergent"
+    failure = f"the parts identity at order {p:g} over [{r0}, {R}] leaves the float range"
     try:
         tail = f.integral_df((lambda t: t ** (-p)) if p != 0.0 else (lambda t: 1.0), r0, R)
         lhs = tail
-        rhs = (f(R) / R ** p - f(r0) / r0 ** p
-               + p * f.integral_f_power(p, r0, R)) if p != 0.0 else f(R) - f(r0)
+        if p != 0.0:
+            at_R, at_r0 = exact_ratios([f(R), f(r0)], [R, r0], p, 1.0, failure)
+            rhs = at_R - at_r0 + p * f.integral_f_power(p, r0, R)
+        else:
+            rhs = f(R) - f(r0)
     except (ZeroDivisionError, OverflowError):
-        raise NumericFailure(f"the parts identity at order {p:g} over [{r0}, {R}] "
-                             f"leaves the float range") from None
+        raise NumericFailure(failure) from None
     return ConvergenceReport(value=value, trend=trend, samples=samples,
                              stieltjes_tail=tail, parts_residual=abs(lhs - rhs))
 
@@ -159,11 +178,12 @@ def convergence_integral_zero(f, p, r0):
     poch_residual = None
     if p > 0.0:
         lhs = shifted(p)
+        failure = f"the parts identity at order {p:g} on (0, {r0}] leaves the float range"
         try:
-            rhs = -(g(r0)) / (p * r0 ** p) + g.integral_df(lambda t: t ** (-p), 0.0, r0) / p
+            rhs = (exact_ratios([-(g(r0))], [r0], p, p, failure)[0]
+                   + g.integral_df(lambda t: t ** (-p), 0.0, r0) / p)
         except (ZeroDivisionError, OverflowError):
-            raise NumericFailure(f"the parts identity at order {p:g} on (0, {r0}] "
-                                 f"leaves the float range") from None
+            raise NumericFailure(failure) from None
         poch_residual = abs(lhs - rhs)
     lhs0 = shifted(0.0)
     rhs0 = g(r0) * math.log(r0) - g.integral_df(math.log, 0.0, r0)

@@ -116,13 +116,24 @@ def hm_interval(z, I):
 
 
 def hm_interval_quad(z, I, tol=QUAD_TOL):
-    """Adaptive-quadrature oracle for hm_interval (Poisson kernel integrated over I)."""
+    """Adaptive-quadrature oracle for hm_interval (Poisson kernel integrated over I).
+
+    quad splits I where the kernel's mass lies, at x = Re z and x +- Im z 2^k
+    out to I's far end: over a long I, its first rules can miss a narrow peak.
+    At most 50 octaves leave quad most of its limit of 200 pieces."""
     z = complex(z)
     if isinstance(I, (tuple, list)):
         I = Interval(*I)
     if z.imag <= 0.0:
         raise NotInUpperHalfPlane(f"need Im z > 0, got z = {z}")
-    pts = [z.real] if I.t1 < z.real < I.t2 else None
+    x, far = z.real, max(z.real - I.t1, I.t2 - z.real)
+    pts = [x]
+    for k in range(50):
+        d = z.imag * 2.0 ** k
+        pts += (x - d, x + d)
+        if d >= far:
+            break
+    pts = [t for t in pts if I.t1 < t < I.t2] or None
     val, _ = integrate(poisson_kernel, I.t1, I.t2, f"harmonic-measure oracle (z={z}, I={I})",
                        budget=ORACLE_BUDGET, args=(z,), epsabs=tol, epsrel=1e-12,
                        points=pts, limit=200)

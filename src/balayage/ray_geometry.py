@@ -62,6 +62,14 @@ class Sector:
         """Power-map exponent pi / (beta - alpha)."""
         return math.pi / self.aperture
 
+    @property
+    def edges(self):
+        """The edges' ray system, of one ray where they are one within ANGULAR_TOL."""
+        try:
+            return RaySystem([self.alpha, self.beta])
+        except BadInput:  # RaySystem's duplicate-ray rule: the edges are one ray
+            return RaySystem([self.alpha])
+
 
 class RaySystem:
     """Finitely many rays from the origin, stored as sorted angles in [0, 2*pi),

@@ -18,28 +18,14 @@ import numpy as np
 
 from .charges import lindelof_sum
 from .errors import BadInput, CoincidentPoints, NumericFailure
-from .numerics import ANGULAR_TOL
-from .ray_geometry import TWO_PI, modulus, normalize_angle, radial_power, relative_angle
+from .growth_scales import exact_ratios, radius_grid
+from .ray_geometry import REAL_AXIS, Sector, modulus, normalize_angle, radial_power
 from .stepfn import StepFunction
 from .subharmonic import kernel_sum
 
 
 # ---------------------------------------------------------------------------
 # Indicator estimation
-
-
-def _dyadic_grid(r_lo, r_hi, per_octave=4):
-    """Geometric grid from r_lo to r_hi with 2^(1/per_octave) steps, endpoint kept."""
-    if not (0.0 < r_lo < r_hi):
-        raise BadInput(f"need 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
-    ratio = 2.0 ** (1.0 / per_octave)
-    out = []
-    r = r_lo
-    while r < r_hi * (1.0 - 1e-12):
-        out.append(r)
-        r *= ratio
-    out.append(r_hi)
-    return out
 
 
 def indicator_estimate(v, theta, p, window):
@@ -53,7 +39,7 @@ def indicator_estimate(v, theta, p, window):
         raise BadInput(f"need p > 0, got {p}")
     r_lo, r_hi = window
     best = -math.inf
-    for r in _dyadic_grid(r_lo, r_hi, per_octave=8):
+    for r in radius_grid(r_lo, r_hi, 8):
         best = max(best, v(cmath.rect(r, theta)) / r ** p)
     return best
 
@@ -132,8 +118,6 @@ class RayLimitRecord:
 class CRGReport:
     per_ray: list
     exceptional_density: float
-    angular_table: list = field(default_factory=list)
-    lindelof_trace: list = field(default_factory=list)
 
     def __post_init__(self):
         if not (0.0 <= self.exceptional_density <= 1.0):
@@ -148,8 +132,6 @@ class CRGReport:
             "rays": [rec.to_json() for rec in self.per_ray],
             "stable": self.stable,
             "exceptional_density": self.exceptional_density,
-            "angular_table": list(self.angular_table),
-            "lindelof_trace": list(self.lindelof_trace),
         }
 
 
@@ -175,7 +157,7 @@ def _default_crg_radii(n_by_ray, truncation=None):
     r_hi = min(2.0 * r_star, 0.9 * T)
     if r_lo >= r_hi:
         r_lo = r_hi / 4.0
-    return [r * _GRID_PHASE for r in _dyadic_grid(r_lo, r_hi, per_octave=8)]
+    return [r * _GRID_PHASE for r in radius_grid(r_lo, r_hi, 8)]
 
 
 def _fit_limit(radii, values, tol, drop_fraction):
@@ -226,6 +208,12 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
         for n in n_by_ray:
             _check_convergence_class(n, q)
         atoms = [_jump_atoms(n) for n in n_by_ray]
+        # turns[j][j'] = e^{i(theta_j - theta_j')}, snapped to +-1 on the real axis
+        turns = np.array([[cmath.rect(1.0, normalize_angle(tj - tjp)) for tjp in thetas]
+                          for tj in thetas])
+        axis = REAL_AXIS.ray_index(turns)
+        turns[axis == 0], turns[axis == 1] = 1.0, -1.0
+        turns = turns.tolist()
 
     records = []
     for j, theta_j in enumerate(thetas):
@@ -233,14 +221,8 @@ def crg_on_rays(n_by_ray, thetas, p, radii=None, tol=0.05, drop_fraction=0.05,
         for r in radii:
             if use_kernel:
                 total = 0.0
-                for jp, theta_jp in enumerate(thetas):
-                    delta = normalize_angle(theta_j - theta_jp)
-                    if delta < ANGULAR_TOL or TWO_PI - delta < ANGULAR_TOL:
-                        w = complex(r)
-                    elif abs(delta - math.pi) < ANGULAR_TOL:
-                        w = complex(-r)
-                    else:
-                        w = cmath.rect(r, delta)
+                for jp, turn in enumerate(turns[j]):
+                    w = r * turn
                     try:
                         total += kernel_sum(atoms[jp], w, q)
                     except CoincidentPoints:  # w = r, a jump point of ray jp
@@ -319,8 +301,7 @@ def exgr2_functionals(counts, t_grid=(10.0, 100.0, 1000.0), r_grid=None):
         raise BadInput("exactly four bisector counting functions are required")
     jumps = [_bisector_jumps(n) for n in counts]
     t = _positive_grid(t_grid, "t")
-    r = _positive_grid(_dyadic_grid(2.0, 512.0, per_octave=1) if r_grid is None
-                       else r_grid, "r")
+    r = _positive_grid(radius_grid(2.0, 512.0, 1) if r_grid is None else r_grid, "r")
 
     B = [_jump_sum(J, np.arctan2(t, a)) / (2.0 * t) for a, J in jumps]
     b = np.stack([2.0 * (B[k] + B[(k + 1) % 4]) for k in range(4)], axis=1)
@@ -347,13 +328,6 @@ def exgr2_functionals(counts, t_grid=(10.0, 100.0, 1000.0), r_grid=None):
 # Angular density
 
 
-def _in_closed_sector(z, alpha, width):
-    if z == 0:
-        return True
-    rel = relative_angle(z, alpha)
-    return rel <= width + ANGULAR_TOL or rel >= TWO_PI - ANGULAR_TOL
-
-
 def angular_density(nu, alpha, beta, p):
     """Mass of the closed sector [alpha, beta] in the closed disk of radius r,
     scaled by r^p, over a grid from max(1, R/2^8) to the farthest atom's
@@ -361,19 +335,23 @@ def angular_density(nu, alpha, beta, p):
     also the Lindelof sum trace with exponent p."""
     if not p > 0.0:
         raise BadInput(f"need p > 0, got {p}")
-    width = beta - alpha
-    if not (0.0 < width <= TWO_PI + ANGULAR_TOL):
-        raise BadInput(f"need aperture in (0, 2*pi], got {width}")
+    sec = Sector(alpha, beta)
     az = modulus(nu.z)
     r_hi = az.max().item() if az.size else 1.0
     r_lo = max(1.0, r_hi / 2.0 ** 8)
     if r_lo >= r_hi:
         r_lo = 0.5 * r_hi
-    radii = _dyadic_grid(r_lo, r_hi, per_octave=4)
+    radii = radius_grid(r_lo, r_hi, 4)
 
-    inside = np.array([_in_closed_sector(z, alpha, width) for z in nu.z.tolist()], dtype=bool)
+    # the closed sector: its edges, the origin and the open sector that holds the
+    # bisector, which lies on the edge where an aperture near 0 left one ray
+    bisector = cmath.rect(1.0, alpha + 0.5 * sec.aperture)
+    where = sec.edges.sector_index(np.append(nu.z, bisector))
+    inside = (where[:-1] < 0) | (where[:-1] == where[-1])
     az, m = az[inside], nu.m[inside]
-    ratios = [math.fsum(m[az <= r].tolist()) / r ** p for r in radii]
+    ratios = exact_ratios([math.fsum(m[az <= r].tolist()) for r in radii], radii, p, 1.0,
+                          f"the sector's mass over r^{p:g} on [{radii[0]}, {r_hi}] "
+                          f"is not representable")
     tail = ratios[len(ratios) // 2:]
     limit = float(np.median(tail))
     out = {"radii": radii, "ratios": ratios, "limit": limit}

@@ -29,7 +29,7 @@ from .harmonic_measure import poisson_kernel
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        SWEEP_TOL, integrate)
-from .ray_geometry import REAL_AXIS, RaySystem, modulus, radial_power, reduce_to_halfplane
+from .ray_geometry import REAL_AXIS, Sector, modulus, radial_power, reduce_to_halfplane
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def edge_radii(nu, alpha, beta):
     """Radii of the atoms of nu on the rays alpha and beta, ascending: where the
     edge integrals of a sector see a log singularity of nu's potential."""
     z = nu.z[nu.z != 0]
-    on = (RaySystem([alpha]).ray_index(z) >= 0) | (RaySystem([beta]).ray_index(z) >= 0)
+    on = Sector(alpha, beta).edges.ray_index(z) >= 0
     return np.unique(modulus(z[on])).tolist()
 
 

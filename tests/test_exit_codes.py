@@ -146,17 +146,31 @@ def test_crg_radii_past_the_float_range_are_a_numeric_failure(radii, charge_file
     assert rc == 3 and capsys.readouterr().err.startswith("numeric failure:")
 
 
-def test_hm_oracle_disagreement_exits_1(tmp_path):
-    # the closed form reads 1 (z inside the semidisk on a huge interval); the
-    # oracle's quadrature never sees the spike at 0 and reads 0
+def test_hm_oracle_disagreement_exits_1(tmp_path, monkeypatch):
+    # the closed form reads 1 (z inside the semidisk on a huge interval); a
+    # stub oracle reads 0
     out, ok = tmp_path / "hm.json", tmp_path / "ok.json"
+    monkeypatch.setattr("balayage.cli.hm_interval_quad", lambda z, I, tol: 0.0)
     rc = main(["hm", "--z=0,1e-10", "--interval=-1e300,1e300", "--out", str(out)])
+    monkeypatch.undo()
     report = json.loads(out.read_text())
     assert rc == 1 and report["exact"] == 1.0 and report["difference"] == 1.0
     assert report["bounds"]["all_hold"]
     # the report keeps its keys
     assert main(["hm", "--z=0,1", "--interval=-1,1", "--out", str(ok)]) == 0
     assert set(report) == set(json.loads(ok.read_text()))
+
+
+@pytest.mark.parametrize("z", ["0.36647954883194506,0.03206280593689035",
+                               "0.010263374528420813,0.004251228925386452"])
+def test_the_hm_oracle_sees_a_narrow_poisson_peak(z, system_file, capsys):
+    # z's image has Im w ~ 0.004 on the disk's image [-512.6, 512.6]: split at
+    # Re w alone, quad missed the peak (error 1.1e-3, exit 3, or a reading of
+    # -1.9e-12 against the exact 0.99999999999805, exit 1)
+    rc = main(["hm", f"--z={z}", "--system", system_file([0.0, 0.698, 2.094, 4.189]),
+               "--disk", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["difference"] <= 1e-12
 
 
 def test_a_mass_that_is_no_number_is_bad_input(tmp_path, capsys):
@@ -184,7 +198,11 @@ def test_a_mass_that_is_no_number_is_bad_input(tmp_path, capsys):
     ([(81.62257703906704 + 1.1884740215660785e-07j, 1.0),
       (-0.8726486224011847 + 0.5116084083144479j, -1.0)], None,
      ["potential", "--genus", "2", "--z=8.672957794169844e+254,-7.652948606001044e+289"]),
-], ids=["lindelof", "blaschke", "crg", "potential"])
+    # r^1.9 underflows to 0 on the angular grid [1.5e-200, 3e-200] under the
+    # atom at 1e-200: the sector's mass over it raised ZeroDivisionError out of main
+    ([(1e-200, 1.0), (3e-200, 1.0)], [0.0, PI],
+     ["crg", "--p", "1.9", "--radii", "1e-100,2e-100", "--angular=-0.1,0.1"]),
+], ids=["lindelof", "blaschke", "crg", "potential", "crg-angular"])
 def test_an_overflowing_sum_is_a_numeric_failure(atoms, rays, argv, fmt, charge_file,
                                                  system_file, capsys):
     system = [] if rays is None else ["--system", system_file(rays)]
@@ -223,6 +241,17 @@ def test_a_window_from_below_the_float_range_of_t_to_the_minus_p(sign, charge_fi
     # nothing to the parts identity's integral, which read 0 * inf = nan
     rc = main(["growth", "--charge", charge_file([(2 + 1j, 1.0), (-3 + 0.5j, -1.0)]),
                "--p", "2", "--r-lo", "1e-160", "--r-hi", "100", *sign,
+               "--out", str(tmp_path / "growth.json")])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [[], ["--signed"], ["--zero-side", "--r0", "1e-200"]],
+                         ids=["variation", "signed", "zero-side"])
+def test_a_zero_count_over_an_underflowing_power_is_zero(argv, charge_file, tmp_path):
+    # f = 0 at 1e-200, where r^2 underflows to 0: f(r)/r^2 and the parts
+    # identities' f(r0)/r0^2 read 0/0 and exited 3
+    rc = main(["growth", "--charge", charge_file([(2 + 1j, 1.0), (-3 + 0.5j, -1.0)]),
+               "--p", "2", "--r-lo", "1e-200", "--r-hi", "100", *argv,
                "--out", str(tmp_path / "growth.json")])
     assert rc == 0
 

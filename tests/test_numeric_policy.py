@@ -694,6 +694,15 @@ def _package_trees():
     return [(path.stem, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
 
 
+def test_the_angular_tolerance_is_read_in_ray_geometry_only():
+    # every other module asks RaySystem whether a point is on a ray;
+    # __init__ only re-exports the name
+    readers = {stem for stem, tree in _package_trees() for node in ast.walk(tree)
+               if "ANGULAR_TOL" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                    getattr(node, "name", None))}
+    assert readers - {"__init__"} == {"numerics", "ray_geometry"}
+
+
 def test_the_power_antiderivative_is_read_in_stepfn_only():
     # stepfn's one Stieltjes pass sums a step function against dt/t^(p+1)
     readers = {stem for stem, tree in _package_trees() for node in ast.walk(tree)

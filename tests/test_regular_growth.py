@@ -15,7 +15,7 @@ from balayage import (AtomicCharge, BadInput, StepFunction, angular_density,
                       kernel_Kq, pv_kernel_integral)
 from balayage.numerics import ANGULAR_TOL
 from balayage.regular_growth import _check_convergence_class
-from balayage.ray_geometry import TWO_PI, normalize_angle
+from balayage.ray_geometry import TWO_PI, RaySystem, normalize_angle
 
 PI = math.pi
 
@@ -292,6 +292,18 @@ def test_crg_rows_equal_one_jump_sum_per_radius(data, p, radii):
     assert [rec.values for rec in rep.per_ray] == want
 
 
+def test_crg_forms_each_turn_between_rays_once(monkeypatch):
+    # the k^2 turns e^{i(theta_j - theta_j')} are snapped in one on-ray call,
+    # before the radius loop
+    calls = []
+    ray_index = RaySystem.ray_index
+    monkeypatch.setattr(RaySystem, "ray_index", lambda self, z, tol=ANGULAR_TOL: (
+        calls.append(np.shape(z)) or ray_index(self, z, tol)))
+    n = counting_arith(1.0, 50)
+    crg_on_rays([n, n, n], [0.0, 2.0, PI], 1.0, radii=[3.5, 7.5, 12.5])
+    assert calls == [(3, 3)]
+
+
 def test_crg_kernel_sums_take_memory_linear_in_the_jumps():
     # one row per (ray pair, radius) needs a few arrays of 1e4 jumps, under
     # 1 MB; a radius-by-jump matrix of 17 radii holds 2.7 MB per complex
@@ -500,6 +512,45 @@ def test_angular_density_sine_zeros():
     both = angular_density(nu, -0.2, PI + 0.2, 1.0)
     assert both["limit"] == pytest.approx(2.0 / PI, abs=0.02)
     assert "lindelof_trace" in both
+
+
+def _in_closed_sector(z, alpha, width):
+    """The closed-sector rule angular_density kept before it asked RaySystem."""
+    if z == 0:
+        return True
+    rel = normalize_angle(cmath.phase(z) - alpha)
+    return rel <= width + ANGULAR_TOL or rel >= TWO_PI - ANGULAR_TOL
+
+
+def _off_edges(phi, alpha, beta):
+    return min(abs(math.remainder(phi - e, TWO_PI)) for e in (alpha, beta)) > 1e-10
+
+
+tiny = st.floats(-15.0, -3.0).map(lambda e: 10.0 ** e)
+
+
+@given(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+       st.one_of(tiny, tiny.map(lambda e: PI - e), tiny.map(lambda e: PI + e),
+                 tiny.map(lambda e: TWO_PI - e), st.just(TWO_PI), st.floats(1e-3, TWO_PI)),
+       st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(-10.0, 10.0)), max_size=30),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_the_sector_mask_is_the_closed_sector_rule(alpha, width, polar, origin):
+    # points at least 1e-10 off the edges (the on-ray band is 1e-12 wide), the
+    # edge rays themselves where they are two rays, and the origin; the masses
+    # 2^i name the points inside, so the last ratio, the sector's whole mass
+    # over R^p, is the mask
+    beta = alpha + width
+    zs = [cmath.rect(r, phi) for r, phi in polar if _off_edges(phi, alpha, beta)]
+    if 1e-9 < width < TWO_PI - 1e-9:
+        zs += [cmath.rect(1.5, alpha), cmath.rect(0.7, beta)]
+    far = next(a for a in (alpha + 2.0, alpha + 4.0) if _off_edges(a, alpha, beta))
+    zs += [0j] * origin + [cmath.rect(2.5, far)]
+    nu = AtomicCharge([(z, 2.0 ** i) for i, z in enumerate(zs)])
+    out = angular_density(nu, alpha, beta, 0.5)
+    R = out["radii"][-1]
+    want = math.fsum(m for m, z in zip(nu.m.tolist(), zs) if _in_closed_sector(z, alpha, width))
+    assert out["ratios"][-1] == want / R ** 0.5
 
 
 def test_angular_density_validation():
