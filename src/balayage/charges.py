@@ -31,7 +31,7 @@ from .errors import (
     SupportOffAxis,
     SupportTouchesInterval,
 )
-from .harmonic_measure import interval_form, poisson_kernel
+from .harmonic_measure import interval_form, poisson_integral
 from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        VARIATION_HALVINGS, VARIATION_TOL, integrate)
 from .ray_geometry import REAL_AXIS, RaySystem, modulus, radial_power, reduce_to_halfplane
@@ -691,12 +691,14 @@ class RayTestFunction:
 
 def _poisson_pairing(F, S, i, w):
     """Value at a point of sector i of S, w its image under the sector's
-    power map, of the harmonic extension of F to the complement of S:
-    Poisson integrals over the sector's edges, in the reduced variable."""
+    power map, of the harmonic extension of F to the complement of S: one
+    poisson_integral per edge in the reduced variable s = t^p, split at F's
+    knots.  The upper edge maps onto the negative reals, s to -s, so its
+    integral is seen from -conj(w)."""
     k = len(S.thetas)
     p = S.sectors[i].exponent
     total = 0.0
-    for edge_ray, sign in ((i, +1), ((i + 1) % k, -1)):
+    for edge_ray, seen_from in ((i, w), ((i + 1) % k, -w.conjugate())):
         knots = F.ray_knots(edge_ray)
         if not knots:
             continue
@@ -708,17 +710,9 @@ def _poisson_pairing(F, S, i, w):
                                  f"{knots[-1]}^{p} is past the float range") from None
         if hi == 0.0:
             continue
-        pts = {min(t ** p, hi) for t in knots if t > 0.0}
-        # the kernel concentrates its mass near s ~ |w|; without these scale
-        # hints quad can miss the spike entirely when hi >> |w|
-        aw = abs(w)
-        pts.update(aw * 2.0 ** j for j in range(-3, 40)
-                   if lo < aw * 2.0 ** j < hi)
-        fn = lambda s, er=edge_ray, sg=sign: (
-            F.on_ray(er, s ** (1.0 / p)) * poisson_kernel(sg * s, w))
-        val, _ = integrate(fn, lo, hi, "pairing", epsabs=QUAD_TOL, limit=600,
-                           points=sorted(q for q in pts if lo < q < hi))
-        total += val
+        total += poisson_integral(lambda s, er=edge_ray: F.on_ray(er, s ** (1.0 / p)),
+                                  seen_from, lo, hi, [t ** p for t in knots], "pairing",
+                                  epsabs=QUAD_TOL, limit=600)[0]
     return total
 
 

@@ -43,7 +43,7 @@ from .harmonic_measure import (BoundarySegment, Interval, hm_bounds, hm_interval
                                hm_system, hm_system_quad)
 from .numerics import (IDENTITY_TOL, INPUT_ANGULAR_TOL, ORACLE_BUDGET, PAIRING_TOL,
                        QUAD_TOL, SWEEP_TOL)
-from .ray_geometry import RaySystem, modulus
+from .ray_geometry import RaySystem, Sector, modulus
 from .regular_growth import angular_density, crg_on_rays, exgr2_functionals
 from .stepfn import StepFunction
 from .subharmonic import (CanonicalPotential, GenusSchedule, carleman_check,
@@ -358,10 +358,6 @@ def _check_lindelof(args, nu):
     return rep, rep["bounded"]
 
 def _check_classa(args, nu):
-    # stricter than the library's 0 < beta - alpha <= 2*pi by an ulp or two
-    if not args.alpha < args.beta <= args.alpha + 2.0 * math.pi:
-        raise BadInput(f"need alpha < beta <= alpha + 2*pi, got "
-                       f"({args.alpha}, {args.beta})")
     tol = IDENTITY_TOL if args.tol is None else args.tol
     P = CanonicalPotential(nu, genus=-1)
     res = class_A_functionals(lambda z: potential_eval(P, z), args.alpha, args.beta,
@@ -588,9 +584,7 @@ def cmd_crg(args):
         raise BadInput(f"need 0 <= --drop < 1, got {args.drop}")
     if args.angular is not None:
         alpha, beta = _floats(args.angular, 2, "--angular")
-        # angular_density's Sector takes the same apertures; checked before the crg work
-        if not alpha < beta <= alpha + 2.0 * math.pi:
-            raise BadInput(f"need alpha < beta <= alpha + 2*pi, got {args.angular!r}")
+        Sector(alpha, beta)  # angular_density's aperture rule, checked before the crg work
     nu = _charge(args.charge)
     S = _system(args.system)
     counts = _counts_by_ray(nu, S)

@@ -9,13 +9,15 @@ gives it in closed form on one point or on arrays alike:
 Q > 0 outside the closed semidisk on [a, b] (center x0, radius r), Q < 0
 inside it, and Q = 0 on the semicircle gives exactly 1/2; no arctan difference cancels when w is far
 from the interval.  Sector versions reduce to the half-plane by the power map
-of ray_geometry.  An independent adaptive-quadrature oracle integrates the
-Poisson kernel directly.
+of ray_geometry.  poisson_integral is the package's one quadrature of the
+Poisson kernel: the independent oracle of the closed form, the Fubini pairing
+and the sweep of a potential all call it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,7 @@ from .ray_geometry import radial_power, reduce_to_halfplane
 
 # The least positive normal float: a product below it has lost bits to underflow.
 _NORMAL_MIN = np.finfo(float).tiny
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -115,29 +118,42 @@ def hm_interval(z, I):
     return float(interval_form(z.real, y, I.t1, I.t2)[0])
 
 
-def hm_interval_quad(z, I, tol=QUAD_TOL):
-    """Adaptive-quadrature oracle for hm_interval (Poisson kernel integrated over I).
+def poisson_integral(f, w, lo, hi, knots, route, **options):
+    """Integral of f(t) poisson_kernel(t, w) over [lo, hi] and its error spent,
+    as integrate() returns them with its options.  It is taken in sigma =
+    (t - Re w) / Im w, where the kernel is poisson_kernel(sigma, i) and its mass
+    lies at |sigma| ~ 1 however narrow the peak in t.  quad splits at sigma = 0,
+    at +-2^k out to the far end (at most 50 octaves; under 6e-16 of the mass
+    lies past them) and at the knots, where f changes form.  The sigma ends stop
+    at the float range; f reads t clamped to [lo, hi], which rounding can leave
+    (an edge's f takes t^(1/p), complex below 0)."""
+    x, y = w.real, w.imag
+    if not y > 0.0:
+        raise NotInUpperHalfPlane(f"need Im w > 0, got w = {w}")
+    a, b = max((lo - x) / y, -_FLOAT_MAX), min((hi - x) / y, _FLOAT_MAX)
+    pts = [0.0, *((t - x) / y for t in knots)]
+    for k in range(50):
+        pts += (-2.0 ** k, 2.0 ** k)
+        if 2.0 ** k >= max(-a, b):
+            break
 
-    quad splits I where the kernel's mass lies, at x = Re z and x +- Im z 2^k
-    out to I's far end: over a long I, its first rules can miss a narrow peak.
-    At most 50 octaves leave quad most of its limit of 200 pieces."""
+    def fn(s):
+        t = x + y * s
+        return f(lo if t < lo else hi if t > hi else t) * poisson_kernel(s, 1j)
+
+    return integrate(fn, a, b, route, points=sorted({s for s in pts if a < s < b}) or None,
+                     **options)
+
+
+def hm_interval_quad(z, I, tol=QUAD_TOL):
+    """Adaptive-quadrature oracle for hm_interval: the poisson_integral of 1
+    over I, independent of the closed form."""
     z = complex(z)
     if isinstance(I, (tuple, list)):
         I = Interval(*I)
-    if z.imag <= 0.0:
-        raise NotInUpperHalfPlane(f"need Im z > 0, got z = {z}")
-    x, far = z.real, max(z.real - I.t1, I.t2 - z.real)
-    pts = [x]
-    for k in range(50):
-        d = z.imag * 2.0 ** k
-        pts += (x - d, x + d)
-        if d >= far:
-            break
-    pts = [t for t in pts if I.t1 < t < I.t2] or None
-    val, _ = integrate(poisson_kernel, I.t1, I.t2, f"harmonic-measure oracle (z={z}, I={I})",
-                       budget=ORACLE_BUDGET, args=(z,), epsabs=tol, epsrel=1e-12,
-                       points=pts, limit=200)
-    return val
+    return poisson_integral(lambda t: 1.0, z, I.t1, I.t2, (),
+                            f"harmonic-measure oracle (z={z}, I={I})", budget=ORACLE_BUDGET,
+                            epsabs=tol, epsrel=1e-12, limit=200)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     ZeroCenter,
 )
 from .charges import AtomicCharge, CheckResult
-from .harmonic_measure import poisson_kernel
+from .harmonic_measure import poisson_integral
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        SWEEP_TOL, integrate)
@@ -291,10 +291,8 @@ def _edge_arc_functionals(v, alpha, beta, r0, r, radii):
     """A and B of class_A_functionals, by one checked quadrature each."""
     if not (0.0 < r0 < r):
         raise BadInput(f"need 0 < r0 < r, got ({r0}, {r})")
-    gamma = beta - alpha
-    if not (0.0 < gamma <= 2.0 * math.pi):
-        raise BadInput(f"need aperture in (0, 2*pi], got {gamma}")
-    p = math.pi / gamma
+    sec = Sector(alpha, beta)  # the one aperture rule: alpha < beta <= alpha + 2*pi
+    gamma, p = sec.aperture, sec.exponent
     # every power weight of the functionals and of carleman_check's sums,
     # t^(-p), t^p, t^(p - 1), t^(p + 1) and t^(2p) for r0 <= t <= r, is a normal
     # float when the largest exponent times the largest |log t| is within the
@@ -324,8 +322,8 @@ def class_A_functionals(v, alpha, beta, r0, r, radii):
       edges(s) s^(-p-1) ds dt with its order exchanged, one quadrature in log t
     """
     A, B = _edge_arc_functionals(v, alpha, beta, r0, r, radii)
-    gamma = beta - alpha
-    p = math.pi / gamma
+    sec = Sector(alpha, beta)
+    gamma, p = sec.aperture, sec.exponent
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
     pts = _edge_breakpoints(r0, r, radii)
     J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, points=pts, **_FUNCTIONAL)
@@ -412,7 +410,10 @@ def _edge_growth_exponent(v, theta, radii):
 def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL):
     """Value at z of the sweep of v onto S: v itself on S, otherwise the
     Poisson integral of v over the containing sector's edges in the reduced
-    coordinate, truncated at R_max with a fitted-tail certificate.
+    coordinate s = t^p, truncated at R_max with a fitted-tail certificate.
+    Each edge is a poisson_integral over [0, cut] and one over the far piece
+    in u = 1/s, whose kernel is seen from 1/conj(w); the upper edge maps onto
+    the negative reals, so it is seen from -conj(w).
 
     The certificate assumes a power-growth envelope along the edges fitted on
     the outer decade (exact for powers, dominating beyond the window for
@@ -435,19 +436,14 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL):
     tail_bound = 0.0
     opts = dict(route=f"edge (z = {z})", epsabs=QUAD_TOL, epsrel=1e-11, limit=400,
                 budget=EDGE_BUDGET_SHARE * max(tol, EDGE_BUDGET_FLOOR))
-    for theta, sign in ((S.thetas[idx], +1), ((S.thetas[(idx + 1) % k]), -1)):
-        fn = lambda s, th=theta, sg=sign: (
-            v(cmath.rect(s ** (1.0 / p), th)) * poisson_kernel(sg * s, w))
-        # Split at the Poisson-bump scale; map the far piece through u = 1/s
-        # so the slowly decaying outer mass is not lost to early termination.
-        cut = min(max(4.0 * abs(w), 4.0), s_max)
-        pts = [q for q in (abs(w),) if 0.0 < q < cut]
-        v1, spent = integrate(fn, 0.0, cut, points=pts or None, **opts)
-        v2 = 0.0
-        if cut < s_max:
-            v2, _ = integrate(lambda u: fn(1.0 / u) / (u * u), 1.0 / s_max,
-                              1.0 / cut, spent=spent, **opts)
-        total += v1 + v2
+    cut = min(max(4.0 * abs(w), 4.0), s_max)
+    for theta, seen_from in ((S.thetas[idx], w), (S.thetas[(idx + 1) % k], -w.conjugate())):
+        fn = lambda s, th=theta: v(cmath.rect(s ** (1.0 / p), th))
+        near, spent = poisson_integral(fn, seen_from, 0.0, cut, (), **opts)
+        total += near
+        if cut < s_max:  # the far piece in u = 1/s, its kernel seen from 1/conj(seen_from)
+            total += poisson_integral(lambda u: fn(1.0 / u), 1.0 / seen_from.conjugate(),
+                                      1.0 / s_max, 1.0 / cut, (), spent=spent, **opts)[0]
         kappa, vhi = _edge_growth_exponent(v, theta, (R_max / 10.0, R_max))
         kq = max(kappa, 0.0) / p
         if kq >= 1.0:

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from balayage.cli import build_parser, main
-from balayage.numerics import PAIRING_TOL
+from balayage.numerics import ORACLE_BUDGET, PAIRING_TOL
 from conftest import write_json
 
 PI = math.pi
@@ -34,6 +34,9 @@ def files(tmp_path):
         "@sys2": write_json(tmp_path / "sys2.json", {"rays": [0.0, PI]}),
         "@sys3": write_json(tmp_path / "sys3.json", {"rays": [0.0, 2.0, 4.0]}),
         "@narrow": write_json(tmp_path / "narrow.json", {"rays": [0.0, 0.3]}),
+        "@far": charge("far", [(-2.6079314322833947e53 + 3.1937948809416318e37j, 1.0)] * 2),
+        "@wide": write_json(tmp_path / "wide.json",
+                            {"rays": [1.3974338672691609, 3.900647423753303]}),
         "@schedule": write_json(tmp_path / "schedule.json",
                                 {"radii": [0.0, 1.0], "genera": [-1, 0]}),
         "@bad": str(bad),
@@ -252,6 +255,23 @@ FAR = "--z=9.887710779360423e+39,1.4943813247359922e+39"
 def test_power_map_overflow_exits_3(argv, files):
     # these ended in an OverflowError traceback
     assert run(argv, files) == 3
+
+
+@pytest.mark.parametrize("argv, codes", [
+    # z an ulp above the axis, as cmath.rect(1, pi) forms it: the kernel's
+    # width Im z is below the float spacing at Re z, and the oracle exited 3
+    ("hm --z=-1.0,1.2246467991473532e-16 --interval=-1.0,5.629925112836641", {0}),
+    # R_max^p = 4e218: the sweep's far piece divided by u*u = 0, and a
+    # ZeroDivisionError escaped main
+    ("potential --charge @far --system @wide --genus 0 --sweep --rmax 1.1395907588295753e+263"
+     " --z=2.7676537777924775e+236,-1.6235814298926868e+236", {0, 3}),
+])
+def test_magnitudes_at_the_ends_of_the_float_range_exit_cleanly(argv, codes, files, capsys):
+    rc = run(argv, files)
+    out, err = capsys.readouterr()
+    assert rc in codes and "Traceback" not in err
+    if argv.startswith("hm"):
+        assert abs(json.loads(out)["oracle"] - 0.5) <= ORACLE_BUDGET
 
 
 @pytest.mark.parametrize("argv", [

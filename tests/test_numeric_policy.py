@@ -757,6 +757,15 @@ def test_sector_images_are_formed_once_per_object():
     assert owners and {o.split(".")[0] for o in owners} == {"cli"}, owners
 
 
+def test_the_poisson_kernel_is_integrated_once():
+    # the hm oracle, the Fubini pairing and the potential sweep are all
+    # poisson_integral's callers; none integrates the kernel itself
+    assert _callers("poisson_kernel") == {"harmonic_measure.poisson_integral"}
+    assert _callers("poisson_integral") == {
+        "harmonic_measure.hm_interval_quad", "charges._poisson_pairing",
+        "subharmonic.subharmonic_balayage_eval"}
+
+
 COLD_START = """
 import sys
 import {module}

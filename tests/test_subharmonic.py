@@ -179,6 +179,18 @@ def test_class_A_zero_function():
     assert res.A == res.B == res.J == 0.0
 
 
+def test_class_A_takes_the_sector_aperture_rule():
+    # beta - alpha rounds to 2*pi although beta lies past alpha + 2*pi: the
+    # functionals once read their aperture from the difference and accepted it
+    alpha, beta = 0.129, 6.412185307179587
+    assert beta - alpha == 2.0 * PI and beta > alpha + 2.0 * PI
+    with pytest.raises(BadInput):
+        class_A_functionals(lambda z: 0.0, alpha, beta, 1.0, 8.0, ())
+    with pytest.raises(BadInput):
+        edge_radii(AtomicCharge([(1j, 1.0)]), alpha, beta)
+    assert class_A_functionals(lambda z: 0.0, alpha, alpha + 2.0 * PI, 1.0, 8.0, ()).A == 0.0
+
+
 def test_edge_radii_are_the_atoms_on_either_edge():
     nu = AtomicCharge([(cmath.rect(3.0, 2.0), 1.0), (cmath.rect(1.5, 0.3), -1.0),
                        (cmath.rect(1.5, 2.3), 1.0), (1j, 1.0), (0, 1.0)])
