@@ -33,7 +33,7 @@ from .errors import (
 )
 from .harmonic_measure import interval_form, poisson_integral
 from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
-                       VARIATION_HALVINGS, VARIATION_TOL, integrate)
+                       VARIATION_HALVINGS, VARIATION_TOL, decade_breakpoints, integrate)
 from .ray_geometry import REAL_AXIS, RaySystem, modulus, radial_power, reduce_to_halfplane
 from .stepfn import StepFunction
 
@@ -693,12 +693,10 @@ def _poisson_pairing(F, S, i, w):
     """Value at a point of sector i of S, w its image under the sector's
     power map, of the harmonic extension of F to the complement of S: one
     poisson_integral per edge in the reduced variable s = t^p, split at F's
-    knots.  The upper edge maps onto the negative reals, s to -s, so its
-    integral is seen from -conj(w)."""
-    k = len(S.thetas)
+    knots, each edge seen from its point of S.edge_views."""
     p = S.sectors[i].exponent
     total = 0.0
-    for edge_ray, seen_from in ((i, w), ((i + 1) % k, -w.conjugate())):
+    for edge_ray, seen_from in S.edge_views(i, w):
         knots = F.ray_knots(edge_ray)
         if not knots:
             continue
@@ -729,14 +727,17 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL):
     lhs = math.fsum(kept)
     for j in range(len(S.thetas)):
         knots = F.ray_knots(j)
-        if not bal.ray_contributions(j)[0].size or not knots:
+        m, w, p, _ = bal.ray_contributions(j)
+        if not m.size or not knots:
             continue
         lo, hi = knots[0], knots[-1]  # F's support on the ray
         if hi == 0.0:
             continue
+        # decades from lo, or for lo = 0 from F's first positive knot or the least |w|^(1/p)
+        scale = [] if lo else [float(np.min(modulus(w) ** (1.0 / p)))]
         fn = lambda t, jj=j: F.on_ray(jj, t) * bal.ray_density(jj, t)
         val, _ = integrate(fn, lo, hi, "fubini", epsabs=QUAD_TOL, limit=400,
-                           points=[t for t in knots if lo < t < hi])
+                           points=decade_breakpoints(lo, hi, knots + scale))
         lhs += val
     # the sweep classified the atoms once: F's extension is F on S
     rhs = math.fsum(kept + [m * _poisson_pairing(F, S, i, w) for m, i, w in zip(
@@ -751,9 +752,9 @@ def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 
     power_sums = [(lindelof_sum(nu, q, r0, r),
                    lindelof_sum(bal.kept, q, r0, r))
                   for r in radii]
-    # t^(-q) rho_j over the shells [r0, r_1], [r_1, r_2], ...: the running
-    # sums are the integrals from r0, and the shells' errors add up to at
-    # most QUAD_TOL
+    # t^(-q) rho_j over the shells [r0, r_1], [r_1, r_2], ..., each split at
+    # its decades: the running sums are the integrals from r0, and the shells'
+    # errors add up to at most QUAD_TOL
     swept = []
     for j, th in enumerate(S.thetas):
         if not bal.ray_contributions(j)[0].size:
@@ -761,7 +762,8 @@ def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 
         total, cumulative = 0.0, []
         for a, b in zip((r0, *radii), radii):
             shell, _ = integrate(lambda t, jj=j: t ** (-q) * bal.ray_density(jj, t),
-                                 a, b, "lindelof", epsabs=QUAD_TOL / len(radii), limit=400)
+                                 a, b, "lindelof", epsabs=QUAD_TOL / len(radii), limit=400,
+                                 points=decade_breakpoints(a, b, ()))
             total += shell
             cumulative.append(total)
         swept.append((cmath.exp(-1j * q * th), cumulative))

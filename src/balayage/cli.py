@@ -683,8 +683,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         command = COMMANDS[args.command]
-        # the library turns an overflowing value into inf or NumericFailure itself
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the library makes an overflowing or divergent value inf or a NumericFailure
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             report, holds = command.run(args)
         table = command.table(args) if callable(command.table) else command.table
         _emit(args, report, table)

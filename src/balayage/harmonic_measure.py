@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
 from .numerics import BOUND_SLACK, ORACLE_BUDGET, QUAD_TOL, integrate
-from .ray_geometry import radial_power, reduce_to_halfplane
+from .ray_geometry import normalize_angle, radial_power, reduce_to_halfplane
 
 # The least positive normal float: a product below it has lost bits to underflow.
 _NORMAL_MIN = np.finfo(float).tiny
@@ -321,29 +321,34 @@ def hm_bounds(z, I, a=0.5, b=2.0):
 # Sector and system measures
 
 
-def _segment_image(sec, edge, a, b):
-    """Image interval, under the power map, of the radial segment [a, b] of a
-    sector edge (0 = lower edge, 1 = upper edge)."""
-    p = sec.exponent
-    a, b = radial_power(a, p), radial_power(b, p)
-    if edge == 0:  # lower edge -> positive reals
-        return Interval(a, b)
-    if edge == 1:  # upper edge -> negative reals
-        return Interval(-b, -a)
-    raise BadInput(f"sector edge index must be 0 or 1, got {edge}")
+def _sector_views(sec, z):
+    """sec.edges.edge_views of sec from the image w of z under its power map,
+    z classified once by sec.edges.ray_index: a point on an edge maps onto
+    that edge's half of R at |z|^p, any other point by reduce_to_halfplane
+    (NotInUpperHalfPlane outside the closed sector)."""
+    edges, z = sec.edges, complex(z)
+    i, j = edges.thetas.index(normalize_angle(sec.alpha)), edges.ray_index(z)
+    if j is None:
+        return edges.edge_views(i, reduce_to_halfplane(sec, z))
+    rho = radial_power(abs(z), sec.exponent)
+    return edges.edge_views(i, complex(rho if j == i else -rho, 0.0))
 
 
 def hm_sector_segment(sec, z, seg):
-    """Harmonic measure, within the sector, of a radial segment of one edge."""
-    w = reduce_to_halfplane(sec, z)
-    return hm_interval(w, _segment_image(sec, seg.ray_index, seg.a, seg.b))
+    """Harmonic measure, within the sector, of a radial segment of one edge
+    (seg.ray_index 0 the lower edge, 1 the upper), seen from its edge view."""
+    if seg.ray_index not in (0, 1):
+        raise BadInput(f"sector edge index must be 0 or 1, got {seg.ray_index}")
+    seen_from, p = _sector_views(sec, z)[seg.ray_index][1], sec.exponent
+    return hm_interval(seen_from, Interval(radial_power(seg.a, p), radial_power(seg.b, p)))
 
 
 def hm_sector_disk(sec, z, r):
-    """Harmonic measure, within the sector, of (both edges inside) the closed disk D(0, r)."""
+    """Harmonic measure, within the sector, of (both edges inside) the closed
+    disk D(0, r), z read by _sector_views: on an edge, the Dirac mass."""
     if r <= 0.0:
         raise BadInput(f"need r > 0, got {r}")
-    w = reduce_to_halfplane(sec, z)
+    w = _sector_views(sec, z)[0][1]
     rp = radial_power(r, sec.exponent)
     return hm_interval(w, Interval(-rp, rp))
 
@@ -351,15 +356,14 @@ def hm_sector_disk(sec, z, r):
 def hm_sector_disk_bounds(sec, z, r, a):
     """Upper bounds for the sector disk/tail measures under the scale split a.
 
-    Returns a dict with whichever of the two is applicable:
+    Returns a dict with whichever of the two applies, z read by _sector_views:
       "disk_upper":  a*|z| >= r  ->  bound on the harmonic measure of S-edge within D(r),
       "tail_upper":  a*r >= |z|  ->  bound on the measure of the edge outside D(r).
     """
     if not (0.0 < a < 1.0):
         raise BadInput(f"need a in (0,1), got {a}")
-    z = complex(z)
     p = sec.exponent
-    w = reduce_to_halfplane(sec, z)
+    w = _sector_views(sec, z)[0][1]
     out = {}
     den = math.pi * (1.0 - a ** p) ** 2
     if a * abs(z) >= r:
@@ -388,8 +392,9 @@ def hm_system_quad(S, z, segments=(), disk=None, tol=QUAD_TOL):
 
 def _hm_system(S, z, segments, disk, measure):
     """hm_system's one dispatch: z classified once, and off S the sum of
-    measure(w, I), a half-plane measure at z's image w, over the images I of
-    the set's parts on the edges of z's sector, the disk's first."""
+    measure(v, I), a half-plane measure seen from v, over the images I of the
+    set's parts, the disk's first, seen from z's image w, and each segment's
+    from its edge's point of S.edge_views."""
     k = len(S.thetas)
     for seg in segments:
         if not 0 <= seg.ray_index < k:
@@ -409,16 +414,17 @@ def _hm_system(S, z, segments, disk, measure):
         return 0.0
 
     sec = S.sectors[i]
+    p = sec.exponent
     w = reduce_to_halfplane(sec, z)
 
     def images():  # lazily: a part's measure fails before a later part's image
         if disk is not None:
-            rp = radial_power(disk, sec.exponent)
-            yield Interval(-rp, rp)
+            rp = radial_power(disk, p)
+            yield w, Interval(-rp, rp)
         for seg in segments:
             # for a one-ray system the same ray is both edges
-            for e, j in ((0, i), (1, (i + 1) % k)):
+            for j, seen_from in S.edge_views(i, w):
                 if seg.ray_index == j:
-                    yield _segment_image(sec, e, seg.a, seg.b)
+                    yield seen_from, Interval(radial_power(seg.a, p), radial_power(seg.b, p))
 
-    return sum((measure(w, I) for I in images()), 0.0)
+    return sum((measure(seen_from, I) for seen_from, I in images()), 0.0)

@@ -2,9 +2,9 @@
 
 A point z != 0 lies on a ray when its argument is within ANGULAR_TOL of the
 ray's angle, and otherwise in the open sector between its neighbouring rays
-(RaySystem.sector_index classifies every point, on ray_index's test).  Every quadrature
-goes through integrate(), which compares scipy's error estimate with a budget
-and raises QuadratureFailure instead of returning a value it cannot vouch for.
+(RaySystem.sector_index classifies every point; the power map keeps no edge
+tolerance).  Every quadrature goes through integrate(), which compares scipy's
+error estimate with a budget and raises QuadratureFailure past it.
 
 scipy.integrate is imported on the first quadrature, not with the package:
 most commands evaluate closed forms only and never pay for it.  quad is still
@@ -14,20 +14,13 @@ numerics.quad reaches every call integrate() makes.
 
 from __future__ import annotations
 
+import math
 import sys
 
 from .errors import QuadratureFailure
 
 # On-ray classification, in radians.
 ANGULAR_TOL = 1e-12
-# reduce_to_halfplane snaps a point this far (radians) outside its closed
-# sector onto the nearer edge, and raises BadInput farther out: the points on
-# an edge that hm_sector_* pass it can have a rounded arg just outside.
-EDGE_SNAP_TOL = 10 * ANGULAR_TOL
-# An image angle p * delta below this, delta a point's angle to its sector's
-# beta edge, maps the point onto the negative reals exactly: an edge point's
-# rounded arg would give its image an imaginary part of order |w| * 1e-16.
-EDGE_IMAGE_ANGLE_TOL = 1e-13
 # The crg input reader assigns an atom to the nearest ray within this angle,
 # so charges whose angles were rounded to about nine digits still read.
 INPUT_ANGULAR_TOL = 1e-9
@@ -77,10 +70,21 @@ def __getattr__(name):
     return quad
 
 
+def decade_breakpoints(lo, hi, points):
+    """The package's one decade split: the points and the powers of ten inside
+    (lo, hi), sorted, or None, the decades from lo or, for lo = 0, the least
+    positive point.  Unsplit, quad's first rules over many decades miss mass."""
+    start = min((t for t in (lo, *points) if t > 0.0), default=hi)
+    decades = (10.0 ** k for k in range(math.floor(math.log10(start)),
+                                        min(math.ceil(math.log10(hi)), 308) + 1))
+    return sorted({t for t in (*points, *decades) if lo < t < hi}) or None
+
+
 def integrate(fn, a, b, route, budget=None, spent=0.0, **options):
     """Integral of fn over [a, b] by scipy's quad, with its error checked.
 
-    options go to quad (epsabs, epsrel, limit, points).  The error estimate
+    options go to quad (epsabs, epsrel, limit, points), limit counting the
+    pieces quad may add to the points' split, however many.  The error estimate
     plus `spent`, the error of earlier calls that share the budget, must not
     exceed `budget`; budget None asks for the accuracy requested of quad,
     max(epsabs, epsrel * |value|).  A NaN error estimate (an integrand that
@@ -88,6 +92,8 @@ def integrate(fn, a, b, route, budget=None, spent=0.0, **options):
     convergence warnings are not emitted: the budget check replaces them.
     """
     quad = sys.modules[__name__].quad  # a bare global lookup skips __getattr__
+    if options.get("points"):
+        options["limit"] = options.get("limit", 50) + len(options["points"]) + 1
     val, err = quad(fn, a, b, full_output=1, **options)[:2]
     if budget is None:
         budget = max(options.get("epsabs", _EPSABS),

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInput, NumericFailure, PowerMapUnderflow, ZeroPoint
-from .numerics import ANGULAR_TOL, EDGE_IMAGE_ANGLE_TOL, EDGE_SNAP_TOL
+from .errors import BadInput, NotInUpperHalfPlane, NumericFailure, PowerMapUnderflow, ZeroPoint
+from .numerics import ANGULAR_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,6 +146,13 @@ class RaySystem:
         i = i.reshape(z.shape)
         return i if z.ndim else int(i)
 
+    def edge_views(self, i, w):
+        """Sector i's two edges, each as (ray, the point its image in R+ is seen
+        from), w the image of a point of the sector: ray i, the lower edge, from
+        w; ray i + 1, the upper edge, whose image is R-, from the mirror
+        -conj(w).  The one place that forms them."""
+        return (i, w), ((i + 1) % len(self.thetas), complex(-w.real, w.imag))
+
     def to_json(self):
         return {"rays": list(self.thetas)}
 
@@ -193,10 +200,12 @@ def reduce_to_halfplane(sec, z):
     """Power map of the closed sector onto the closed upper half-plane.
 
     The edge at alpha maps into the positive reals, the edge at beta into the
-    negative reals, and |w| = |z| ** (pi / aperture).  Exact passthrough when
-    the map is the identity (alpha = 0, aperture = pi), so half-plane cases
-    stay bit-exact.  Raises NumericFailure where |w| passes the float range
-    (in a narrow sector that is a moderate |z|: p = 10.5 at |z| = 1e40), or
+    negative reals (an exact edge point exactly), and |w| = |z| ** (pi /
+    aperture).  No edge rule: callers classify their points; a point outside
+    the closed sector is NotInUpperHalfPlane.  Exact passthrough when the map
+    is the identity (alpha = 0, aperture = pi), so half-plane cases stay
+    bit-exact.  Raises NumericFailure where |w| passes the float range (in a
+    narrow sector that is a moderate |z|: p = 10.5 at |z| = 1e40), or
     underflows to 0 and would put a point z != 0 on the boundary.
     """
     z = complex(z)
@@ -204,34 +213,23 @@ def reduce_to_halfplane(sec, z):
         raise ZeroPoint("power map undefined at the origin")
     p = sec.exponent
     if p == 1.0:
-        if sec.alpha == 0.0:
-            return z
         # quarter and half turns are exact in complex arithmetic; exp(-1j*pi)
         # carries a ~1e-16 imaginary residue that breaks signed cancellations
-        if sec.alpha == math.pi:
-            return -z
-        if sec.alpha == 0.5 * math.pi:
-            return complex(z.imag, -z.real)
-        if sec.alpha == 1.5 * math.pi:
-            return complex(-z.imag, z.real)
-        return z * cmath.exp(-1j * sec.alpha)
+        w = (z if sec.alpha == 0.0 else -z if sec.alpha == math.pi
+             else complex(z.imag, -z.real) if sec.alpha == 0.5 * math.pi
+             else complex(-z.imag, z.real) if sec.alpha == 1.5 * math.pi
+             else z * cmath.exp(-1j * sec.alpha))
+        if w.imag < 0.0:
+            raise NotInUpperHalfPlane(f"point not in the closed sector: {z}")
+        return w
     phi = relative_angle(z, sec.alpha)
-    # Points on the beta edge come in with phi = aperture; points numerically
-    # a hair below alpha wrap to ~2*pi and must be snapped back to the edge.
     if phi > sec.aperture:
-        if phi >= TWO_PI - EDGE_SNAP_TOL:
-            phi = 0.0
-        elif phi <= sec.aperture + EDGE_SNAP_TOL:
-            phi = sec.aperture
-        else:
-            raise BadInput(f"point not in the closed sector: {z}")
+        raise NotInUpperHalfPlane(f"point not in the closed sector: {z}")
     rho = radial_power(abs(z), p)
     if rho == 0.0:
         raise PowerMapUnderflow(f"power map underflows: {abs(z)!r}**{p:.6g}")
     if phi <= 0.5 * sec.aperture:
         ang = p * phi
-        if ang == 0.0:
-            return complex(rho, 0.0)
         return rho * complex(math.cos(ang), math.sin(ang))
     # Nearer the beta edge: w = -rho * e^(-i p delta), delta the angle from z
     # to that edge, taken from the edge ray's own angle and arg z before any
@@ -240,6 +238,4 @@ def reduce_to_halfplane(sec, z):
     delta = 0.0 if phi == sec.aperture else max(
         math.remainder(normalize_angle(sec.beta) - cmath.phase(z), TWO_PI), 0.0)
     ang = p * delta
-    if ang < EDGE_IMAGE_ANGLE_TOL:
-        return complex(-rho, 0.0)
     return rho * complex(-math.cos(ang), math.sin(ang))

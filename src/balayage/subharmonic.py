@@ -28,7 +28,7 @@ from .charges import AtomicCharge, CheckResult
 from .harmonic_measure import poisson_integral
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
                        IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
-                       SWEEP_TOL, integrate)
+                       SWEEP_TOL, decade_breakpoints, integrate)
 from .ray_geometry import REAL_AXIS, Sector, modulus, radial_power, reduce_to_halfplane
 
 
@@ -279,14 +279,6 @@ def edge_radii(nu, alpha, beta):
     return np.unique(modulus(z[on])).tolist()
 
 
-def _edge_breakpoints(r0, r, radii):
-    """The edge integrals' breakpoints inside (r0, r), or None: the edge radii,
-    and the powers of ten, where the weights t^(+-p) change scale; unsplit,
-    quad's first rules over many decades miss the mass near r0."""
-    decades = (10.0 ** k for k in range(math.floor(math.log10(r0)), math.ceil(math.log10(r)) + 1))
-    return sorted({t for t in (*radii, *decades) if r0 < t < r}) or None
-
-
 def _edge_arc_functionals(v, alpha, beta, r0, r, radii):
     """A and B of class_A_functionals, by one checked quadrature each."""
     if not (0.0 < r0 < r):
@@ -302,7 +294,7 @@ def _edge_arc_functionals(v, alpha, beta, r0, r, radii):
                              f"range on [{r0}, {r}]")
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
     A = 0.5 / gamma * integrate(lambda t: (t ** (-p) - t ** p / r ** (2.0 * p)) * edges(t) / t,
-                                r0, r, points=_edge_breakpoints(r0, r, radii), **_FUNCTIONAL)[0]
+                                r0, r, points=decade_breakpoints(r0, r, radii), **_FUNCTIONAL)[0]
     B = integrate(lambda th: v(cmath.rect(r, th)) * math.sin(p * (th - alpha)),
                   alpha, beta, **_FUNCTIONAL)[0] / (gamma * r ** p)
     return A, B
@@ -325,7 +317,7 @@ def class_A_functionals(v, alpha, beta, r0, r, radii):
     sec = Sector(alpha, beta)
     gamma, p = sec.aperture, sec.exponent
     edges = lambda t: v(cmath.rect(t, alpha)) + v(cmath.rect(t, beta))
-    pts = _edge_breakpoints(r0, r, radii)
+    pts = decade_breakpoints(r0, r, radii)
     J, _ = integrate(lambda t: edges(t) / t ** (p + 1.0), r0, r, points=pts, **_FUNCTIONAL)
     # r^-2p inside the integral: the budget holds the term that enters A_via_J
     r2p = r ** (2.0 * p)
@@ -412,8 +404,8 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL):
     Poisson integral of v over the containing sector's edges in the reduced
     coordinate s = t^p, truncated at R_max with a fitted-tail certificate.
     Each edge is a poisson_integral over [0, cut] and one over the far piece
-    in u = 1/s, whose kernel is seen from 1/conj(w); the upper edge maps onto
-    the negative reals, so it is seen from -conj(w).
+    in u = 1/s, whose kernel is seen from 1/conj(w), each edge seen from its
+    point of S.edge_views.
 
     The certificate assumes a power-growth envelope along the edges fitted on
     the outer decade (exact for powers, dominating beyond the window for
@@ -425,7 +417,6 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL):
     if idx < 0:
         return v(z)
     sec = S.sectors[idx]
-    k = len(S.thetas)
     p = sec.exponent
     w = reduce_to_halfplane(sec, z)
     s_max = radial_power(R_max, p)
@@ -437,14 +428,14 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL):
     opts = dict(route=f"edge (z = {z})", epsabs=QUAD_TOL, epsrel=1e-11, limit=400,
                 budget=EDGE_BUDGET_SHARE * max(tol, EDGE_BUDGET_FLOOR))
     cut = min(max(4.0 * abs(w), 4.0), s_max)
-    for theta, seen_from in ((S.thetas[idx], w), (S.thetas[(idx + 1) % k], -w.conjugate())):
-        fn = lambda s, th=theta: v(cmath.rect(s ** (1.0 / p), th))
+    for j, seen_from in S.edge_views(idx, w):
+        fn = lambda s, th=S.thetas[j]: v(cmath.rect(s ** (1.0 / p), th))
         near, spent = poisson_integral(fn, seen_from, 0.0, cut, (), **opts)
         total += near
         if cut < s_max:  # the far piece in u = 1/s, its kernel seen from 1/conj(seen_from)
             total += poisson_integral(lambda u: fn(1.0 / u), 1.0 / seen_from.conjugate(),
                                       1.0 / s_max, 1.0 / cut, (), spent=spent, **opts)[0]
-        kappa, vhi = _edge_growth_exponent(v, theta, (R_max / 10.0, R_max))
+        kappa, vhi = _edge_growth_exponent(v, S.thetas[j], (R_max / 10.0, R_max))
         kq = max(kappa, 0.0) / p
         if kq >= 1.0:
             raise TailTooLarge(

@@ -27,7 +27,7 @@ from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
 from balayage.charges import _poisson_pairing
 from balayage.cli import main
 from balayage.errors import NumericFailure
-from balayage.numerics import QUAD_TOL, SAMPLE_BLOCK_ELEMENTS
+from balayage.numerics import PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS
 from conftest import random_charge
 
 PI = math.pi
@@ -58,6 +58,28 @@ def test_distribution_on_R_atoms():
     assert distribution_on_R(nu, 1.0) == 0.0
     with pytest.raises(SupportOffAxis):
         distribution_on_R(AtomicCharge([(1j, 1.0)]), 1.0)
+
+
+def test_distribution_on_R_left_of_0_is_minus_the_mass_of_x_to_0():
+    nu = AtomicCharge([(-2.0, 0.5), (-0.5, 1.25), (1.0, 2.0), (0.0, 3.0)])
+    assert distribution_on_R(nu, -1.0) == -1.25
+    assert distribution_on_R(nu, -2.5) == -1.75
+    assert distribution_on_R(nu, 0.0) == 3.0
+
+
+def test_fubini_reads_the_test_function_at_the_origin_at_a_kept_atom_there():
+    # F is 1/2 at the origin on both rays, so the kept atom of mass 2 there
+    # adds 1 to each side; a tent off the origin is 0 there
+    S = RaySystem([0.0, 2.0])
+    at_0 = RayTestFunction(S, {0: [(0.0, 0.5), (1.0, 0.0)], 1: [(0.0, 0.5), (2.0, 0.0)]})
+    off_0 = RayTestFunction(S, {0: [(0.5, 0.0), (1.0, 1.0), (2.0, 0.0)]})
+    assert (at_0(0), off_0(0)) == (0.5, 0.0)
+    res = check_fubini(AtomicCharge([(0, 2.0)]), S, at_0)
+    assert (res.lhs, res.rhs, res.holds) == (1.0, 1.0, True)
+    res = check_fubini(AtomicCharge([(0, 2.0)]), S, off_0)
+    assert (res.lhs, res.rhs, res.holds) == (0.0, 0.0, True)
+    res = check_fubini(AtomicCharge([(0, 2.0), (1 + 1j, 1.0)]), S, at_0)
+    assert res.holds and res.detail["difference"] <= PAIRING_TOL
 
 
 def test_distribution_balayage_2i():

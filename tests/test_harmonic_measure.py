@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from balayage import (AtomicCharge, BoundarySegment, EndpointSingularity, Interval,
+from balayage import (AtomicCharge, BadInput, BoundarySegment, EndpointSingularity, Interval,
                       NotInUpperHalfPlane, NumericFailure, RaySystem, Sector,
                       balayage_system, hm_bounds, hm_interval, hm_interval_quad,
                       hm_sector_disk, hm_sector_disk_bounds, hm_sector_segment,
@@ -171,6 +171,37 @@ def test_hm_sector_disk_bound_dominance():
         assert "disk_upper" in bounds
         assert hm_sector_disk(sec, z, r) <= bounds["disk_upper"] + 1e-12
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(0.0, 2 * PI, exclude_max=True), aperture=st.floats(0.3, 2 * PI - 0.3),
+       r=st.floats(0.01, 100.0))
+def test_the_sector_measures_keep_the_one_edge_rule(alpha, aperture, r):
+    # hm_sector_* classify z once on sec.edges, as hm_system does: a point on
+    # an edge, or 4e-13 rad to either side of it, has the Dirac value there;
+    # one 5e-12 rad inside is in the sector, and one 5e-12 rad outside is no
+    # point of the closed sector.  The power map snapped the last onto the
+    # edge and gave the second a measure off by up to 2e-9.
+    for sec in RaySystem([alpha, alpha + aperture]).sectors:
+        E = sec.edges
+        for edge, theta, inward in ((0, sec.alpha, 1.0), (1, sec.beta, -1.0)):
+            j = E.ray_index(cmath.rect(1.0, theta))
+            for d in (0.0, 4e-13, -4e-13, 5e-12):
+                z = cmath.rect(r, theta + inward * d)
+                for s in (0.5, 2.0):  # off the disk circle
+                    assert hm_sector_disk(sec, z, s * r) == hm_system(E, z, disk=s * r)
+                for e, ray in ((edge, j), (1 - edge, 1 - j)):
+                    # ends off |z|: below it, from 0 or not, around it and above it
+                    for a, b in ((0.0, r / 2), (r / 4, r / 2), (r / 2, 2 * r), (2 * r, 4 * r)):
+                        assert (hm_sector_segment(sec, z, BoundarySegment(e, a, b))
+                                == hm_system(E, z, segments=[BoundarySegment(ray, a, b)]))
+            out = cmath.rect(r, theta - inward * 5e-12)
+            with pytest.raises(BadInput, match="not in the closed sector"):
+                hm_sector_disk(sec, out, r)
+            with pytest.raises(BadInput, match="not in the closed sector"):
+                hm_sector_segment(sec, out, BoundarySegment(edge, 0.0, r))
+            with pytest.raises(BadInput, match="not in the closed sector"):
+                hm_sector_disk_bounds(sec, out, r, 0.5)
 
 
 # The sector (0, 0.3): p = pi / 0.3 = 10.47, so |z|^p spans many decades.

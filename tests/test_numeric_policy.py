@@ -35,8 +35,8 @@ from balayage.charges import _variation_interval_halfplane
 from balayage.subharmonic import _edge_arc_functionals
 from balayage.cli import _counts_by_ray, main
 from balayage.errors import NumericFailure
-from balayage.numerics import (ANGULAR_TOL, IDENTITY_TOL, INPUT_ANGULAR_TOL,
-                               VARIATION_TOL, integrate)
+from balayage.numerics import (ANGULAR_TOL, IDENTITY_TOL, INPUT_ANGULAR_TOL, PAIRING_TOL,
+                               VARIATION_TOL, decade_breakpoints, integrate)
 from conftest import random_charge
 
 PI = math.pi
@@ -402,6 +402,76 @@ def test_classa_over_many_decades_holds_the_outer_integral_of_A_via_J_to_its_bud
     assert abs(report["A_via_J"] - want) <= 1e-12 * want
 
 
+def test_the_decade_split_is_the_points_and_the_powers_of_ten_inside():
+    assert decade_breakpoints(0.5, 2.0, [0.5, 1.0, 1.0, 2.0]) == [1.0]
+    assert decade_breakpoints(0.5, 0.9, [0.5, 0.9]) is None
+    # from 0, the decades start at the least positive point's
+    assert decade_breakpoints(0.0, 1e3, [0.0, 0.02, 1e3]) == [0.01, 0.02, 0.1, 1.0, 10.0, 100.0]
+    # no power of ten past the float range is formed
+    assert decade_breakpoints(1e306, 1.7e308, []) == [1e307, 1e308]
+
+
+@pytest.mark.parametrize("tent", ["0,0,1,1e100", "1,0,2,1e80"])
+def test_fubini_over_many_decades_splits_the_density_at_each_power_of_ten(
+        tent, charge_file, system_file, tmp_path):
+    # split at F's knots alone, quad's first rules missed the swept density's
+    # peaks near radius 1: the left side read 0.2574 against the right side's
+    # 0.6561 on ray 0, and 0.0254 against -0.0586 on ray 1
+    out = tmp_path / "check.json"
+    rc = main(["check", "fubini", "--charge", charge_file([(0.9 + 0.45j, 1.0), (-3 - 1j, -0.6)]),
+               "--system", system_file([0.0, 2.2, 4.1]), "--tent", tent, "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 0 and report["holds"] is True and report["difference"] <= PAIRING_TOL
+
+
+def test_lindelof_shells_over_many_decades_split_at_each_power_of_ten(charge_file,
+                                                                    system_file, tmp_path):
+    # unsplit, the shell (1e6, 1e12] missed its budget (exit 3), and the shell
+    # (10, 1e12] missed the mass near 30 and read 0.0555 (exit 0); past 1e6
+    # the sweep of these atoms adds under 1e-12 to the difference
+    charge = charge_file([(30 + 0.5j, 1.0), (-2 + 3j, -0.7)])
+    system = system_file([0.0, 2.0, 4.0])
+    diffs = []
+    for radii in ("10,1e6,1e12", "10,1e12"):
+        out = tmp_path / "check.json"
+        assert main(["check", "lindelof", "--charge", charge, "--system", system,
+                     "--radii", radii, "--out", str(out)]) == 0
+        diffs.append(json.loads(out.read_text())["differences"])
+    assert max(diffs[0][1:] + diffs[1][1:]) - min(diffs[0][1:] + diffs[1][1:]) <= 1e-12
+
+
+def test_fubini_with_a_density_past_the_float_range_gives_no_verdict(charge_file,
+                                                                    system_file, capsys):
+    # split at F's knots alone, the left side missed half the swept mass,
+    # -2.36e276 against the right side's -5.06e276, and the check exited 1;
+    # split at the decades it meets a density past the float range
+    charge = charge_file([(-1 + 1.2246e-16j, -5.407e276), (7.55e262 - 1.85e263j, 6.6e-42)])
+    rc = main(["check", "fubini", "--charge", charge, "--system",
+               system_file([3.2036869995536175]),
+               "--tent", "0,1.2160085212297948e-113,1.0,2.7052141583690414e+137"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("numeric failure:") and "is not finite" in err
+
+
+def test_more_decades_than_the_subinterval_limit_still_integrate(charge_file, system_file,
+                                                                tmp_path, capsys):
+    # quad refuses as many breakpoints as its subinterval limit with a
+    # ValueError, which escaped main; the limit now counts the pieces quad may
+    # add to the split.  The 500 decades of this tent read the right side to
+    # 1e-15, where split at F's knots alone the left side read 0.2574
+    out = tmp_path / "check.json"
+    rc = main(["check", "fubini", "--charge", charge_file([(0.9 + 0.45j, 1.0), (-3 - 1j, -0.6)]),
+               "--system", system_file([0.0, 2.2, 4.1]), "--tent", "0,1e-300,1,1e200",
+               "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 0 and report["holds"] is True and report["difference"] <= PAIRING_TOL
+    # 405 decades inside (1e-203, 1e203): the functionals miss their budget
+    rc = main(["check", "classa", "--charge", charge_file([(2 + 1j, 1.0)]), "--alpha", "0",
+               "--beta", repr(2 * PI), "--r0", "1e-203", "--r", "1e203"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("numeric failure: functional quadrature error")
+
+
 @pytest.mark.parametrize("mass", [1.0, -1.0])
 def test_atom_at_a_tail_fit_radius_is_a_numeric_failure(mass, charge_file, system_file,
                                                         capsys):
@@ -726,10 +796,10 @@ def test_upper_half_masks_read_the_point_classification():
     assert not found, found
 
 
-def _callers(callee):
-    """module.function of every package function that calls callee by name: a
-    method as Class.method, a nested def as the def that holds it, and code
-    outside any def as <module> (or the class)."""
+def _owners(match):
+    """module.function of every package function with a node that match
+    accepts: a method as Class.method, a nested def as the def that holds it,
+    and code outside any def as <module> (or the class)."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -739,22 +809,56 @@ def _callers(callee):
             else:
                 units = [(getattr(top, "name", "<module>"), top)]
             found |= {f"{path.stem}.{owner}" for owner, unit in units
-                      for c in ast.walk(unit) if isinstance(c, ast.Call)
-                      and callee in (getattr(c.func, "id", None), getattr(c.func, "attr", None))}
+                      for c in ast.walk(unit) if match(c)}
     return found
+
+
+def _callers(callee):
+    """_owners of the calls of callee by name."""
+    return _owners(lambda c: isinstance(c, ast.Call) and callee in (
+        getattr(c.func, "id", None), getattr(c.func, "attr", None)))
 
 
 def test_sector_images_are_formed_once_per_object():
     # a sweep's images are formed in BalayageCharge, and the Blaschke sums
-    # read them; hm_system and its oracle share one dispatch
+    # read them; hm_system and its oracle share one dispatch, and the three
+    # hm_sector_* measures one helper
     assert _callers("reduce_to_halfplane") == {
         "charges.BalayageCharge.__post_init__", "harmonic_measure._hm_system",
-        "harmonic_measure.hm_sector_segment", "harmonic_measure.hm_sector_disk",
-        "harmonic_measure.hm_sector_disk_bounds", "subharmonic.subharmonic_balayage_eval",
+        "harmonic_measure._sector_views", "subharmonic.subharmonic_balayage_eval",
         "subharmonic.sweep_potential_eval"}
     # a boundary segment is input, not an edge tag: only the CLI builds one
     owners = _callers("BoundarySegment")
     assert owners and {o.split(".")[0] for o in owners} == {"cli"}, owners
+
+
+def _is_mirror(node):
+    """-conj(w) formed as complex(-w.real, w.imag) or as -w.conjugate()."""
+    neg = lambda n: isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "complex":
+        return (len(node.args) == 2 and neg(node.args[0])
+                and getattr(node.args[0].operand, "attr", None) == "real"
+                and getattr(node.args[1], "attr", None) == "imag")
+    return (neg(node) and isinstance(node.operand, ast.Call)
+            and getattr(node.operand.func, "attr", None) == "conjugate")
+
+
+def test_the_edges_of_a_sector_are_formed_once():
+    # sector i's edges are rays i and i + 1, the upper one seen from the
+    # mirror -conj(w): RaySystem.edge_views forms them, and the sector's
+    # measures, the Fubini pairing and the potential sweep read it
+    assert _owners(_is_mirror) == {"ray_geometry.RaySystem.edge_views"}
+    assert _callers("edge_views") == {
+        "harmonic_measure._hm_system", "harmonic_measure._sector_views",
+        "charges._poisson_pairing", "subharmonic.subharmonic_balayage_eval"}
+
+
+def test_the_angular_tolerances_are_the_on_ray_and_input_rules():
+    # the power map keeps no edge tolerance of its own: which points lie on an
+    # edge is sector_index's (ray_index's) one rule
+    angular = sorted(n for n in vars(numerics)
+                     if n.isupper() and any(k in n for k in ("ANGLE", "ANGULAR", "SNAP")))
+    assert angular == ["ANGULAR_TOL", "INPUT_ANGULAR_TOL"]
 
 
 def test_the_poisson_kernel_is_integrated_once():

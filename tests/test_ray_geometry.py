@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from balayage import (ANGULAR_TOL, REAL_AXIS, BadInput, NumericFailure, RaySystem,
-                      Sector, ZeroPoint, complementary_sectors, normalize_angle,
+from balayage import (ANGULAR_TOL, REAL_AXIS, BadInput, NotInUpperHalfPlane, NumericFailure,
+                      RaySystem, Sector, ZeroPoint, complementary_sectors, normalize_angle,
                       reduce_to_halfplane)
 
 PI = math.pi
@@ -142,6 +142,19 @@ def test_reduce_quarter_sector():
     w = reduce_to_halfplane(sec, 3.0)
     assert w == pytest.approx(9.0, abs=1e-13)
     assert w.imag == 0.0
+
+
+def test_reduce_keeps_no_edge_rule():
+    # an exact edge point maps exactly onto R: arg 2i = pi/2 is the quarter
+    # plane's upper edge.  A point 5e-12 rad outside a sector, the half-plane
+    # (p = 1) included, is no point of it; the map snapped it onto the edge.
+    assert reduce_to_halfplane(Sector(0.0, PI / 2), 2j) == complex(-4.0, 0.0)
+    for sec, z in ((Sector(0.0, PI / 2), cmath.rect(1.0, -5e-12)),
+                   (Sector(0.0, PI / 2), cmath.rect(1.0, PI / 2 + 5e-12)),
+                   (Sector(0.0, PI), complex(1.0, -5e-12)),
+                   (Sector(PI / 2, 1.5 * PI), complex(5e-12, 1.0))):
+        with pytest.raises(NotInUpperHalfPlane, match="not in the closed sector"):
+            reduce_to_halfplane(sec, z)
 
 
 def test_reduce_zero_point():

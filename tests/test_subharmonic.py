@@ -209,6 +209,16 @@ def test_carleman_analytic_example():
     assert res.detail["residual"] <= 1e-9
 
 
+def test_carleman_sums_an_atom_inside_r0_by_its_imaginary_part():
+    # an atom at 0 < |z| < r0 adds (1/r0^2 - 1/r^2) m Im z = 0.99 * 0.4 to the
+    # left side, which the inner corrections of the right side match
+    nu = AtomicCharge([(0.3 + 0.4j, 1.0)])
+    P = CanonicalPotential(nu, genus=-1)
+    res = carleman_check(nu, lambda z: potential_eval(P, z), 1.0, 10.0)
+    assert res.lhs == pytest.approx(0.396, abs=1e-15)
+    assert res.holds and res.detail["residual"] <= 1e-12
+
+
 def test_carleman_harmonic_function():
     # harmonic v with no atoms: both sides are zero up to quadrature
     res = carleman_check(AtomicCharge([]), lambda z: z.real, 1.0, 8.0)
