@@ -181,7 +181,8 @@ def test_the_sector_measures_keep_the_one_edge_rule(alpha, aperture, r):
     # an edge, or 4e-13 rad to either side of it, has the Dirac value there;
     # one 5e-12 rad inside is in the sector, and one 5e-12 rad outside is no
     # point of the closed sector.  The power map snapped the last onto the
-    # edge and gave the second a measure off by up to 2e-9.
+    # edge, and mapped a point 4e-13 rad off an edge off R, its measure up to
+    # 2e-9 off the Dirac value.
     for sec in RaySystem([alpha, alpha + aperture]).sectors:
         E = sec.edges
         for edge, theta, inward in ((0, sec.alpha, 1.0), (1, sec.beta, -1.0)):
