@@ -161,8 +161,11 @@ def lindelof_sum(nu, q, r0, r):
     az = modulus(nu.z)
     inside = (r0 < az) & (az <= r)
     total = 0.0 + 0.0j
-    for z, m in zip(nu.z[inside].tolist(), nu.m[inside].tolist()):
-        total += m / z ** q
+    try:
+        for z, m in zip(nu.z[inside].tolist(), nu.m[inside].tolist()):
+            total += m / z ** q
+    except ZeroDivisionError:  # z^q underflowed to 0
+        total = complex(math.inf)
     if not cmath.isfinite(total):
         raise NumericFailure(f"the power sum over ({r0!r}, {r!r}] passes the float range")
     return total
@@ -179,7 +182,7 @@ class _RayArrays(NamedTuple):
     and edge +1 when the ray is the sector's lower edge (image in R+), -1 when
     it is the upper edge (R-); and the kernels' factors ewr = edge * Re w (the
     image seen from the ray's side: (edge*s - Re w)^2 = (s - ewr)^2 exactly),
-    coef = mass * p * Im w / pi, wi2 = (Im w)^2 and pm1 = p - 1."""
+    coef = mass * p * Im w / pi and pm1 = p - 1."""
 
     mass: np.ndarray
     w: np.ndarray
@@ -187,7 +190,6 @@ class _RayArrays(NamedTuple):
     edge: np.ndarray
     ewr: np.ndarray
     coef: np.ndarray
-    wi2: np.ndarray
     pm1: np.ndarray
 
 
@@ -233,9 +235,8 @@ class BalayageCharge:
         m, w = self.swept.m[atom], self.w[atom]
         p = np.array([sec.exponent for sec in self.rays.sectors])[self.sector[atom]]
         edge = 1.0 - 2.0 * upper
-        with np.errstate(over="ignore"):  # a far image's (Im w)^2 is inf, its term 0
-            cols = (m, w, p, edge, edge * w.real, m * p * w.imag / np.pi,
-                    w.imag * w.imag, p - 1.0)
+        with np.errstate(over="ignore"):  # a coef past the float range: ray_density fails
+            cols = (m, w, p, edge, edge * w.real, m * p * w.imag / np.pi, p - 1.0)
         for c in cols:
             c.flags.writeable = False
         ends = [0, *np.bincount(ray.ravel(), minlength=k).cumsum().tolist()]
@@ -312,10 +313,11 @@ class BalayageCharge:
         return float(total[0]) if x2.ndim == 0 else total.reshape(x2.shape)
 
     def ray_density(self, j, t):
-        """Total signed swept density on ray j at radius t > 0."""
+        """Total signed swept density on ray j at radius t > 0, each term
+        coef / h * (t^(p-1) / h), h = |t^p - e w|: no square to leave the float range."""
         r = self._ray(j)
-        dx = np.power(t, r.p) - r.ewr
-        total = float(np.dot(r.coef, np.power(t, r.pm1) / (dx * dx + r.wi2)))
+        h = np.hypot(np.power(t, r.p) - r.ewr, r.w.imag)
+        total = float(np.dot(r.coef / h, np.power(t, r.pm1) / h))
         if not math.isfinite(total):
             raise NumericFailure(f"swept density on ray {j} at t = {t} is not finite")
         return total
@@ -709,8 +711,7 @@ def _poisson_pairing(F, S, i, w):
         if hi == 0.0:
             continue
         total += poisson_integral(lambda s, er=edge_ray: F.on_ray(er, s ** (1.0 / p)),
-                                  seen_from, lo, hi, [t ** p for t in knots], "pairing",
-                                  epsabs=QUAD_TOL, limit=600)[0]
+                                  seen_from, lo, hi, [t ** p for t in knots], "pairing")[0]
     return total
 
 
@@ -736,8 +737,7 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL):
         # decades from lo, or for lo = 0 from F's first positive knot or the least |w|^(1/p)
         scale = [] if lo else [float(np.min(modulus(w) ** (1.0 / p)))]
         fn = lambda t, jj=j: F.on_ray(jj, t) * bal.ray_density(jj, t)
-        val, _ = integrate(fn, lo, hi, "fubini", epsabs=QUAD_TOL, limit=400,
-                           points=decade_breakpoints(lo, hi, knots + scale))
+        val, _ = integrate(fn, lo, hi, "fubini", points=decade_breakpoints(lo, hi, knots + scale))
         lhs += val
     # the sweep classified the atoms once: F's extension is F on S
     rhs = math.fsum(kept + [m * _poisson_pairing(F, S, i, w) for m, i, w in zip(
@@ -762,7 +762,7 @@ def check_lindelof_preservation(nu, S, q, r0=1.0, radii=(4, 8, 16, 32, 64, 128, 
         total, cumulative = 0.0, []
         for a, b in zip((r0, *radii), radii):
             shell, _ = integrate(lambda t, jj=j: t ** (-q) * bal.ray_density(jj, t),
-                                 a, b, "lindelof", epsabs=QUAD_TOL / len(radii), limit=400,
+                                 a, b, "lindelof", epsabs=QUAD_TOL / len(radii),
                                  points=decade_breakpoints(a, b, ()))
             total += shell
             cumulative.append(total)

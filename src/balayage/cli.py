@@ -42,7 +42,7 @@ from .growth_scales import convergence_integral_zero, growth_report
 from .harmonic_measure import (BoundarySegment, Interval, hm_bounds, hm_interval_quad,
                                hm_system, hm_system_quad)
 from .numerics import (IDENTITY_TOL, INPUT_ANGULAR_TOL, ORACLE_BUDGET, PAIRING_TOL,
-                       QUAD_TOL, SWEEP_TOL)
+                       SWEEP_TOL)
 from .ray_geometry import RaySystem, Sector, modulus
 from .regular_growth import angular_density, crg_on_rays, exgr2_functionals
 from .stepfn import StepFunction
@@ -186,8 +186,6 @@ def _hm_arguments(p):
                    help="ray segment 'j,a,b' (repeatable, system mode)")
     p.add_argument("--a", type=_number, default=0.5, help="bound parameter a")
     p.add_argument("--b", type=_number, default=2.0, help="bound parameter b")
-    p.add_argument("--tol", type=_tolerance, default=QUAD_TOL,
-                   help=f"accuracy asked of the quadrature oracle (default {QUAD_TOL})")
 
 def cmd_hm(args):
     # the oracle's error is within ORACLE_BUDGET: a larger difference fails
@@ -201,7 +199,7 @@ def cmd_hm(args):
         I = Interval(*_floats(args.interval, 2, "--interval"))
         bounds = hm_bounds(z, I, a=args.a, b=args.b)
         exact = bounds.exact
-        oracle = hm_interval_quad(z, I, tol=args.tol)
+        oracle = hm_interval_quad(z, I)
         report.update(interval=[I.t1, I.t2], exact=exact, oracle=oracle,
                       difference=abs(exact - oracle),
                       bounds={"entries": [{"name": e.name, "side": e.side,
@@ -220,7 +218,7 @@ def cmd_hm(args):
         segs.append(BoundarySegment(_whole(j, "segment"), a, b))
     S = _system(args.system)
     exact = hm_system(S, z, segments=segs, disk=args.disk)
-    oracle = hm_system_quad(S, z, segs, args.disk, args.tol)
+    oracle = hm_system_quad(S, z, segs, args.disk)
     report.update(system=S.to_json(), disk=args.disk,
                   segments=[[s.ray_index, s.a, s.b] for s in segs],
                   exact=exact, oracle=oracle, difference=abs(exact - oracle))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
-from .numerics import BOUND_SLACK, ORACLE_BUDGET, QUAD_TOL, integrate
+from .numerics import BOUND_SLACK, ORACLE_BUDGET, decade_breakpoints, integrate
 from .ray_geometry import normalize_angle, radial_power, reduce_to_halfplane
 
 # The least positive normal float: a product below it has lost bits to underflow.
@@ -123,19 +123,17 @@ def poisson_integral(f, w, lo, hi, knots, route, **options):
     as integrate() returns them with its options.  It is taken in sigma =
     (t - Re w) / Im w, where the kernel is poisson_kernel(sigma, i) and its mass
     lies at |sigma| ~ 1 however narrow the peak in t.  quad splits at sigma = 0,
-    at +-2^k out to the far end (at most 50 octaves; under 6e-16 of the mass
-    lies past them) and at the knots, where f changes form.  The sigma ends stop
-    at the float range; f reads t clamped to [lo, hi], which rounding can leave
-    (an edge's f takes t^(1/p), complex below 0)."""
+    at the knots, where f changes form, and at +-10^k from sigma = +-1 out to
+    each far end (decade_breakpoints on |sigma|).  The sigma ends stop at the
+    float range; f reads t clamped to [lo, hi], which rounding can leave (an
+    edge's f takes t^(1/p), complex below 0)."""
     x, y = w.real, w.imag
     if not y > 0.0:
         raise NotInUpperHalfPlane(f"need Im w > 0, got w = {w}")
     a, b = max((lo - x) / y, -_FLOAT_MAX), min((hi - x) / y, _FLOAT_MAX)
-    pts = [0.0, *((t - x) / y for t in knots)]
-    for k in range(50):
-        pts += (-2.0 ** k, 2.0 ** k)
-        if 2.0 ** k >= max(-a, b):
-            break
+    far = max(-a, b)  # NaN when w's image lies past the float range: no split
+    decades = (decade_breakpoints(0.0, far, (1.0,)) or ()) if far > 1.0 else ()
+    pts = [0.0, *((t - x) / y for t in knots), *decades, *(-s for s in decades)]
 
     def fn(s):
         t = x + y * s
@@ -145,7 +143,7 @@ def poisson_integral(f, w, lo, hi, knots, route, **options):
                      **options)
 
 
-def hm_interval_quad(z, I, tol=QUAD_TOL):
+def hm_interval_quad(z, I):
     """Adaptive-quadrature oracle for hm_interval: the poisson_integral of 1
     over I, independent of the closed form."""
     z = complex(z)
@@ -153,7 +151,7 @@ def hm_interval_quad(z, I, tol=QUAD_TOL):
         I = Interval(*I)
     return poisson_integral(lambda t: 1.0, z, I.t1, I.t2, (),
                             f"harmonic-measure oracle (z={z}, I={I})", budget=ORACLE_BUDGET,
-                            epsabs=tol, epsrel=1e-12, limit=200)[0]
+                            epsrel=1e-12)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +381,11 @@ def hm_system(S, z, segments=(), disk=None):
     return _hm_system(S, z, segments, disk, hm_interval)
 
 
-def hm_system_quad(S, z, segments=(), disk=None, tol=QUAD_TOL):
+def hm_system_quad(S, z, segments=(), disk=None):
     """Quadrature oracle for hm_system: the same dispatch, but each image
     interval is integrated by hm_interval_quad instead of evaluated in closed
     form."""
-    return _hm_system(S, z, segments, disk, lambda w, I: hm_interval_quad(w, I, tol=tol))
+    return _hm_system(S, z, segments, disk, hm_interval_quad)
 
 
 def _hm_system(S, z, segments, disk, measure):

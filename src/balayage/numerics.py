@@ -4,7 +4,8 @@ A point z != 0 lies on a ray when its argument is within ANGULAR_TOL of the
 ray's angle, and otherwise in the open sector between its neighbouring rays
 (RaySystem.sector_index classifies every point; the power map keeps no edge
 tolerance).  Every quadrature goes through integrate(), which compares scipy's
-error estimate with a budget and raises QuadratureFailure past it.
+error estimate with a budget and raises QuadratureFailure past it.  It alone
+sets quad's epsabs and limit; decade_breakpoints is the one split rule.
 
 scipy.integrate is imported on the first quadrature, not with the package:
 most commands evaluate closed forms only and never pay for it.  quad is still
@@ -25,10 +26,10 @@ ANGULAR_TOL = 1e-12
 # so charges whose angles were rounded to about nine digits still read.
 INPUT_ANGULAR_TOL = 1e-9
 
-# Absolute accuracy (epsabs) asked of quad: the harmonic-measure oracles'
-# default tol, and the checks' quadratures, whose accuracy is fixed and not a
-# parameter.
+# Absolute accuracy (epsabs) that integrate() asks of quad on every call; only
+# the Lindelof shells pass epsabs, their share of it.
 QUAD_TOL = 1e-10
+QUAD_LIMIT = 400  # the pieces quad may add to any call's breakpoint split
 # The swept variation on a ray segment whose masses have mixed signs is a sum
 # of |mass| over pieces (charges._ray_variation): the pieces on which no
 # enclosure proves the density's sign miss at most VARIATION_TOL of it
@@ -59,7 +60,7 @@ EDGE_BUDGET_FLOOR = 1e-9
 # are asked for.
 SAMPLE_BLOCK_ELEMENTS = 1 << 16
 
-_EPSABS = _EPSREL = 1.49e-8  # quad's own defaults
+_EPSREL = 1.49e-8  # quad's own default
 
 
 def __getattr__(name):
@@ -83,21 +84,21 @@ def decade_breakpoints(lo, hi, points):
 def integrate(fn, a, b, route, budget=None, spent=0.0, **options):
     """Integral of fn over [a, b] by scipy's quad, with its error checked.
 
-    options go to quad (epsabs, epsrel, limit, points), limit counting the
-    pieces quad may add to the points' split, however many.  The error estimate
-    plus `spent`, the error of earlier calls that share the budget, must not
-    exceed `budget`; budget None asks for the accuracy requested of quad,
-    max(epsabs, epsrel * |value|).  A NaN error estimate (an integrand that
-    returned NaN) fails the check.  Returns (value, spent + error).  QUADPACK's
-    convergence warnings are not emitted: the budget check replaces them.
+    options go to quad (epsabs, epsrel, points); epsabs is QUAD_TOL unless
+    given, and quad may add QUAD_LIMIT pieces to the points' split, however
+    many.  The error estimate plus `spent`, the error of earlier calls that
+    share the budget, must not exceed `budget`; budget None asks for the
+    accuracy requested of quad, max(epsabs, epsrel * |value|).  A NaN error
+    estimate (an integrand that returned NaN) fails the check.  Returns
+    (value, spent + error).  QUADPACK's convergence warnings are not emitted:
+    the budget check replaces them.
     """
     quad = sys.modules[__name__].quad  # a bare global lookup skips __getattr__
-    if options.get("points"):
-        options["limit"] = options.get("limit", 50) + len(options["points"]) + 1
-    val, err = quad(fn, a, b, full_output=1, **options)[:2]
+    options.setdefault("epsabs", QUAD_TOL)
+    limit = QUAD_LIMIT + len(options.get("points") or ()) + 1  # plus the split's pieces
+    val, err = quad(fn, a, b, full_output=1, limit=limit, **options)[:2]
     if budget is None:
-        budget = max(options.get("epsabs", _EPSABS),
-                     options.get("epsrel", _EPSREL) * abs(val))
+        budget = max(options["epsabs"], options.get("epsrel", _EPSREL) * abs(val))
     spent += err
     if not spent <= budget:
         raise QuadratureFailure(

@@ -27,7 +27,7 @@ from .errors import (
 from .charges import AtomicCharge, CheckResult
 from .harmonic_measure import poisson_integral
 from .numerics import (EDGE_BUDGET_FLOOR, EDGE_BUDGET_SHARE, FUNCTIONAL_BUDGET,
-                       IDENTITY_TOL, POTENTIAL_BUDGET, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
+                       IDENTITY_TOL, POTENTIAL_BUDGET, SAMPLE_BLOCK_ELEMENTS,
                        SWEEP_TOL, decade_breakpoints, integrate)
 from .ray_geometry import REAL_AXIS, Sector, modulus, radial_power, reduce_to_halfplane
 
@@ -267,8 +267,7 @@ class ClassAResult:
 
 
 _LOG_NORMAL = -math.log(sys.float_info.min)  # |log x| of the normal floats x
-_FUNCTIONAL = dict(route="functional", budget=FUNCTIONAL_BUDGET, epsabs=QUAD_TOL,
-                   epsrel=1e-10, limit=400)
+_FUNCTIONAL = dict(route="functional", budget=FUNCTIONAL_BUDGET, epsrel=1e-10)
 
 
 def edge_radii(nu, alpha, beta):
@@ -369,8 +368,7 @@ def carleman_check(nu, v, r0, r, tol=IDENTITY_TOL):
     diam_pts = np.unique(x[(np.abs(nu.z.imag) < r0) & (0.0 < x) & (x < r0)]).tolist()
     arc_pts = np.unique(ph[(r0 / 4.0 < az) & (az < 4.0 * r0)
                            & (0.0 < ph) & (ph < math.pi)]).tolist()
-    opts = dict(route="inner correction", budget=POTENTIAL_BUDGET,
-                epsabs=QUAD_TOL, limit=400)
+    opts = dict(route="inner correction", budget=POTENTIAL_BUDGET)
     diam, _ = integrate(lambda t: v(-t) + v(t), 0.0, r0,
                         points=diam_pts or None, **opts)
     arc, _ = integrate(lambda th: v(cmath.rect(r0, th)) * math.sin(th), 0.0,
@@ -425,7 +423,7 @@ def subharmonic_balayage_eval(v, S, z, R_max=1e6, tol=SWEEP_TOL):
 
     total = 0.0
     tail_bound = 0.0
-    opts = dict(route=f"edge (z = {z})", epsabs=QUAD_TOL, epsrel=1e-11, limit=400,
+    opts = dict(route=f"edge (z = {z})", epsrel=1e-11,
                 budget=EDGE_BUDGET_SHARE * max(tol, EDGE_BUDGET_FLOOR))
     cut = min(max(4.0 * abs(w), 4.0), s_max)
     for j, seen_from in S.edge_views(idx, w):

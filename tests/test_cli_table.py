@@ -34,6 +34,7 @@ def files(tmp_path):
         "@sys2": write_json(tmp_path / "sys2.json", {"rays": [0.0, PI]}),
         "@sys3": write_json(tmp_path / "sys3.json", {"rays": [0.0, 2.0, 4.0]}),
         "@narrow": write_json(tmp_path / "narrow.json", {"rays": [0.0, 0.3]}),
+        "@tiny": charge("tiny", [(1e-200 + 1e-200j, 1.0), (0.5 + 0.5j, 1.0)]),
         "@far": charge("far", [(-2.6079314322833947e53 + 3.1937948809416318e37j, 1.0)] * 2),
         "@wide": write_json(tmp_path / "wide.json",
                             {"rays": [1.3974338672691609, 3.900647423753303]}),
@@ -74,6 +75,7 @@ REJECTED = [
     "hm --z 0,1 --interval=-1,1 --a nan",
     "hm --z 0,1 --interval=-1,1 --b 1",
     "hm --z 0,1 --interval=-1,1 --b nan",
+    "hm --z 0,1 --interval=-1,1 --tol 1e-10",  # the oracle's accuracy is no option
     "hm --z 0,1 --interval=-1,1 --tol 0",
     "hm --z 0,1 --interval=-1,1 --tol -1",
     "hm --z 0,1 --interval=-1,1 --tol nan",
@@ -265,6 +267,9 @@ def test_power_map_overflow_exits_3(argv, files):
     # ZeroDivisionError escaped main
     ("potential --charge @far --system @wide --genus 0 --sweep --rmax 1.1395907588295753e+263"
      " --z=2.7676537777924775e+236,-1.6235814298926868e+236", {0, 3}),
+    # z^2 = 2e-400i underflowed to 0 in the power sum, and m / z^2 raised a
+    # ZeroDivisionError that escaped main
+    ("check lindelof --charge @tiny --system @sys2 --q 2 --r0 1e-250 --radii 1e-100,1", {3}),
 ])
 def test_magnitudes_at_the_ends_of_the_float_range_exit_cleanly(argv, codes, files, capsys):
     rc = run(argv, files)

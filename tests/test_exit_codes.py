@@ -150,7 +150,7 @@ def test_hm_oracle_disagreement_exits_1(tmp_path, monkeypatch):
     # the closed form reads 1 (z inside the semidisk on a huge interval); a
     # stub oracle reads 0
     out, ok = tmp_path / "hm.json", tmp_path / "ok.json"
-    monkeypatch.setattr("balayage.cli.hm_interval_quad", lambda z, I, tol: 0.0)
+    monkeypatch.setattr("balayage.cli.hm_interval_quad", lambda z, I: 0.0)
     rc = main(["hm", "--z=0,1e-10", "--interval=-1e300,1e300", "--out", str(out)])
     monkeypatch.undo()
     report = json.loads(out.read_text())

@@ -453,6 +453,73 @@ def test_fubini_with_a_density_past_the_float_range_gives_no_verdict(charge_file
     assert rc == 3 and err.startswith("numeric failure:") and "is not finite" in err
 
 
+# (rays, atoms, tent) of check fubini: in the first ten the pairing side's
+# sigma range passes 2^49, beyond which it was one quad piece however many
+# decades it spans, and it missed a third, a half or all of the mass; in the
+# last two a far image's density underflowed (Im w ~ 1e140) or squared Im w
+# past the float range on the left side, which read -1.46e-98 against
+# -0.043152, and 0 against 17.889.  sigma-sign's left side exits 3 where the
+# density forms coef / h / h (2e337) before the product with t^(p-1)
+FAR_PAIRINGS = {
+    "sigma-half": ([3.803173759768906],
+                   [(-3.133875230410606e-169 + 3.837890269849523e-185j, -1.0),
+                    (1.6200870009255738e-141 - 1.8357331842635394e-156j, 1.2453437012385366e72),
+                    (1.084322656630551e183 - 6.650177468726255e182j, -5.204806149842411e-35)],
+                   "0,4.6705194715064995e-136,259693.1131186135,5.618035206282039e+58"),
+    "sigma-sign": ([1.2793818350474953, 2.2250738585072014e-308, 2.8610918762353927],
+                   [(-1 + 1.2246467991473532e-16j, -1.0),
+                    (1.7733751436817962e-67 + 1.7733751436823874e-73j, 9.99999999999869e299),
+                    (-5.722620883766515e218 + 7.00818934803846e202j, -100.0)],
+                   "0,3.3341633427090274e-43,0.31622776601683794,1.0"),
+    **{f"sigma-four-rays-{i}": (
+        [2.536809287625006, 6.025527485939762e-171, 0.6788860653887586, 2.3562484079950194],
+        [(-1.647799554213479e-79 + 2.0179724497039726e-95j, m),
+         (0.21508647495054262 + 0.9765950073051518j, -1.0)],
+        "0,1.0000000000001308e-300,1.0,2.0847342255674952e+131")
+       for i, m in enumerate([6.17097183786658e100, -1.8622577593312773e-16])},
+    "sigma-upper-edge": ([0.24823333510733847, 3.2519479276750944],
+                         [(-4.037061401452063e278 + 4.943974323249597e262j, -1.0),
+                          (-0.07943282347242814 + 9.727715301274586e-18j, -1.0),
+                          (-6.0774022420044e-74 + 7.442671202801636e-90j, -4.037061401452063e278)],
+                         "1,0.07943282347242814,1.0,2.7502412316901435e+111"),
+    **{f"sigma-zero-{i}": (
+        [4.476607567005688, 2.225073858507203e-309, 2.170648189437465, 2.3603191550742406],
+        [(-1 + 1.2246467991473532e-16j, m),
+         (3.885586107987432e-125 + 4.391772191618133e-124j, 6.309152669188983e-65)],
+        "2,8.098250031896944e+64,7.412486248339514e+156,6.876985791020001e+183")
+       for i, m in enumerate([1e8, 1e299])},
+    **{f"sigma-one-ray-{i}": (
+        [2.2250738585072014e-308],
+        [(2.64532665221491e-75 + 4.119852162394993e-75j, 6.745876773007996e241)], tent)
+       for i, tent in enumerate(["0,1.0000010701044262,7.974466865549451e+36,4.193612730660464e+60",
+                                 "0,1.0,1.0000010701044262,4.193612730660464e+60"])},
+    "sigma-two-rays": ([1.8098577725338547, 1.5012661134732583],
+                       [(-1000 + 1.2246467991473532e-13j, -1.0),
+                        (-1.5499403761743627e-100 + 1.898129520551178e-116j, 3.4148237178675283e168)],
+                       "0,1.0,7138192362.163713,1.6634868767695657e+177"),
+    "far-image-underflow": ([1e-06],
+                            [(-9.874785683855122e279 + 1.2093124679999282e264j, -0.04315201751469349),
+                             (-30.842434124928452 - 6.981708762863771j, 2.1967087966646275e-142)],
+                            "0,6.652183063799779e-220,1.0,1e+299"),
+    "far-image-square": ([0.8358248965526507, 4.450045242563985],
+                         [(4.378130570745164e146 - 3.497368528484421e146j, 31.622776601683793)],
+                         "1,1.2746319430708628e-43,1.0,2.719722657800225e+200"),
+}
+
+
+@pytest.mark.parametrize("rays, atoms, tent", FAR_PAIRINGS.values(), ids=FAR_PAIRINGS)
+def test_the_fubini_sides_agree_past_2_to_the_49_in_sigma_and_at_far_images(
+        rays, atoms, tent, charge_file, system_file, tmp_path):
+    # PAIRING_TOL is absolute, so past about 1e8 the check exits 1 on sides
+    # that agree to rounding: the test reads their relative difference
+    out = tmp_path / "check.json"
+    rc = main(["check", "fubini", "--charge", charge_file(atoms), "--system",
+               system_file(rays), "--tent", tent, "--out", str(out)])
+    report = json.loads(out.read_text())
+    lhs, rhs = report["lhs"], report["rhs"]
+    assert rc in (0, 1) and abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
+
+
 def test_more_decades_than_the_subinterval_limit_still_integrate(charge_file, system_file,
                                                                 tmp_path, capsys):
     # quad refuses as many breakpoints as its subinterval limit with a
@@ -689,7 +756,8 @@ def test_integrate_raises_when_the_error_misses_its_budget():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureFailure, match="probe"):
-            integrate(lambda x: math.sin(1.0 / x), 1e-6, 1.0, "probe", limit=3)
+            # sin(1/x) oscillates past what QUAD_LIMIT pieces resolve
+            integrate(lambda x: math.sin(1.0 / x), 1e-6, 1.0, "probe")
         with pytest.raises(QuadratureFailure, match="probe"):
             integrate(math.exp, 0.0, 1.0, "probe", budget=1e-20)
     value, spent = integrate(math.exp, 0.0, 1.0, "probe", budget=1e-6)
@@ -758,6 +826,32 @@ def test_quad_is_bound_in_one_module_only():
     for mod in modules:
         if mod.__name__ != "balayage.numerics":
             assert "IntegrationWarning" not in inspect.getsource(mod), mod.__name__
+
+
+def test_integrate_alone_sets_the_accuracy_and_the_subdivision_limit():
+    # one subdivision limit, QUAD_LIMIT, and one absolute accuracy, QUAD_TOL:
+    # no route passes limit to integrate or poisson_integral, and only the
+    # Lindelof shells pass epsabs, their share of QUAD_TOL; a ** argument may
+    # set any key its file writes into a dict
+    setters = {"limit": set(), "epsabs": set()}
+    for stem, tree in _package_trees():
+        if stem == "numerics":
+            continue
+        spread = _dict_keys(tree)
+        for top in tree.body:
+            for call in ast.walk(top):
+                if getattr(getattr(call, "func", None), "id", None) not in (
+                        "integrate", "poisson_integral"):
+                    continue
+                keys = {kw.arg for kw in call.keywords}
+                for key in setters.keys() & (keys | (spread if None in keys else set())):
+                    setters[key].add(f"{stem}.{getattr(top, 'name', '<module>')}")
+    assert setters == {"limit": set(), "epsabs": {"charges.check_lindelof_preservation"}}
+    # poisson_integral splits by decade_breakpoints, not by a 2^k loop of its own
+    pi = next(node for _, tree in _package_trees() for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "poisson_integral")
+    assert not [node for node in ast.walk(pi) if isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Pow) and getattr(node.left, "value", None) == 2]
 
 
 def _package_trees():
