@@ -3,6 +3,8 @@ in the complex plane: exact harmonic-measure kernels, growth-scale
 diagnostics, convergence-condition checkers, boundary-identity verification,
 and regular-growth analysis of zero distributions."""
 
+from types import ModuleType as _ModuleType
+
 from .charges import (AtomicCharge, BalayageCharge, CheckResult,
                       LipschitzReport, RayTestFunction,
                       balayage_halfplane, balayage_system, blaschke_halfplane,
@@ -22,22 +24,21 @@ from .growth_scales import (ConvergenceReport, GrowthReport, ZeroReport,
                             growth_report, order_at_infinity, type_at)
 from .harmonic_measure import (BoundarySegment, BoundEntry, BoundReport,
                                Interval, hm_bounds, hm_interval,
-                               hm_interval_quad, hm_sector_disk,
-                               hm_sector_disk_bounds, hm_sector_segment,
+                               hm_interval_quad, hm_sector_disk_bounds,
                                hm_system, hm_system_quad, poisson_kernel)
 from .numerics import ANGULAR_TOL
 from .ray_geometry import (REAL_AXIS, RaySystem, Sector, complementary_sectors,
                            normalize_angle, reduce_to_halfplane, relative_angle)
 from .regular_growth import (CRGReport, RayLimitRecord, angular_density,
                              crg_on_rays, exgr2_functionals,
-                             indicator_estimate, pv_kernel_integral)
+                             pv_kernel_integral)
 from .stepfn import StepFunction
 from .subharmonic import (CanonicalPotential, ClassAResult, GenusSchedule,
                           carleman_check, class_A_functionals,
-                          edge_radii, kernel_Kq, kernel_Kq_radial_derivative,
-                          potential_eval, subharmonic_balayage_eval,
-                          sweep_potential_eval)
+                          edge_radii, kernel_Kq, potential_eval,
+                          subharmonic_balayage_eval, sweep_potential_eval)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

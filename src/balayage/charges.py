@@ -329,6 +329,9 @@ class BalayageCharge:
         self._ray(j)  # BadInput for a ray the target lacks
         kept_r, kept_m = self._kept_on_rays[j]
         x = np.asarray(x, dtype=float)
+        ok = x >= 0.0
+        if not ok.all():
+            raise BadInput(f"need radii x >= 0, got {_first(x.ravel(), ~ok.ravel())}")
         total = np.zeros(x.shape)
         pos = x > 0.0
         if pos.any():
@@ -378,6 +381,8 @@ def distribution_on_R(nu, x):
     mass of [x, 0) for x < 0.  Accepts a real-supported AtomicCharge or a
     BalayageCharge whose target lies in R."""
     x = float(x)
+    if math.isnan(x):
+        raise BadInput("need a real x, got nan")
     if isinstance(nu, AtomicCharge):
         off = REAL_AXIS.sector_index(nu.z) >= 0
         if off.any():
@@ -481,6 +486,8 @@ def variation_radial(bal, r):
     """|nu^bal| mass of the closed disk of radius r: the kept atoms in it and
     the swept variation on [0, r] of every ray (REAL_AXIS's two for the
     half-plane sweep)."""
+    if not r >= 0.0:
+        raise BadInput(f"need r >= 0, got {r}")
     total = math.fsum(np.abs(bal.kept.m[modulus(bal.kept.z) <= r]).tolist())
     return total + math.fsum(_ray_variation(bal, j, 0.0, r) for j in range(len(bal.rays)))
 

@@ -8,10 +8,11 @@ gives it in closed form on one point or on arrays alike:
 
 Q > 0 outside the closed semidisk on [a, b] (center x0, radius r), Q < 0
 inside it, and Q = 0 on the semicircle gives exactly 1/2; no arctan difference cancels when w is far
-from the interval.  Sector versions reduce to the half-plane by the power map
-of ray_geometry.  poisson_integral is the package's one quadrature of the
-Poisson kernel: the independent oracle of the closed form, the Fubini pairing
-and the sweep of a potential all call it.
+from the interval.  The measures of a ray system's complement reduce to the
+half-plane by the power map of ray_geometry; a sector's are those of its
+edges' system, hm_system(sec.edges, ...).  poisson_integral is the package's
+one quadrature of the Poisson kernel: the independent oracle of the closed
+form, the Fubini pairing and the sweep of a potential all call it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
 from .numerics import BOUND_SLACK, ORACLE_BUDGET, decade_breakpoints, integrate
-from .ray_geometry import normalize_angle, radial_power, reduce_to_halfplane
+from .ray_geometry import radial_power, reduce_to_halfplane
 
 # The least positive normal float: a product below it has lost bits to underflow.
 _NORMAL_MIN = np.finfo(float).tiny
@@ -55,8 +56,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class BoundarySegment:
-    """Radial piece a <= t <= b of one ray (by index) of a system, or one
-    sector edge (0 = lower edge, 1 = upper edge)."""
+    """Radial piece a <= t <= b of one ray (by index) of a system."""
 
     ray_index: int
     a: float
@@ -105,8 +105,6 @@ def hm_interval(z, I):
     the endpoints themselves are singular and rejected.
     """
     z = complex(z)
-    if isinstance(I, (tuple, list)):
-        I = Interval(*I)
     y = z.imag
     if y < 0.0:
         raise NotInUpperHalfPlane(f"need Im z >= 0, got z = {z}")
@@ -147,8 +145,6 @@ def hm_interval_quad(z, I):
     """Adaptive-quadrature oracle for hm_interval: the poisson_integral of 1
     over I, independent of the closed form."""
     z = complex(z)
-    if isinstance(I, (tuple, list)):
-        I = Interval(*I)
     return poisson_integral(lambda t: 1.0, z, I.t1, I.t2, (),
                             f"harmonic-measure oracle (z={z}, I={I})", budget=ORACLE_BUDGET,
                             epsrel=1e-12)[0]
@@ -199,8 +195,6 @@ def hm_bounds(z, I, a=0.5, b=2.0):
     t1 >= 0 exactly as stated.  A bound holds within BOUND_SLACK.
     """
     z = complex(z)
-    if isinstance(I, (tuple, list)):
-        I = Interval(*I)
     if not (0.0 < a < 1.0):
         raise BadInput(f"need a in (0,1), got {a}")
     if not b > 1.0:
@@ -319,55 +313,32 @@ def hm_bounds(z, I, a=0.5, b=2.0):
 # Sector and system measures
 
 
-def _sector_views(sec, z):
-    """sec.edges.edge_views of sec from the image w of z under its power map,
-    z classified once by sec.edges.ray_index: a point on an edge maps onto
-    that edge's half of R at |z|^p, any other point by reduce_to_halfplane
-    (NotInUpperHalfPlane outside the closed sector)."""
-    edges, z = sec.edges, complex(z)
-    i, j = edges.thetas.index(normalize_angle(sec.alpha)), edges.ray_index(z)
-    if j is None:
-        return edges.edge_views(i, reduce_to_halfplane(sec, z))
-    rho = radial_power(abs(z), sec.exponent)
-    return edges.edge_views(i, complex(rho if j == i else -rho, 0.0))
-
-
-def hm_sector_segment(sec, z, seg):
-    """Harmonic measure, within the sector, of a radial segment of one edge
-    (seg.ray_index 0 the lower edge, 1 the upper), seen from its edge view."""
-    if seg.ray_index not in (0, 1):
-        raise BadInput(f"sector edge index must be 0 or 1, got {seg.ray_index}")
-    seen_from, p = _sector_views(sec, z)[seg.ray_index][1], sec.exponent
-    return hm_interval(seen_from, Interval(radial_power(seg.a, p), radial_power(seg.b, p)))
-
-
-def hm_sector_disk(sec, z, r):
-    """Harmonic measure, within the sector, of (both edges inside) the closed
-    disk D(0, r), z read by _sector_views: on an edge, the Dirac mass."""
-    if r <= 0.0:
-        raise BadInput(f"need r > 0, got {r}")
-    w = _sector_views(sec, z)[0][1]
-    rp = radial_power(r, sec.exponent)
-    return hm_interval(w, Interval(-rp, rp))
-
-
 def hm_sector_disk_bounds(sec, z, r, a):
     """Upper bounds for the sector disk/tail measures under the scale split a.
 
-    Returns a dict with whichever of the two applies, z read by _sector_views:
+    Returns a dict with whichever of the two applies:
       "disk_upper":  a*|z| >= r  ->  bound on the harmonic measure of S-edge within D(r),
       "tail_upper":  a*r >= |z|  ->  bound on the measure of the edge outside D(r).
+    z is classified once by sec.edges.ray_index, as hm_system classifies it:
+    on an edge, where the measure is the Dirac mass, both bounds read 0;
+    any other point is mapped by reduce_to_halfplane (NotInUpperHalfPlane
+    outside the closed sector).
     """
     if not (0.0 < a < 1.0):
         raise BadInput(f"need a in (0,1), got {a}")
-    p = sec.exponent
-    w = _sector_views(sec, z)[0][1]
+    if not r > 0.0:
+        raise BadInput(f"need r > 0, got {r}")
+    p, z = sec.exponent, complex(z)
+    y = iy = 0.0
+    if sec.edges.ray_index(z) is None:
+        w = reduce_to_halfplane(sec, z)
+        y, iy = w.imag, imag_inv_conj(w)
     out = {}
     den = math.pi * (1.0 - a ** p) ** 2
     if a * abs(z) >= r:
-        out["disk_upper"] = 2.0 * radial_power(r, p) / den * imag_inv_conj(w)
+        out["disk_upper"] = 2.0 * radial_power(r, p) / den * iy
     if a * r >= abs(z):
-        out["tail_upper"] = 2.0 * radial_power(r, -p) / den * w.imag
+        out["tail_upper"] = 2.0 * radial_power(r, -p) / den * y
     return out
 
 

@@ -1,6 +1,6 @@
-"""Indicator estimation, principal-value kernel integrals against radial
-counting functions, completely-regular-growth diagnostics on rays, the
-four-bisector functionals, and angular densities.
+"""Principal-value kernel integrals against radial counting functions,
+completely-regular-growth diagnostics on rays, the four-bisector functionals,
+and angular densities.
 
 "Limit outside a set of zero relative density" is operationalized on a finite
 radius grid: fit a limit candidate, count the radii whose relative residual
@@ -22,26 +22,6 @@ from .growth_scales import exact_ratios, radius_grid
 from .ray_geometry import REAL_AXIS, Sector, modulus, normalize_angle, radial_power
 from .stepfn import StepFunction
 from .subharmonic import kernel_sum
-
-
-# ---------------------------------------------------------------------------
-# Indicator estimation
-
-
-def indicator_estimate(v, theta, p, window):
-    """Max of v(r e^{i theta}) / r^p over a grid in the window, eight steps
-    per octave.
-
-    Estimator semantics: a grid maximum is a lower estimate of the limsup;
-    callers choose windows wide enough for their data.
-    """
-    if not p > 0.0:
-        raise BadInput(f"need p > 0, got {p}")
-    r_lo, r_hi = window
-    best = -math.inf
-    for r in radius_grid(r_lo, r_hi, 8):
-        best = max(best, v(cmath.rect(r, theta)) / r ** p)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -112,18 +112,6 @@ def kernel_Kq(zeta, z, q):
     return kernel_sum(kernel_atoms(AtomicCharge([(zeta, 1.0)])), complex(z), q)
 
 
-def kernel_Kq_radial_derivative(z, t, q):
-    """d/dt of kernel_Kq(t, z, q) for t > 0: Re(z^{q+1} / (t^{q+1} (t - z)))."""
-    if t <= 0.0:
-        raise BadInput(f"need t > 0, got {t}")
-    if not (isinstance(q, int) and q >= 0):
-        raise BadInput(f"need integer genus >= 0, got {q}")
-    z = complex(z)
-    if z == t:
-        raise CoincidentPoints(f"derivative is singular at t = z = {t}")
-    return ((z / t) ** (q + 1) / (t - z)).real
-
-
 # ---------------------------------------------------------------------------
 # Genus schedules and canonical potentials
 
@@ -159,13 +147,6 @@ class GenusSchedule:
             raise BadInput(f"need t >= 0, got {t}")
         q = np.array(self.genera)[np.searchsorted(self.radii, t, side="right") - 1]
         return int(q) if np.ndim(q) == 0 else q
-
-    def convergence_sum(self, nu, x0):
-        """Exact sum of |m| (x0/|zeta|)^{q(|zeta|)+1} over atoms off the origin."""
-        az = modulus(nu.z)
-        off = az != 0.0
-        az = az[off]
-        return math.fsum((np.abs(nu.m[off]) * (x0 / az) ** (self.genus_at(az) + 1.0)).tolist())
 
     def to_json(self):
         return {"radii": list(self.radii), "genera": list(self.genera)}

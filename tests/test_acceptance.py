@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from balayage import (AtomicCharge, CanonicalPotential, RaySystem,
+from balayage import (AtomicCharge, CanonicalPotential, Interval, RaySystem,
                       RayTestFunction, Sector, StepFunction, angular_density,
                       balayage_halfplane, balayage_system, carleman_check,
                       check_fubini, check_ges_bound, check_ges_bound_system,
@@ -23,9 +23,9 @@ from balayage import (AtomicCharge, CanonicalPotential, RaySystem,
                       complementary_sectors, convergence_integral_inf,
                       convergence_integral_zero, crg_on_rays,
                       distribution_on_R, hm_bounds, hm_interval,
-                      hm_interval_quad, hm_sector_disk, hm_sector_disk_bounds,
-                      indicator_estimate, kernel_Kq,
-                      kernel_Kq_radial_derivative, potential_eval)
+                      hm_interval_quad, hm_sector_disk_bounds, hm_system,
+                      kernel_Kq, potential_eval)
+from conftest import indicator_estimate, kernel_Kq_radial_derivative
 
 PI = math.pi
 
@@ -44,7 +44,7 @@ def _random_z(rng):
 def _random_interval(rng):
     t1 = rng.uniform(-60.0, 60.0)
     t2 = t1 + rng.uniform(1e-3, 40.0)
-    return (t1, t2)
+    return Interval(t1, t2)
 
 
 def test_criterion_01_closed_form_vs_oracle():
@@ -59,11 +59,11 @@ def test_criterion_01_closed_form_vs_oracle():
     # three-case boundary: points on the semicircle over I carry measure 1/2
     semi_worst = 0.0
     for _ in range(100):
-        t1, t2 = _random_interval(rng)
-        c, r = 0.5 * (t1 + t2), 0.5 * (t2 - t1)
+        I = _random_interval(rng)
+        c, r = I.center, I.radius
         th = rng.uniform(0.05, PI - 0.05)
         z = complex(c + r * math.cos(th), r * math.sin(th))
-        semi_worst = max(semi_worst, abs(hm_interval(z, (t1, t2)) - 0.5))
+        semi_worst = max(semi_worst, abs(hm_interval(z, I) - 0.5))
     assert semi_worst <= 1e-10
     _finish(1, t0, 10.0,
             f"worst |closed-quad| {worst:.2e}, semicircle dev {semi_worst:.2e}")
@@ -99,7 +99,7 @@ def test_criterion_02_bound_dominance():
             r = a * az * rng.uniform(0.2, 1.0)
         else:
             r = az / (a * rng.uniform(0.2, 1.0))
-        disk_exact = hm_sector_disk(sec, z, r)
+        disk_exact = hm_system(sec.edges, z, disk=r)
         tail_exact = 1.0 - disk_exact
         for name, bound in hm_sector_disk_bounds(sec, z, r, a).items():
             checked += 1

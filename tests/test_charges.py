@@ -609,9 +609,9 @@ def _mp_ray_density(z, sec, e, t):
 def test_narrow_sector_density_matches_mpmath(z, rel):
     # Next to the edge at 0.3 the angle to it, 1e-7, comes from arg z - 0.3,
     # and arg z is rounded to about 3e-17: the density keeps about 3e-10
-    # relative there, as hm_sector_segment does.  Next to the edge at 2*pi
-    # the angle is 0 - arg z, with no 2*pi in it; formed as the aperture
-    # minus 2*pi + (arg z - 0.3), it cost about 3e-9 relative.
+    # relative there, as hm_system does.  Next to the edge at 2*pi the angle
+    # is 0 - arg z, with no 2*pi in it; formed as the aperture minus
+    # 2*pi + (arg z - 0.3), it cost about 3e-9 relative.
     S = RaySystem([0.0, 0.3])
     bal = balayage_system(AtomicCharge([(z, 1.0)]), S)
     sec = S.sectors[bal.sector[0]]

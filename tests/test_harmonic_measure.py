@@ -11,8 +11,7 @@ from scipy.integrate import quad
 from balayage import (AtomicCharge, BadInput, BoundarySegment, EndpointSingularity, Interval,
                       NotInUpperHalfPlane, NumericFailure, RaySystem, Sector,
                       balayage_system, hm_bounds, hm_interval, hm_interval_quad,
-                      hm_sector_disk, hm_sector_disk_bounds, hm_sector_segment,
-                      hm_system, hm_system_quad, poisson_kernel)
+                      hm_sector_disk_bounds, hm_system, hm_system_quad, poisson_kernel)
 from balayage.cli import main
 from balayage.numerics import ORACLE_BUDGET
 
@@ -125,39 +124,45 @@ def test_hm_bounds_random_bracketing():
         assert rep.all_hold, (z, t1, t2, [(e.name, e.value) for e in rep.entries])
 
 
-def test_hm_sector_segment_identity_reduction():
+def edge_segment(sec, edge, a, b):
+    """The radial piece [a, b] of the sector's lower (edge 0) or upper (edge 1)
+    edge, as a BoundarySegment of the edges' system sec.edges."""
+    theta = (sec.alpha, sec.beta)[edge]
+    return BoundarySegment(sec.edges.ray_index(cmath.rect(1.0, theta)), a, b)
+
+
+def test_sector_segment_identity_reduction():
     sec = Sector(0.0, PI)
-    val = hm_sector_segment(sec, 1j, BoundarySegment(0, 0.0, 1.0))
+    val = hm_system(sec.edges, 1j, [edge_segment(sec, 0, 0.0, 1.0)])
     assert val == pytest.approx(0.25, abs=1e-14)
 
 
-def test_hm_sector_segment_quarter():
+def test_sector_segment_quarter():
     sec = Sector(0.0, PI / 2)
     z = 2 * cmath.exp(1j * PI / 4)
-    val = hm_sector_segment(sec, z, BoundarySegment(0, 0.0, 1.0))
+    val = hm_system(sec.edges, z, [edge_segment(sec, 0, 0.0, 1.0)])
     assert val == pytest.approx(math.atan(1 / 4) / PI, abs=1e-13)
 
 
-def test_hm_sector_segment_full_aperture_quadrature():
-    sec = Sector(0.0, 2 * PI)
-    z = -1.0 + 0.0j  # interior of the slit plane; reduces to (-1)^(1/2) = i
-    val = hm_sector_segment(sec, z, BoundarySegment(0, 0.0, 1.0))
-    oracle, _ = quad(lambda t: poisson_kernel(t, 1j), 0.0, 1.0, epsabs=1e-12)
-    assert val == pytest.approx(oracle, abs=1e-8)
+def test_one_ray_segment_is_measured_from_both_sides():
+    # the complement of one ray is the slit plane: z = -1 maps to w = i, and
+    # [0, 1] on the ray is both [0, 1] and [-1, 0] of R, each of measure 1/4
+    val = hm_system(RaySystem([0.0]), -1.0, [BoundarySegment(0, 0.0, 1.0)])
+    assert abs(val - 0.5) <= 1e-15
 
 
-def test_hm_sector_disk_values():
+def test_sector_disk_values():
     sec = Sector(0.0, PI / 2)
     z = 2 * cmath.exp(1j * PI / 4)
-    assert hm_sector_disk(sec, z, 1.0) == pytest.approx(
+    assert hm_system(sec.edges, z, disk=1.0) == pytest.approx(
         math.atan(8 / 15) / PI, abs=1e-14)
     half = Sector(0.0, PI)
     for b in (1.5, 2.0, 7.0):
-        assert hm_sector_disk(half, 1j * b, 1.0) == pytest.approx(
+        assert hm_system(half.edges, 1j * b, disk=1.0) == pytest.approx(
             math.atan(2 * b / (b * b - 1)) / PI, abs=1e-13)
 
 
-def test_hm_sector_disk_bound_dominance():
+def test_sector_disk_bound_dominance():
     rng = np.random.default_rng(11)
     for _ in range(200):
         alpha = rng.uniform(0, 2 * PI)
@@ -169,7 +174,7 @@ def test_hm_sector_disk_bound_dominance():
         z = zr * cmath.exp(1j * (alpha + rng.uniform(0.05, 0.95) * aperture))
         bounds = hm_sector_disk_bounds(sec, z, r, a)
         assert "disk_upper" in bounds
-        assert hm_sector_disk(sec, z, r) <= bounds["disk_upper"] + 1e-12
+        assert hm_system(sec.edges, z, disk=r) <= bounds["disk_upper"] + 1e-12
 
 
 
@@ -177,30 +182,32 @@ def test_hm_sector_disk_bound_dominance():
 @given(alpha=st.floats(0.0, 2 * PI, exclude_max=True), aperture=st.floats(0.3, 2 * PI - 0.3),
        r=st.floats(0.01, 100.0))
 def test_the_sector_measures_keep_the_one_edge_rule(alpha, aperture, r):
-    # hm_sector_* classify z once on sec.edges, as hm_system does: a point on
-    # an edge, or 4e-13 rad to either side of it, has the Dirac value there;
-    # one 5e-12 rad inside is in the sector, and one 5e-12 rad outside is no
-    # point of the closed sector.  The power map snapped the last onto the
-    # edge, and mapped a point 4e-13 rad off an edge off R, its measure up to
-    # 2e-9 off the Dirac value.
+    # hm_system on sec.edges and hm_sector_disk_bounds classify z once on
+    # sec.edges: a point on an edge, or 4e-13 rad to either side of it, has
+    # the Dirac measure there, and its image on R gives each bound 0; one
+    # 5e-12 rad inside is in the sector, its image off R, and one 5e-12 rad
+    # outside is no point of the closed sector.
     for sec in RaySystem([alpha, alpha + aperture]).sectors:
         E = sec.edges
-        for edge, theta, inward in ((0, sec.alpha, 1.0), (1, sec.beta, -1.0)):
+        for theta, inward in ((sec.alpha, 1.0), (sec.beta, -1.0)):
             j = E.ray_index(cmath.rect(1.0, theta))
             for d in (0.0, 4e-13, -4e-13, 5e-12):
                 z = cmath.rect(r, theta + inward * d)
-                for s in (0.5, 2.0):  # off the disk circle
-                    assert hm_sector_disk(sec, z, s * r) == hm_system(E, z, disk=s * r)
-                for e, ray in ((edge, j), (1 - edge, 1 - j)):
+                on_edge = d != 5e-12
+                for s, key in ((0.25, "disk_upper"), (4.0, "tail_upper")):  # off the disk circle
+                    bound = hm_sector_disk_bounds(sec, z, s * r, 0.5)
+                    assert list(bound) == [key]
+                    assert (bound[key] == 0.0) if on_edge else (bound[key] > 0.0)
+                    if on_edge:
+                        assert hm_system(E, z, disk=s * r) == (s > 1.0)
+                if not on_edge:
+                    continue
+                for ray in (j, 1 - j):
                     # ends off |z|: below it, from 0 or not, around it and above it
                     for a, b in ((0.0, r / 2), (r / 4, r / 2), (r / 2, 2 * r), (2 * r, 4 * r)):
-                        assert (hm_sector_segment(sec, z, BoundarySegment(e, a, b))
-                                == hm_system(E, z, segments=[BoundarySegment(ray, a, b)]))
+                        assert (hm_system(E, z, segments=[BoundarySegment(ray, a, b)])
+                                == (ray == j and a < r < b))
             out = cmath.rect(r, theta - inward * 5e-12)
-            with pytest.raises(BadInput, match="not in the closed sector"):
-                hm_sector_disk(sec, out, r)
-            with pytest.raises(BadInput, match="not in the closed sector"):
-                hm_sector_segment(sec, out, BoundarySegment(edge, 0.0, r))
             with pytest.raises(BadInput, match="not in the closed sector"):
                 hm_sector_disk_bounds(sec, out, r, 0.5)
 
@@ -224,15 +231,16 @@ def _mp_sector_hm(z, t1, t2):
 def test_narrow_sector_measures_match_mpmath(z, rel):
     # Next to the upper edge the angle to it, 1e-7, is arg z - 0.3, and arg z
     # is rounded to about 1e-16: the measure keeps about 1e-9 relative there.
+    E = NARROW.edges
     with mpmath.workdps(50):
         rp = lambda t: mpmath.mpf(t) ** (mpmath.pi / mpmath.mpf(0.3))
         cases = [
-            (hm_sector_segment(NARROW, z, BoundarySegment(0, 1.5, 3.0)),
+            (hm_system(E, z, [edge_segment(NARROW, 0, 1.5, 3.0)]),
              _mp_sector_hm(z, rp(1.5), rp(3.0))),
-            (hm_sector_segment(NARROW, z, BoundarySegment(1, 0.5, 2.0)),
+            (hm_system(E, z, [edge_segment(NARROW, 1, 0.5, 2.0)]),
              _mp_sector_hm(z, -rp(2.0), -rp(0.5))),
-            (hm_sector_disk(NARROW, z, 0.9), _mp_sector_hm(z, -rp(0.9), rp(0.9))),
-            (hm_sector_disk(NARROW, z, 2.0), _mp_sector_hm(z, -rp(2.0), rp(2.0))),
+            (hm_system(E, z, disk=0.9), _mp_sector_hm(z, -rp(0.9), rp(0.9))),
+            (hm_system(E, z, disk=2.0), _mp_sector_hm(z, -rp(2.0), rp(2.0))),
         ]
         for got, want in cases:
             assert abs(got - want) <= rel * abs(want), (got, want)
@@ -242,9 +250,9 @@ def test_narrow_sector_power_overflow_is_a_numeric_failure():
     # 1e40 ** 10.47 passes the float range
     z = complex(1.0, 0.1)
     with pytest.raises(NumericFailure, match="overflows"):
-        hm_sector_disk(NARROW, z, 1e40)
+        hm_system(NARROW.edges, z, disk=1e40)
     with pytest.raises(NumericFailure, match="overflows"):
-        hm_sector_segment(NARROW, z, BoundarySegment(0, 1.0, 1e40))
+        hm_system(NARROW.edges, z, [edge_segment(NARROW, 0, 1.0, 1e40)])
     with pytest.raises(NumericFailure, match="overflows"):
         hm_system_quad(RaySystem([0.0, 0.3]), z, disk=1e40)
 
@@ -266,6 +274,11 @@ def test_sector_disk_bounds_power_overflow_is_a_numeric_failure():
     # here only r**(-p) does: |z|**p = 1e-314 is still a float
     with pytest.raises(NumericFailure, match="overflows"):
         hm_sector_disk_bounds(NARROW, 1e-30 + 1e-31j, 3e-30, 0.5)
+    # on an edge the bounds are the Dirac mass's 0, with no |z|**p to form:
+    # 1e-40 maps to 0, whose Im(1/conj w) raised ZeroDivisionError, and
+    # 1e40 past the float range, a NumericFailure for a bound that is 0
+    assert hm_sector_disk_bounds(NARROW, 1e-40, 1e-41, 0.5) == {"disk_upper": 0.0}
+    assert hm_sector_disk_bounds(NARROW, cmath.rect(1e40, 0.3), 1e20, 0.5) == {"disk_upper": 0.0}
 
 def test_hm_system_half_plane_segment():
     S = RaySystem([0.0, PI])
@@ -335,7 +348,7 @@ def test_far_point_bounds_bracket_the_exact_value(tmp_path):
     out = tmp_path / "hm.json"
     assert main(["hm", "--z", "0,1e300", "--interval=1,2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    exact = hm_interval(1e300j, (1.0, 2.0))
+    exact = hm_interval(1e300j, Interval(1.0, 2.0))
     with mpmath.workdps(50):
         y = mpmath.mpf(1e300)
         want = float(mpmath.atan(y / (2 + y * y)) / mpmath.pi)
@@ -350,7 +363,7 @@ def test_overflowing_q_near_a_long_interval_keeps_its_measure():
     # Q = -1e600 overflows while w sits 1e-10 above the centre of a 2e300-long
     # interval: the far form scales by the half length, not by d = 1e-10 (whose
     # h/d overflows to a NaN measure), nor by d = 0 for a real w at the centre
-    assert hm_interval(1e-10j, (-1e300, 1e300)) == 1.0
+    assert hm_interval(1e-10j, Interval(-1e300, 1e300)) == 1.0
     for z in (1e-10j, 0j):
         rep = hm_bounds(z, Interval(-1e200, 1e200))
         assert rep.exact == 1.0 and rep.all_hold

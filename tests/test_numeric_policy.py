@@ -11,6 +11,7 @@ import json
 import math
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -915,11 +916,10 @@ def _callers(callee):
 
 def test_sector_images_are_formed_once_per_object():
     # a sweep's images are formed in BalayageCharge, and the Blaschke sums
-    # read them; hm_system and its oracle share one dispatch, and the three
-    # hm_sector_* measures one helper
+    # read them; hm_system and its oracle share one dispatch
     assert _callers("reduce_to_halfplane") == {
         "charges.BalayageCharge.__post_init__", "harmonic_measure._hm_system",
-        "harmonic_measure._sector_views", "subharmonic.subharmonic_balayage_eval",
+        "harmonic_measure.hm_sector_disk_bounds", "subharmonic.subharmonic_balayage_eval",
         "subharmonic.sweep_potential_eval"}
     # a boundary segment is input, not an edge tag: only the CLI builds one
     owners = _callers("BoundarySegment")
@@ -939,12 +939,12 @@ def _is_mirror(node):
 
 def test_the_edges_of_a_sector_are_formed_once():
     # sector i's edges are rays i and i + 1, the upper one seen from the
-    # mirror -conj(w): RaySystem.edge_views forms them, and the sector's
-    # measures, the Fubini pairing and the potential sweep read it
+    # mirror -conj(w): RaySystem.edge_views forms them, and the measures of a
+    # ray system's complement, the Fubini pairing and the potential sweep read it
     assert _owners(_is_mirror) == {"ray_geometry.RaySystem.edge_views"}
     assert _callers("edge_views") == {
-        "harmonic_measure._hm_system", "harmonic_measure._sector_views",
-        "charges._poisson_pairing", "subharmonic.subharmonic_balayage_eval"}
+        "harmonic_measure._hm_system", "charges._poisson_pairing",
+        "subharmonic.subharmonic_balayage_eval"}
 
 
 def test_the_angular_tolerances_are_the_on_ray_and_input_rules():
@@ -1065,27 +1065,83 @@ def test_every_library_option_has_a_caller():
         f"{name}({p})" for name, p in sorted(unset))
 
 
+# The public entry points that no other function of the package calls.
+# README's library section names them, and the tests call them.
+ENTRY_POINTS = {"charges.distribution_on_R", "harmonic_measure.hm_sector_disk_bounds",
+                "regular_growth.pv_kernel_integral", "subharmonic.kernel_Kq"}
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_section(title):
+    return README.read_text().split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
 def test_every_library_function_has_a_caller():
-    """A function, method or class of the package whose name nothing in the
-    package or the tests reads is dead code: a method must be read as an
-    attribute, anything else as a name or an attribute (so a local variable
-    that shares a method's name does not keep the method alive); a name
-    stored in a table such as cli.COMMANDS is read there."""
-    defs = []
+    """A function, method or class of the package that nothing in the package
+    reads outside its own definition is test code or dead code, unless it is
+    one of the ENTRY_POINTS.  A method must be read as an attribute, anything
+    else as a name or an attribute (so a local variable that shares a
+    method's name does not keep the method alive); a name stored in a table
+    such as cli.COMMANDS is read there.  __init__ only re-exports."""
+    defs, reads = [], {}
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
-        defs += [(node.name, f"{path.stem}.{node.name}", id(node) in methods)
-                 for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                 and not (node.name.startswith("__") and node.name.endswith("__"))]
-    names, attrs = set(), set()
-    for path in sorted(p for d in CALLERS for p in d.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
-            elif isinstance(node, ast.Name):
-                names.add(node.id)
-    dead = [q for name, q, method in defs
-            if name not in attrs and (method or name not in names)]
-    assert not dead, "functions that nothing calls: " + ", ".join(sorted(dead))
+        if path.stem == "__init__":
+            continue
+
+        def visit(node, cls, within):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defs.append((node.name, f"{path.stem}.{cls}{node.name}", bool(cls),
+                                 id(node)))
+                within = within | {id(node)}
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                attr = isinstance(node, ast.Attribute)
+                reads.setdefault(node.attr if attr else node.id, []).append((attr, within))
+            for child in ast.iter_child_nodes(node):
+                visit(child, f"{node.name}." if isinstance(node, ast.ClassDef) else
+                      "" if isinstance(node, ast.FunctionDef) else cls, within)
+
+        visit(ast.parse(path.read_text()), "", frozenset())
+    uncalled = {q for name, q, method, node in defs
+                if not any((attr or not method) and node not in within
+                           for attr, within in reads.get(name, ()))}
+    assert uncalled == ENTRY_POINTS, (
+        f"called nowhere in the package: {sorted(uncalled - ENTRY_POINTS)}; "
+        f"listed, but called: {sorted(ENTRY_POINTS - uncalled)}")
+    names = {node.id for path in pathlib.Path(__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Name)}
+    entry = {q.rsplit(".", 1)[1] for q in ENTRY_POINTS}
+    assert entry <= names, f"no test calls {sorted(entry - names)}"
+    [paragraph] = [p for p in _readme_section("Library example").split("\n\n")
+                   if "no caller inside the package" in p]
+    assert set(re.findall(r"`(\w+)`", paragraph)) == entry, paragraph
+
+
+def test_the_package_exports_no_module():
+    # `from balayage import *` binds exactly __all__: the library names, no submodule
+    modules = [name for name in balayage.__all__ if inspect.ismodule(getattr(balayage, name))]
+    assert not modules and "hm_system" in balayage.__all__, modules
+
+
+def _commented_value(comment):
+    """The Python literal a README comment starts with ("0.25, exactly"
+    reads 0.25), or None for a comment in words."""
+    for text in (comment, comment.split(",")[0]):
+        try:
+            return ast.literal_eval(text.strip())
+        except (ValueError, SyntaxError):
+            pass
+    return None
+
+
+def test_the_readme_library_examples_read_their_comments():
+    namespace, checked = {}, []
+    for block in re.findall(r"```python\n(.*?)```", _readme_section("Library example"), re.S):
+        exec(block, namespace)
+        for line in block.splitlines():
+            code, _, comment = line.partition("#")
+            value = _commented_value(comment) if comment else None
+            if value is not None and isinstance(ast.parse(code.strip()).body[0], ast.Expr):
+                assert eval(code, namespace) == value, line
+                checked.append(code.strip())
+    assert checked == ["distribution_on_R(bal, 2.0)", "res.lhs, res.holds"]

@@ -1,21 +1,24 @@
 """Library preconditions reject NaN and out-of-range arguments with BadInput."""
 
+import cmath
 import math
 
 import pytest
 
 from balayage import (AtomicCharge, BadInput, BoundarySegment, CanonicalPotential,
-                      RaySystem, StepFunction, angular_density, blaschke_halfplane,
-                      blaschke_outside_system, check_ges_bound,
-                      check_ges_bound_system, check_lipschitz, crg_on_rays,
-                      hm_system, hm_system_quad)
+                      RaySystem, Sector, StepFunction, angular_density,
+                      balayage_halfplane, blaschke_halfplane, blaschke_outside_system,
+                      check_ges_bound, check_ges_bound_system, check_lipschitz,
+                      crg_on_rays, distribution_on_R, hm_sector_disk_bounds,
+                      hm_system, hm_system_quad, variation_radial)
 from balayage.growth_scales import convergence_integral_zero, type_at
-from balayage.regular_growth import indicator_estimate
 
 NAN = math.nan
 NU = AtomicCharge([(2j, 1.0), (-1 + 0.5j, 0.5)])
 S3 = RaySystem([0.0, 2.0, 4.0])
 F = StepFunction.from_events([(1.0, 1.0), (2.0, 1.0), (4.0, 1.0)])
+BAL = balayage_halfplane(NU)
+SIXTH, Z_SIXTH = Sector(0.0, math.pi / 3.0), cmath.rect(3.0, 0.5)
 
 
 def gauge(s):
@@ -34,7 +37,16 @@ CALLS = {
     "type_at r_hi inf": lambda: type_at(F, 1.0, 1.0, math.inf),
     "convergence_integral_zero r0 nan": lambda: convergence_integral_zero(F, 1.0, NAN),
     "convergence_integral_zero p nan": lambda: convergence_integral_zero(F, NAN, 1.0),
-    "indicator_estimate p nan": lambda: indicator_estimate(lambda z: 0.0, 0.0, NAN, (1.0, 8.0)),
+    # a radius out of range used to give a value: an upper bound of -0.0307
+    # on a harmonic measure at r = -1, a mass or a variation of 0.0 at nan
+    "hm_sector_disk_bounds r -1": lambda: hm_sector_disk_bounds(SIXTH, Z_SIXTH, -1.0, 0.5),
+    "hm_sector_disk_bounds r nan": lambda: hm_sector_disk_bounds(SIXTH, Z_SIXTH, NAN, 0.5),
+    "variation_radial r nan": lambda: variation_radial(BAL, NAN),
+    "variation_radial r -1": lambda: variation_radial(BAL, -1.0),
+    "distribution_on_R x nan": lambda: distribution_on_R(BAL, NAN),
+    "distribution_on_R atoms x nan": lambda: distribution_on_R(AtomicCharge([(1.0, 1.0)]), NAN),
+    "ray_distribution x nan": lambda: BAL.ray_distribution(0, NAN),
+    "ray_distribution x -1": lambda: BAL.ray_distribution(0, [1.0, -1.0]),
     "crg_on_rays p nan": lambda: crg_on_rays([F, F], [0.0, math.pi], NAN, radii=[1.5, 3.0]),
     "crg_on_rays radii nan": lambda: crg_on_rays([F, F], [0.0, math.pi], 1.0, radii=[NAN]),
     "angular_density p nan": lambda: angular_density(NU, 0.0, 1.0, NAN),

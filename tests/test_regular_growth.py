@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from balayage import (AtomicCharge, BadInput, StepFunction, angular_density,
-                      crg_on_rays, exgr2_functionals, indicator_estimate,
-                      kernel_Kq, pv_kernel_integral)
+                      crg_on_rays, exgr2_functionals, kernel_Kq, pv_kernel_integral)
 from balayage.numerics import ANGULAR_TOL
 from balayage.regular_growth import _check_convergence_class
 from balayage.ray_geometry import TWO_PI, RaySystem, normalize_angle
+from conftest import indicator_estimate
 
 PI = math.pi
 
@@ -32,6 +32,8 @@ def test_indicator_examples():
     assert indicator_estimate(pos, PI, 1.0, (4.0, 256.0)) == 0.0
     with pytest.raises(BadInput):
         indicator_estimate(pos, 0.0, 0.0, (4.0, 256.0))
+    with pytest.raises(BadInput):
+        indicator_estimate(lambda z: 0.0, 0.0, math.nan, (1.0, 8.0))
 
 
 def test_indicator_sine_zero_potential():
