@@ -31,7 +31,7 @@ from .errors import (
     SupportOffAxis,
     SupportTouchesInterval,
 )
-from .harmonic_measure import interval_form, poisson_integral
+from .harmonic_measure import interval_form, poisson_integrals
 from .numerics import (BOUND_SLACK, PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS,
                        VARIATION_HALVINGS, VARIATION_TOL, decade_breakpoints, integrate)
 from .ray_geometry import REAL_AXIS, RaySystem, modulus, radial_power, reduce_to_halfplane
@@ -290,9 +290,9 @@ class BalayageCharge:
         Each contribution is the harmonic measure, at its image point w, of
         the image interval e*[x1^p, x2^p]: interval_form at (e*Re w, Im w)
         over [x1^p, x2^p], the one closed form that hm_interval evaluates at
-        one point.  An end x2^p past the float range gives a NaN mass, a
-        NumericFailure.  The radii x contributions terms are formed
-        SAMPLE_BLOCK_ELEMENTS at a time."""
+        one point.  x2 = +inf gives the mass of [x1, inf); a finite end whose
+        power passes the float range gives a NaN mass, a NumericFailure.  The
+        radii x contributions terms are formed SAMPLE_BLOCK_ELEMENTS at a time."""
         x2 = np.asarray(x2, dtype=float)
         radii = x2.ravel()
         if not (0.0 <= x1 and (x1 < radii).all()):
@@ -304,8 +304,8 @@ class BalayageCharge:
         step = max(1, SAMPLE_BLOCK_ELEMENTS // max(1, len(r.mass)))
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(0, radii.size, step):
-                om = interval_form(r.ewr, r.w.imag, np.power(x1, r.p),
-                                   np.power(radii[i:i + step, None], r.p))[0]
+                om = interval_form(r.ewr, r.w.imag, _end_power(x1, r.p),
+                                   _end_power(radii[i:i + step, None], r.p))[0]
                 total[i:i + step] = np.sum(weight * om, axis=-1)
         if not np.isfinite(total).all():
             raise NumericFailure(f"swept mass on ray {j} over "
@@ -340,6 +340,13 @@ class BalayageCharge:
         total = total + np.concatenate(([0.0], kept))[
             np.searchsorted(kept_r, x, side="right")]
         return float(total) if x.ndim == 0 else total
+
+
+def _end_power(x, p):
+    """x^p at an end of a segment: NaN where a finite x passes the float range,
+    so that only x = +inf reads +inf."""
+    xp = np.power(x, p)
+    return np.where(np.isfinite(xp) | np.isinf(x), xp, np.nan)
 
 
 def _first(values, bad):
@@ -442,12 +449,16 @@ def _ray_variation(bal, j, a, b):
     pieces, halving [a, b] (a level's open pieces at once) until each keeps
     its sign or the open ones miss at most VARIATION_TOL in all.  Atoms with
     one image are one term, so opposite masses there cancel exactly; halving
-    more than VARIATION_HALVINGS pieces is a NumericFailure."""
+    more than VARIATION_HALVINGS pieces, or a segment to b = +inf with mixed
+    signs, which halving cannot split, is a NumericFailure."""
     if not a < b:
         return 0.0
     r = bal._ray(j)
     if _one_sign(r.mass):
         return abs(bal.ray_segment_mass(j, a, b))
+    if b == math.inf:
+        raise NumericFailure(f"the swept masses on ray {j} have mixed signs: halving "
+                             f"[{a}, inf] needs a finite segment")
     (ewr, y, p), one = np.unique(np.stack((r.ewr, r.w.imag, r.p)), axis=1, return_inverse=True)
     terms = (np.bincount(one.ravel(), weights=r.coef), ewr, y, p)
     step = max(1, SAMPLE_BLOCK_ELEMENTS // p.size)
@@ -485,7 +496,9 @@ def _variation_interval_halfplane(bal, t1, t2):
 def variation_radial(bal, r):
     """|nu^bal| mass of the closed disk of radius r: the kept atoms in it and
     the swept variation on [0, r] of every ray (REAL_AXIS's two for the
-    half-plane sweep)."""
+    half-plane sweep).  r = +inf gives the whole variation when each ray's
+    swept masses share a sign; a ray with mixed signs is a NumericFailure
+    there, because halving needs a finite segment."""
     if not r >= 0.0:
         raise BadInput(f"need r >= 0, got {r}")
     total = math.fsum(np.abs(bal.kept.m[modulus(bal.kept.z) <= r]).tolist())
@@ -681,6 +694,21 @@ class RayTestFunction:
             return va
         return va + (vb - va) * (t - ta) / (tb - ta)
 
+    def on_ray_array(self, j, t):
+        """on_ray at each radius of the array t, by the same rule, the value
+        at t_i on a repeated knot."""
+        t = np.asarray(t, dtype=float)
+        ts, vs = (np.array(c, dtype=float) for c in self._knots.get(j, ((), ())))
+        if not ts.size:
+            return np.zeros(t.shape)
+        i = np.maximum(np.searchsorted(ts, t), 1)  # as bisect_left(ts, t, 1)
+        ta, va = ts[i - 1], vs[i - 1]
+        i = np.minimum(i, ts.size - 1)  # past the last knot, or a single knot: va
+        tb, vb = ts[i], vs[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(tb == ta, va, va + (vb - va) * (t - ta) / (tb - ta))
+        return np.where((ts[0] <= t) & (t <= ts[-1]), inner, 0.0)
+
     def __call__(self, z):
         z = complex(z)
         if z == 0:
@@ -698,28 +726,43 @@ class RayTestFunction:
         return [t for t, _ in self.breakpoints.get(j, [])]
 
 
-def _poisson_pairing(F, S, i, w):
-    """Value at a point of sector i of S, w its image under the sector's
-    power map, of the harmonic extension of F to the complement of S: one
-    poisson_integral per edge in the reduced variable s = t^p, split at F's
-    knots, each edge seen from its point of S.edge_views."""
-    p = S.sectors[i].exponent
-    total = 0.0
-    for edge_ray, seen_from in S.edge_views(i, w):
-        knots = F.ray_knots(edge_ray)
-        if not knots:
-            continue
-        # F vanishes below its first knot, so the integral starts there
-        try:
-            lo, hi = knots[0] ** p, knots[-1] ** p
-        except OverflowError:
-            raise NumericFailure(f"pairing on ray {edge_ray}: the reduced end "
-                                 f"{knots[-1]}^{p} is past the float range") from None
-        if hi == 0.0:
-            continue
-        total += poisson_integral(lambda s, er=edge_ray: F.on_ray(er, s ** (1.0 / p)),
-                                  seen_from, lo, hi, [t ** p for t in knots], "pairing")[0]
-    return total
+def _poisson_pairings(F, S, sector, w):
+    """Values at points of the sectors of S, w[n] the image of point n under
+    the power map of its sector sector[n], of the harmonic extension of F to
+    the complement of S.  Each point's two edges, each seen from its point of
+    S.edge_views, are components of one poisson_integrals call in the
+    reduced variable s = t^p, over F's support on the edge, split at F's
+    knots; a point's value is the sum of its two."""
+    parts = []  # (point, edge ray, p, seen from, F's knots in s) of each component
+    for n, (i, wn) in enumerate(zip(sector, w)):
+        p = S.sectors[i].exponent
+        for edge_ray, seen_from in S.edge_views(i, wn):
+            knots = F.ray_knots(edge_ray)
+            if not knots:
+                continue
+            try:
+                reduced = [t ** p for t in knots]
+            except OverflowError:
+                raise NumericFailure(f"pairing on ray {edge_ray}: the reduced end "
+                                     f"{knots[-1]}^{p} is past the float range") from None
+            if reduced[-1] != 0.0:
+                parts.append((n, edge_ray, p, seen_from, reduced))
+    if not parts:
+        return np.zeros(len(w))
+    point, ray, p, seen, knots = zip(*parts)
+    ray, root = np.array(ray), 1.0 / np.array(p)
+
+    def f(k, s):
+        out, on = np.empty(s.shape), ray[k]
+        for j in np.unique(on).tolist():
+            at = on == j
+            out[at] = F.on_ray_array(j, s[at] ** root[k[at]])
+        return out
+
+    # F vanishes below its first knot, so each integral starts there
+    values = poisson_integrals(f, seen, [k[0] for k in knots], [k[-1] for k in knots], knots,
+                               "pairing")
+    return np.bincount(point, weights=values, minlength=len(w))
 
 
 def check_fubini(nu, S, F, tol=PAIRING_TOL):
@@ -727,8 +770,9 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL):
     the harmonic extension of F against the source charge.
 
     The left side groups by ray (closed-form densities in the original radial
-    variable); the right side groups by atom (Poisson integrals in the reduced
-    variable), two genuinely independent computations."""
+    variable, by scipy's quad); the right side groups by atom (Poisson
+    integrals in the reduced variable, all in one integrate_many call), two
+    genuinely independent computations on two quadrature engines."""
     bal = balayage_system(nu, S)
     # F itself at the kept atoms, on S
     kept = [m * F(z) for z, m in zip(bal.kept.z.tolist(), bal.kept.m.tolist())]
@@ -747,8 +791,8 @@ def check_fubini(nu, S, F, tol=PAIRING_TOL):
         val, _ = integrate(fn, lo, hi, "fubini", points=decade_breakpoints(lo, hi, knots + scale))
         lhs += val
     # the sweep classified the atoms once: F's extension is F on S
-    rhs = math.fsum(kept + [m * _poisson_pairing(F, S, i, w) for m, i, w in zip(
-        bal.swept.m.tolist(), bal.sector.tolist(), bal.w.tolist())])
+    rhs = math.fsum(kept + (bal.swept.m * _poisson_pairings(
+        F, S, bal.sector.tolist(), bal.w.tolist())).tolist())
     return CheckResult(lhs, rhs, abs(lhs - rhs) <= tol, {"difference": abs(lhs - rhs)})
 
 

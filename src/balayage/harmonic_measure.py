@@ -10,9 +10,11 @@ Q > 0 outside the closed semidisk on [a, b] (center x0, radius r), Q < 0
 inside it, and Q = 0 on the semicircle gives exactly 1/2; no arctan difference cancels when w is far
 from the interval.  The measures of a ray system's complement reduce to the
 half-plane by the power map of ray_geometry; a sector's are those of its
-edges' system, hm_system(sec.edges, ...).  poisson_integral is the package's
-one quadrature of the Poisson kernel: the independent oracle of the closed
-form, the Fubini pairing and the sweep of a potential all call it.
+edges' system, hm_system(sec.edges, ...).  The Poisson kernel is integrated
+in one variable and at one split (_sigma_split): poisson_integral, by scipy's
+quad, for the independent oracle of the closed form and the sweep of a
+potential, and poisson_integrals, its array form on many components by
+integrate_many, for the Fubini pairing.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadInput, EndpointSingularity, NotInUpperHalfPlane
-from .numerics import BOUND_SLACK, ORACLE_BUDGET, decade_breakpoints, integrate
+from .numerics import (BOUND_SLACK, ORACLE_BUDGET, decade_breakpoints, integrate,
+                       integrate_many)
 from .ray_geometry import radial_power, reduce_to_halfplane
 
 # The least positive normal float: a product below it has lost bits to underflow.
 _NORMAL_MIN = np.finfo(float).tiny
 _FLOAT_MAX = sys.float_info.max
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,17 @@ class BoundarySegment:
 
 
 def poisson_kernel(t, z):
-    """Density of half-plane harmonic measure: (1/pi) * Im z / |t - z|^2.
+    """Density of half-plane harmonic measure: (1/pi) * Im z / |t - z|^2, at a
+    float t or at each float of an array t.
 
     The value of imag_inv_conj(z - t) / pi, with |z - t| taken once: the
-    square |t - z|^2 underflows to 0 next to a tiny z (Im z = 1e-200)."""
+    square |t - z|^2 underflows to 0 next to a tiny z (Im z = 1e-200).  On an
+    array, |z - t| is numpy's hypot(Re z - t, Im z), the bits of Python's
+    abs(z - t), which numpy's complex abs does not always give."""
     y = z.imag
     if y <= 0.0:
         raise NotInUpperHalfPlane(f"need Im z > 0, got z = {z}")
-    d = abs(z - t)
+    d = np.hypot(z.real - t, y) if isinstance(t, np.ndarray) else abs(z - t)
     return y / d / d / math.pi
 
 
@@ -84,16 +91,19 @@ def interval_form(x, y, a, b):
     arrays that broadcast.  Where Q or N is not finite (inf, or inf - inf =
     nan), or both are below the normal float range (their products
     underflowed: a point and an interval near 1e-160), Q and N are divided by
-    s^2 factor by factor, s = max(|x - a|, |x - b|, y).  An end b past the
-    float range gives NaN."""
+    s^2 factor by factor, s = max(|x - a|, |x - b|, y).  An end b = +inf
+    gives the measure of [a, inf), Q and N divided by b in the limit:
+    a - x and y, so that omega = atan2(y, a - x) / pi."""
     q = (x - a) * (x - b) + y * y
     n = (b - a) * y
     size = np.maximum(np.abs(q), np.abs(n))  # NaN where Q or N is
     plain = (_NORMAL_MIN <= size) & (size < np.inf)
     if not plain.all():
         s = np.maximum(np.maximum(np.abs(x - a), np.abs(x - b)), y)
-        q = np.where(plain, q, ((x - a) / s) * ((x - b) / s) + (y / s) * (y / s))
-        n = np.where(plain, n, ((b - a) / s) * (y / s))
+        ray = b == np.inf
+        q = np.where(plain, q, np.where(ray, a - x, ((x - a) / s) * ((x - b) / s)
+                                        + (y / s) * (y / s)))
+        n = np.where(plain, n, np.where(ray, y, ((b - a) / s) * (y / s)))
     return np.arctan2(n, q) / np.pi, q, n
 
 
@@ -116,15 +126,11 @@ def hm_interval(z, I):
     return float(interval_form(z.real, y, I.t1, I.t2)[0])
 
 
-def poisson_integral(f, w, lo, hi, knots, route, **options):
-    """Integral of f(t) poisson_kernel(t, w) over [lo, hi] and its error spent,
-    as integrate() returns them with its options.  It is taken in sigma =
-    (t - Re w) / Im w, where the kernel is poisson_kernel(sigma, i) and its mass
-    lies at |sigma| ~ 1 however narrow the peak in t.  quad splits at sigma = 0,
-    at the knots, where f changes form, and at +-10^k from sigma = +-1 out to
-    each far end (decade_breakpoints on |sigma|).  The sigma ends stop at the
-    float range; f reads t clamped to [lo, hi], which rounding can leave (an
-    edge's f takes t^(1/p), complex below 0)."""
+def _sigma_split(w, lo, hi, knots):
+    """The ends a < b of [lo, hi] in sigma = (t - Re w) / Im w, stopped at the
+    float range, and the sorted split points inside (a, b): sigma = 0, the
+    knots, and +-10^k from sigma = +-1 out to each far end (decade_breakpoints
+    on |sigma|)."""
     x, y = w.real, w.imag
     if not y > 0.0:
         raise NotInUpperHalfPlane(f"need Im w > 0, got w = {w}")
@@ -132,22 +138,60 @@ def poisson_integral(f, w, lo, hi, knots, route, **options):
     far = max(-a, b)  # NaN when w's image lies past the float range: no split
     decades = (decade_breakpoints(0.0, far, (1.0,)) or ()) if far > 1.0 else ()
     pts = [0.0, *((t - x) / y for t in knots), *decades, *(-s for s in decades)]
+    return a, b, sorted({s for s in pts if a < s < b})
+
+
+def poisson_integral(f, w, lo, hi, knots, route, **options):
+    """Integral of f(t) poisson_kernel(t, w) over [lo, hi] and its error spent,
+    as integrate() returns them with its options.  It is taken in sigma =
+    (t - Re w) / Im w, where the kernel is poisson_kernel(sigma, i) and its mass
+    lies at |sigma| ~ 1 however narrow the peak in t.  quad splits at sigma = 0,
+    at the knots, where f changes form, and at the decades of |sigma|
+    (_sigma_split).  f reads t clamped to [lo, hi], which rounding can leave (an
+    edge's f takes t^(1/p), complex below 0)."""
+    a, b, pts = _sigma_split(w, lo, hi, knots)
+    x, y = w.real, w.imag
 
     def fn(s):
         t = x + y * s
         return f(lo if t < lo else hi if t > hi else t) * poisson_kernel(s, 1j)
 
-    return integrate(fn, a, b, route, points=sorted({s for s in pts if a < s < b}) or None,
-                     **options)
+    return integrate(fn, a, b, route, points=pts or None, **options)
+
+
+def poisson_integrals(f, w, lo, hi, knots, route):
+    """poisson_integral's values, without options, of many components at
+    once: component c integrates over [lo[c], hi[c]] seen from w[c], split
+    by _sigma_split at knots[c], and f(k, t) reads the f of components k at
+    the points t (arrays, clamped as poisson_integral clamps them).  One
+    integrate_many call."""
+    w = np.asarray(w, dtype=complex)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    splits = [(a, *pts, b) for a, b, pts in (
+        _sigma_split(*c) for c in zip(w.tolist(), lo.tolist(), hi.tolist(), knots))]
+    x, y = w.real, w.imag
+
+    def fn(k, s):
+        return f(k, np.clip(x[k] + y[k] * s, lo[k], hi[k])) * poisson_kernel(s, 1j)
+
+    return integrate_many(fn, splits, route)
 
 
 def hm_interval_quad(z, I):
     """Adaptive-quadrature oracle for hm_interval: the poisson_integral of 1
-    over I, independent of the closed form."""
+    over I, independent of the closed form.  f = 1 does not read t, so I is
+    taken shifted by Re z, seen from i Im z, and clipped to |sigma| <= S,
+    where the kernel's mass past S on both sides, at most 2/(pi S), is half
+    the float spacing at 1: the far decades buy nothing, and the mass dropped
+    is spent from the budget.  An I past S keeps an empty part."""
     z = complex(z)
-    return poisson_integral(lambda t: 1.0, z, I.t1, I.t2, (),
+    x, y = z.real, z.imag
+    S = 4.0 / (math.pi * _EPS)
+    lo, hi = max(I.t1 - x, -S * y), min(I.t2 - x, S * y)
+    spent = ((lo > I.t1 - x) + (hi < I.t2 - x)) / (math.pi * S)
+    return poisson_integral(lambda t: 1.0, complex(0.0, y), min(lo, hi), hi, (),
                             f"harmonic-measure oracle (z={z}, I={I})", budget=ORACLE_BUDGET,
-                            epsrel=1e-12)[0]
+                            spent=spent, epsrel=1e-12)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from balayage import (REAL_AXIS, AtomicCharge, BadInput, BalayageCharge,
                       check_lindelof_preservation, check_lipschitz,
                       check_thcup_bound, complementary_sectors, counting_around,
                       distribution_on_R, divergence_verdict, hm_interval,
-                      lindelof_sum, poisson_kernel,
+                      lindelof_sum, poisson_kernel, variation_radial,
                       ray_geometry)
-from balayage.charges import _poisson_pairing
+from balayage.charges import _poisson_pairings
 from balayage.cli import main
 from balayage.errors import NumericFailure
 from balayage.numerics import PAIRING_TOL, QUAD_TOL, SAMPLE_BLOCK_ELEMENTS
@@ -85,6 +85,32 @@ def test_fubini_reads_the_test_function_at_the_origin_at_a_kept_atom_there():
 def test_distribution_balayage_2i():
     bal = balayage_halfplane(AtomicCharge([(2j, 1.0)]))
     assert distribution_on_R(bal, 2.0) == 0.25
+
+
+def test_a_radius_of_inf_reads_the_whole_ray():
+    # each atom of the half-plane sweep puts all its mass on R; a radius of
+    # +inf and x = +-inf raised NumericFailure ("not finite")
+    bal = balayage_halfplane(AtomicCharge([(2j, 1.0), (-1 + 0.5j, 0.5)]))
+    rays = [bal.ray_distribution(j, math.inf) for j in (0, 1)]
+    assert sum(rays) == pytest.approx(1.5, rel=1e-15)
+    assert bal.ray_distribution(0, np.array([1.0, math.inf])).tolist() == [
+        bal.ray_distribution(0, 1.0), rays[0]]
+    assert bal.ray_segment_mass(0, 1.0, math.inf) == pytest.approx(
+        rays[0] - bal.ray_distribution(0, 1.0), rel=1e-14)
+    assert distribution_on_R(bal, math.inf) == rays[0]
+    assert distribution_on_R(bal, -math.inf) == -rays[1]
+    assert variation_radial(bal, math.inf) == pytest.approx(1.5, rel=1e-15)
+    # a quarter-plane sweep (p = 2): both edges' images reach +inf
+    bal = balayage_system(AtomicCharge([(1 + 2j, -0.7)]), RaySystem([0.0, PI / 2]))
+    assert bal.ray_distribution(0, math.inf) + bal.ray_distribution(1, math.inf) == (
+        pytest.approx(-0.7, rel=1e-15))
+    # a finite end whose power passes the float range has no mass to report,
+    # and halving a mixed-sign ray needs a finite segment
+    with pytest.raises(NumericFailure, match="not finite"):
+        bal.ray_segment_mass(0, 1e200, math.inf)
+    mixed = balayage_halfplane(AtomicCharge([(2j, 1.0), (-1 + 0.5j, -0.5)]))
+    with pytest.raises(NumericFailure, match="finite segment"):
+        variation_radial(mixed, math.inf)
 
 
 def test_distribution_antisymmetric_pair_vanishes():
@@ -765,13 +791,17 @@ def test_on_ray_bisection_equals_the_linear_scan(knots, probes):
            for t, v in pts]
     F = RayTestFunction(RaySystem([0.0]), {0: pts})
     ts = [t for t, _ in F.breakpoints[0]]
-    for t in ts + [math.nextafter(t, -1.0) for t in ts] + [
-            math.nextafter(t, math.inf) for t in ts] + probes:
+    radii = ts + [math.nextafter(t, -1.0) for t in ts] + [
+        math.nextafter(t, math.inf) for t in ts] + probes
+    for t in radii:
         assert F.on_ray(0, t) == _on_ray_by_scan(F.breakpoints[0], t), t
+    # the array form, on this ray and on a ray with no knots
+    assert F.on_ray_array(0, np.array(radii)).tolist() == [F.on_ray(0, t) for t in radii]
+    assert not F.on_ray_array(1, np.array(radii)).any()
 
 
 def _pairing_from_zero(F, S, z):
-    """_poisson_pairing by its former route: each edge integral over [0, hi]
+    """_poisson_pairings by its former route: each edge integral over [0, hi]
     with its scale hints all through that range."""
     idx = S.sector_index(z)
     sec = S.sectors[idx]
@@ -801,7 +831,7 @@ def test_pairing_over_the_support_equals_the_integral_from_zero(z):
                             2: [(0.01, 0.0), (0.02, 0.5), (0.5, 0.5), (3.0, 0.0)]})
     idx = S.sector_index(z)
     w = ray_geometry.reduce_to_halfplane(S.sectors[idx], z)
-    assert abs(_poisson_pairing(F, S, idx, w) - _pairing_from_zero(F, S, z)) <= QUAD_TOL
+    assert abs(_poisson_pairings(F, S, [idx], [w])[0] - _pairing_from_zero(F, S, z)) <= QUAD_TOL
 
 
 @pytest.mark.parametrize("target, far", [

@@ -12,6 +12,7 @@ from balayage import (AtomicCharge, BadInput, BoundarySegment, EndpointSingulari
                       NotInUpperHalfPlane, NumericFailure, RaySystem, Sector,
                       balayage_system, hm_bounds, hm_interval, hm_interval_quad,
                       hm_sector_disk_bounds, hm_system, hm_system_quad, poisson_kernel)
+from balayage import numerics
 from balayage.cli import main
 from balayage.numerics import ORACLE_BUDGET
 
@@ -23,6 +24,15 @@ def test_poisson_kernel_values():
     assert poisson_kernel(1.0, 1j) == pytest.approx(1 / (2 * PI), abs=1e-15)
     with pytest.raises(NotInUpperHalfPlane):
         poisson_kernel(0.0, 1.0 - 0.5j)
+
+
+def test_the_array_poisson_kernel_has_the_scalar_bits():
+    # numpy's complex abs differs from Python's abs in the last bit at some
+    # of these radii; the array form takes hypot, as Python's abs does
+    t = np.concatenate([np.linspace(-3.0, 3.0, 2001), 10.0 ** np.arange(-20.0, 300.0, 0.37),
+                        [0.0, 5e-324, -1e308]])
+    for z in (1j, 2.5 + 1e-3j, -1e5 + 7.0j, 1e-200j):
+        assert poisson_kernel(t, z).tolist() == [poisson_kernel(s, z) for s in t.tolist()], z
 
 
 def test_poisson_kernel_total_mass():
@@ -66,6 +76,30 @@ def test_hm_interval_quad_oracle():
     assert hm_interval_quad(z, J) == pytest.approx(hm_interval(z, J), abs=1e-8)
     assert hm_interval_quad(10j, I) == pytest.approx(math.atan(20 / 99) / PI,
                                                      abs=1e-8)
+
+
+def test_the_oracle_drops_the_far_decades_that_hold_no_mass(monkeypatch):
+    # past |sigma| = 4 / (pi eps) the kernel's mass is below half the float
+    # spacing at 1: split out to the float range, I made 13 776 evaluations
+    evals = 0
+    real = numerics.quad
+
+    def counting(fn, *args, **kwargs):
+        def counted(t):
+            nonlocal evals
+            evals += 1
+            return fn(t)
+        return real(counted, *args, **kwargs)
+    monkeypatch.setattr(numerics, "quad", counting)
+    z, I = 1e5 + 1e-3j, Interval(-1e300, 1e300)
+    assert abs(hm_interval_quad(z, I) - hm_interval(z, I)) <= ORACLE_BUDGET
+    assert 0 < evals <= 2500
+    # an interval wholly past S keeps an empty part; a point off the upper
+    # half-plane is still refused
+    z, I = 1e-20j, Interval(1.0, 2.0)
+    assert abs(hm_interval_quad(z, I) - hm_interval(z, I)) <= ORACLE_BUDGET
+    with pytest.raises(NotInUpperHalfPlane):
+        hm_interval_quad(1.0 - 1e-3j, Interval(-1e300, 1e300))
 
 
 def test_hm_interval_probability():

@@ -36,8 +36,9 @@ from balayage.charges import _variation_interval_halfplane
 from balayage.subharmonic import _edge_arc_functionals
 from balayage.cli import _counts_by_ray, main
 from balayage.errors import NumericFailure
+from balayage.harmonic_measure import poisson_integral, poisson_integrals
 from balayage.numerics import (ANGULAR_TOL, IDENTITY_TOL, INPUT_ANGULAR_TOL, PAIRING_TOL,
-                               VARIATION_TOL, decade_breakpoints, integrate)
+                               VARIATION_TOL, decade_breakpoints, integrate, integrate_many)
 from conftest import random_charge
 
 PI = math.pi
@@ -600,13 +601,20 @@ def _close(value, oracle):
 
 @pytest.fixture
 def quad_calls(monkeypatch):
+    """The ranges of every quad call and of every piece that integrate_many's
+    rule, numerics.qk21, evaluates."""
     calls = []
-    real = numerics.quad
+    real, rule = numerics.quad, numerics.qk21
 
     def counting(*args, **kwargs):
         calls.append(args[1:3])
         return real(*args, **kwargs)
+
+    def counting_rule(fn, k, a, b):
+        calls.extend(zip(a.tolist(), b.tolist()))
+        return rule(fn, k, a, b)
     monkeypatch.setattr(numerics, "quad", counting)
+    monkeypatch.setattr(numerics, "qk21", counting_rule)
     return calls
 
 
@@ -772,6 +780,102 @@ def test_integrate_raises_when_the_error_misses_its_budget():
             integrate(lambda t: float("nan"), 0.0, 1.0, "probe", budget=budget)
 
 
+def test_the_kronrod_rule_is_qk21():
+    # the 21 Kronrod nodes integrate polynomials of degree 31 exactly, and the
+    # 10 Gauss nodes among them those of degree 19, and no more
+    x = numerics._KRONROD_NODES
+    for d in range(32):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(x ** d @ numerics._KRONROD_WEIGHTS - exact) <= 1e-15, d
+        if d < 20:
+            assert abs(x ** d @ numerics._GAUSS_WEIGHTS - exact) <= 1e-15, d
+    assert abs(x ** 20 @ numerics._GAUSS_WEIGHTS - 2.0 / 21) > 1e-7
+    assert abs(x ** 32 @ numerics._KRONROD_WEIGHTS - 2.0 / 33) > 1e-13
+
+
+def test_integrate_many_raises_on_a_nan_integrand():
+    # one component's NaN fails the call, as a NaN fails integrate's check
+    with pytest.raises(QuadratureFailure, match="probe"):
+        integrate_many(lambda k, x: np.where(k == 1, np.nan, x),
+                       [(0.0, 1.0), (0.0, 0.5, 1.0)], "probe")
+
+
+def test_integrate_many_raises_past_the_subdivision_limit(monkeypatch):
+    # sin(1/x) oscillates past what QUAD_LIMIT added pieces resolve
+    with pytest.raises(QuadratureFailure, match="probe .* 400 added pieces"):
+        integrate_many(lambda k, x: np.sin(1.0 / x), [(1e-6, 1.0)], "probe")
+    # the limit is read when called: exp over [0, 50] needs added pieces
+    value = integrate_many(lambda k, x: np.exp(x), [(0.0, 50.0)], "probe")[0]
+    assert value == pytest.approx(math.expm1(50.0), rel=1e-14)
+    monkeypatch.setattr(numerics, "QUAD_LIMIT", 0)
+    with pytest.raises(QuadratureFailure, match="0 added pieces"):
+        integrate_many(lambda k, x: np.exp(x), [(0.0, 50.0)], "probe")
+
+
+def test_integrate_many_raises_on_a_value_past_the_float_range():
+    with pytest.raises(QuadratureFailure, match="probe .*not a finite value"):
+        integrate_many(lambda k, x: np.full(x.shape, 1e300), [(0.0, 1e300)], "probe")
+    with pytest.raises(QuadratureFailure, match="not a finite value"):
+        integrate_many(lambda k, x: np.where(x > 0.5, np.inf, 1.0), [(0.0, 1.0)], "probe")
+
+
+@st.composite
+def _pairing_components(draw):
+    """(S, F, swept atoms) of a pairing: 1-4 rays, a tent on one of them, and
+    1-6 atoms, some a tiny angle off a ray, so that their images lie next to
+    the axis."""
+    gaps = draw(st.lists(st.floats(0.3, 3.0), min_size=1, max_size=4))
+    start = draw(st.floats(0.0, 2 * PI))
+    thetas = [start + 2 * PI * g / sum(gaps) for g in np.cumsum([0.0, *gaps[:-1]])]
+    S = RaySystem(thetas)
+    t = sorted(10.0 ** (e / 4) for e in draw(
+        st.lists(st.integers(-12, 12), min_size=3, max_size=3, unique=True)))
+    F = RayTestFunction(S, {draw(st.integers(0, len(thetas) - 1)):
+                            [(t[0], 0.0), (t[1], 1.0), (t[2], 0.0)]})
+    atoms = []
+    for _ in range(draw(st.integers(1, 6))):
+        th = draw(st.floats(0.0, 2 * PI) | st.builds(
+            lambda ray, off: thetas[ray] + off, st.integers(0, len(thetas) - 1),
+            st.sampled_from([-1.0, 1.0]).flatmap(
+                lambda sign: st.floats(-12.0, -2.0).map(lambda e: sign * 10.0 ** e))))
+        atoms.append((cmath.rect(10.0 ** draw(st.floats(-3.0, 3.0)), th),
+                      draw(st.floats(0.1, 2.0))))
+    return S, F, balayage_system(AtomicCharge(atoms), S)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_pairing_components(), block=st.integers(21, 3000))
+def test_integrate_many_meets_each_budget_of_a_scipy_quad(case, block):
+    """Each (atom, edge) component of the pairing, by poisson_integrals and
+    integrate_many, lies within its budget of scipy's quad of the same scalar
+    integral, poisson_integral's; no call of the integrand sees more than
+    SAMPLE_BLOCK_ELEMENTS nodes."""
+    S, F, bal = case
+    ray, root, w, lo, hi, knots = [], [], [], [], [], []
+    for i, z in zip(bal.sector.tolist(), bal.w.tolist()):
+        p = S.sectors[i].exponent
+        for j, seen_from in S.edge_views(i, z):
+            if F.ray_knots(j):
+                reduced = [t ** p for t in F.ray_knots(j)]
+                ray.append(j), root.append(1.0 / p), w.append(seen_from)
+                lo.append(reduced[0]), hi.append(reduced[-1]), knots.append(reduced)
+    assume(ray)
+    seen = []
+
+    def f(k, s):
+        seen.append(s.size)
+        return np.array([F.on_ray(ray[c], u ** root[c]) for c, u in zip(k.tolist(), s.tolist())])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "SAMPLE_BLOCK_ELEMENTS", block)
+        values = poisson_integrals(f, w, lo, hi, knots, "pairing")
+    assert seen and max(seen) <= block
+    for c, value in enumerate(values.tolist()):
+        oracle, err = poisson_integral(lambda s: F.on_ray(ray[c], s ** root[c]), w[c], lo[c],
+                                       hi[c], knots[c], "oracle")
+        assert abs(value - oracle) <= max(numerics.QUAD_TOL, 1.49e-8 * abs(oracle)) + err
+
+
 # check_lindelof_preservation on this input made 3150 integrand evaluations
 # when it integrated every radius afresh from r0
 LINDELOF_EVALS_PER_RADIUS = 3150
@@ -821,9 +925,14 @@ def test_quad_is_bound_in_one_module_only():
     modules = [importlib.import_module(f"balayage.{m.name}")
                for m in pkgutil.iter_modules(balayage.__path__)]
     numerics.quad  # bound on first use; this test may run before any quadrature
-    owners = [mod.__name__ for mod in modules
-              if any(v is scipy.integrate.quad for v in vars(mod).values())]
-    assert owners == ["balayage.numerics"]
+    # and so is the rule of integrate_many, which only harmonic_measure imports
+    for bound, want in ((scipy.integrate.quad, ["balayage.numerics"]),
+                        (numerics.qk21, ["balayage.numerics"]),
+                        (numerics.integrate_many,
+                         ["balayage.harmonic_measure", "balayage.numerics"])):
+        owners = [mod.__name__ for mod in modules
+                  if any(v is bound for v in vars(mod).values())]
+        assert owners == want, bound
     for mod in modules:
         if mod.__name__ != "balayage.numerics":
             assert "IntegrationWarning" not in inspect.getsource(mod), mod.__name__
@@ -831,9 +940,9 @@ def test_quad_is_bound_in_one_module_only():
 
 def test_integrate_alone_sets_the_accuracy_and_the_subdivision_limit():
     # one subdivision limit, QUAD_LIMIT, and one absolute accuracy, QUAD_TOL:
-    # no route passes limit to integrate or poisson_integral, and only the
-    # Lindelof shells pass epsabs, their share of QUAD_TOL; a ** argument may
-    # set any key its file writes into a dict
+    # no route passes limit to integrate, integrate_many or their Poisson
+    # wrappers, and only the Lindelof shells pass epsabs, their share of
+    # QUAD_TOL; a ** argument may set any key its file writes into a dict
     setters = {"limit": set(), "epsabs": set()}
     for stem, tree in _package_trees():
         if stem == "numerics":
@@ -842,17 +951,22 @@ def test_integrate_alone_sets_the_accuracy_and_the_subdivision_limit():
         for top in tree.body:
             for call in ast.walk(top):
                 if getattr(getattr(call, "func", None), "id", None) not in (
-                        "integrate", "poisson_integral"):
+                        "integrate", "poisson_integral", "integrate_many", "poisson_integrals"):
                     continue
                 keys = {kw.arg for kw in call.keywords}
                 for key in setters.keys() & (keys | (spread if None in keys else set())):
                     setters[key].add(f"{stem}.{getattr(top, 'name', '<module>')}")
     assert setters == {"limit": set(), "epsabs": {"charges.check_lindelof_preservation"}}
-    # poisson_integral splits by decade_breakpoints, not by a 2^k loop of its own
-    pi = next(node for _, tree in _package_trees() for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == "poisson_integral")
-    assert not [node for node in ast.walk(pi) if isinstance(node, ast.BinOp)
-                and isinstance(node.op, ast.Pow) and getattr(node.left, "value", None) == 2]
+    # integrate_many takes no accuracy, limit or block size: it reads
+    # QUAD_TOL, QUAD_LIMIT and SAMPLE_BLOCK_ELEMENTS from numerics when called
+    assert list(inspect.signature(numerics.integrate_many).parameters) == [
+        "fn", "splits", "route"]
+    # the sigma split is decade_breakpoints, not a 2^k loop of its own
+    for name in ("poisson_integral", "poisson_integrals", "_sigma_split"):
+        pi = next(node for _, tree in _package_trees() for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        assert not [node for node in ast.walk(pi) if isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Pow) and getattr(node.left, "value", None) == 2]
 
 
 def _package_trees():
@@ -943,7 +1057,7 @@ def test_the_edges_of_a_sector_are_formed_once():
     # ray system's complement, the Fubini pairing and the potential sweep read it
     assert _owners(_is_mirror) == {"ray_geometry.RaySystem.edge_views"}
     assert _callers("edge_views") == {
-        "harmonic_measure._hm_system", "charges._poisson_pairing",
+        "harmonic_measure._hm_system", "charges._poisson_pairings",
         "subharmonic.subharmonic_balayage_eval"}
 
 
@@ -956,12 +1070,18 @@ def test_the_angular_tolerances_are_the_on_ray_and_input_rules():
 
 
 def test_the_poisson_kernel_is_integrated_once():
-    # the hm oracle, the Fubini pairing and the potential sweep are all
-    # poisson_integral's callers; none integrates the kernel itself
-    assert _callers("poisson_kernel") == {"harmonic_measure.poisson_integral"}
+    # the hm oracle and the potential sweep are poisson_integral's callers, and
+    # the Fubini pairing is poisson_integrals', its array form, the one caller
+    # of integrate_many; both take one sigma split and poisson_kernel, and no
+    # other function integrates the kernel
+    assert _callers("poisson_kernel") == {"harmonic_measure.poisson_integral",
+                                          "harmonic_measure.poisson_integrals"}
     assert _callers("poisson_integral") == {
-        "harmonic_measure.hm_interval_quad", "charges._poisson_pairing",
-        "subharmonic.subharmonic_balayage_eval"}
+        "harmonic_measure.hm_interval_quad", "subharmonic.subharmonic_balayage_eval"}
+    assert _callers("poisson_integrals") == {"charges._poisson_pairings"}
+    assert _callers("integrate_many") == {"harmonic_measure.poisson_integrals"}
+    assert _callers("_sigma_split") == {"harmonic_measure.poisson_integral",
+                                        "harmonic_measure.poisson_integrals"}
 
 
 COLD_START = """
@@ -970,6 +1090,9 @@ import {module}
 assert "scipy.integrate" not in sys.modules, "imported with {module}"
 from balayage import numerics
 assert "quad" not in vars(numerics)
+values = numerics.integrate_many(lambda k, t: t * t, [(0.0, 3.0)], "cold start")
+assert abs(values[0] - 9.0) < 1e-12, values
+assert "scipy.integrate" not in sys.modules, "imported by integrate_many"
 value, _ = numerics.integrate(lambda t: t * t, 0.0, 3.0, "cold start")
 assert abs(value - 9.0) < 1e-12, value
 import scipy.integrate
